@@ -9,11 +9,11 @@ against efficiency and production rate.
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ._fileio import fmt, format_mapping
 from .errors import (
@@ -154,47 +154,65 @@ def contamination4(rho: JointDistribution) -> float:
     return 1.0 - float(rho.probs[2, 2]) / denom
 
 
-def _pair_rate(N: float, eta: float, M: float, which: int) -> float:
-    probs = joint_distribution(
-        EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M), n_max=2
-    ).probs
-    return float(probs[1, 1]) if which == 2 else float(probs[2, 2])
+def _closed_form_rate(N: float, eta: float, M: float, which: int) -> float:
+    """rho[1, 1] (which=2) or rho[2, 2] (which=4) of the balanced source.
 
-
-def _rate_peak(eta: float, M: float, which: int) -> tuple[float, float]:
-    """Location and value of the maximum of N -> production rate."""
-    n = 1e-6
-    while _pair_rate(2.0 * n, eta, M, which) > _pair_rate(n, eta, M, which):
-        n *= 2.0
-        if n > 1e12:
-            break
-    res = minimize_scalar(
-        lambda x: -_pair_rate(x, eta, M, which),
-        bounds=(n / 2.0, 2.0 * n),
-        method="bounded",
-        options={"xatol": 1e-10 * n},
-    )
-    return float(res.x), -float(res.fun)
+    With eta = eta' the generating function is A^-M (1 - b x - b y - d xy)^-M,
+    b = N eta (1 - eta) / A, d = N eta^2 / A; in rising factorials (M)_k,
+    rho11 = A^-M (M d + (M)_2 b^2) and
+    rho22 = A^-M ((M)_2 d^2 / 2 + (M)_3 b^2 d + (M)_4 b^4 / 4).
+    """
+    A = N + 1.0 - N * (1.0 - eta) * (1.0 - eta)
+    b2 = (N * eta * (1.0 - eta) / A) ** 2
+    d = N * eta * eta / A
+    if which == 2:
+        return A**-M * M * (d + (M + 1.0) * b2)
+    quad = 0.5 * d * d + (M + 2.0) * b2 * (d + 0.25 * (M + 3.0) * b2)
+    return A**-M * M * (M + 1.0) * quad
 
 
 def _invert_rate(target: float, eta: float, M: float, which: int) -> float | None:
     """Smallest N with production rate == target, or None when unachievable.
 
-    The rate rises from zero, peaks, and falls, so the equation is solved by
-    bisection on the rising branch.
+    The rate rises from zero, peaks, and falls.  The peak is bracketed by
+    doubling N and located by golden-section search on log N; the equation is
+    then solved by bisection on the rising branch.
     """
-    peak_x, peak_val = _rate_peak(eta, M, which)
+
+    def rate(N: float) -> float:
+        return _closed_form_rate(N, eta, M, which)
+
+    n = 1e-6
+    while rate(2.0 * n) > rate(n):
+        n *= 2.0
+        if n > 1e12:
+            break
+    golden = 0.5 * (math.sqrt(5.0) - 1.0)
+    lo, hi = math.log(0.5 * n), math.log(2.0 * n)
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = rate(math.exp(x1)), rate(math.exp(x2))
+    while hi - lo > 1e-10:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = rate(math.exp(x2))
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = rate(math.exp(x1))
+    peak_x, peak_val = (math.exp(x1), f1) if f1 >= f2 else (math.exp(x2), f2)
+
     if target > peak_val:
         return None if target > peak_val * (1.0 + 1e-9) else peak_x
     lo = min(1e-12, peak_x * 1e-9)
-    while _pair_rate(lo, eta, M, which) > target:
+    while rate(lo) > target:
         lo *= 1e-3
         if lo < 1e-300:
             return lo
     hi = peak_x
     while (hi - lo) > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
-        if _pair_rate(mid, eta, M, which) < target:
+        if rate(mid) < target:
             lo = mid
         else:
             hi = mid
@@ -216,12 +234,14 @@ def contamination_map(
     """
     if which not in (2, 4):
         raise ValidationError("which must be 2 or 4")
-    if M < 1.0:
-        raise ValidationError("M must be >= 1")
+    if not (math.isfinite(M) and M >= 1.0):
+        raise ValidationError("M must be finite and >= 1")
     etas = np.atleast_1d(np.asarray(eta_grid, dtype=float))
     rates = np.atleast_1d(np.asarray(rate_grid, dtype=float))
     if etas.size == 0 or rates.size == 0:
         raise ValidationError("grids must be non-empty")
+    if not (np.all(np.isfinite(etas)) and np.all(np.isfinite(rates))):
+        raise ValidationError("grid values must be finite")
     if np.any(etas <= 0.0) or np.any(etas > 1.0):
         raise ValidationError("eta grid values must lie in (0, 1]")
     if np.any(rates <= 0.0):
@@ -252,15 +272,9 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
             values[name] = float("nan")
             status[name] = type(exc).__name__
 
-    captured = float(rho.probs.sum())
-    n = np.arange(rho.n_max + 1, dtype=float)
-    if captured > 0.0:
-        pa, pb = rho.probs.sum(axis=1), rho.probs.sum(axis=0)
-        mean_n = float(pa @ n) / captured
-        mean_np = float(pb @ n) / captured
-        var_n = float(pa @ n**2) / captured - mean_n**2
-        var_np = float(pb @ n**2) / captured - mean_np**2
-    else:
+    try:
+        mean_n, mean_np, var_n, var_np, _ = _moments(rho)
+    except DegenerateInputError:
         mean_n = mean_np = var_n = var_np = 0.0
 
     attempt("M_hat", lambda: mode_number(rho, "a"))
@@ -283,29 +297,22 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
         for name, which in (("eps2", 2), ("eps4", 4)):
             if status[name] != "ok":
                 continue
-            min_total = which
-            box = _sector_mass(rho, min_total) - rho.tail_mass
+            box = _sector_mass(rho, which) - rho.tail_mass
             if box <= 0.0:
                 continue
-            peak = rho.probs[1, 1] if which == 2 else rho.probs[2, 2]
-            intervals[name] = 0.5 * abs(
-                float(peak) / box - float(peak) / (box + rho.tail_mass)
-            )
+            peak = float(rho.probs[which // 2, which // 2])
+            intervals[name] = 0.5 * abs(peak / box - peak / (box + rho.tail_mass))
 
     return SourceCharacterization(
         mean_n=mean_n,
         mean_n_prime=mean_np,
         var_n=var_n,
         var_n_prime=var_np,
-        M_hat=values["M_hat"],
-        delta_sq=values["delta_sq"],
-        eta_hat=values["eta_hat"],
-        eps2=values["eps2"],
-        eps4=values["eps4"],
         p11=p11,
         p22=p22,
         status=status,
         intervals=intervals,
+        **values,
     )
 
 
@@ -313,20 +320,9 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
 
 def format_characterization(char: SourceCharacterization) -> str:
     pairs = {
-        name: getattr(char, name)
-        for name in (
-            "mean_n",
-            "mean_n_prime",
-            "var_n",
-            "var_n_prime",
-            "M_hat",
-            "delta_sq",
-            "eta_hat",
-            "eps2",
-            "eps4",
-            "p11",
-            "p22",
-        )
+        f.name: getattr(char, f.name)
+        for f in fields(char)
+        if f.name not in ("status", "intervals")
     }
     for name, val in char.intervals.items():
         pairs[f"interval_{name}"] = val

@@ -7,7 +7,6 @@ Errors are printed to stderr as one line: ``error: <Kind>: <message>``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -148,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Joint photon-number statistics of pulsed twin-beam sources.",
         epilog="exit codes: 0 success, 2 usage, 3 validation, 4 numerical",
     )
-    default_threads = int(os.environ.get("PAIRSTATS_THREADS", "1"))
     sub = parser.add_subparsers(
         dest="subcommand",
         required=True,
@@ -188,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
     p.add_argument("--rho-out", required=True, dest="rho_out")
     p.add_argument("--report-out", default=None, dest="report_out")
-    p.add_argument("--threads", type=int, default=default_threads)
     p.set_defaults(func=_cmd_reconstruct)
 
     p = sub.add_parser("analyze", help="source parameters from a distribution file")
@@ -202,13 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta-grid", required=True, dest="eta_grid")
     p.add_argument("--rate-grid", required=True, dest="rate_grid")
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=default_threads)
     p.set_defaults(func=_cmd_map)
 
     p = sub.add_parser("pipeline", help="full run: calibrate, collect, reconstruct")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True, dest="out_dir")
-    p.add_argument("--threads", type=int, default=default_threads)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser
@@ -220,8 +215,6 @@ def main(argv=None) -> int:
     if args.subcommand == "map":
         args.eta_grid = _parse_grid(args.eta_grid, parser)
         args.rate_grid = _parse_grid(args.rate_grid, parser)
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be >= 1")
     _echo_config(args)
     try:
         return args.func(args)

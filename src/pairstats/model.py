@@ -109,10 +109,10 @@ class EffectiveSource:
     """Effective description of the lossy pair source.
 
     Attributes:
-        N: mean photon pairs produced per mode pair, > 0.
+        N: mean photon pairs produced per mode pair, finite and > 0.
         eta: overall transmission of arm a, in [0, 1].
         eta_prime: overall transmission of arm b, in [0, 1].
-        M: equivalent number of independent mode pairs, >= 1.  Real values
+        M: equivalent number of independent mode pairs, finite and >= 1.  Real values
             are accepted by the analytic expansion; the process oracle and the
             Monte Carlo sampler require an integer.
     """
@@ -123,14 +123,14 @@ class EffectiveSource:
     M: float = 1.0
 
     def __post_init__(self):
-        if not self.N > 0.0:
-            raise ValidationError("mean pair number N must be > 0")
+        if not (math.isfinite(self.N) and self.N > 0.0):
+            raise ValidationError("mean pair number N must be finite and > 0")
         for name in ("eta", "eta_prime"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1] (got {value!r})")
-        if not self.M >= 1.0:
-            raise ValidationError("equivalent mode number M must be >= 1")
+        if not (math.isfinite(self.M) and self.M >= 1.0):
+            raise ValidationError("equivalent mode number M must be finite and >= 1")
         for name in ("N", "eta", "eta_prime", "M"):
             object.__setattr__(self, name, float(getattr(self, name)))
 

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+from pairstats import analysis
 from pairstats.analysis import (
+    _closed_form_rate,
+    _invert_rate,
     characterize,
     contamination2,
     contamination4,
@@ -186,7 +189,6 @@ class TestContaminationMap:
     def test_grid_point_matches_process_oracle(self):
         # eta=0.5 at single-pair rate 1e-2: the map cell must agree with the
         # contamination of the independently constructed oracle distribution
-        from pairstats.analysis import _invert_rate
         from pairstats.model import joint_distribution_oracle
 
         cell = contamination_map([0.5], [1e-2], M=1.0, which=2)[0, 0]
@@ -213,6 +215,76 @@ class TestContaminationMap:
             contamination_map([], [1e-4], M=1.0, which=2)
         with pytest.raises(ValidationError):
             contamination_map([0.5], [1e-4], M=1.0, which=3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            contamination_map([0.5, bad], [1e-4], M=1.0, which=2)
+        with pytest.raises(ValidationError):
+            contamination_map([0.5], [1e-4, bad], M=1.0, which=2)
+        with pytest.raises(ValidationError):
+            contamination_map([0.5], [1e-4], M=bad, which=2)
+
+
+# The contour grid of the benchmark: 8 efficiencies x 9 rates.
+MAP_ETAS = np.linspace(0.3, 1.0, 8)
+MAP_RATES = np.logspace(-5.0, -1.0, 9)
+MAP_CASES = [(M, which) for M in (1.0, 16.0) for which in (2, 4)]
+
+
+def recurrence_rate(N, eta, M, which):
+    c = which // 2
+    src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
+    return float(joint_distribution(src, 2).probs[c, c])
+
+
+class TestClosedFormRates:
+    @pytest.mark.parametrize("M", [1.0, 2.5, 16.0, 1000.0])
+    @pytest.mark.parametrize("which", [2, 4])
+    def test_matches_recurrence(self, M, which):
+        # Both computations underflow together at large N and M; below the
+        # smallest normal double neither keeps relative precision.
+        tiny = np.finfo(float).tiny
+        for eta in (0.05, 0.3, 0.7, 1.0):
+            for N in np.logspace(-6.0, 3.0, 28):
+                got = _closed_form_rate(float(N), eta, M, which)
+                want = recurrence_rate(float(N), eta, M, which)
+                assert got == pytest.approx(want, rel=1e-12, abs=tiny)
+
+    @pytest.mark.parametrize("M, which", MAP_CASES)
+    def test_solved_N_hits_target_on_rising_branch(self, M, which):
+        for eta in MAP_ETAS:
+            for rate in MAP_RATES:
+                N = _invert_rate(float(rate), float(eta), M, which)
+                if N is None:
+                    continue
+                got = recurrence_rate(N, float(eta), M, which)
+                assert got == pytest.approx(rate, rel=1e-9)
+                smaller = N * np.logspace(-6.0, -1e-4, 60)
+                rates = [recurrence_rate(x, float(eta), M, which) for x in smaller]
+                assert max(rates) < rate
+
+    @pytest.mark.parametrize("M, which", MAP_CASES)
+    def test_nan_only_where_rate_unreachable(self, M, which):
+        scan_N = np.logspace(-6.0, 4.0, 4001)
+        eps = contamination_map(MAP_ETAS, MAP_RATES, M=M, which=which)
+        for i, eta in enumerate(MAP_ETAS):
+            peak = float(np.max(_closed_form_rate(scan_N, float(eta), M, which)))
+            for j, rate in enumerate(MAP_RATES):
+                assert np.isnan(eps[i, j]) == (peak < rate)
+
+    def test_one_grid_per_finite_cell(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return joint_distribution(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "joint_distribution", counting)
+        for M, which in MAP_CASES:
+            calls.clear()
+            eps = contamination_map(MAP_ETAS, MAP_RATES, M=M, which=which)
+            assert len(calls) <= int(np.isfinite(eps).sum())
 
 
 class TestCharacterize:

@@ -124,6 +124,15 @@ class TestEffectiveSourceValidation:
         with pytest.raises(ValidationError):
             EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=0.5)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_N_and_M(self, value):
+        with pytest.raises(ValidationError):
+            EffectiveSource(N=value, eta=0.5, eta_prime=0.5)
+        with pytest.raises(ValidationError):
+            EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=value)
+        with pytest.raises(ValidationError):
+            EffectiveSource(N=1.0, eta=value, eta_prime=0.5)
+
 
 class TestGeneratingFn:
     def test_single_mode_origin(self):
