@@ -2,16 +2,15 @@
 
 A photon entering the arm leaves through path i with probability w_i, and a
 path fires (one click) when at least one photon exits through it.  The
-conditional probability of k clicks given n photons follows by
-inclusion-exclusion over the set of occupied paths.  Losses are not modelled
-here; they are absorbed into the arm transmissions of the source model, so
-the response matrices describe lossless detectors with P[1, 1] = 1.
+conditional probability of k clicks given n photons is built by adding the
+paths one at a time, each taking a binomial share of the photons.  Losses
+are not modelled here; they are absorbed into the arm transmissions of the
+source model, so the response matrices describe lossless detectors with
+P[1, 1] = 1.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +20,7 @@ from .errors import DegenerateInputError, ValidationError
 from .model import JointDistribution, _freeze
 
 _TOL = 1e-12
+_BLOCK = 64  # binomial rows applied per matrix product in response_matrix
 
 
 @dataclass(frozen=True)
@@ -33,8 +33,8 @@ class PathWeights:
         w = np.atleast_1d(np.asarray(self.w, dtype=float))
         if w.ndim != 1 or w.size < 1:
             raise ValidationError("path weights must be a non-empty 1-d sequence")
-        if np.any(w < 0.0):
-            raise ValidationError("path weights must be >= 0")
+        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
+            raise ValidationError("path weights must be finite and >= 0")
         total = float(w.sum())
         if abs(total - 1.0) > _TOL:
             raise ValidationError(
@@ -70,8 +70,8 @@ class DetectorResponse:
         B = self.weights.B
         if P.ndim != 2 or P.shape[0] != B + 1 or P.shape[1] < 1:
             raise ValidationError("P must have B+1 rows and at least one column")
-        if np.any(P < 0.0):
-            raise ValidationError("click probabilities must be >= 0")
+        if not np.all(np.isfinite(P)) or np.any(P < 0.0):
+            raise ValidationError("click probabilities must be finite and >= 0")
         colsums = P.sum(axis=0)
         if np.any(np.abs(colsums - 1.0) > _TOL):
             raise ValidationError("each column of P must sum to 1 within 1e-12")
@@ -106,11 +106,11 @@ class ClickDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2:
             raise ValidationError("p must be a matrix")
-        if np.any(p < 0.0) or np.any(p > 1.0 + _TOL):
+        if not np.all((p >= 0.0) & (p <= 1.0 + _TOL)):
             raise ValidationError("click probabilities must lie in [0, 1]")
         deficit = float(self.deficit)
-        if deficit < 0.0:
-            raise ValidationError("deficit must be >= 0")
+        if not 0.0 <= deficit < np.inf:
+            raise ValidationError("deficit must be finite and >= 0")
         total = float(p.sum()) + deficit
         if abs(total - 1.0) > _TOL:
             raise ValidationError(
@@ -124,44 +124,45 @@ class ClickDistribution:
 def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     """Conditional click probabilities P[k, n] for 0 <= k <= B, 0 <= n <= n_max.
 
-    P[k, n] sums, over every k-subset S of paths, the probability that
-    exactly the paths in S receive at least one of the n photons:
+    The paths are added one at a time; after i of them, P[k, n] is the
+    probability that n photons confined to those paths occupy exactly k.
+    Path i takes a Binomial(n, p) share of them, p = w_i / (w_1 + ... + w_i):
 
-        P[k, n] = sum_{|S|=k} sum_{T subset S} (-1)^(|S|-|T|) (sum_{i in T} w_i)^n
+        new[k, n] = (1-p)^n P[k, n] + sum_{m<n} C(n, m) (1-p)^m p^(n-m) P[k-1, m]
 
-    computed here by grouping the inner subsets by size.
+    Each update is a convex combination, so nothing cancels.  The binomial
+    rows come from Pascal's rule, which keeps the column sums within rounding
+    of 1 at large n_max, and are applied ``_BLOCK`` rows per matrix product.
     """
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     w = weights.w
-    B = weights.B
-    ns = np.arange(n_max + 1)
-    subset_pow = np.zeros((B + 1, n_max + 1))
-    for t in range(1, B + 1):
-        for paths in itertools.combinations(range(B), t):
-            subset_pow[t] += w[list(paths)].sum() ** ns
-    P = np.zeros((B + 1, n_max + 1))
+    P = np.zeros((w.size + 1, n_max + 1))
     P[0, 0] = 1.0
-    for k in range(1, B + 1):
-        for t in range(1, k + 1):
-            sign = -1.0 if (k - t) % 2 else 1.0
-            P[k, 1:] += sign * math.comb(B - t, k - t) * subset_pow[t, 1:]
-    np.maximum(P, 0.0, out=P)
-    for k in range(1, B + 1):
-        P[k, :k] = 0.0
+    block = np.zeros((_BLOCK, n_max + 1))
+    for used, i in enumerate(np.flatnonzero(w)):
+        p = w[i] / w[: i + 1].sum()
+        row = np.zeros(n_max + 3)  # row[m + 1] = C(n, m) (1-p)^m p^(n-m); row[0] = 0
+        row[1] = 1.0
+        new = np.zeros_like(P)
+        for n0 in range(0, n_max + 1, _BLOCK):
+            n1 = min(n0 + _BLOCK, n_max + 1)
+            for j, n in enumerate(range(n0, n1)):
+                block[j, :n1] = row[1 : n1 + 1]
+                row[1 : n + 3] = p * row[1 : n + 3] + (1.0 - p) * row[: n + 2]
+            rows = block[: n1 - n0, :n1]
+            stay = rows[:, n0:].diagonal().copy()
+            np.fill_diagonal(rows[:, n0:], 0.0)
+            old = P[: used + 1]
+            new[1 : used + 2, n0:n1] = old[:, :n1] @ rows.T
+            new[: used + 1, n0:n1] += stay * old[:, n0:n1]
+        P = new
     return DetectorResponse(P=P, weights=weights)
 
 
 def simulate_clicks(n: int, weights: PathWeights, rng: np.random.Generator) -> int:
     """Number of paths hit when n photons scatter independently over the paths."""
-    if n < 0:
-        raise ValidationError("photon number must be >= 0")
-    if n == 0:
-        return 0
-    if n == 1:
-        return 1
-    counts = rng.multinomial(n, weights.w)
-    return int(np.count_nonzero(counts))
+    return int(simulate_clicks_batch(np.array([n]), weights, rng)[0])
 
 
 def simulate_clicks_batch(
@@ -225,7 +226,6 @@ def apply_response(
             )
     cols = rho.n_max + 1
     p = resp_a.P[:, :cols] @ rho.probs @ resp_b.P[:, :cols].T
-    np.maximum(p, 0.0, out=p)
     return ClickDistribution(p=p, deficit=rho.tail_mass)
 
 

@@ -152,11 +152,11 @@ class JointDistribution:
         n_max = int(self.n_max)
         if n_max < 0 or probs.shape != (n_max + 1, n_max + 1):
             raise ValidationError("probs must be a (n_max+1) x (n_max+1) matrix")
-        if np.any(probs < 0.0) or np.any(probs > 1.0 + _TOL):
+        if not np.all((probs >= 0.0) & (probs <= 1.0 + _TOL)):
             raise ValidationError("probabilities must lie in [0, 1]")
         tail = float(self.tail_mass)
-        if tail < 0.0:
-            raise ValidationError("tail_mass must be >= 0")
+        if not 0.0 <= tail < np.inf:
+            raise ValidationError("tail_mass must be finite and >= 0")
         total = float(probs.sum()) + tail
         if abs(total - 1.0) > _TOL:
             raise ValidationError(

@@ -15,6 +15,7 @@ across workers.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +57,11 @@ def _block_rng(seed: int, stage: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+_INTEGER_FIELDS = (
+    "pulses", "seed", "calibration_pulses", "n_max", "em_max_iter", "bootstrap_replicas"
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full description of one simulated measurement run.
@@ -79,6 +85,11 @@ class ExperimentConfig:
     bootstrap_replicas: int = 0
 
     def __post_init__(self):
+        for name in _INTEGER_FIELDS:
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValidationError(f"{name} must be an integer") from None
         if self.pulses <= 0:
             raise ValidationError("pulses must be > 0")
         if self.calibration_pulses <= 0:
@@ -89,8 +100,10 @@ class ExperimentConfig:
             raise ValidationError("both arms must use the same number of paths")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
-        if self.calibration_N <= 0.0:
-            raise ValidationError("calibration_N must be > 0")
+        if not 0.0 < self.calibration_N < math.inf:
+            raise ValidationError("calibration_N must be finite and > 0")
+        if not 0.0 < self.em_tol < math.inf:
+            raise ValidationError("em_tol must be finite and > 0")
         if self.n_max < 1:
             raise ValidationError("n_max must be >= 1")
         if self.bootstrap_replicas < 0:

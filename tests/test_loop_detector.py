@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -37,6 +39,37 @@ def enumerate_click_matrix(w, n_max):
     return P
 
 
+def inclusion_exclusion_click_matrix(w, n_max):
+    """Reference for small B: P[k, n] = sum_{|S|=k} sum_{T subset S}
+    (-1)^(|S|-|T|) (sum_{i in T} w_i)^n, with the inner subsets grouped by size."""
+    B = len(w)
+    ns = np.arange(n_max + 1)
+    subset_pow = np.zeros((B + 1, n_max + 1))
+    for t in range(1, B + 1):
+        for paths in itertools.combinations(range(B), t):
+            subset_pow[t] += w[list(paths)].sum() ** ns
+    P = np.zeros((B + 1, n_max + 1))
+    P[0, 0] = 1.0
+    for k in range(1, B + 1):
+        for t in range(1, k + 1):
+            P[k, 1:] += (-1) ** (k - t) * math.comb(B - t, k - t) * subset_pow[t, 1:]
+    return P
+
+
+def uniform_click_matrix(B, n_max):
+    """Exact reference for equal weights: P[k, n] = C(B, k) k! S(n, k) / B^n,
+    with the Stirling numbers S(n, k) of the second kind in integers."""
+    P = np.zeros((B + 1, n_max + 1))
+    stirling = [1] + [0] * B
+    for n in range(n_max + 1):
+        if n:
+            stirling = [0] + [k * stirling[k] + stirling[k - 1] for k in range(1, B + 1)]
+        for k in range(B + 1):
+            count = math.comb(B, k) * math.factorial(k) * stirling[k]
+            P[k, n] = float(Fraction(count, B**n))
+    return P
+
+
 class TestPathWeights:
     def test_sum_checked(self):
         with pytest.raises(ValidationError):
@@ -45,6 +78,11 @@ class TestPathWeights:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             PathWeights(np.array([1.2, -0.2]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(ValidationError):
+            PathWeights(np.array([value, 0.5]))
 
     def test_uniform(self):
         w = uniform_weights(8)
@@ -97,6 +135,38 @@ class TestResponseMatrix:
         resp = response_matrix(uniform_weights(4), 10)
         for k in range(1, 5):
             assert np.all(resp.P[k, :k] == 0.0)
+
+    def test_matches_inclusion_exclusion(self):
+        rng = np.random.default_rng(41)
+        for B in range(1, 11):
+            for zeros in ([], [0], [B - 1], [0, B // 2]):
+                raw = rng.random(B)
+                raw[zeros] = 0.0
+                if not raw.any():
+                    continue
+                w = raw / raw.sum()
+                n_max = int(rng.integers(0, 41))
+                resp = response_matrix(PathWeights(w), n_max)
+                reference = inclusion_exclusion_click_matrix(w, n_max)
+                assert np.abs(resp.P - reference).max() <= 1e-12, (B, zeros, n_max)
+
+    @pytest.mark.parametrize("B", [8, 16])
+    @pytest.mark.parametrize("n_max", [40, 564, 998])
+    def test_matches_stirling_closed_form(self, B, n_max):
+        resp = response_matrix(uniform_weights(B), n_max)
+        assert np.abs(resp.P - uniform_click_matrix(B, n_max)).max() <= 1e-12
+
+    def test_sixty_four_paths(self):
+        resp = response_matrix(uniform_weights(64), 200)
+        assert isinstance(resp, DetectorResponse)
+        assert resp.P.shape == (65, 201)
+        assert np.abs(resp.P.sum(axis=0) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("B", [1, 3])
+    def test_vacuum_column_only(self, B):
+        resp = response_matrix(uniform_weights(B), 0)
+        assert resp.P.shape == (B + 1, 1)
+        assert resp.P[:, 0].tolist() == [1.0] + [0.0] * B
 
 
 class TestSimulateClicks:
@@ -223,6 +293,11 @@ class TestResponseValidation:
         with pytest.raises(ValidationError):
             DetectorResponse(P=bad, weights=weights)
 
+    def test_non_finite_rejected(self):
+        bad = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, 0.0, 0.5]])
+        with pytest.raises(ValidationError):
+            DetectorResponse(P=bad, weights=uniform_weights(2))
+
 
 class TestSerialization:
     def test_response_round_trip(self):
@@ -243,3 +318,11 @@ class TestSerialization:
     def test_click_distribution_validation(self):
         with pytest.raises(ValidationError):
             ClickDistribution(p=np.array([[0.5, 0.2], [0.2, 0.2]]), deficit=0.0)
+
+    def test_click_distribution_rejects_non_finite(self):
+        p = np.full((2, 2), 0.25)
+        with pytest.raises(ValidationError):
+            ClickDistribution(p=p, deficit=np.nan)
+        p[1, 0] = np.nan
+        with pytest.raises(ValidationError):
+            ClickDistribution(p=p, deficit=0.0)

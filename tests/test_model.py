@@ -330,3 +330,12 @@ class TestSerialization:
             JointDistribution(
                 probs=np.array([[0.5, -0.1], [0.3, 0.3]]), n_max=1, tail_mass=0.0
             )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_distribution_rejects_non_finite(self, value):
+        probs = np.full((2, 2), 0.25)
+        with pytest.raises(ValidationError):
+            JointDistribution(probs=probs, n_max=1, tail_mass=value)
+        probs[0, 1] = value
+        with pytest.raises(ValidationError):
+            JointDistribution(probs=probs, n_max=1)

@@ -50,6 +50,25 @@ class TestConfig:
         with pytest.warns(UserWarning, match="calibration"):
             small_cfg(calibration_N=0.5)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["pulses", "seed", "calibration_pulses", "n_max", "em_max_iter", "bootstrap_replicas"],
+    )
+    def test_non_integer_counts_rejected(self, name):
+        with pytest.raises(ValidationError, match=name):
+            small_cfg(**{name: 2.5})
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_cfg(pulses=np.int64(1000), seed=np.uint64(7), n_max=np.int32(6))
+        assert (cfg.pulses, cfg.seed, cfg.n_max) == (1000, 7, 6)
+        assert all(type(v) is int for v in (cfg.pulses, cfg.seed, cfg.n_max))
+
+    @pytest.mark.parametrize("name", ["calibration_N", "em_tol"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-3])
+    def test_non_finite_or_nonpositive_rates_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            small_cfg(**{name: value})
+
     def test_mismatched_arms_rejected(self):
         with pytest.raises(ValidationError):
             small_cfg(weights_a=uniform_weights(8), weights_b=uniform_weights(4))
