@@ -86,6 +86,15 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _print_convergence(result: reconstruction.ReconstructionResult) -> None:
+    print(f"converged={result.converged}")
+    if not result.converged:
+        print(
+            f"warning: not converged after {result.iterations} iterations",
+            file=sys.stderr,
+        )
+
+
 def _cmd_reconstruct(args) -> int:
     hist = reconstruction.read_histogram(args.hist)
     resp_a = loop_detector.read_response(args.resp_a)
@@ -97,13 +106,8 @@ def _cmd_reconstruct(args) -> int:
     if args.report_out is not None:
         Path(args.report_out).write_text(reconstruction.format_run_report(result))
     print(f"iterations={result.iterations}")
-    print(f"converged={result.converged}")
+    _print_convergence(result)
     print(f"log_likelihood={result.log_likelihood_trace[-1]:.17g}")
-    if not result.converged:
-        print(
-            f"warning: not converged after {result.iterations} iterations",
-            file=sys.stderr,
-        )
     return 0
 
 
@@ -134,6 +138,8 @@ def _cmd_pipeline(args) -> int:
     report.write(args.out_dir)
     for stage, message in report.failures.items():
         print(f"failed: {stage}: {message}", file=sys.stderr)
+    if report.reconstruction is not None:
+        _print_convergence(report.reconstruction)
     if report.characterization is not None:
         print(f"M_hat={report.characterization.M_hat:.17g}")
         print(f"eta_hat={report.characterization.eta_hat:.17g}")

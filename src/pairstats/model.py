@@ -113,8 +113,8 @@ class EffectiveSource:
         eta: overall transmission of arm a, in [0, 1].
         eta_prime: overall transmission of arm b, in [0, 1].
         M: equivalent number of independent mode pairs, finite and >= 1.  Real values
-            are accepted by the analytic expansion; the process oracle and the
-            Monte Carlo sampler require an integer.
+            are accepted by the analytic expansion and the Monte Carlo sampler;
+            the process oracle requires an integer.
     """
 
     N: float
@@ -335,27 +335,42 @@ def suggest_n_max(
 
     Each arm's marginal is negative binomial; the mass outside the square grid
     is at most the sum of the two marginal tails, each bounded here by a
-    geometric comparison once the pmf ratio falls below one.
+    geometric comparison once the pmf ratio falls below one.  Raises
+    TruncationError when no cutoff up to ``n_cap`` meets the bound; the error
+    carries the tail bound reached at ``n_cap`` (inf if an arm's pmf ratio
+    is still at least one there).
     """
     if tail_bound <= 0.0:
         raise ValidationError("tail_bound must be > 0")
+    if n_cap < 1:
+        raise ValidationError("n_cap must be >= 1")
 
-    def arm_cutoff(eta: float) -> int:
+    def arm_cutoff(eta: float) -> tuple[int, float]:
+        """First n <= n_cap whose arm tail bound is within half the bound
+        (else n_cap), with that tail bound."""
         if eta == 0.0:
-            return 0
+            return 0, 0.0
         q = src.N * eta / (1.0 + src.N * eta)
         p = (1.0 - q) ** src.M
-        n = 0
-        while n < n_cap:
+        for n in range(n_cap + 1):
             ratio_next = q * (src.M + n + 1.0) / (n + 2.0)  # pmf ratio beyond n+1
             p_next = p * q * (src.M + n) / (n + 1.0)
-            if ratio_next < 1.0 and p_next / (1.0 - ratio_next) <= 0.5 * tail_bound:
-                return n
+            if ratio_next < 1.0:
+                tail = p_next / (1.0 - ratio_next)
+                if tail <= 0.5 * tail_bound:
+                    return n, tail
             p = p_next
-            n += 1
-        return n_cap
+        return n_cap, tail if ratio_next < 1.0 else math.inf
 
-    return max(arm_cutoff(src.eta), arm_cutoff(src.eta_prime), 1)
+    (n_a, tail_a), (n_b, tail_b) = arm_cutoff(src.eta), arm_cutoff(src.eta_prime)
+    if max(tail_a, tail_b) > 0.5 * tail_bound:
+        tail = tail_a + tail_b
+        raise TruncationError(
+            f"tail bound {tail:.3e} at the cap n_max={n_cap} exceeds the requested"
+            f" {tail_bound:.3e}",
+            tail_mass=tail,
+        )
+    return max(n_a, n_b, 1)
 
 
 def perturbative_contamination_fraction(src: EffectiveSource) -> float:

@@ -94,8 +94,6 @@ class ExperimentConfig:
             raise ValidationError("pulses must be > 0")
         if self.calibration_pulses <= 0:
             raise ValidationError("calibration_pulses must be > 0")
-        if abs(self.source.M - round(self.source.M)) > 1e-9:
-            raise ValidationError("simulation requires an integer mode number M")
         if self.weights_a.B != self.weights_b.B:
             raise ValidationError("both arms must use the same number of paths")
         if not 0 <= self.seed < 2**64:
@@ -120,24 +118,30 @@ class ExperimentConfig:
 def sample_pulse(src: EffectiveSource, rng: np.random.Generator) -> tuple[int, int]:
     """Photon numbers reaching the two arms for a single pulse.
 
-    Each of the M mode pairs draws a geometric pair number (inverse-CDF on a
-    uniform draw) which both arms thin binomially; the arm totals follow the
-    same law as summing the per-mode thinnings because independent binomial
-    thinnings add.
+    The pulse's pair number is negative binomial with M successes of
+    probability 1/(N+1), the law whose generating function is
+    (N+1-Ns)**(-M); it is exact for any real M >= 1 and equals the sum of M
+    independent geometric mode pair numbers when M is an integer.  Each arm
+    then keeps a binomial share of the pairs.
     """
     n, m = _sample_pulses(src, rng, 1)
     return int(n[0]), int(m[0])
 
 
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
-    modes = int(round(src.M))
-    if abs(src.M - modes) > 1e-9 or modes < 1:
-        raise ValidationError("sampling requires an integer mode number M")
-    q = src.N / (src.N + 1.0)
-    u = 1.0 - rng.random((size, modes))  # in (0, 1]
-    pairs = np.floor(np.log(u) / math.log(q)).astype(np.int64).sum(axis=1)
-    n = rng.binomial(pairs, src.eta)
-    m = rng.binomial(pairs, src.eta_prime)
+    try:
+        pairs = rng.negative_binomial(src.M, 1.0 / (src.N + 1.0), size)
+    except ValueError as exc:  # numpy refuses counts that could overflow int64
+        raise ValidationError(
+            f"pair numbers at N={src.N!r}, M={src.M!r} are too large to sample"
+        ) from exc
+    n = np.zeros(size, dtype=np.int64)
+    m = np.zeros(size, dtype=np.int64)
+    # at calibration intensity nearly every pulse is empty; thinning those
+    # would cost time and change no count
+    hit = np.flatnonzero(pairs)
+    n[hit] = rng.binomial(pairs[hit], src.eta)
+    m[hit] = rng.binomial(pairs[hit], src.eta_prime)
     return n, m
 
 
@@ -274,6 +278,9 @@ class RunReport:
                 format_characterization(self.characterization)
             )
         summary = {"seed": self.config.seed, "pulses": self.config.pulses}
+        if self.reconstruction is not None:
+            summary["em_converged"] = self.reconstruction.converged
+            summary["em_iterations"] = self.reconstruction.iterations
         if self.characterization is not None:
             summary["M_hat"] = self.characterization.M_hat
             summary["eta_hat"] = self.characterization.eta_hat

@@ -227,6 +227,18 @@ class TestPipelineCommand:
         for name in ("histogram.txt", "rho.txt", "summary.txt", "characterization.txt"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_unconverged_run_is_reported(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000, em_max_iter=3)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "converged=False" in captured.out
+        assert "warning: not converged after 3 iterations" in captured.err
+        summary = (out / "summary.txt").read_text()
+        assert "em_converged=False\n" in summary
+        assert "em_iterations=3\n" in summary
+
     def test_rho_file_feeds_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000)

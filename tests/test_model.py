@@ -304,6 +304,25 @@ class TestSuggestNMax:
         src = EffectiveSource(N=1.0, eta=0.8, eta_prime=0.8, M=2.0)
         assert suggest_n_max(src, 1e-12) >= suggest_n_max(src, 1e-6)
 
+    def test_cap_raises_with_tail_reached(self):
+        src = EffectiveSource(N=200.0, eta=1.0, eta_prime=1.0, M=1.0)
+        with pytest.raises(TruncationError) as err:
+            suggest_n_max(src, 1e-12)
+        assert 1e-12 < err.value.tail_mass < 1e-8
+        with pytest.raises(TruncationError) as err:
+            suggest_n_max(src, 1e-12, n_cap=100)
+        assert err.value.tail_mass >= joint_distribution(src, 100).tail_mass
+        # the pmf still rises at the cap: no finite bound is certified
+        rising = EffectiveSource(N=1e6, eta=1.0, eta_prime=1.0, M=50.0)
+        with pytest.raises(TruncationError) as err:
+            suggest_n_max(rising, 1e-12, n_cap=100)
+        assert err.value.tail_mass == np.inf
+
+    def test_cap_below_one_rejected(self):
+        src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
+        with pytest.raises(ValidationError, match="n_cap"):
+            suggest_n_max(src, 1e-12, n_cap=0)
+
 
 class TestSerialization:
     def test_distribution_round_trip(self, tmp_path):

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairstats.analysis import characterize
 from pairstats.errors import ValidationError
@@ -37,14 +41,35 @@ def small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+def max_law_z(src: EffectiveSource) -> float:
+    """Largest per-cell z of 10M sampled pulses against the model.
+
+    Only cells with expected count >= 100, where the Gaussian error band is
+    meaningful, enter the multinomial z-test.
+    """
+    pulses = 10_000_000
+    counts = np.zeros(22 * 22)
+    for block in range(5):
+        n, m = _sample_pulses(src, _block_rng(3, 9, block), pulses // 5)
+        counts += np.bincount(np.minimum(n, 21) * 22 + np.minimum(m, 21), minlength=22 * 22)
+    counts = counts.reshape(22, 22)
+    n_max = 20
+    ana = joint_distribution(src, n_max).probs
+    expected = ana * pulses
+    keep = expected >= 100.0
+    sigma = np.sqrt(expected * (1.0 - ana))
+    z = (counts[: n_max + 1, : n_max + 1] - expected)[keep] / sigma[keep]
+    return float(np.abs(z).max())
+
+
 class TestConfig:
     def test_zero_pulses_rejected(self):
         with pytest.raises(ValidationError):
             small_cfg(pulses=0)
 
-    def test_fractional_modes_rejected(self):
-        with pytest.raises(ValidationError):
-            small_cfg(source=EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.5))
+    def test_fractional_modes_accepted(self):
+        cfg = small_cfg(source=EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.5))
+        assert cfg.source.M == 1.5
 
     def test_hot_calibration_warns(self):
         with pytest.warns(UserWarning, match="calibration"):
@@ -110,26 +135,63 @@ class TestSamplePulse:
         assert np.array_equal(n, m)
 
     def test_empirical_law_matches_model(self):
-        # per-cell multinomial z-test (cells with expected count >= 100, where
-        # the Gaussian error band is meaningful)
-        src = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.7, M=2.0)
-        pulses = 10_000_000
-        counts = np.zeros((22, 22))
-        for block in range(5):
-            n, m = _sample_pulses(src, _block_rng(3, 9, block), pulses // 5)
-            np.add.at(counts, (np.minimum(n, 21), np.minimum(m, 21)), 1)
-        n_max = 20
-        ana = joint_distribution(src, n_max).probs
-        expected = ana * pulses
-        keep = expected >= 100.0
-        sigma = np.sqrt(expected * (1.0 - ana))
-        z = (counts[: n_max + 1, : n_max + 1] - expected)[keep] / sigma[keep]
-        assert np.abs(z).max() <= 4.0
+        assert max_law_z(EffectiveSource(N=1.0, eta=0.5, eta_prime=0.7, M=2.0)) <= 4.0
 
-    def test_fractional_modes_rejected(self):
-        src = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=2.5)
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("M", [2.5, 16.6])
+    def test_fractional_modes_law_matches_model(self, M):
+        assert max_law_z(EffectiveSource(N=1.0, eta=0.5, eta_prime=0.7, M=M)) <= 4.0
+
+    def test_unsampleable_intensity_rejected(self):
+        src = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
+        with pytest.raises(ValidationError, match="too large to sample"):
             sample_pulse(src, _block_rng(0, 9, 0))
+
+    def test_large_M_moments(self):
+        # mean M N eta and variance M N eta (1 + N eta), each within 5
+        # standard errors; the standard error of the variance uses the
+        # sample's fourth central moment
+        src = EffectiveSource(N=0.5, eta=0.3, eta_prime=0.3, M=1000.0)
+        pulses = 250_000
+        mean = src.M * src.N * src.eta
+        var = mean * (1.0 + src.N * src.eta)
+        for x in _sample_pulses(src, _block_rng(4, 9, 0), pulses):
+            dev = x - x.mean()
+            m2 = float(np.mean(dev**2))
+            m4 = float(np.mean(dev**4))
+            assert abs(x.mean() - mean) <= 5.0 * np.sqrt(var / pulses)
+            assert abs(x.var(ddof=1) - var) <= 5.0 * np.sqrt((m4 - m2**2) / pulses)
+
+    def test_block_memory_independent_of_M(self):
+        # a per-mode draw would need 8 kB a pulse at M=1000
+        src = EffectiveSource(N=0.5, eta=0.3, eta_prime=0.3, M=1000.0)
+        pulses = 50_000
+        tracemalloc.start()
+        try:
+            _sample_pulses(src, _block_rng(4, 9, 1), pulses)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 100 * pulses
+
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        log_N=st.floats(-6.0, 4.0),
+        eta=st.floats(0.0, 1.0),
+        eta_prime=st.floats(0.0, 1.0),
+        M=st.floats(1.0, 1000.0),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_valid_box(self, log_N, eta, eta_prime, M, seed):
+        src = EffectiveSource(N=10.0**log_N, eta=eta, eta_prime=eta_prime, M=M)
+        n, m = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
+        for x in (n, m):
+            assert x.dtype == np.int64 and x.shape == (1000,)
+            assert (x >= 0).all()
+        again = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
+        assert np.array_equal(again[0], n) and np.array_equal(again[1], m)
+        lossless = EffectiveSource(N=src.N, eta=1.0, eta_prime=1.0, M=M)
+        n, m = _sample_pulses(lossless, _block_rng(seed, 9, 0), 1000)
+        assert np.array_equal(n, m)
 
 
 class TestSimulateExperiment:
