@@ -104,6 +104,8 @@ class ExperimentConfig:
             raise ValidationError("em_tol must be finite and > 0")
         if self.n_max < 1:
             raise ValidationError("n_max must be >= 1")
+        if self.em_max_iter < 1:
+            raise ValidationError("em_max_iter must be >= 1")
         if self.bootstrap_replicas < 0:
             raise ValidationError("bootstrap_replicas must be >= 0")
         peak_eta = max(self.source.eta, self.source.eta_prime)
@@ -281,6 +283,7 @@ class RunReport:
         if self.reconstruction is not None:
             summary["em_converged"] = self.reconstruction.converged
             summary["em_iterations"] = self.reconstruction.iterations
+            summary["em_ll_gap_bound"] = self.reconstruction.ll_gap_bound
         if self.characterization is not None:
             summary["M_hat"] = self.characterization.M_hat
             summary["eta_hat"] = self.characterization.eta_hat

@@ -238,6 +238,7 @@ class TestPipelineCommand:
         summary = (out / "summary.txt").read_text()
         assert "em_converged=False\n" in summary
         assert "em_iterations=3\n" in summary
+        assert "em_ll_gap_bound=" in summary
 
     def test_rho_file_feeds_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
@@ -259,15 +260,34 @@ class TestUsage:
             main([])
         assert exc.value.code == 2
 
-    def test_bad_threads_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(
-                [
-                    "reconstruct", "--hist", "h", "--resp-a", "a", "--resp-b", "b",
-                    "--n-max", "3", "--rho-out", "r", "--threads", "0",
-                ]
-            )
-        assert exc.value.code == 2
+    @pytest.mark.parametrize(
+        "option", [["--max-iter", "0"], ["--tol", "nan"]], ids=["max-iter-0", "tol-nan"]
+    )
+    def test_bad_em_argument_exits_3(self, tmp_path, capsys, option):
+        cfg_path = tmp_path / "cfg.txt"
+        write_cfg(cfg_path, pulses=1_000)
+        hist_path = tmp_path / "hist.txt"
+        resp_dir = tmp_path / "resp"
+        main(
+            [
+                "simulate", "--config", str(cfg_path), "--out", str(hist_path),
+                "--responses-dir", str(resp_dir),
+            ]
+        )
+        code = main(
+            [
+                "reconstruct",
+                "--hist", str(hist_path),
+                "--resp-a", str(resp_dir / "response_a.txt"),
+                "--resp-b", str(resp_dir / "response_b.txt"),
+                "--n-max", "8",
+                "--rho-out", str(tmp_path / "rho.txt"),
+                *option,
+            ]
+        )
+        assert code == 3
+        assert "error: ValidationError" in capsys.readouterr().err
+        assert not (tmp_path / "rho.txt").exists()
 
     def test_response_files_parse_back(self, tmp_path):
         cfg_path = tmp_path / "cfg.txt"

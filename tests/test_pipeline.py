@@ -94,6 +94,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match=name):
             small_cfg(**{name: value})
 
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_em_max_iter_below_one_rejected(self, value):
+        with pytest.raises(ValidationError, match="em_max_iter"):
+            small_cfg(em_max_iter=value)
+
     def test_mismatched_arms_rejected(self):
         with pytest.raises(ValidationError):
             small_cfg(weights_a=uniform_weights(8), weights_b=uniform_weights(4))

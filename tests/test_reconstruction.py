@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairstats.errors import SupportError, ValidationError
 from pairstats.loop_detector import (
@@ -40,6 +42,40 @@ def exact_histogram(rho_probs, resp, scale):
     f = np.rint(p * scale)
     assert np.abs(f - p * scale).max() < 1e-3  # the scale makes counts integral
     return ClickHistogram(f=f.astype(np.int64), pulses=int(f.sum()))
+
+
+def plain_em(hist, resp_a, resp_b, n_max, tol, max_iter, init=None):
+    """The unaccelerated multiplicative EM loop, as reference for em_reconstruct.
+
+    Returns (rho, final LL, plain steps taken, converged) under the same stop
+    rule: a step gaining less than tol * max(1, |LL|).
+    """
+    Pa, Pb = resp_a.P[:, : n_max + 1], resp_b.P[:, : n_max + 1]
+    mask = hist.f > 0
+    freqs = hist.f / hist.f.sum()
+    rho = np.full((n_max + 1,) * 2, (n_max + 1) ** -2.0) if init is None else init
+    p = Pa @ rho @ Pb.T
+    ll = math.fsum(hist.f[mask] * np.log(p[mask]))
+    for steps in range(1, max_iter + 1):
+        ratio = np.zeros_like(p)
+        ratio[mask] = freqs[mask] / p[mask]
+        rho = rho * (Pa.T @ ratio @ Pb)
+        p = Pa @ rho @ Pb.T
+        prev, ll = ll, math.fsum(hist.f[mask] * np.log(p[mask]))
+        if ll - prev < tol * max(1.0, abs(ll)):
+            return rho, ll, steps, True
+    return rho, ll, max_iter, False
+
+
+def random_instances(count, seed=77):
+    """Histograms of 100k pulses drawn from random truths on the 4x4 grid."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        raw = rng.random((4, 4))
+        rho = JointDistribution(raw / raw.sum(), 3, 0.0)
+        p = apply_response(rho, RESP8, RESP8).p
+        f = rng.multinomial(100_000, p.ravel() / p.sum()).reshape(9, 9)
+        yield ClickHistogram(f, 100_000)
 
 
 class TestClickHistogram:
@@ -119,13 +155,7 @@ class TestEmReconstruct:
         assert result.rho.probs[0, 0] == pytest.approx(1.0, abs=1e-9)
 
     def test_monotone_likelihood_random_instances(self):
-        rng = np.random.default_rng(77)
-        for _ in range(10):
-            raw = rng.random((4, 4))
-            rho = JointDistribution(raw / raw.sum(), 3, 0.0)
-            p = apply_response(rho, RESP8, RESP8).p
-            f = rng.multinomial(100_000, p.ravel() / p.sum()).reshape(9, 9)
-            hist = ClickHistogram(f, 100_000)
+        for hist in random_instances(10):
             result = em_reconstruct(hist, RESP8, RESP8, 3, tol=0.0, max_iter=300)
             gains = np.diff(result.log_likelihood_trace)
             assert gains.min() >= -1e-10
@@ -147,6 +177,73 @@ class TestEmReconstruct:
         result = em_reconstruct(hist, RESP8, RESP8, 3, tol=0.0, max_iter=5)
         assert not result.converged
         assert result.iterations == 5
+
+    def test_final_likelihood_matches_plain_em(self):
+        hists = [exact_histogram(RHO_STAR, RESP8, 4194304 * 64), *random_instances(10)]
+        for hist in hists:
+            result = em_reconstruct(hist, RESP8, RESP8, 3, tol=0.0, max_iter=10_000)
+            _, ll, _, _ = plain_em(hist, RESP8, RESP8, 3, tol=0.0, max_iter=10_000)
+            assert result.log_likelihood_trace[-1] == pytest.approx(ll, rel=1e-9)
+
+    def test_forward_evaluations_on_exact_histogram(self):
+        # deterministic counts: plain EM needs 69 steps, one evaluation each
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        result = em_reconstruct(hist, RESP8, RESP8, 3, tol=1e-10)
+        _, _, steps, converged = plain_em(hist, RESP8, RESP8, 3, 1e-10, 100_000)
+        assert result.converged and converged
+        assert steps == 69
+        assert result.iterations <= 45
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_bad_tol_rejected(self, tol):
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        with pytest.raises(ValidationError, match="tol"):
+            em_reconstruct(hist, RESP8, RESP8, 3, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -3])
+    def test_bad_max_iter_rejected(self, max_iter):
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        with pytest.raises(ValidationError, match="max_iter"):
+            em_reconstruct(hist, RESP8, RESP8, 3, max_iter=max_iter)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        B=st.integers(1, 6),
+        extra=st.integers(0, 3),
+        pulses=st.sampled_from([50, 2_000, 100_000]),
+        tol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-8, 1e-6]),
+        max_iter=st.integers(1, 400),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_properties_on_random_instances(self, B, extra, pulses, tol, max_iter, seed):
+        rng = np.random.default_rng(seed)
+        n_max = B + extra
+        w = rng.random(B) + 0.05
+        resp_a = response_matrix(PathWeights(w / w.sum()), n_max)
+        resp_b = response_matrix(uniform_weights(B), n_max)
+        truth = rng.random((n_max + 1, n_max + 1)) ** 4  # some cells nearly empty
+        p = apply_response(JointDistribution(truth / truth.sum(), n_max, 0.0), resp_a, resp_b).p
+        f = rng.multinomial(pulses, p.ravel() / p.sum()).reshape(p.shape)
+        hist = ClickHistogram(f, pulses)
+
+        result = em_reconstruct(hist, resp_a, resp_b, n_max, tol=tol, max_iter=max_iter)
+        trace = np.array(result.log_likelihood_trace)
+        ll = trace[-1]
+        rounding = 1e-10 + 4.0 * np.spacing(np.abs(trace).max())
+        assert np.diff(trace).min(initial=0.0) >= -rounding
+        assert result.rho.probs.min() >= 0.0
+        assert result.rho.probs.sum() == pytest.approx(1.0, abs=1e-12)
+        assert 1 <= result.iterations <= max_iter
+        if result.converged:
+            _, ll_next, _, _ = plain_em(
+                hist, resp_a, resp_b, n_max, 0.0, 1, init=result.rho.probs
+            )
+            assert ll_next - ll < tol * max(1.0, abs(ll)) + rounding
+        # plain EM continued from the fit climbs, but never past the bound
+        _, ll_long, _, _ = plain_em(
+            hist, resp_a, resp_b, n_max, -math.inf, 3_000, init=result.rho.probs
+        )
+        assert -rounding <= ll_long - ll <= result.ll_gap_bound + rounding
 
     def test_empty_histogram_rejected(self):
         hist = ClickHistogram(np.zeros((9, 9), dtype=np.int64), 10)
@@ -213,6 +310,19 @@ class TestResultValidation:
                 converged=True,
             )
 
+    @pytest.mark.parametrize("bound", [math.nan, -1.0])
+    def test_bad_gap_bound_rejected(self, bound):
+        vac = np.zeros((2, 2))
+        vac[0, 0] = 1.0
+        with pytest.raises(ValidationError, match="ll_gap_bound"):
+            ReconstructionResult(
+                rho=JointDistribution(vac, 1, 0.0),
+                log_likelihood_trace=(-10.0,),
+                iterations=1,
+                converged=True,
+                ll_gap_bound=bound,
+            )
+
 
 class TestSerialization:
     def test_histogram_round_trip(self):
@@ -230,3 +340,4 @@ class TestSerialization:
         assert report["iterations"] == result.iterations
         assert report["converged"] == result.converged
         assert report["final_log_likelihood"] == result.log_likelihood_trace[-1]
+        assert report["ll_gap_bound"] == result.ll_gap_bound > 0.0
