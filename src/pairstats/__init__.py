@@ -47,7 +47,6 @@ from .model import (
     effective_params,
     generating_fn_value,
     joint_distribution,
-    joint_distribution_oracle,
     perturbative_contamination_fraction,
     reduce_multimode,
     suggest_n_max,
@@ -105,7 +104,6 @@ __all__ = [
     "em_reconstruct",
     "generating_fn_value",
     "joint_distribution",
-    "joint_distribution_oracle",
     "log_likelihood",
     "marginal_moments",
     "mode_number",

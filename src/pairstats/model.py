@@ -9,10 +9,8 @@ array of the closed-form generating function
 
     Xi(x, y) = [N + 1 - N (eta x + 1 - eta) (eta' y + 1 - eta')]**(-M)
 
-which this module expands by an exact two-index recurrence.  An independent
-construction of the same distribution from the physical process (geometric
-pair number, binomial thinning, mode convolution) is provided as a test
-oracle.
+which this module expands by an exact two-index recurrence, swept one
+anti-diagonal n + m at a time in plain numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d, lfilter
-from scipy.stats import binom
 
-from ._fileio import format_mapping, format_matrix, parse_mapping, parse_matrix
+from ._fileio import format_matrix, parse_matrix
 from .errors import (
     ClassicalRegimeError,
     DegenerateInputError,
@@ -113,8 +109,7 @@ class EffectiveSource:
         eta: overall transmission of arm a, in [0, 1].
         eta_prime: overall transmission of arm b, in [0, 1].
         M: equivalent number of independent mode pairs, finite and >= 1.  Real values
-            are accepted by the analytic expansion and the Monte Carlo sampler;
-            the process oracle requires an integer.
+            are accepted by the analytic expansion and the Monte Carlo sampler.
     """
 
     N: float
@@ -240,6 +235,9 @@ def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
 
     with A > 0 and B, C, D >= 0, so every update adds nonnegative terms and
     no cancellation occurs.  The first row is a one-variable binomial series.
+    A cell on the anti-diagonal n + m = s + 1 needs only diagonals s and
+    s - 1, so the grid is filled one diagonal at a time: each diagonal is a
+    contiguous vector indexed by n, zero outside the grid.
     """
     N, eta, etap, M = src.N, src.eta, src.eta_prime, src.M
     A = N + 1.0 - N * (1.0 - eta) * (1.0 - etap)
@@ -253,16 +251,22 @@ def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
     probs[0] = A ** -M * np.concatenate(
         ([1.0], np.cumprod((C / A) * (M + m - 1.0) / m))
     )
-    cy = C / A
-    for n in range(n_max):
-        scale = (n + M) / (A * (n + 1.0))
-        w = B * scale * probs[n]
-        w[1:] += D * scale * probs[n, :-1]
-        if cy == 0.0:
-            probs[n + 1] = w
-        else:
-            # linear scan rho[n+1, m] = w[m] + cy * rho[n+1, m-1]
-            probs[n + 1] = lfilter([1.0], [1.0, -cy], w)
+    scale = (np.arange(n_max) + M) / (A * np.arange(1.0, size))  # row n -> n+1
+    b, c, d = B * scale, C / A, D * scale
+    flat = probs.reshape(-1)  # cell (n, s-n) sits at s + n * n_max
+    older, diag = np.zeros(size), np.zeros(size)
+    diag[0] = probs[0, 0]
+    for s in range(1, 2 * n_max + 1):
+        lo, hi = max(1, s - n_max), min(s, n_max)
+        new = np.zeros(size)
+        if s <= n_max:
+            new[0] = probs[0, s]
+        out = new[lo : hi + 1]
+        np.multiply(b[lo - 1 : hi], diag[lo - 1 : hi], out=out)
+        out += d[lo - 1 : hi] * older[lo - 1 : hi]
+        out += c * diag[lo : hi + 1]
+        flat[s + lo * n_max : s + hi * n_max + 1 : n_max] = out
+        older, diag = diag, new
     return probs
 
 
@@ -288,44 +292,6 @@ def joint_distribution(
             tail_mass=tail,
         )
     return JointDistribution(probs=probs, n_max=n_max, tail_mass=tail)
-
-
-def joint_distribution_oracle(
-    src: EffectiveSource, n_max: int, tail_bound: float | None = None
-) -> JointDistribution:
-    """Reference construction of the joint distribution from the physical process.
-
-    Per mode pair the pair number j is geometric, P(j) = N^j/(N+1)^(j+1); the
-    arms keep Binomial(j, eta) and Binomial(j, eta_prime) photons.  The M-mode
-    result is the M-fold 2-d convolution of the single-mode distribution.
-    The sum over j is truncated where the geometric tail drops below 1e-17,
-    so every retained cell is exact to well under 1e-12.  Intended as an
-    independent cross-check of :func:`joint_distribution`; requires integer M.
-    """
-    if abs(src.M - round(src.M)) > 1e-9:
-        raise ValidationError("the process oracle requires an integer mode number M")
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
-    modes = int(round(src.M))
-    q = src.N / (src.N + 1.0)
-    j_cut = max(n_max, int(math.ceil(math.log(1e-17) / math.log(q))) + 1)
-    j = np.arange(j_cut + 1)
-    pair_law = q**j / (src.N + 1.0)
-    counts = np.arange(n_max + 1)
-    thin_a = binom.pmf(counts[None, :], j[:, None], src.eta)
-    thin_b = binom.pmf(counts[None, :], j[:, None], src.eta_prime)
-    single = thin_a.T @ (pair_law[:, None] * thin_b)
-    probs = single
-    for _ in range(modes - 1):
-        probs = convolve2d(probs, single)[: n_max + 1, : n_max + 1]
-    tail = max(0.0, 1.0 - float(probs.sum()))
-    if tail_bound is not None and tail > tail_bound:
-        raise TruncationError(
-            f"tail mass {tail:.3e} exceeds the requested bound {tail_bound:.3e}"
-            f" at n_max={n_max}",
-            tail_mass=tail,
-        )
-    return JointDistribution(probs=np.maximum(probs, 0.0), n_max=n_max, tail_mass=tail)
 
 
 def suggest_n_max(
@@ -413,32 +379,3 @@ def write_distribution(dist: JointDistribution, path) -> None:
 def read_distribution(path) -> JointDistribution:
     with open(path, "r", encoding="ascii") as fh:
         return parse_distribution(fh.read())
-
-
-def format_effective_source(src: EffectiveSource) -> str:
-    return format_mapping(
-        {"N": src.N, "eta": src.eta, "eta_prime": src.eta_prime, "M": src.M}
-    )
-
-
-def parse_effective_source(text: str) -> EffectiveSource:
-    fields = parse_mapping(text)
-    try:
-        return EffectiveSource(
-            N=float(fields["N"]),
-            eta=float(fields["eta"]),
-            eta_prime=float(fields["eta_prime"]),
-            M=float(fields["M"]),
-        )
-    except KeyError as missing:
-        raise ValidationError(f"source file lacks {missing}") from None
-
-
-def write_effective_source(src: EffectiveSource, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_effective_source(src))
-
-
-def read_effective_source(path) -> EffectiveSource:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_effective_source(fh.read())

@@ -40,6 +40,7 @@ from .model import EffectiveSource, write_distribution
 from .reconstruction import (
     ClickHistogram,
     ReconstructionResult,
+    _check_em_args,
     em_reconstruct,
     format_run_report,
     write_histogram,
@@ -212,11 +213,12 @@ def bootstrap_characterize(
     Pulses are independent draws over the click cells, so resampling them
     with replacement is a multinomial redraw of the histogram.  Returns a
     mapping from estimate name to the array of replica values (NaN where a
-    replica's estimator was undefined).
+    replica's estimator was undefined).  The arguments are checked once, up
+    front, so a bad one raises ValidationError instead of NaN replicas.
     """
-    total = int(hist.f.sum())
-    if total <= 0:
-        raise ValidationError("histogram is empty")
+    if replicas < 0:
+        raise ValidationError(f"replicas must be >= 0 (got {replicas!r})")
+    total = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     fields = ("mean_n", "mean_n_prime", "M_hat", "delta_sq", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}
     freqs = (hist.f / total).ravel()
@@ -419,8 +421,3 @@ def parse_config(text: str) -> ExperimentConfig:
 def read_config(path) -> ExperimentConfig:
     with open(path, "r", encoding="ascii") as fh:
         return parse_config(fh.read())
-
-
-def write_config(cfg: ExperimentConfig, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_config(cfg))

@@ -121,6 +121,35 @@ def log_likelihood(
     return math.fsum(hist.f[mask] * np.log(p))
 
 
+def _check_em_args(
+    hist: ClickHistogram,
+    resp_a: DetectorResponse,
+    resp_b: DetectorResponse,
+    n_max: int,
+    tol: float,
+    max_iter: int,
+) -> int:
+    """Validate the arguments of :func:`em_reconstruct`; return the total count."""
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1 (got {max_iter!r})")
+    total = int(hist.f.sum())
+    if total <= 0:
+        raise ValidationError("histogram is empty")
+    observed = int(np.argwhere(hist.f > 0).max())
+    if n_max < observed:
+        raise ValidationError(
+            f"n_max={n_max} is below the largest observed click number {observed}"
+        )
+    for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
+        if resp.B != hist.B:
+            raise ValidationError(f"{name} has B={resp.B} but histogram has B={hist.B}")
+        if resp.n_max < n_max:
+            raise ValidationError(f"{name} covers n <= {resp.n_max} < n_max={n_max}")
+    return total
+
+
 def em_reconstruct(
     hist: ClickHistogram,
     resp_a: DetectorResponse,
@@ -164,24 +193,7 @@ def em_reconstruct(
         max_iter: >= 1; the budget of forward evaluations.
         init: optional starting distribution on the same grid.
     """
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1 (got {max_iter!r})")
-    total = int(hist.f.sum())
-    if total <= 0:
-        raise ValidationError("histogram is empty")
-    observed = int(np.argwhere(hist.f > 0).max())
-    if n_max < observed:
-        raise ValidationError(
-            f"n_max={n_max} is below the largest observed click number {observed}"
-        )
-    for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
-        if resp.B != hist.B:
-            raise ValidationError(f"{name} has B={resp.B} but histogram has B={hist.B}")
-        if resp.n_max < n_max:
-            raise ValidationError(f"{name} covers n <= {resp.n_max} < n_max={n_max}")
-
+    total = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     Pa = resp_a.P[:, : n_max + 1]
     Pb = resp_b.P[:, : n_max + 1]
     cells = np.flatnonzero(hist.f)  # observed cells, as flat indices

@@ -1,0 +1,112 @@
+"""Slow exact constructions of the joint distribution, used as test oracles.
+
+``row_scan_coefficients`` solves the recurrence of ``pairstats.model`` row by
+row instead of one anti-diagonal at a time.  The other two share no code with
+it: ``joint_distribution_oracle`` rebuilds the distribution from the physical
+process, and ``closed_form_cell`` sums the closed-form double series of one
+cell in high-precision decimal arithmetic, where nothing underflows.
+"""
+
+import math
+from decimal import Decimal, localcontext
+
+import numpy as np
+from scipy.signal import convolve2d, lfilter
+from scipy.stats import binom
+
+from pairstats.errors import TruncationError, ValidationError
+from pairstats.model import EffectiveSource, JointDistribution
+
+
+def _coefficients(src: EffectiveSource) -> tuple[float, float, float, float]:
+    """A, B, C, D of the generating function [A - Bx - Cy - Dxy]**(-M)."""
+    N, eta, etap = src.N, src.eta, src.eta_prime
+    A = N + 1.0 - N * (1.0 - eta) * (1.0 - etap)
+    return A, N * eta * (1.0 - etap), N * (1.0 - eta) * etap, N * eta * etap
+
+
+def row_scan_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
+    """The grid of ``model._series_coefficients``, solved row by row.
+
+    Row n+1 follows from row n by the first-order linear scan
+    rho[n+1, m] = w[m] + (C/A) rho[n+1, m-1] along m, which lfilter runs.
+    """
+    A, B, C, D = _coefficients(src)
+    M = src.M
+    size = n_max + 1
+    probs = np.zeros((size, size))
+    m = np.arange(1, size)
+    probs[0] = A**-M * np.concatenate(([1.0], np.cumprod((C / A) * (M + m - 1.0) / m)))
+    for n in range(n_max):
+        scale = (n + M) / (A * (n + 1.0))
+        w = B * scale * probs[n]
+        w[1:] += D * scale * probs[n, :-1]
+        probs[n + 1] = lfilter([1.0], [1.0, -C / A], w)
+    return probs
+
+
+def joint_distribution_oracle(
+    src: EffectiveSource, n_max: int, tail_bound: float | None = None
+) -> JointDistribution:
+    """Reference construction of the joint distribution from the physical process.
+
+    Per mode pair the pair number j is geometric, P(j) = N^j/(N+1)^(j+1); the
+    arms keep Binomial(j, eta) and Binomial(j, eta_prime) photons.  The M-mode
+    result is the M-fold 2-d convolution of the single-mode distribution.
+    The sum over j is truncated where the geometric tail drops below 1e-17,
+    so every retained cell is exact to well under 1e-12.  Requires integer M.
+    """
+    if abs(src.M - round(src.M)) > 1e-9:
+        raise ValidationError("the process oracle requires an integer mode number M")
+    if n_max < 0:
+        raise ValidationError("n_max must be >= 0")
+    modes = int(round(src.M))
+    q = src.N / (src.N + 1.0)
+    j_cut = max(n_max, int(math.ceil(math.log(1e-17) / math.log(q))) + 1)
+    j = np.arange(j_cut + 1)
+    pair_law = q**j / (src.N + 1.0)
+    counts = np.arange(n_max + 1)
+    thin_a = binom.pmf(counts[None, :], j[:, None], src.eta)
+    thin_b = binom.pmf(counts[None, :], j[:, None], src.eta_prime)
+    single = thin_a.T @ (pair_law[:, None] * thin_b)
+    probs = single
+    for _ in range(modes - 1):
+        probs = convolve2d(probs, single)[: n_max + 1, : n_max + 1]
+    tail = max(0.0, 1.0 - float(probs.sum()))
+    if tail_bound is not None and tail > tail_bound:
+        raise TruncationError(
+            f"tail mass {tail:.3e} exceeds the requested bound {tail_bound:.3e}"
+            f" at n_max={n_max}",
+            tail_mass=tail,
+        )
+    return JointDistribution(probs=np.maximum(probs, 0.0), n_max=n_max, tail_mass=tail)
+
+
+def closed_form_cell(src: EffectiveSource, n: int, m: int) -> float:
+    """rho[n, m] from the closed-form double series, to 40 significant digits.
+
+    With [A - Bx - Cy - Dxy]**(-M) the generating function, b = B/A, c = C/A
+    and d = (AD + BC)/A^2,
+
+        rho[n, m] = A^-M (M)_n (M)_m
+                    sum_{k <= min(n, m)} d^k b^(n-k) c^(m-k)
+                                         / (k! (M)_k (n-k)! (m-k)!)
+
+    where (M)_k is the rising factorial.  Every term is nonnegative.  Decimal
+    arithmetic has no underflow, so cells far below 1e-300 stay exact; double
+    precision lgamma would lose ~1e-12 to the rounding of log(1000!) alone.
+    Requires 0 < eta, eta_prime < 1, so that b and c are positive.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        A, B, C, D = (Decimal(x) for x in _coefficients(src))
+        M = Decimal(src.M)
+        b, c, d = B / A, C / A, (A * D + B * C) / (A * A)
+        term = b**n * c**m / (math.factorial(n) * math.factorial(m))  # k = 0
+        total = term
+        for k in range(min(n, m)):
+            term *= d * (n - k) * (m - k) / (b * c * (k + 1) * (M + k))
+            total += term
+        for j in (*range(n), *range(m)):
+            total *= M + j
+        return float(total / A**M)

@@ -28,7 +28,6 @@ from pairstats.model import (
     EffectiveSource,
     JointDistribution,
     joint_distribution,
-    joint_distribution_oracle,
     perturbative_contamination_fraction,
     suggest_n_max,
 )
@@ -40,6 +39,8 @@ from pairstats.pipeline import (
     run_full,
 )
 from pairstats.reconstruction import ClickHistogram, em_reconstruct
+
+from oracles import joint_distribution_oracle
 
 
 def _report(num: int, ok: bool, detail: str) -> None:

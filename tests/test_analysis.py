@@ -27,6 +27,8 @@ from pairstats.model import (
     suggest_n_max,
 )
 
+from oracles import joint_distribution_oracle
+
 
 def model_rho(N, eta, eta_prime, M, tail=1e-13):
     src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
@@ -189,8 +191,6 @@ class TestContaminationMap:
     def test_grid_point_matches_process_oracle(self):
         # eta=0.5 at single-pair rate 1e-2: the map cell must agree with the
         # contamination of the independently constructed oracle distribution
-        from pairstats.model import joint_distribution_oracle
-
         cell = contamination_map([0.5], [1e-2], M=1.0, which=2)[0, 0]
         N = _invert_rate(1e-2, 0.5, 1.0, 2)
         src = EffectiveSource(N=N, eta=0.5, eta_prime=0.5, M=1.0)
@@ -199,8 +199,6 @@ class TestContaminationMap:
 
     def test_small_rate_limit_against_oracle(self):
         # j=2 pair sector gives eps2 -> N (2 - eta^2) as N -> 0 (M=1, equal eta)
-        from pairstats.model import joint_distribution_oracle
-
         N = 1e-6
         for eta in (0.3, 0.9):
             src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=1.0)

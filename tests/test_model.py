@@ -16,16 +16,16 @@ from pairstats.model import (
     ReducedMoments,
     effective_params,
     format_distribution,
-    format_effective_source,
     generating_fn_value,
     joint_distribution,
-    joint_distribution_oracle,
     parse_distribution,
-    parse_effective_source,
     perturbative_contamination_fraction,
+    _series_coefficients,
     reduce_multimode,
     suggest_n_max,
 )
+
+from oracles import closed_form_cell, joint_distribution_oracle, row_scan_coefficients
 
 
 class TestMultimodeSource:
@@ -267,6 +267,63 @@ class TestOracle:
         assert probs[0, 1] == pytest.approx(0.125, abs=1e-14)
 
 
+class TestRowScan:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            (5.0, 0.9, 0.9, 50.0),
+            (1.5, 0.4, 0.7, 3.0),
+            (1000.0, 0.1, 0.05, 7.3),
+            (2.0, 1.0, 0.3, 4.0),
+            (2.0, 0.3, 1.0, 4.0),
+            (3.0, 0.0, 0.5, 2.0),
+            (1.0, 1.0, 1.0, 1.0),
+        ],
+    )
+    def test_diagonal_sweep_equals_row_scan(self, params):
+        src = EffectiveSource(*params)
+        for n_max in (0, 1, 2, 3, 8, 13, 101, 564, 998):
+            sweep = _series_coefficients(src, n_max)
+            scan = row_scan_coefficients(src, n_max)
+            assert np.array_equal(sweep == 0.0, scan == 0.0), n_max
+            normal = scan >= 1e-280
+            np.testing.assert_allclose(sweep[normal], scan[normal], rtol=1e-13, atol=0)
+
+
+class TestFarTail:
+    """Grid cells down to 1e-290 against the closed-form double series, which
+    shares nothing with the recurrence.  A recurrence that lets a partial sum
+    underflow (e.g. one that routes every arm-b-only photon through row 0)
+    fails here, while the small-grid oracle comparisons still pass."""
+
+    @pytest.mark.parametrize("n_max", [564, 998])
+    @pytest.mark.parametrize(
+        "params", [(5.0, 0.9, 0.9, 50.0), (1.5, 0.4, 0.7, 3.0), (1000.0, 0.1, 0.05, 7.3)]
+    )
+    def test_sampled_cells_match_closed_form(self, params, n_max):
+        src = EffectiveSource(*params)
+        probs = joint_distribution(src, n_max).probs
+        kept = probs >= 1e-290
+        logs = np.where(kept, np.log10(np.where(kept, probs, 1.0)), np.inf)
+        cells = {np.unravel_index(np.argmax(probs), probs.shape)}
+        # the cell nearest each of eight levels from the peak down to 1e-290
+        for level in np.linspace(np.log10(probs.max()), -290.0, 8):
+            cells.add(np.unravel_index(np.argmin(np.abs(logs - level)), logs.shape))
+        # the smallest kept cell of a few rows and columns, out to the edge
+        for k in (0, 1, n_max // 2, n_max):
+            if np.isfinite(logs[k].min()):
+                cells.add((k, np.argmin(logs[k])))
+            if np.isfinite(logs[:, k].min()):
+                cells.add((np.argmin(logs[:, k]), k))
+        rng = np.random.default_rng(564)
+        for flat in rng.choice(np.flatnonzero(kept), 8, replace=False):
+            cells.add(np.unravel_index(flat, probs.shape))
+        assert min(probs[n, m] for n, m in cells) < 1e-280
+        for n, m in sorted(cells):
+            exact = closed_form_cell(src, int(n), int(m))
+            assert probs[n, m] == pytest.approx(exact, rel=1e-12, abs=0.0), (n, m)
+
+
 class TestPerturbativeFraction:
     def test_lossless_is_zero(self):
         src = EffectiveSource(N=1e-3, eta=1.0, eta_prime=1.0, M=1.0)
@@ -332,11 +389,6 @@ class TestSerialization:
         assert np.array_equal(again.probs, dist.probs)
         assert again.tail_mass == dist.tail_mass
         assert again.n_max == dist.n_max
-
-    def test_source_round_trip(self):
-        src = EffectiveSource(N=0.123456789012345, eta=0.5, eta_prime=1.0, M=16.6)
-        again = parse_effective_source(format_effective_source(src))
-        assert again == src
 
     def test_bad_header_rejected(self):
         with pytest.raises(ValidationError):

@@ -26,6 +26,7 @@ from pairstats.pipeline import (
     _block_rng,
     _sample_pulses,
 )
+from pairstats.reconstruction import ClickHistogram
 
 
 def small_cfg(**overrides):
@@ -330,3 +331,14 @@ class TestBootstrapStandalone:
         boot = bootstrap_characterize(hist, resp, resp, cfg.n_max, replicas=5, seed=1)
         assert set(boot) >= {"M_hat", "eta_hat", "eps2", "eps4"}
         assert all(len(v) == 5 for v in boot.values())
+
+    @pytest.mark.parametrize(
+        "bad", [{"tol": float("nan")}, {"max_iter": 0}, {"replicas": -1}]
+    )
+    def test_bad_arguments_raise_before_any_replica(self, bad):
+        f = np.zeros((9, 9), dtype=np.int64)
+        f[0, 0], f[1, 1] = 90, 10
+        hist = ClickHistogram(f=f, pulses=100)
+        resp = response_matrix(uniform_weights(8), 8)
+        with pytest.raises(ValidationError):
+            bootstrap_characterize(hist, resp, resp, 8, **{"replicas": 3, **bad})
