@@ -3,8 +3,8 @@
 Implements the equivalent mode number (from the excess marginal variance),
 the overall efficiency through the normalized count-difference statistic,
 and the pair-contamination parameters for the single- and double-pair
-sectors, together with the contour-map generator that traces contamination
-against efficiency and production rate.
+sectors.  The contour map of contamination against efficiency and production
+rate needs no distribution: it is closed-form in the pair-number law.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from .errors import (
     SubPoissonianMarginalError,
     ValidationError,
 )
-from .model import EffectiveSource, JointDistribution, joint_distribution, suggest_n_max
+# perfbench's traced run wraps analysis.joint_distribution and analysis.suggest_n_max
+from .model import JointDistribution, joint_distribution, suggest_n_max  # noqa: F401
 
 _TAIL_REPORT = 1e-9
 
@@ -124,110 +125,111 @@ def efficiency(rho: JointDistribution) -> float:
 
 
 def _sector_mass(rho: JointDistribution, min_total: int) -> float:
-    """Probability of total photon number >= min_total, tail included.
-
-    All truncated mass sits at n or m above n_max, so adding the tail is
-    exact whenever n_max + 1 >= min_total and an upper bound otherwise.
-    """
+    """Probability of n + m >= min_total inside the grid, tail excluded."""
     n = np.arange(rho.n_max + 1)
-    mask = (n[:, None] + n[None, :]) >= min_total
-    return float(rho.probs[mask].sum()) + rho.tail_mass
+    return float(rho.probs[(n[:, None] + n[None, :]) >= min_total].sum())
+
+
+def _contamination(rho: JointDistribution, which: int) -> float:
+    """1 - rho[c, c] / P(n + m >= which), c = which / 2.
+
+    The tail, all at n + m > n_max, lies wholly in the sector iff n_max >= which - 1.
+    """
+    if rho.n_max < which - 1:
+        raise DegenerateInputError(f"grid too small to resolve the {which}-photon sector")
+    denom = _sector_mass(rho, which) + rho.tail_mass
+    if denom <= 0.0:
+        raise DegenerateInputError(f"{which}-photon sector is empty")
+    c = which // 2
+    return 1.0 - float(rho.probs[c, c]) / denom
 
 
 def contamination2(rho: JointDistribution) -> float:
     """Fraction of multiphoton events that are not a lone photon pair."""
-    if rho.n_max < 1:
-        raise DegenerateInputError("grid too small to resolve the pair sector")
-    denom = _sector_mass(rho, 2)
-    if denom <= 0.0:
-        raise DegenerateInputError("multiphoton sector is empty")
-    return 1.0 - float(rho.probs[1, 1]) / denom
+    return _contamination(rho, 2)
 
 
 def contamination4(rho: JointDistribution) -> float:
     """Fraction of four-photon-sector events that are not a double pair."""
-    if rho.n_max < 2:
-        raise DegenerateInputError("grid too small to resolve the double-pair sector")
-    denom = _sector_mass(rho, 4)
-    if denom <= 0.0:
-        raise DegenerateInputError("four-photon sector is empty")
-    return 1.0 - float(rho.probs[2, 2]) / denom
+    return _contamination(rho, 4)
 
 
-def _closed_form_rate(N: float, eta: float, M: float, which: int) -> float:
-    """rho[1, 1] (which=2) or rho[2, 2] (which=4) of the balanced source.
+def _rate_coefficients(v: float, M: float, which: int) -> list[tuple[int, float]]:
+    """(i, a_i) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - w)^M sum a_i w^i.
 
-    With eta = eta' the generating function is A^-M (1 - b x - b y - d xy)^-M,
-    b = N eta (1 - eta) / A, d = N eta^2 / A; in rising factorials (M)_k,
-    rho11 = A^-M (M d + (M)_2 b^2) and
-    rho22 = A^-M ((M)_2 d^2 / 2 + (M)_3 b^2 d + (M)_4 b^4 / 4).
+    With eta = eta', J ~ NegBin(M, w) pairs reach a detector, w = N k / (1 + N k),
+    k = 1 - (1 - eta)^2: P(J = j) = (1 - w)^M t_j, t_j = (M)_j w^j / j!.  Each is
+    a twin with probability v = eta / (2 - eta), else one photon in either arm.
     """
-    A = N + 1.0 - N * (1.0 - eta) * (1.0 - eta)
-    b2 = (N * eta * (1.0 - eta) / A) ** 2
-    d = N * eta * eta / A
+    q2 = (1.0 - v) ** 2
     if which == 2:
-        return A**-M * M * (d + (M + 1.0) * b2)
-    quad = 0.5 * d * d + (M + 2.0) * b2 * (d + 0.25 * (M + 3.0) * b2)
-    return A**-M * M * (M + 1.0) * quad
+        return [(1, M * v), (2, 0.25 * M * (M + 1.0) * q2)]
+    c2 = 0.5 * M * (M + 1.0)
+    c3, c4 = c2 * (M + 2.0), c2 * (M + 2.0) * (M + 3.0)
+    return [(2, c2 * v * v), (3, 0.5 * c3 * v * q2), (4, c4 * q2 * q2 / 32.0)]
 
 
-def _invert_rate(target: float, eta: float, M: float, which: int) -> float | None:
-    """Smallest N with production rate == target, or None when unachievable.
-
-    The rate rises from zero, peaks, and falls.  The peak is bracketed by
-    doubling N and located by golden-section search on log N; the equation is
-    then solved by bisection on the rising branch.
-    """
-
-    def rate(N: float) -> float:
-        return _closed_form_rate(N, eta, M, which)
-
-    n = 1e-6
-    while rate(2.0 * n) > rate(n):
-        n *= 2.0
-        if n > 1e12:
-            break
-    golden = 0.5 * (math.sqrt(5.0) - 1.0)
-    lo, hi = math.log(0.5 * n), math.log(2.0 * n)
-    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
-    f1, f2 = rate(math.exp(x1)), rate(math.exp(x2))
-    while hi - lo > 1e-10:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + golden * (hi - lo)
-            f2 = rate(math.exp(x2))
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - golden * (hi - lo)
-            f1 = rate(math.exp(x1))
-    peak_x, peak_val = (math.exp(x1), f1) if f1 >= f2 else (math.exp(x2), f2)
-
-    if target > peak_val:
-        return None if target > peak_val * (1.0 + 1e-9) else peak_x
-    lo = min(1e-12, peak_x * 1e-9)
-    while rate(lo) > target:
-        lo *= 1e-3
-        if lo < 1e-300:
-            return lo
-    hi = peak_x
-    while (hi - lo) > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if rate(mid) < target:
-            lo = mid
-        else:
+def _bisect(rising, hi: float) -> float:
+    """Smallest w in (0, hi] with ``rising(w)``, to 1e-12 relative or to the last bit."""
+    lo = 0.0
+    while hi - lo > 1e-12 * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if rising(mid):
             hi = mid
-    return 0.5 * (lo + hi)
+        else:
+            lo = mid
+    return hi
 
 
-def contamination_map(
-    eta_grid, rate_grid, M: float = 1.0, which: int = 2
-) -> np.ndarray:
+def _solve_w(target: float, v: float, M: float, which: int) -> float | None:
+    """Smallest w with pair rate R(w) == target, or None when unachievable.
+
+    R is log-concave, so (1 - w) R' - M R changes sign once in (0, 1), at the
+    peak; divided by (1 - w)^(M - 1) w^(c - 1), c = which / 2, it cannot underflow.
+    """
+    coeffs, c = _rate_coefficients(v, M, which), which // 2
+
+    def rate(w: float) -> float:
+        return math.exp(M * math.log1p(-w)) * sum(a * w**i for i, a in coeffs)
+
+    peak_w = _bisect(
+        lambda w: sum(a * w ** (i - c) * (i * (1 - w) - M * w) for i, a in coeffs) < 0, 1.0
+    )
+    if target > rate(peak_w):
+        return None if target > rate(peak_w) * (1.0 + 1e-9) else peak_w
+    return _bisect(lambda w: rate(w) >= target, peak_w)
+
+
+def _law_contamination(w: float, v: float, M: float, which: int) -> float:
+    """eps = P(n + m >= which, off (c, c)) / P(n + m >= which), c = which / 2.
+
+    Both sum nonnegative terms t_j of the J law of ``_rate_coefficients``,
+    scaled to t_c = 1: nothing cancels or underflows.  t_(j+1) / t_j = r_j =
+    w (M + j) / (j + 1) falls toward w < 1, so once r_j < 1 the terms after
+    t_j sum to at most t_j r_j / (1 - r_j).
+    """
+    t = [1.0]
+    for j in range(which // 2, which):
+        t.append(t[-1] * w * (M + j) / (j + 1))
+    term, j, rest = t[-1], which, 0.0
+    while (r := w * (M + j) / (j + 1)) >= 1.0 or term * r > (1.0 - r) * 1e-17 * rest:
+        term *= r
+        j += 1
+        rest += term
+    q = 1.0 - v
+    if which == 2:
+        return (t[1] * (1.0 - 0.5 * q * q) + rest) / (t[0] * v + t[1] + rest)
+    num = 0.5 * t[1] * v * (3.0 - v * v) + t[2] * (1.0 - 0.375 * q**4) + rest
+    return num / (t[0] * v * v + t[1] * (1.0 - q**3) + t[2] + rest)
+
+
+def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np.ndarray:
     """Contamination versus efficiency and production rate, on a grid.
 
-    For every (eta, rate) cell the pump parameter N is solved so that the
-    balanced-loss source produces the requested single-pair rate rho[1, 1]
-    (double-pair rate rho[2, 2] for which=4), and the corresponding
-    contamination is evaluated.  Unachievable rates yield NaN.
+    For every (eta, rate) cell of the balanced-loss source, the pump is
+    solved on the rising branch so that the single-pair rate rho[1, 1]
+    (double-pair rate rho[2, 2] for which=4) equals the requested rate, and
+    the contamination there is evaluated, both in closed form from the law of
+    the pairs that reach a detector (no grid).  Unachievable rates yield NaN.
 
     Returns:
         Matrix of shape (len(eta_grid), len(rate_grid)).
@@ -240,22 +242,18 @@ def contamination_map(
     rates = np.atleast_1d(np.asarray(rate_grid, dtype=float))
     if etas.size == 0 or rates.size == 0:
         raise ValidationError("grids must be non-empty")
-    if not (np.all(np.isfinite(etas)) and np.all(np.isfinite(rates))):
-        raise ValidationError("grid values must be finite")
-    if np.any(etas <= 0.0) or np.any(etas > 1.0):
+    if not np.all((etas > 0.0) & (etas <= 1.0)):
         raise ValidationError("eta grid values must lie in (0, 1]")
-    if np.any(rates <= 0.0):
-        raise ValidationError("rate grid values must be > 0")
+    if not np.all(np.isfinite(rates) & (rates > 0.0)):
+        raise ValidationError("rate grid values must be finite and > 0")
 
     out = np.full((etas.size, rates.size), np.nan)
     for i, eta in enumerate(etas):
+        v = float(eta) / (2.0 - float(eta))
         for j, rate in enumerate(rates):
-            N = _invert_rate(float(rate), float(eta), M, which)
-            if N is None:
-                continue
-            src = EffectiveSource(N=N, eta=float(eta), eta_prime=float(eta), M=M)
-            rho = joint_distribution(src, suggest_n_max(src, 1e-12))
-            out[i, j] = contamination2(rho) if which == 2 else contamination4(rho)
+            w = _solve_w(float(rate), v, M, which)
+            if w is not None:
+                out[i, j] = _law_contamination(w, v, M, which)
     return out
 
 
@@ -297,7 +295,7 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
         for name, which in (("eps2", 2), ("eps4", 4)):
             if status[name] != "ok":
                 continue
-            box = _sector_mass(rho, which) - rho.tail_mass
+            box = _sector_mass(rho, which)
             if box <= 0.0:
                 continue
             peak = float(rho.probs[which // 2, which // 2])

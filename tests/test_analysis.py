@@ -1,10 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
-from pairstats import analysis
+from pairstats import analysis, model
 from pairstats.analysis import (
-    _closed_form_rate,
-    _invert_rate,
+    _rate_coefficients,
+    _solve_w,
     characterize,
     contamination2,
     contamination4,
@@ -33,6 +35,22 @@ from oracles import joint_distribution_oracle
 def model_rho(N, eta, eta_prime, M, tail=1e-13):
     src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
     return joint_distribution(src, suggest_n_max(src, tail))
+
+
+def balanced_law(eta):
+    """k and v of the balanced source; the pair-law parameter is w = N k / (1 + N k)."""
+    return 1.0 - (1.0 - eta) ** 2, eta / (2.0 - eta)
+
+
+def pair_rate(w, v, M, which):
+    """rho[1, 1] (which=2) or rho[2, 2] (which=4) of the balanced source at w."""
+    return (1.0 - w) ** M * sum(a * w**i for i, a in _rate_coefficients(v, M, which))
+
+
+def solved_N(rate, eta, M, which):
+    k, v = balanced_law(eta)
+    w = _solve_w(rate, v, M, which)
+    return None if w is None else w / (k * (1.0 - w))
 
 
 def vacuum_rho():
@@ -158,6 +176,16 @@ class TestContamination:
         with pytest.raises(DegenerateInputError):
             contamination2(vacuum_rho())
 
+    def test_grid_must_hold_whole_sector_boundary(self):
+        # at n_max=2 the (3, 1) and (1, 3) cells of the four-photon sector
+        # are missing; the tail cannot stand in for them
+        src = EffectiveSource(N=1e-4, eta=0.5, eta_prime=0.5, M=1.0)
+        with pytest.raises(DegenerateInputError):
+            contamination4(joint_distribution(src, 2))
+        with pytest.raises(DegenerateInputError):
+            contamination2(joint_distribution(src, 0))
+        assert contamination4(joint_distribution(src, 3)) > 0.0
+
 
 class TestContaminationMap:
     def test_lossless_cell_closed_form(self):
@@ -192,7 +220,7 @@ class TestContaminationMap:
         # eta=0.5 at single-pair rate 1e-2: the map cell must agree with the
         # contamination of the independently constructed oracle distribution
         cell = contamination_map([0.5], [1e-2], M=1.0, which=2)[0, 0]
-        N = _invert_rate(1e-2, 0.5, 1.0, 2)
+        N = solved_N(1e-2, 0.5, 1.0, 2)
         src = EffectiveSource(N=N, eta=0.5, eta_prime=0.5, M=1.0)
         rho_oracle = joint_distribution_oracle(src, suggest_n_max(src, 1e-12))
         assert cell == pytest.approx(contamination2(rho_oracle), abs=1e-9)
@@ -207,6 +235,29 @@ class TestContaminationMap:
             assert got == pytest.approx(N * (2.0 - eta**2), rel=1e-4)
             oracle = contamination2(joint_distribution_oracle(src, 6))
             assert got == pytest.approx(oracle, rel=1e-8)
+
+    def test_four_photon_cell_at_low_rate(self):
+        # the whole sector, not rho22 alone: n_max=2 grids used to give 0 here
+        eps = contamination_map([0.5], [1e-12], M=1.0, which=4)[0, 0]
+        assert eps == pytest.approx(1.29998085031e-05, rel=1e-9)
+
+    @pytest.mark.parametrize("which", [2, 4])
+    def test_rates_below_1e13_are_solved(self, which):
+        eps = contamination_map([0.5], [1e-13, 1e-100], M=1.0, which=which)
+        assert np.all(eps > 0.0) and np.all(eps < 1e-5)
+
+    @pytest.mark.parametrize("which", [2, 4])
+    def test_subnormal_rate_terminates(self, which):
+        start = time.perf_counter()
+        eps = contamination_map([0.5], [5e-324], M=1.0, which=which)[0, 0]
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= eps <= 1.0
+
+    def test_leading_order_at_tiny_rate(self):
+        # eps2 -> (M + 1) rate (1 - (1 - v)^2 / 2) / (2 M v^2), v = eta / (2 - eta):
+        # 7 rate at M=1, eta=0.5
+        eps = contamination_map([0.5], [1e-200], M=1.0, which=2)[0, 0]
+        assert eps == pytest.approx(7e-200, rel=1e-6)
 
     def test_bad_grids_rejected(self):
         with pytest.raises(ValidationError):
@@ -244,8 +295,9 @@ class TestClosedFormRates:
         # smallest normal double neither keeps relative precision.
         tiny = np.finfo(float).tiny
         for eta in (0.05, 0.3, 0.7, 1.0):
+            k, v = balanced_law(eta)
             for N in np.logspace(-6.0, 3.0, 28):
-                got = _closed_form_rate(float(N), eta, M, which)
+                got = pair_rate(N * k / (1.0 + N * k), v, M, which)
                 want = recurrence_rate(float(N), eta, M, which)
                 assert got == pytest.approx(want, rel=1e-12, abs=tiny)
 
@@ -253,7 +305,7 @@ class TestClosedFormRates:
     def test_solved_N_hits_target_on_rising_branch(self, M, which):
         for eta in MAP_ETAS:
             for rate in MAP_RATES:
-                N = _invert_rate(float(rate), float(eta), M, which)
+                N = solved_N(float(rate), float(eta), M, which)
                 if N is None:
                     continue
                 got = recurrence_rate(N, float(eta), M, which)
@@ -267,22 +319,72 @@ class TestClosedFormRates:
         scan_N = np.logspace(-6.0, 4.0, 4001)
         eps = contamination_map(MAP_ETAS, MAP_RATES, M=M, which=which)
         for i, eta in enumerate(MAP_ETAS):
-            peak = float(np.max(_closed_form_rate(scan_N, float(eta), M, which)))
+            k, v = balanced_law(float(eta))
+            peak = max(pair_rate(w, v, M, which) for w in scan_N * k / (1.0 + scan_N * k))
             for j, rate in enumerate(MAP_RATES):
                 assert np.isnan(eps[i, j]) == (peak < rate)
 
-    def test_one_grid_per_finite_cell(self, monkeypatch):
-        calls = []
+    def test_map_needs_no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("contamination_map built a grid")
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return joint_distribution(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "joint_distribution", counting)
+        for module in (analysis, model):
+            monkeypatch.setattr(module, "joint_distribution", refuse)
+            monkeypatch.setattr(module, "suggest_n_max", refuse)
         for M, which in MAP_CASES:
-            calls.clear()
             eps = contamination_map(MAP_ETAS, MAP_RATES, M=M, which=which)
-            assert len(calls) <= int(np.isfinite(eps).sum())
+            assert np.isfinite(eps).sum() >= eps.size // 2
+
+
+def recurrence_N(rate, eta, M, which):
+    """Smallest N whose n_max=2 recurrence rate reaches ``rate``.
+
+    Steps N up from 1e-20 by a factor until the rate is reached, then
+    bisects.  A step that lands past the peak, where the rate falls, is
+    taken back with a finer factor.
+    """
+    hi, step, last = 1e-20, 10.0, 0.0
+    while (got := recurrence_rate(hi, eta, M, which)) < rate:
+        if got < last:
+            hi, step, last = hi / step**2, step**0.25, 0.0
+            assert step > 1.0 + 1e-9, "rate not reached"
+        else:
+            last = got
+        hi *= step
+    lo = hi / step
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if recurrence_rate(mid, eta, M, which) < rate:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def grid_contamination(N, eta, M, which, tail):
+    """Sector cells other than rho[c, c] over all sector cells, on a grid with tail <= ``tail``."""
+    src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
+    rho = joint_distribution(src, suggest_n_max(src, tail))
+    n = np.arange(rho.n_max + 1)
+    sector = (n[:, None] + n[None, :]) >= which
+    others = sector.copy()
+    others[which // 2, which // 2] = False
+    return rho.probs[others].sum() / rho.probs[sector].sum()
+
+
+class TestGridOracle:
+    @pytest.mark.parametrize("M", [1.0, 2.5, 16.0, 1000.0])
+    @pytest.mark.parametrize("which", [2, 4])
+    def test_cells_match_grid(self, M, which):
+        # The grid's tail is below 1e-15 of the numerator, which is at least
+        # rate * eps, so truncation is far below the 1e-11 asked for.
+        etas = [0.05, 0.5, 1.0]
+        rates = np.logspace(-12.0, -1.0, 12)
+        eps = contamination_map(etas, rates, M=M, which=which)
+        for i, j in np.argwhere(np.isfinite(eps)):
+            N = recurrence_N(rates[j], etas[i], M, which)
+            want = grid_contamination(N, etas[i], M, which, 1e-15 * rates[j] * eps[i, j])
+            assert eps[i, j] == pytest.approx(want, rel=1e-11)
 
 
 class TestCharacterize:
@@ -309,6 +411,13 @@ class TestCharacterize:
         char = characterize(rho)
         assert "eps2" in char.intervals
         assert char.intervals["eps2"] > 0.0
+
+    def test_small_grid_status(self):
+        src = EffectiveSource(N=1e-4, eta=0.5, eta_prime=0.5, M=1.0)
+        char = characterize(joint_distribution(src, 2))
+        assert char.status["eps2"] == "ok"
+        assert char.status["eps4"] == "DegenerateInputError"
+        assert np.isnan(char.eps4)
 
     def test_serialization_contains_all_fields(self):
         text = format_characterization(characterize(model_rho(1.0, 0.5, 0.5, 2.0)))

@@ -111,6 +111,19 @@ class TestMapCommand:
         assert np.all(np.diff(eps, axis=0) <= 1e-12)
         assert np.all(np.diff(eps, axis=1) >= -1e-12)
 
+    def test_low_rate_four_photon_cells(self, tmp_path):
+        out = tmp_path / "map.txt"
+        assert main(
+            [
+                "map", "--which", "4", "--M", "1",
+                "--eta-grid", "0.5", "--rate-grid", "log:1e-14:1e-8:7",
+                "--out", str(out),
+            ]
+        ) == 0
+        row = np.array([float(v) for v in out.read_text().splitlines()[3].split(",")])
+        assert row.size == 7
+        assert np.all(np.isfinite(row)) and np.all(row > 0.0)
+
     def test_empty_grid_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(
