@@ -1,7 +1,9 @@
 """Command-line front-end over the package's text file formats.
 
-Exit codes: 0 success, 2 usage error, 3 validation error, 4 numerical error.
-Errors are printed to stderr as one line: ``error: <Kind>: <message>``.
+Exit codes: 0 success, 2 usage error or a file that cannot be opened, read
+or written (``OSError``), 3 validation error (including a malformed or
+non-ASCII input file), 4 numerical error.  Errors are printed to stderr as
+one line: ``error: <Kind>: <message>``.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 
-_VALIDATION = (ValidationError, ClassicalRegimeError, PhysicalityError)
+_VALIDATION = (ValidationError, ClassicalRegimeError, PhysicalityError, UnicodeDecodeError)
 _NUMERICAL = (
     TruncationError,
     SupportError,
@@ -63,16 +65,16 @@ def _cmd_model(args) -> int:
         N=args.N, eta=args.eta, eta_prime=args.eta_prime, M=args.M
     )
     dist = model.joint_distribution(src, args.n_max, tail_bound=args.tail_bound)
-    model.write_distribution(dist, args.out)
+    Path(args.out).write_text(model.format_distribution(dist), encoding="ascii")
     print(f"sum={dist.probs.sum():.17g}")
     print(f"tail_mass={dist.tail_mass:.17g}")
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    cfg = pipeline.read_config(args.config)
+    cfg = pipeline.parse_config(Path(args.config).read_text(encoding="ascii"))
     hist = pipeline.simulate_experiment(cfg)
-    reconstruction.write_histogram(hist, args.out)
+    Path(args.out).write_text(reconstruction.format_histogram(hist), encoding="ascii")
     print(f"pulses={hist.pulses}")
     print(f"counts={int(hist.f.sum())}")
     if args.responses_dir is not None:
@@ -81,7 +83,8 @@ def _cmd_simulate(args) -> int:
         n_max = args.resp_n_max if args.resp_n_max is not None else cfg.n_max
         for arm, weights in (("a", cfg.weights_a), ("b", cfg.weights_b)):
             resp = loop_detector.response_matrix(weights, n_max)
-            loop_detector.write_response(resp, out / f"response_{arm}.txt")
+            text = loop_detector.format_response(resp)
+            (out / f"response_{arm}.txt").write_text(text, encoding="ascii")
         print(f"responses_dir={out}")
     return 0
 
@@ -96,15 +99,16 @@ def _print_convergence(result: reconstruction.ReconstructionResult) -> None:
 
 
 def _cmd_reconstruct(args) -> int:
-    hist = reconstruction.read_histogram(args.hist)
-    resp_a = loop_detector.read_response(args.resp_a)
-    resp_b = loop_detector.read_response(args.resp_b)
+    hist = reconstruction.parse_histogram(Path(args.hist).read_text(encoding="ascii"))
+    resp_a = loop_detector.parse_response(Path(args.resp_a).read_text(encoding="ascii"))
+    resp_b = loop_detector.parse_response(Path(args.resp_b).read_text(encoding="ascii"))
     result = reconstruction.em_reconstruct(
         hist, resp_a, resp_b, args.n_max, tol=args.tol, max_iter=args.max_iter
     )
-    model.write_distribution(result.rho, args.rho_out)
+    Path(args.rho_out).write_text(model.format_distribution(result.rho), encoding="ascii")
     if args.report_out is not None:
-        Path(args.report_out).write_text(reconstruction.format_run_report(result))
+        text = reconstruction.format_run_report(result)
+        Path(args.report_out).write_text(text, encoding="ascii")
     print(f"iterations={result.iterations}")
     _print_convergence(result)
     print(f"log_likelihood={result.log_likelihood_trace[-1]:.17g}")
@@ -112,11 +116,11 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    rho = model.read_distribution(args.rho)
+    rho = model.parse_distribution(Path(args.rho).read_text(encoding="ascii"))
     char = analysis.characterize(rho)
     text = analysis.format_characterization(char)
     if args.out is not None:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="ascii")
     print(text, end="")
     return 0
 
@@ -126,14 +130,14 @@ def _cmd_map(args) -> int:
         args.eta_grid, args.rate_grid, M=args.M, which=args.which
     )
     text = analysis.format_map(eps, args.eta_grid, args.rate_grid, args.M, args.which)
-    Path(args.out).write_text(text)
+    Path(args.out).write_text(text, encoding="ascii")
     print(f"cells={eps.size}")
     print(f"unachievable={int(np.isnan(eps).sum())}")
     return 0
 
 
 def _cmd_pipeline(args) -> int:
-    cfg = pipeline.read_config(args.config)
+    cfg = pipeline.parse_config(Path(args.config).read_text(encoding="ascii"))
     report = pipeline.run_full(cfg)
     report.write(args.out_dir)
     for stage, message in report.failures.items():
@@ -151,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pairstats",
         description="Joint photon-number statistics of pulsed twin-beam sources.",
-        epilog="exit codes: 0 success, 2 usage, 3 validation, 4 numerical",
+        epilog="exit codes: 0 success, 2 usage or unopenable file, 3 validation, 4 numerical",
     )
     sub = parser.add_subparsers(
         dest="subcommand",
@@ -224,12 +228,11 @@ def main(argv=None) -> int:
     _echo_config(args)
     try:
         return args.func(args)
-    except _VALIDATION as exc:
+    except (OSError, *_VALIDATION, *_NUMERICAL) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _NUMERICAL as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
+        if isinstance(exc, OSError):
+            return 2
+        return 3 if isinstance(exc, _VALIDATION) else 4
 
 
 def entry() -> None:

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import format_mapping, format_matrix, parse_mapping, parse_matrix
+from ._fileio import (
+    float_list,
+    format_mapping,
+    format_matrix,
+    parse_mapping,
+    parse_matrix,
+    typed_fields,
+)
 from .errors import DegenerateInputError, ValidationError
 from .model import JointDistribution, _freeze
 
@@ -200,9 +207,9 @@ def calibrate(bin_counts) -> CalibrationResult:
     counts = np.atleast_1d(np.asarray(bin_counts))
     if counts.ndim != 1 or counts.size < 1:
         raise ValidationError("bin counts must be a non-empty 1-d sequence")
-    if np.any(counts < 0) or np.any(counts != np.floor(counts)):
-        raise ValidationError("bin counts must be nonnegative integers")
-    total = int(counts.sum())
+    if not np.all(np.isfinite(counts)) or np.any(counts < 0) or np.any(counts != np.floor(counts)):
+        raise ValidationError("bin counts must be finite nonnegative integers")
+    total = sum(int(c) for c in counts)
     if total == 0:
         raise DegenerateInputError("all calibration bins are empty")
     w = counts / total
@@ -233,39 +240,20 @@ def apply_response(
 
 def format_response(resp: DetectorResponse) -> str:
     text = format_matrix({"B": resp.B, "n_max": resp.n_max}, resp.P)
-    return text + "weights=" + ",".join(format(v, ".17g") for v in resp.weights.w) + "\n"
+    return text + format_mapping({"weights": resp.weights.w})
 
 
 def parse_response(text: str) -> DetectorResponse:
     lines = text.splitlines()
-    weight_lines = [ln for ln in lines if ln.startswith("weights=")]
-    if len(weight_lines) != 1:
-        raise ValidationError("response file must carry one weights= line")
-    weights = PathWeights(
-        np.array([float(v) for v in weight_lines[0].split("=", 1)[1].split(",")])
-    )
+    tail = parse_mapping("\n".join(ln for ln in lines if ln.startswith("weights=")), "response")
+    weights = PathWeights(typed_fields("response", tail, {"weights": float_list})["weights"])
     body = "\n".join(ln for ln in lines if not ln.startswith("weights="))
-    header, matrix = parse_matrix(body)
-    try:
-        B = int(header["B"])
-        n_max = int(header["n_max"])
-    except KeyError as missing:
-        raise ValidationError(f"response header lacks {missing}") from None
-    if matrix.shape != (B + 1, n_max + 1):
+    header, matrix = parse_matrix(body, "response", {"B": int, "n_max": int})
+    if matrix.shape != (header["B"] + 1, header["n_max"] + 1):
         raise ValidationError("response matrix shape disagrees with its header")
-    if weights.B != B:
+    if weights.B != header["B"]:
         raise ValidationError("weights length disagrees with header B")
     return DetectorResponse(P=matrix, weights=weights)
-
-
-def write_response(resp: DetectorResponse, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_response(resp))
-
-
-def read_response(path) -> DetectorResponse:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_response(fh.read())
 
 
 def format_calibration(cal: CalibrationResult) -> str:
@@ -277,13 +265,15 @@ def format_calibration(cal: CalibrationResult) -> str:
 
 
 def parse_calibration(text: str) -> CalibrationResult:
-    fields = parse_mapping(text)
-    try:
-        B = int(fields["B"])
-        total = int(fields["total"])
-        w = np.array([float(fields[f"w_{i}"]) for i in range(B)])
-        stderr = np.array([float(fields[f"stderr_{i}"]) for i in range(B)])
-    except KeyError as missing:
-        raise ValidationError(f"calibration report lacks {missing}") from None
+    pairs = parse_mapping(text, "calibration report")
+    B = typed_fields("calibration report", pairs, {"B": int})["B"]
+    # a report of B paths holds 2B + 2 fields, so a larger B lacks some w_i
+    paths = range(min(B, len(pairs)))
+    types = {"total": int}
+    for i in paths:
+        types[f"w_{i}"] = types[f"stderr_{i}"] = float
+    values = typed_fields("calibration report", pairs, types)
+    w = np.array([values[f"w_{i}"] for i in paths])
+    stderr = np.array([values[f"stderr_{i}"] for i in paths])
     stderr.setflags(write=False)
-    return CalibrationResult(weights=PathWeights(w), stderr=stderr, total=total)
+    return CalibrationResult(weights=PathWeights(w), stderr=stderr, total=values["total"])

@@ -362,20 +362,5 @@ def format_distribution(dist: JointDistribution) -> str:
 
 
 def parse_distribution(text: str) -> JointDistribution:
-    header, matrix = parse_matrix(text)
-    try:
-        n_max = int(header["n_max"])
-        tail = float(header["tail_mass"])
-    except KeyError as missing:
-        raise ValidationError(f"distribution header lacks {missing}") from None
-    return JointDistribution(probs=matrix, n_max=n_max, tail_mass=tail)
-
-
-def write_distribution(dist: JointDistribution, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_distribution(dist))
-
-
-def read_distribution(path) -> JointDistribution:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_distribution(fh.read())
+    header, matrix = parse_matrix(text, "distribution", {"n_max": int, "tail_mass": float})
+    return JointDistribution(probs=matrix, **header)

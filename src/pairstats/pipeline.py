@@ -14,6 +14,7 @@ across workers.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import operator
 import warnings
@@ -22,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fileio import fmt, format_mapping, parse_mapping
+from ._fileio import float_list, format_mapping, parse_mapping, typed_fields
 from .analysis import SourceCharacterization, characterize, format_characterization
 from .errors import PairStatsError, ValidationError
 from .loop_detector import (
@@ -31,19 +32,19 @@ from .loop_detector import (
     PathWeights,
     calibrate,
     format_calibration,
+    format_response,
     response_matrix,
     simulate_clicks_batch,
     uniform_weights,
-    write_response,
 )
-from .model import EffectiveSource, write_distribution
+from .model import EffectiveSource, format_distribution
 from .reconstruction import (
     ClickHistogram,
     ReconstructionResult,
     _check_em_args,
     em_reconstruct,
+    format_histogram,
     format_run_report,
-    write_histogram,
 )
 
 BLOCK_SIZE = 250_000
@@ -263,24 +264,20 @@ class RunReport:
         """Write all present artifacts into a directory, plus a summary."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "config.txt").write_text(format_config(self.config))
+        texts = {"config.txt": format_config(self.config)}
         if self.histogram is not None:
-            write_histogram(self.histogram, out / "histogram.txt")
+            texts["histogram.txt"] = format_histogram(self.histogram)
         for arm, cal in (("a", self.calibration_a), ("b", self.calibration_b)):
             if cal is not None:
-                (out / f"calibration_{arm}.txt").write_text(format_calibration(cal))
+                texts[f"calibration_{arm}.txt"] = format_calibration(cal)
         for arm, resp in (("a", self.response_a), ("b", self.response_b)):
             if resp is not None:
-                write_response(resp, out / f"response_{arm}.txt")
+                texts[f"response_{arm}.txt"] = format_response(resp)
         if self.reconstruction is not None:
-            write_distribution(self.reconstruction.rho, out / "rho.txt")
-            (out / "reconstruction_report.txt").write_text(
-                format_run_report(self.reconstruction)
-            )
+            texts["rho.txt"] = format_distribution(self.reconstruction.rho)
+            texts["reconstruction_report.txt"] = format_run_report(self.reconstruction)
         if self.characterization is not None:
-            (out / "characterization.txt").write_text(
-                format_characterization(self.characterization)
-            )
+            texts["characterization.txt"] = format_characterization(self.characterization)
         summary = {"seed": self.config.seed, "pulses": self.config.pulses}
         if self.reconstruction is not None:
             summary["em_converged"] = self.reconstruction.converged
@@ -298,7 +295,9 @@ class RunReport:
                     summary[f"bootstrap_std_{name}"] = float(good.std(ddof=1)) if good.size > 1 else 0.0
         for stage, message in self.failures.items():
             summary[f"failed_{stage}"] = message
-        (out / "summary.txt").write_text(format_mapping(summary))
+        texts["summary.txt"] = format_mapping(summary)
+        for name, text in texts.items():
+            (out / name).write_text(text, encoding="ascii")
 
 
 def run_full(cfg: ExperimentConfig) -> RunReport:
@@ -363,61 +362,31 @@ def run_full(cfg: ExperimentConfig) -> RunReport:
 
 # -- text formats -------------------------------------------------------------
 
+# config.txt keys in file order: the source, the scalar fields, the weight lists
+_SOURCE_KEYS = tuple(f.name for f in dataclasses.fields(EffectiveSource))
+_WEIGHT_KEYS = tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "PathWeights"
+)
+_SCALAR_TYPES = {
+    f.name: int if f.name in _INTEGER_FIELDS else float
+    for f in dataclasses.fields(ExperimentConfig)
+    if f.name != "source" and f.name not in _WEIGHT_KEYS
+}
+
+
 def format_config(cfg: ExperimentConfig) -> str:
-    pairs = {
-        "N": cfg.source.N,
-        "eta": cfg.source.eta,
-        "eta_prime": cfg.source.eta_prime,
-        "M": cfg.source.M,
-        "pulses": cfg.pulses,
-        "seed": cfg.seed,
-        "calibration_pulses": cfg.calibration_pulses,
-        "calibration_N": cfg.calibration_N,
-        "n_max": cfg.n_max,
-        "em_tol": cfg.em_tol,
-        "em_max_iter": cfg.em_max_iter,
-        "bootstrap_replicas": cfg.bootstrap_replicas,
-        "weights_a": ",".join(fmt(v) for v in cfg.weights_a.w),
-        "weights_b": ",".join(fmt(v) for v in cfg.weights_b.w),
-    }
+    pairs = {name: getattr(cfg.source, name) for name in _SOURCE_KEYS}
+    pairs.update((name, getattr(cfg, name)) for name in _SCALAR_TYPES)
+    pairs.update((name, getattr(cfg, name).w) for name in _WEIGHT_KEYS)
     return format_mapping(pairs)
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    fields = parse_mapping(text)
-    try:
-        source = EffectiveSource(
-            N=float(fields["N"]),
-            eta=float(fields["eta"]),
-            eta_prime=float(fields["eta_prime"]),
-            M=float(fields["M"]),
-        )
-        kwargs = {"source": source}
-        if "weights_a" in fields:
-            kwargs["weights_a"] = PathWeights(
-                np.array([float(v) for v in fields["weights_a"].split(",")])
-            )
-        if "weights_b" in fields:
-            kwargs["weights_b"] = PathWeights(
-                np.array([float(v) for v in fields["weights_b"].split(",")])
-            )
-        for name, conv in (
-            ("pulses", int),
-            ("seed", int),
-            ("calibration_pulses", int),
-            ("calibration_N", float),
-            ("n_max", int),
-            ("em_tol", float),
-            ("em_max_iter", int),
-            ("bootstrap_replicas", int),
-        ):
-            if name in fields:
-                kwargs[name] = conv(fields[name])
-    except KeyError as missing:
-        raise ValidationError(f"config lacks {missing}") from None
-    return ExperimentConfig(**kwargs)
-
-
-def read_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config(fh.read())
+    pairs = parse_mapping(text, "config")
+    source = typed_fields("config", pairs, dict.fromkeys(_SOURCE_KEYS, float))
+    types = _SCALAR_TYPES | dict.fromkeys(_WEIGHT_KEYS, float_list)
+    values = typed_fields("config", pairs, types, optional=types)
+    for name in _WEIGHT_KEYS:
+        if name in values:
+            values[name] = PathWeights(values[name])
+    return ExperimentConfig(source=EffectiveSource(**source), **values)

@@ -25,7 +25,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import format_mapping, format_matrix, parse_mapping, parse_matrix
+from ._fileio import (
+    boolean,
+    format_mapping,
+    format_matrix,
+    parse_mapping,
+    parse_matrix,
+    typed_fields,
+)
 from .errors import SupportError, ValidationError
 from .loop_detector import DetectorResponse, apply_response
 from .model import JointDistribution, _freeze
@@ -45,14 +52,15 @@ class ClickHistogram:
         f = np.asarray(self.f)
         if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] < 1:
             raise ValidationError("f must be a square (B+1) x (B+1) matrix")
-        if np.any(f < 0) or np.any(f != np.floor(f)):
-            raise ValidationError("click counts must be nonnegative integers")
-        f = f.astype(np.int64)
+        if not np.all(np.isfinite(f)) or np.any(f < 0) or np.any(f != np.floor(f)):
+            raise ValidationError("click counts must be finite nonnegative integers")
         pulses = int(self.pulses)
-        if pulses <= 0:
-            raise ValidationError("pulses must be > 0")
-        if int(f.sum()) > pulses:
+        if not 0 < pulses < 2**63:
+            raise ValidationError("pulses must be > 0 and < 2**63")
+        # an exact total bounds every count by pulses, so the int64 cast is safe
+        if sum(int(v) for v in f.flat) > pulses:
             raise ValidationError("total counts cannot exceed the number of pulses")
+        f = f.astype(np.int64)
         _freeze(self, "f", f)
         object.__setattr__(self, "pulses", pulses)
 
@@ -291,25 +299,10 @@ def format_histogram(hist: ClickHistogram) -> str:
 
 
 def parse_histogram(text: str) -> ClickHistogram:
-    header, matrix = parse_matrix(text)
-    try:
-        pulses = int(header["pulses"])
-        B = int(header["B"])
-    except KeyError as missing:
-        raise ValidationError(f"histogram header lacks {missing}") from None
-    if matrix.shape != (B + 1, B + 1):
+    header, matrix = parse_matrix(text, "histogram", {"pulses": int, "B": int})
+    if matrix.shape != (header["B"] + 1, header["B"] + 1):
         raise ValidationError("histogram shape disagrees with its header")
-    return ClickHistogram(f=matrix, pulses=pulses)
-
-
-def write_histogram(hist: ClickHistogram, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_histogram(hist))
-
-
-def read_histogram(path) -> ClickHistogram:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_histogram(fh.read())
+    return ClickHistogram(f=matrix, pulses=header["pulses"])
 
 
 def format_run_report(result: ReconstructionResult) -> str:
@@ -325,11 +318,11 @@ def format_run_report(result: ReconstructionResult) -> str:
 
 
 def parse_run_report(text: str) -> dict:
-    fields = parse_mapping(text)
-    return {
-        "iterations": int(fields["iterations"]),
-        "converged": fields["converged"] == "True",
-        "final_log_likelihood": float(fields["final_log_likelihood"]),
-        "ll_gap_bound": float(fields["ll_gap_bound"]),
-        "n_max": int(fields["n_max"]),
+    types = {
+        "iterations": int,
+        "converged": boolean,
+        "final_log_likelihood": float,
+        "ll_gap_bound": float,
+        "n_max": int,
     }
+    return typed_fields("run report", parse_mapping(text, "run report"), types)

@@ -2,14 +2,20 @@ import numpy as np
 import pytest
 
 from pairstats.cli import main
-from pairstats.loop_detector import parse_response
+from pairstats.loop_detector import (
+    format_response,
+    parse_response,
+    response_matrix,
+    uniform_weights,
+)
 from pairstats.model import (
     EffectiveSource,
+    format_distribution,
+    joint_distribution,
     parse_distribution,
-    read_distribution,
 )
 from pairstats.pipeline import ExperimentConfig, format_config
-from pairstats.reconstruction import read_histogram
+from pairstats.reconstruction import ClickHistogram, format_histogram, parse_histogram
 
 
 def write_cfg(path, **overrides):
@@ -40,7 +46,7 @@ class TestModelCommand:
         assert code == 0
         printed = capsys.readouterr().out
         assert "tail_mass=" in printed and "config:" in printed
-        dist = read_distribution(out)
+        dist = parse_distribution(out.read_text())
         assert dist.probs[1, 1] == pytest.approx(0.25, abs=1e-14)
 
     def test_near_vacuum(self, tmp_path):
@@ -52,7 +58,7 @@ class TestModelCommand:
                 "--M", "2", "--n-max", "4", "--out", str(out),
             ]
         ) == 0
-        assert read_distribution(out).probs[0, 0] == pytest.approx(1.0, abs=1e-10)
+        assert parse_distribution(out.read_text()).probs[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_invalid_eta_exits_3(self, tmp_path, capsys):
         code = main(
@@ -148,7 +154,7 @@ class TestSimulateReconstructChain:
                 "--responses-dir", str(resp_dir),
             ]
         ) == 0
-        hist = read_histogram(hist_path)
+        hist = parse_histogram(hist_path.read_text())
         assert int(hist.f.sum()) == 100_000
 
         rho_path = tmp_path / "rho.txt"
@@ -165,7 +171,7 @@ class TestSimulateReconstructChain:
                 "--report-out", str(report_path),
             ]
         ) == 0
-        rho = read_distribution(rho_path)
+        rho = parse_distribution(rho_path.read_text())
         assert rho.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert "iterations=" in report_path.read_text()
 
@@ -314,3 +320,92 @@ class TestUsage:
         )
         resp = parse_response((resp_dir / "response_a.txt").read_text())
         assert resp.B == 8
+
+
+def write_inputs(tmp_path):
+    """Valid rho, histogram, response and config files for one small source."""
+    src = EffectiveSource(N=0.3, eta=0.5, eta_prime=0.5, M=1.0)
+    f = np.array([[700, 60, 5], [50, 120, 15], [4, 16, 30]])
+    texts = {
+        "rho": format_distribution(joint_distribution(src, 4)),
+        "hist": format_histogram(ClickHistogram(f=f, pulses=1_000)),
+        "resp": format_response(response_matrix(uniform_weights(2), 4)),
+        "config": format_config(ExperimentConfig(source=src, pulses=1_000)),
+    }
+    for name, text in texts.items():
+        (tmp_path / f"{name}.txt").write_text(text)
+
+
+def command(kind, tmp_path):
+    out = str(tmp_path / "out.txt")
+    if kind == "rho":
+        return ["analyze", "--rho", str(tmp_path / "rho.txt"), "--out", out]
+    if kind == "config":
+        return ["simulate", "--config", str(tmp_path / "config.txt"), "--out", out]
+    return [
+        "reconstruct",
+        "--hist", str(tmp_path / "hist.txt"),
+        "--resp-a", str(tmp_path / "resp.txt"),
+        "--resp-b", str(tmp_path / "resp.txt"),
+        "--n-max", "4",
+        "--rho-out", out,
+    ]
+
+
+def drop_first_header_key(text):
+    if not text.startswith("#"):
+        return text.split("\n", 1)[1]
+    header, rest = text.split("\n", 1)
+    return "# " + " ".join(header[2:].split()[1:]) + "\n" + rest
+
+
+def bad_first_header_value(text):
+    """Prefix the first key's value (n_max, pulses, B or N) with text no number has."""
+    key = text.lstrip("# ").split("=", 1)[0]
+    return text.replace(f"{key}=", f"{key}=1e6x", 1)
+
+
+def non_numeric_entry(text):
+    if not text.startswith("#"):
+        return text.replace("weights_a=", "weights_a=abc,", 1)
+    header, first, rest = text.split("\n", 2)
+    return f"{header}\nabc,{first.split(',', 1)[1]}\n{rest}"
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("kind", ["rho", "hist", "resp", "config"])
+    @pytest.mark.parametrize(
+        "edit", [drop_first_header_key, bad_first_header_value, non_numeric_entry]
+    )
+    def test_exits_3_with_one_line(self, tmp_path, capsys, kind, edit):
+        write_inputs(tmp_path)
+        assert main(command(kind, tmp_path)) == 0
+        (tmp_path / "out.txt").unlink()
+        capsys.readouterr()
+        path = tmp_path / f"{kind}.txt"
+        path.write_text(edit(path.read_text()))
+        assert main(command(kind, tmp_path)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ValidationError: ")
+        assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("count", ["inf", "1e300"])
+    def test_unrepresentable_count_exits_3(self, tmp_path, capsys, count):
+        write_inputs(tmp_path)
+        path = tmp_path / "hist.txt"
+        path.write_text(non_numeric_entry(path.read_text()).replace("abc", count))
+        assert main(command("hist", tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert "counts" in err and "histogram is empty" not in err
+
+    def test_non_ascii_file_exits_3(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        (tmp_path / "rho.txt").write_bytes(b"# n_max=0 tail_mass=0\n1\xb5\n")
+        assert main(command("rho", tmp_path)) == 3
+        assert capsys.readouterr().err.startswith("error: UnicodeDecodeError: ")
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        code = main(["analyze", "--rho", str(tmp_path / "missing.txt")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: FileNotFoundError: ")

@@ -237,6 +237,10 @@ class TestCalibrate:
         with pytest.raises(ValidationError):
             calibrate([1.5, 2.0])
 
+    def test_infinite_count_rejected(self):
+        with pytest.raises(ValidationError):
+            calibrate([math.inf, 1])
+
 
 class TestApplyResponse:
     def test_vacuum(self):
@@ -314,6 +318,21 @@ class TestSerialization:
         assert np.array_equal(again.weights.w, cal.weights.w)
         assert np.array_equal(again.stderr, cal.stderr)
         assert again.total == cal.total
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.replace("w_1=", "w1="),
+            lambda t: t.replace("total=4", "total=four"),
+            lambda t: t.replace("B=2", "B=1000000000"),
+            lambda t: t + "w_0=0.5\n",
+        ],
+        ids=["missing-key", "bad-value", "huge-B", "repeated-key"],
+    )
+    def test_malformed_calibration_rejected(self, edit):
+        text = format_calibration(calibrate([3, 1]))
+        with pytest.raises(ValidationError, match="calibration report"):
+            parse_calibration(edit(text))
 
     def test_click_distribution_validation(self):
         with pytest.raises(ValidationError):

@@ -127,6 +127,50 @@ class TestConfig:
         ):
             assert getattr(again, name) == getattr(cfg, name)
 
+    def test_format_is_pinned(self):
+        cfg = small_cfg(
+            source=EffectiveSource(N=0.2, eta=0.3, eta_prime=0.35, M=4.0),
+            weights_a=PathWeights([0.25, 0.75]),
+            weights_b=PathWeights([0.5, 0.5]),
+            em_tol=1e-12,
+            bootstrap_replicas=2,
+        )
+        assert format_config(cfg) == (
+            "N=0.20000000000000001\n"
+            "eta=0.29999999999999999\n"
+            "eta_prime=0.34999999999999998\n"
+            "M=4\n"
+            "pulses=200000\n"
+            "seed=5\n"
+            "calibration_pulses=200000\n"
+            "calibration_N=0.001\n"
+            "n_max=8\n"
+            "em_tol=9.9999999999999998e-13\n"
+            "em_max_iter=100000\n"
+            "bootstrap_replicas=2\n"
+            "weights_a=0.25,0.75\n"
+            "weights_b=0.5,0.5\n"
+        )
+
+    def test_optional_fields_take_defaults(self):
+        cfg = parse_config("N=1\neta=0.5\neta_prime=0.5\nM=1\n")
+        default = ExperimentConfig(source=EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.0))
+        assert format_config(cfg) == format_config(default)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("N=1\nN=2\neta=0.5\neta_prime=0.5\nM=1\n", "repeats 'N'"),
+            ("eta=0.5\neta_prime=0.5\nM=1\n", "lacks 'N'"),
+            ("N=1\neta=0.5\neta_prime=0.5\nM=1\npulses=1e6\n", "pulses='1e6'"),
+            ("N=1\neta=0.5\neta_prime=0.5\nM=1\nweights_a=0.5,half\n", "weights_a"),
+        ],
+        ids=["repeated-key", "missing-key", "float-for-int", "non-numeric-weight"],
+    )
+    def test_malformed_config_rejected(self, text, match):
+        with pytest.raises(ValidationError, match=match):
+            parse_config(text)
+
 
 class TestSamplePulse:
     def test_near_vacuum(self):

@@ -91,6 +91,20 @@ class TestClickHistogram:
         with pytest.raises(ValidationError):
             ClickHistogram(f=np.zeros((2, 3), dtype=int), pulses=10)
 
+    @pytest.mark.parametrize(
+        "f",
+        [[[math.inf, 0], [0, 0]], [[2.0**63, 0], [0, 0]], [[1e300, 0], [0, 0]],
+         np.array([[2**62, 2**62], [2**62, 2**62]], dtype=np.int64)],
+        ids=["inf", "2^63", "1e300", "int64-sum-wraps"],
+    )
+    def test_unrepresentable_counts_rejected(self, f):
+        with pytest.raises(ValidationError, match="counts"):
+            ClickHistogram(f=f, pulses=10)
+
+    def test_pulses_beyond_int64_rejected(self):
+        with pytest.raises(ValidationError, match="pulses"):
+            ClickHistogram(f=np.zeros((2, 2)), pulses=2**63)
+
 
 class TestLogLikelihood:
     def test_vacuum_data_vacuum_model(self):
@@ -341,3 +355,18 @@ class TestSerialization:
         assert report["converged"] == result.converged
         assert report["final_log_likelihood"] == result.log_likelihood_trace[-1]
         assert report["ll_gap_bound"] == result.ll_gap_bound > 0.0
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda t: t.replace("iterations=", "iters="),
+            lambda t: t.replace("n_max=3", "n_max=3.0"),
+            lambda t: t.replace("converged=True", "converged=yes"),
+        ],
+        ids=["missing-key", "float-for-int", "bad-boolean"],
+    )
+    def test_malformed_run_report_rejected(self, edit):
+        text = "iterations=7\nconverged=True\nfinal_log_likelihood=-1.5\nll_gap_bound=0\nn_max=3\n"
+        parse_run_report(text)
+        with pytest.raises(ValidationError, match="run report"):
+            parse_run_report(edit(text))
