@@ -23,9 +23,7 @@ from .errors import (
     ValidationError,
 )
 # perfbench's traced run wraps analysis.joint_distribution and analysis.suggest_n_max
-from .model import JointDistribution, joint_distribution, suggest_n_max  # noqa: F401
-
-_TAIL_REPORT = 1e-9
+from .model import JointDistribution, _index, joint_distribution, suggest_n_max  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -33,9 +31,7 @@ class SourceCharacterization:
     """Bundle of all source estimates with per-field status.
 
     ``status`` maps each derived field to "ok" or to the name of the error
-    that prevented its evaluation (the value is then NaN).  ``intervals``
-    holds half-widths for estimates whose truncation uncertainty can be
-    bracketed exactly, populated when the tail mass is non-negligible.
+    that prevented its evaluation (the value is then NaN).
     """
 
     mean_n: float
@@ -50,7 +46,6 @@ class SourceCharacterization:
     p11: float
     p22: float
     status: dict = field(default_factory=dict)
-    intervals: dict = field(default_factory=dict)
 
 
 def _moments(rho: JointDistribution):
@@ -124,12 +119,6 @@ def efficiency(rho: JointDistribution) -> float:
     return value
 
 
-def _sector_mass(rho: JointDistribution, min_total: int) -> float:
-    """Probability of n + m >= min_total inside the grid, tail excluded."""
-    n = np.arange(rho.n_max + 1)
-    return float(rho.probs[(n[:, None] + n[None, :]) >= min_total].sum())
-
-
 def _contamination(rho: JointDistribution, which: int) -> float:
     """1 - rho[c, c] / P(n + m >= which), c = which / 2.
 
@@ -137,7 +126,8 @@ def _contamination(rho: JointDistribution, which: int) -> float:
     """
     if rho.n_max < which - 1:
         raise DegenerateInputError(f"grid too small to resolve the {which}-photon sector")
-    denom = _sector_mass(rho, which) + rho.tail_mass
+    n = np.arange(rho.n_max + 1)
+    denom = float(rho.probs[(n[:, None] + n[None, :]) >= which].sum()) + rho.tail_mass
     if denom <= 0.0:
         raise DegenerateInputError(f"{which}-photon sector is empty")
     c = which // 2
@@ -234,6 +224,7 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
     Returns:
         Matrix of shape (len(eta_grid), len(rate_grid)).
     """
+    which = _index(which, "which")
     if which not in (2, 4):
         raise ValidationError("which must be 2 or 4")
     if not (math.isfinite(M) and M >= 1.0):
@@ -289,18 +280,6 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
     attempt("eps4", lambda: contamination4(rho))
     p11 = float(rho.probs[1, 1]) if rho.n_max >= 1 else float("nan")
     p22 = float(rho.probs[2, 2]) if rho.n_max >= 2 else float("nan")
-
-    intervals: dict = {}
-    if rho.tail_mass > _TAIL_REPORT:
-        for name, which in (("eps2", 2), ("eps4", 4)):
-            if status[name] != "ok":
-                continue
-            box = _sector_mass(rho, which)
-            if box <= 0.0:
-                continue
-            peak = float(rho.probs[which // 2, which // 2])
-            intervals[name] = 0.5 * abs(peak / box - peak / (box + rho.tail_mass))
-
     return SourceCharacterization(
         mean_n=mean_n,
         mean_n_prime=mean_np,
@@ -309,7 +288,6 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
         p11=p11,
         p22=p22,
         status=status,
-        intervals=intervals,
         **values,
     )
 
@@ -317,13 +295,7 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
 # -- text formats -------------------------------------------------------------
 
 def format_characterization(char: SourceCharacterization) -> str:
-    pairs = {
-        f.name: getattr(char, f.name)
-        for f in fields(char)
-        if f.name not in ("status", "intervals")
-    }
-    for name, val in char.intervals.items():
-        pairs[f"interval_{name}"] = val
+    pairs = {f.name: getattr(char, f.name) for f in fields(char) if f.name != "status"}
     for name, val in char.status.items():
         pairs[f"status_{name}"] = val
     return format_mapping(pairs)

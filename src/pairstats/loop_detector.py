@@ -24,9 +24,8 @@ from ._fileio import (
     typed_fields,
 )
 from .errors import DegenerateInputError, ValidationError
-from .model import JointDistribution, _freeze
+from .model import _TOL, JointDistribution, _check_mass, _freeze, _index
 
-_TOL = 1e-12
 _BLOCK = 64  # binomial rows applied per matrix product in response_matrix
 
 
@@ -40,13 +39,7 @@ class PathWeights:
         w = np.atleast_1d(np.asarray(self.w, dtype=float))
         if w.ndim != 1 or w.size < 1:
             raise ValidationError("path weights must be a non-empty 1-d sequence")
-        if not np.all(np.isfinite(w)) or np.any(w < 0.0):
-            raise ValidationError("path weights must be finite and >= 0")
-        total = float(w.sum())
-        if abs(total - 1.0) > _TOL:
-            raise ValidationError(
-                f"path weights must sum to 1 within 1e-12 (got {total!r})"
-            )
+        _check_mass(w, "path weights")
         _freeze(self, "w", w)
 
     @property
@@ -56,6 +49,7 @@ class PathWeights:
 
 def uniform_weights(B: int = 8) -> PathWeights:
     """Equal-splitting weight vector for a B-path detector."""
+    B = _index(B, "B")
     if B < 1:
         raise ValidationError("B must be >= 1")
     return PathWeights(np.full(B, 1.0 / B))
@@ -113,17 +107,7 @@ class ClickDistribution:
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2:
             raise ValidationError("p must be a matrix")
-        if not np.all((p >= 0.0) & (p <= 1.0 + _TOL)):
-            raise ValidationError("click probabilities must lie in [0, 1]")
-        deficit = float(self.deficit)
-        if not 0.0 <= deficit < np.inf:
-            raise ValidationError("deficit must be finite and >= 0")
-        total = float(p.sum()) + deficit
-        if abs(total - 1.0) > _TOL:
-            raise ValidationError(
-                f"click probabilities plus deficit must equal 1 within 1e-12"
-                f" (got {total!r})"
-            )
+        deficit = _check_mass(p, "click probabilities", self.deficit, "deficit")
         _freeze(self, "p", p)
         object.__setattr__(self, "deficit", deficit)
 
@@ -141,6 +125,7 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     rows come from Pascal's rule, which keeps the column sums within rounding
     of 1 at large n_max, and are applied ``_BLOCK`` rows per matrix product.
     """
+    n_max = _index(n_max, "n_max")
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
     w = weights.w

@@ -16,6 +16,7 @@ anti-diagonal n + m at a time in plain numpy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,29 @@ _TOL = 1e-12
 def _freeze(obj, name, value):
     value.setflags(write=False)
     object.__setattr__(obj, name, value)
+
+
+def _index(value, name: str) -> int:
+    """``value`` as a Python int; ValidationError naming ``name`` if it is not an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer (got {value!r})") from None
+
+
+def _check_mass(probs: np.ndarray, what: str, missing=0.0, missing_name: str = "") -> float:
+    """Check entries in [0, 1] and entries plus a finite ``missing`` >= 0 summing to 1
+    within 1e-12; return ``missing`` as a float."""
+    if not np.all((probs >= 0.0) & (probs <= 1.0 + _TOL)):
+        raise ValidationError(f"{what} must lie in [0, 1]")
+    missing = float(missing)
+    if not 0.0 <= missing < math.inf:
+        raise ValidationError(f"{missing_name} must be finite and >= 0")
+    total = float(probs.sum()) + missing
+    if abs(total - 1.0) > _TOL:
+        plus = f" plus {missing_name}" if missing_name else ""
+        raise ValidationError(f"{what}{plus} must sum to 1 within 1e-12 (got {total!r})")
+    return missing
 
 
 @dataclass(frozen=True)
@@ -144,19 +168,10 @@ class JointDistribution:
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
-        n_max = int(self.n_max)
+        n_max = _index(self.n_max, "n_max")
         if n_max < 0 or probs.shape != (n_max + 1, n_max + 1):
             raise ValidationError("probs must be a (n_max+1) x (n_max+1) matrix")
-        if not np.all((probs >= 0.0) & (probs <= 1.0 + _TOL)):
-            raise ValidationError("probabilities must lie in [0, 1]")
-        tail = float(self.tail_mass)
-        if not 0.0 <= tail < np.inf:
-            raise ValidationError("tail_mass must be finite and >= 0")
-        total = float(probs.sum()) + tail
-        if abs(total - 1.0) > _TOL:
-            raise ValidationError(
-                f"probabilities plus tail_mass must equal 1 within 1e-12 (got {total!r})"
-            )
+        tail = _check_mass(probs, "probabilities", self.tail_mass, "tail_mass")
         _freeze(self, "probs", probs)
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "tail_mass", tail)
@@ -281,8 +296,11 @@ def joint_distribution(
         tail_bound: if given, raise TruncationError when the excluded mass
             exceeds it (the error carries the achieved tail mass).
     """
+    n_max = _index(n_max, "n_max")
     if n_max < 0:
         raise ValidationError("n_max must be >= 0")
+    if tail_bound is not None and not 0.0 < tail_bound < math.inf:
+        raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
     probs = _series_coefficients(src, n_max)
     tail = max(0.0, 1.0 - float(probs.sum()))
     if tail_bound is not None and tail > tail_bound:
@@ -306,8 +324,9 @@ def suggest_n_max(
     carries the tail bound reached at ``n_cap`` (inf if an arm's pmf ratio
     is still at least one there).
     """
-    if tail_bound <= 0.0:
-        raise ValidationError("tail_bound must be > 0")
+    if not 0.0 < tail_bound < math.inf:
+        raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
+    n_cap = _index(n_cap, "n_cap")
     if n_cap < 1:
         raise ValidationError("n_cap must be >= 1")
 

@@ -8,15 +8,13 @@ parameters are estimated from the result.
 
 Pulses are simulated in fixed-size blocks, each drawing from its own
 counter-based random stream derived from (seed, stage, block index), so a
-run is reproducible bit-for-bit regardless of how blocks would be scheduled
-across workers.
+run is reproducible bit-for-bit from its config and seed.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +35,7 @@ from .loop_detector import (
     simulate_clicks_batch,
     uniform_weights,
 )
-from .model import EffectiveSource, format_distribution
+from .model import EffectiveSource, _index, format_distribution
 from .reconstruction import (
     ClickHistogram,
     ReconstructionResult,
@@ -57,11 +55,6 @@ _STAGE_BOOTSTRAP = 2
 def _block_rng(seed: int, stage: int, block: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stage, block))
     return np.random.Generator(np.random.Philox(seq))
-
-
-_INTEGER_FIELDS = (
-    "pulses", "seed", "calibration_pulses", "n_max", "em_max_iter", "bootstrap_replicas"
-)
 
 
 @dataclass(frozen=True)
@@ -87,11 +80,9 @@ class ExperimentConfig:
     bootstrap_replicas: int = 0
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValidationError(f"{name} must be an integer") from None
+        for f in dataclasses.fields(self):
+            if f.type == "int":
+                object.__setattr__(self, f.name, _index(getattr(self, f.name), f.name))
         if self.pulses <= 0:
             raise ValidationError("pulses must be > 0")
         if self.calibration_pulses <= 0:
@@ -149,21 +140,22 @@ def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     return n, m
 
 
+def _pulse_blocks(src: EffectiveSource, pulses: int, seed: int, stage: int):
+    """Yield (n, m, rng) per block of up to BLOCK_SIZE pulses: the photon
+    numbers of the two arms, and the block's stream for drawing its clicks."""
+    for block, start in enumerate(range(0, pulses, BLOCK_SIZE)):
+        rng = _block_rng(seed, stage, block)
+        yield *_sample_pulses(src, rng, min(BLOCK_SIZE, pulses - start)), rng
+
+
 def simulate_experiment(cfg: ExperimentConfig) -> ClickHistogram:
     """Accumulate the joint click histogram over cfg.pulses pulses."""
     B = cfg.weights_a.B
     counts = np.zeros((B + 1) * (B + 1), dtype=np.int64)
-    done = 0
-    block = 0
-    while done < cfg.pulses:
-        size = min(BLOCK_SIZE, cfg.pulses - done)
-        rng = _block_rng(cfg.seed, _STAGE_MAIN, block)
-        n, m = _sample_pulses(cfg.source, rng, size)
+    for n, m, rng in _pulse_blocks(cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN):
         ka = simulate_clicks_batch(n, cfg.weights_a, rng)
         kb = simulate_clicks_batch(m, cfg.weights_b, rng)
         counts += np.bincount(ka * (B + 1) + kb, minlength=counts.size)
-        done += size
-        block += 1
     return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
 
 
@@ -178,24 +170,13 @@ def _bin_occupancy(ns, weights: PathWeights, rng: np.random.Generator) -> np.nda
 
 def simulate_calibration(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin click tallies of both arms at the low-intensity setting."""
-    low = EffectiveSource(
-        N=cfg.calibration_N,
-        eta=cfg.source.eta,
-        eta_prime=cfg.source.eta_prime,
-        M=cfg.source.M,
-    )
+    low = dataclasses.replace(cfg.source, N=cfg.calibration_N)
     bins_a = np.zeros(cfg.weights_a.B, dtype=np.int64)
     bins_b = np.zeros(cfg.weights_b.B, dtype=np.int64)
-    done = 0
-    block = 0
-    while done < cfg.calibration_pulses:
-        size = min(BLOCK_SIZE, cfg.calibration_pulses - done)
-        rng = _block_rng(cfg.seed, _STAGE_CALIBRATION, block)
-        n, m = _sample_pulses(low, rng, size)
+    blocks = _pulse_blocks(low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION)
+    for n, m, rng in blocks:
         bins_a += _bin_occupancy(n, cfg.weights_a, rng)
         bins_b += _bin_occupancy(m, cfg.weights_b, rng)
-        done += size
-        block += 1
     return bins_a, bins_b
 
 
@@ -368,9 +349,9 @@ _WEIGHT_KEYS = tuple(
     f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "PathWeights"
 )
 _SCALAR_TYPES = {
-    f.name: int if f.name in _INTEGER_FIELDS else float
+    f.name: int if f.type == "int" else float
     for f in dataclasses.fields(ExperimentConfig)
-    if f.name != "source" and f.name not in _WEIGHT_KEYS
+    if f.type in ("int", "float")
 }
 
 
@@ -383,6 +364,9 @@ def format_config(cfg: ExperimentConfig) -> str:
 
 def parse_config(text: str) -> ExperimentConfig:
     pairs = parse_mapping(text, "config")
+    unknown = pairs.keys() - {*_SOURCE_KEYS, *_SCALAR_TYPES, *_WEIGHT_KEYS}
+    if unknown:
+        raise ValidationError(f"config has unknown keys {sorted(unknown)}")
     source = typed_fields("config", pairs, dict.fromkeys(_SOURCE_KEYS, float))
     types = _SCALAR_TYPES | dict.fromkeys(_WEIGHT_KEYS, float_list)
     values = typed_fields("config", pairs, types, optional=types)

@@ -35,9 +35,8 @@ from ._fileio import (
 )
 from .errors import SupportError, ValidationError
 from .loop_detector import DetectorResponse, apply_response
-from .model import JointDistribution, _freeze
+from .model import JointDistribution, _freeze, _index
 
-_TOL = 1e-12
 _SQUAREM_TRIALS = 4  # extrapolation lengths tried per cycle
 
 
@@ -54,7 +53,7 @@ class ClickHistogram:
             raise ValidationError("f must be a square (B+1) x (B+1) matrix")
         if not np.all(np.isfinite(f)) or np.any(f < 0) or np.any(f != np.floor(f)):
             raise ValidationError("click counts must be finite nonnegative integers")
-        pulses = int(self.pulses)
+        pulses = _index(self.pulses, "pulses")
         if not 0 < pulses < 2**63:
             raise ValidationError("pulses must be > 0 and < 2**63")
         # an exact total bounds every count by pulses, so the int64 cast is safe

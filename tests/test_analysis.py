@@ -264,6 +264,8 @@ class TestContaminationMap:
             contamination_map([], [1e-4], M=1.0, which=2)
         with pytest.raises(ValidationError):
             contamination_map([0.5], [1e-4], M=1.0, which=3)
+        with pytest.raises(ValidationError, match="which"):
+            contamination_map([0.5], [1e-4], M=1.0, which=2.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad):
@@ -404,13 +406,15 @@ class TestCharacterize:
         assert char.p11 == pytest.approx(0.25, abs=1e-12)
         assert char.eta_hat == 1.0 - char.delta_sq
 
-    def test_interval_reported_for_heavy_tail(self):
+    def test_heavy_tail_contamination_is_exact(self):
+        # the whole tail lies in both sectors, so a coarse grid loses nothing
         src = EffectiveSource(N=2.0, eta=0.9, eta_prime=0.9, M=2.0)
         rho = joint_distribution(src, 6)  # deliberately coarse truncation
-        assert rho.tail_mass > 1e-9
-        char = characterize(rho)
-        assert "eps2" in char.intervals
-        assert char.intervals["eps2"] > 0.0
+        assert rho.tail_mass > 0.1
+        coarse = characterize(rho)
+        wide = characterize(joint_distribution(src, suggest_n_max(src, 1e-13)))
+        assert coarse.eps2 == pytest.approx(wide.eps2, rel=1e-12)
+        assert coarse.eps4 == pytest.approx(wide.eps4, rel=1e-12)
 
     def test_small_grid_status(self):
         src = EffectiveSource(N=1e-4, eta=0.5, eta_prime=0.5, M=1.0)

@@ -398,6 +398,15 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "counts" in err and "histogram is empty" not in err
 
+    def test_unknown_config_key_exits_3(self, tmp_path, capsys):
+        write_inputs(tmp_path)
+        path = tmp_path / "config.txt"
+        path.write_text(path.read_text() + "pulse=5\n")
+        assert main(command("config", tmp_path)) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: ValidationError: config has unknown keys ['pulse']"]
+        assert not (tmp_path / "out.txt").exists()
+
     def test_non_ascii_file_exits_3(self, tmp_path, capsys):
         write_inputs(tmp_path)
         (tmp_path / "rho.txt").write_bytes(b"# n_max=0 tail_mass=0\n1\xb5\n")

@@ -84,6 +84,11 @@ class TestPathWeights:
         with pytest.raises(ValidationError):
             PathWeights(np.array([value, 0.5]))
 
+    @pytest.mark.parametrize("B", [0, 2.5, 8.0])
+    def test_uniform_needs_integer_B(self, B):
+        with pytest.raises(ValidationError, match="B"):
+            uniform_weights(B)
+
     def test_uniform(self):
         w = uniform_weights(8)
         assert w.B == 8
@@ -91,6 +96,11 @@ class TestPathWeights:
 
 
 class TestResponseMatrix:
+    @pytest.mark.parametrize("n_max", [-1, 2.5])
+    def test_bad_n_max_rejected(self, n_max):
+        with pytest.raises(ValidationError, match="n_max"):
+            response_matrix(uniform_weights(4), n_max)
+
     def test_uniform_eight_paths(self):
         resp = response_matrix(uniform_weights(8), 4)
         assert resp.P[1, 1] == pytest.approx(1.0, abs=1e-14)

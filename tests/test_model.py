@@ -188,6 +188,12 @@ class TestJointDistribution:
             assert np.all(dist.probs >= 0.0)
             assert dist.probs.sum() + dist.tail_mass == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("n_max", [2.5, 4.0])
+    def test_non_integer_n_max_rejected(self, n_max):
+        src = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.0)
+        with pytest.raises(ValidationError, match="n_max"):
+            joint_distribution(src, n_max)
+
     def test_truncation_error_carries_tail(self):
         src = EffectiveSource(N=3.0, eta=1.0, eta_prime=1.0, M=1.0)
         with pytest.raises(TruncationError) as err:
@@ -379,6 +385,16 @@ class TestSuggestNMax:
         src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
         with pytest.raises(ValidationError, match="n_cap"):
             suggest_n_max(src, 1e-12, n_cap=0)
+        with pytest.raises(ValidationError, match="n_cap"):
+            suggest_n_max(src, 1e-12, n_cap=2.5)
+
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1e-3])
+    def test_bad_tail_bound_rejected(self, bound):
+        src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
+        with pytest.raises(ValidationError, match="tail_bound"):
+            suggest_n_max(src, bound)
+        with pytest.raises(ValidationError, match="tail_bound"):
+            joint_distribution(src, 4, tail_bound=bound)
 
 
 class TestSerialization:

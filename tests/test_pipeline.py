@@ -164,8 +164,9 @@ class TestConfig:
             ("eta=0.5\neta_prime=0.5\nM=1\n", "lacks 'N'"),
             ("N=1\neta=0.5\neta_prime=0.5\nM=1\npulses=1e6\n", "pulses='1e6'"),
             ("N=1\neta=0.5\neta_prime=0.5\nM=1\nweights_a=0.5,half\n", "weights_a"),
+            ("N=1\neta=0.5\neta_prime=0.5\nM=1\npulse=5\nseeds=1\n", "'pulse', 'seeds'"),
         ],
-        ids=["repeated-key", "missing-key", "float-for-int", "non-numeric-weight"],
+        ids=["repeated-key", "missing-key", "float-for-int", "non-numeric-weight", "unknown-key"],
     )
     def test_malformed_config_rejected(self, text, match):
         with pytest.raises(ValidationError, match=match):

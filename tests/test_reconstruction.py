@@ -101,6 +101,11 @@ class TestClickHistogram:
         with pytest.raises(ValidationError, match="counts"):
             ClickHistogram(f=f, pulses=10)
 
+    @pytest.mark.parametrize("pulses", [10.5, 10.0, math.inf, math.nan])
+    def test_non_integer_pulses_rejected(self, pulses):
+        with pytest.raises(ValidationError, match="pulses"):
+            ClickHistogram(f=np.zeros((2, 2)), pulses=pulses)
+
     def test_pulses_beyond_int64_rejected(self):
         with pytest.raises(ValidationError, match="pulses"):
             ClickHistogram(f=np.zeros((2, 2)), pulses=2**63)
