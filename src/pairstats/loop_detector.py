@@ -181,6 +181,12 @@ class CalibrationResult:
     stderr: np.ndarray
     total: int
 
+    @property
+    def max_rel_stderr(self) -> float:
+        """Largest stderr_i / w_i; inf when a path never clicked."""
+        w = self.weights.w
+        return float(np.divide(self.stderr, w, out=np.full(w.shape, np.inf), where=w > 0).max())
+
 
 def calibrate(bin_counts) -> CalibrationResult:
     """Estimate path weights from per-bin click counts taken at low intensity.

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,30 +115,46 @@ class ExperimentConfig:
 def sample_pulse(src: EffectiveSource, rng: np.random.Generator) -> tuple[int, int]:
     """Photon numbers reaching the two arms for a single pulse.
 
-    The pulse's pair number is negative binomial with M successes of
-    probability 1/(N+1), the law whose generating function is
-    (N+1-Ns)**(-M); it is exact for any real M >= 1 and equals the sum of M
-    independent geometric mode pair numbers when M is an integer.  Each arm
-    then keeps a binomial share of the pairs.
+    The pulse's pair number has the generating function (N+1-Ns)**(-M),
+    which is exact for any real M >= 1 and is the sum of M independent
+    geometric mode pair numbers when M is an integer.  A pair reaches at
+    least one arm with probability k = eta + eta' - eta eta', and thinning
+    that law by k gives the negative binomial law of the reaching pairs,
+    M successes of probability 1/(N k + 1); only those pairs are drawn.  The
+    reaching pairs are then split three ways, into both arms, arm a alone
+    and arm b alone, in proportion to eta eta', eta (1-eta') and
+    eta' (1-eta).
     """
     n, m = _sample_pulses(src, rng, 1)
     return int(n[0]), int(m[0])
 
 
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
+    both = src.eta * src.eta_prime
+    single = src.eta * (1.0 - src.eta_prime) + src.eta_prime * (1.0 - src.eta)
+    # k as the sum of the disjoint shares keeps both/k and the arm-a part of
+    # single within [0, 1] after rounding
+    k = both + single
+    n = np.zeros(size, dtype=np.int64)
+    m = np.zeros(size, dtype=np.int64)
+    if k == 0.0:
+        return n, m
     try:
-        pairs = rng.negative_binomial(src.M, 1.0 / (src.N + 1.0), size)
+        reach = rng.negative_binomial(src.M, 1.0 / (src.N * k + 1.0), size)
     except ValueError as exc:  # numpy refuses counts that could overflow int64
         raise ValidationError(
             f"pair numbers at N={src.N!r}, M={src.M!r} are too large to sample"
         ) from exc
-    n = np.zeros(size, dtype=np.int64)
-    m = np.zeros(size, dtype=np.int64)
-    # at calibration intensity nearly every pulse is empty; thinning those
+    # most pulses have no pair that reaches a detector; splitting those
     # would cost time and change no count
-    hit = np.flatnonzero(pairs)
-    n[hit] = rng.binomial(pairs[hit], src.eta)
-    m[hit] = rng.binomial(pairs[hit], src.eta_prime)
+    hit = np.flatnonzero(reach)
+    pairs = reach[hit]
+    in_both = rng.binomial(pairs, both / k)
+    a_only = 0
+    if single > 0.0:
+        a_only = rng.binomial(pairs - in_both, src.eta * (1.0 - src.eta_prime) / single)
+    n[hit] = a_only + in_both
+    m[hit] = pairs - a_only
     return n, m
 
 
@@ -198,8 +216,10 @@ def bootstrap_characterize(
     replica's estimator was undefined).  The arguments are checked once, up
     front, so a bad one raises ValidationError instead of NaN replicas.
     """
-    if replicas < 0:
+    if _index(replicas, "replicas") < 0:
         raise ValidationError(f"replicas must be >= 0 (got {replicas!r})")
+    if not 0 <= _index(seed, "seed") < 2**64:
+        raise ValidationError("seed must be a 64-bit unsigned integer")
     total = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     fields = ("mean_n", "mean_n_prime", "M_hat", "delta_sq", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}
@@ -228,7 +248,10 @@ def bootstrap_characterize(
 @dataclass(frozen=True)
 class RunReport:
     """Every artifact of one full run; fields are None after a stage failure,
-    with the cause recorded in ``failures``."""
+    with the cause recorded in ``failures``.  ``timings`` holds the wall
+    seconds of each stage that ran and the pulses/s of the two simulated
+    ones; they vary between runs, so they go to ``timings.txt`` and not to
+    the byte-reproducible ``summary.txt``."""
 
     config: ExperimentConfig
     histogram: ClickHistogram | None
@@ -240,6 +263,7 @@ class RunReport:
     characterization: SourceCharacterization | None
     bootstrap: dict | None
     failures: dict
+    timings: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> None:
         """Write all present artifacts into a directory, plus a summary."""
@@ -260,6 +284,9 @@ class RunReport:
         if self.characterization is not None:
             texts["characterization.txt"] = format_characterization(self.characterization)
         summary = {"seed": self.config.seed, "pulses": self.config.pulses}
+        cals = [cal for cal in (self.calibration_a, self.calibration_b) if cal is not None]
+        if cals:
+            summary["calibration_max_rel_stderr"] = max(cal.max_rel_stderr for cal in cals)
         if self.reconstruction is not None:
             summary["em_converged"] = self.reconstruction.converged
             summary["em_iterations"] = self.reconstruction.iterations
@@ -277,56 +304,74 @@ class RunReport:
         for stage, message in self.failures.items():
             summary[f"failed_{stage}"] = message
         texts["summary.txt"] = format_mapping(summary)
+        texts["timings.txt"] = format_mapping(self.timings)
         for name, text in texts.items():
             (out / name).write_text(text, encoding="ascii")
+
+
+@contextmanager
+def _timed(timings: dict, stage: str):
+    start = time.perf_counter()
+    yield
+    timings[f"{stage}_s"] = time.perf_counter() - start
 
 
 def run_full(cfg: ExperimentConfig) -> RunReport:
     """Calibrate, collect, reconstruct and characterize in one pass.
 
     Stage errors are recorded in the report's ``failures`` mapping and leave
-    the dependent fields as None; a partial report is still returned.
+    the dependent fields as None; a partial report is still returned.  The
+    calibration stage's time includes the weight fit and the response
+    matrices.
     """
     failures: dict = {}
+    timings: dict = {}
     cal_a = cal_b = resp_a = resp_b = None
     hist = recon = char = boot = None
-    try:
-        bins_a, bins_b = simulate_calibration(cfg)
-        cal_a = calibrate(bins_a)
-        cal_b = calibrate(bins_b)
-        resp_a = response_matrix(cal_a.weights, cfg.n_max)
-        resp_b = response_matrix(cal_b.weights, cfg.n_max)
-    except PairStatsError as exc:
-        failures["calibration"] = f"{type(exc).__name__}: {exc}"
-    try:
-        hist = simulate_experiment(cfg)
-    except PairStatsError as exc:
-        failures["collection"] = f"{type(exc).__name__}: {exc}"
-    if hist is not None and resp_a is not None and resp_b is not None:
+    with _timed(timings, "calibration"):
         try:
-            recon = em_reconstruct(
-                hist,
-                resp_a,
-                resp_b,
-                cfg.n_max,
-                tol=cfg.em_tol,
-                max_iter=cfg.em_max_iter,
-            )
+            bins_a, bins_b = simulate_calibration(cfg)
+            cal_a = calibrate(bins_a)
+            cal_b = calibrate(bins_b)
+            resp_a = response_matrix(cal_a.weights, cfg.n_max)
+            resp_b = response_matrix(cal_b.weights, cfg.n_max)
         except PairStatsError as exc:
-            failures["reconstruction"] = f"{type(exc).__name__}: {exc}"
+            failures["calibration"] = f"{type(exc).__name__}: {exc}"
+    with _timed(timings, "collection"):
+        try:
+            hist = simulate_experiment(cfg)
+        except PairStatsError as exc:
+            failures["collection"] = f"{type(exc).__name__}: {exc}"
+    if hist is not None and resp_a is not None and resp_b is not None:
+        with _timed(timings, "reconstruction"):
+            try:
+                recon = em_reconstruct(
+                    hist,
+                    resp_a,
+                    resp_b,
+                    cfg.n_max,
+                    tol=cfg.em_tol,
+                    max_iter=cfg.em_max_iter,
+                )
+            except PairStatsError as exc:
+                failures["reconstruction"] = f"{type(exc).__name__}: {exc}"
     if recon is not None:
-        char = characterize(recon.rho)
+        with _timed(timings, "characterization"):
+            char = characterize(recon.rho)
         if cfg.bootstrap_replicas > 0:
-            boot = bootstrap_characterize(
-                hist,
-                resp_a,
-                resp_b,
-                cfg.n_max,
-                replicas=cfg.bootstrap_replicas,
-                seed=cfg.seed,
-                tol=cfg.em_tol,
-                max_iter=cfg.em_max_iter,
-            )
+            with _timed(timings, "bootstrap"):
+                boot = bootstrap_characterize(
+                    hist,
+                    resp_a,
+                    resp_b,
+                    cfg.n_max,
+                    replicas=cfg.bootstrap_replicas,
+                    seed=cfg.seed,
+                    tol=cfg.em_tol,
+                    max_iter=cfg.em_max_iter,
+                )
+    for stage, pulses in (("calibration", cfg.calibration_pulses), ("collection", cfg.pulses)):
+        timings[f"{stage}_pulses_per_s"] = pulses / timings[f"{stage}_s"]
     return RunReport(
         config=cfg,
         histogram=hist,
@@ -338,6 +383,7 @@ def run_full(cfg: ExperimentConfig) -> RunReport:
         characterization=char,
         bootstrap=boot,
         failures=failures,
+        timings=timings,
     )
 
 

@@ -137,9 +137,10 @@ def _check_em_args(
     max_iter: int,
 ) -> int:
     """Validate the arguments of :func:`em_reconstruct`; return the total count."""
+    n_max = _index(n_max, "n_max")
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
-    if max_iter < 1:
+    if _index(max_iter, "max_iter") < 1:
         raise ValidationError(f"max_iter must be >= 1 (got {max_iter!r})")
     total = int(hist.f.sum())
     if total <= 0:

@@ -229,6 +229,12 @@ class TestCalibrate:
         assert cal.weights.w[7] == 0.0
         assert cal.stderr[7] == 0.0
 
+    def test_max_rel_stderr(self):
+        # stderr_i / w_i = sqrt((1 - w_i) / count_i): worst at the smallest count
+        assert calibrate([300, 100]).max_rel_stderr == pytest.approx(np.sqrt(0.75 / 100))
+        assert calibrate([100, 0, 100]).max_rel_stderr == np.inf
+        assert calibrate([7]).max_rel_stderr == 0.0
+
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
             calibrate([0, 0, 0, 0])

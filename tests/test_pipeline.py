@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +194,30 @@ class TestSamplePulse:
     def test_fractional_modes_law_matches_model(self, M):
         assert max_law_z(EffectiveSource(N=1.0, eta=0.5, eta_prime=0.7, M=M)) <= 4.0
 
+    @pytest.mark.parametrize(
+        "N, eta, eta_prime, M",
+        [
+            (0.2, 0.045, 0.045, 16.0),
+            (1.0, 1.0, 0.0, 2.0),
+            (1.0, 0.0, 0.3, 3.0),
+            (1.0, 1.0, 1.0, 2.5),
+            (3.0, 0.9, 0.2, 1.0),
+        ],
+        ids=["readme", "arm-a-only", "arm-b-only", "lossless", "bright-unbalanced"],
+    )
+    def test_reaching_pair_split_matches_model(self, N, eta, eta_prime, M):
+        src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
+        assert max_law_z(src) <= 4.0
+
+    def test_dark_arms_give_empty_pulses(self):
+        src = EffectiveSource(N=1.0, eta=0.0, eta_prime=0.0, M=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = _sample_pulses(src, _block_rng(6, 9, 0), 1000)
+        for x in draws:
+            assert x.dtype == np.int64 and x.shape == (1000,)
+            assert not x.any()
+
     def test_unsampleable_intensity_rejected(self):
         src = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
         with pytest.raises(ValidationError, match="too large to sample"):
@@ -342,8 +368,38 @@ class TestRunFull:
             "reconstruction_report.txt",
             "characterization.txt",
             "summary.txt",
+            "timings.txt",
         }
         assert {p.name for p in (tmp_path / "run").iterdir()} == expected
+
+    def test_stage_timings(self, tmp_path):
+        report = run_full(small_cfg(pulses=100_000, calibration_pulses=100_000))
+        report.write(tmp_path / "run")
+        text = (tmp_path / "run" / "timings.txt").read_text()
+        timings = {k: float(v) for k, v in (ln.split("=") for ln in text.splitlines())}
+        assert set(timings) == {
+            "calibration_s",
+            "collection_s",
+            "reconstruction_s",
+            "characterization_s",
+            "calibration_pulses_per_s",
+            "collection_pulses_per_s",
+        }
+        assert all(math.isfinite(v) and v > 0.0 for v in timings.values())
+        assert timings["collection_pulses_per_s"] == pytest.approx(
+            100_000 / timings["collection_s"]
+        )
+
+    def test_calibration_quality_in_summary(self, tmp_path):
+        report = run_full(small_cfg(pulses=100_000, calibration_pulses=100_000))
+        report.write(tmp_path / "run")
+        summary = (tmp_path / "run" / "summary.txt").read_text()
+        (line,) = [ln for ln in summary.splitlines() if ln.startswith("calibration_max_rel_stderr=")]
+        worst = max(
+            np.max(cal.stderr / cal.weights.w)
+            for cal in (report.calibration_a, report.calibration_b)
+        )
+        assert float(line.split("=")[1]) == worst
 
     def test_partial_report_on_calibration_failure(self, tmp_path):
         # essentially no calibration photons: calibration stage fails but the
@@ -366,6 +422,7 @@ class TestRunFull:
         eta_samples = report.bootstrap["eta_hat"]
         assert np.isfinite(eta_samples).all()
         assert eta_samples.std(ddof=1) < 0.05
+        assert report.timings["bootstrap_s"] > 0.0
 
 
 class TestBootstrapStandalone:
@@ -378,12 +435,23 @@ class TestBootstrapStandalone:
         assert all(len(v) == 5 for v in boot.values())
 
     @pytest.mark.parametrize(
-        "bad", [{"tol": float("nan")}, {"max_iter": 0}, {"replicas": -1}]
+        "bad",
+        [
+            {"tol": float("nan")},
+            {"max_iter": 0},
+            {"replicas": -1},
+            {"n_max": 8.5},
+            {"max_iter": 2.5},
+            {"replicas": 1.5},
+            {"seed": 1.5},
+            {"seed": -1},
+        ],
     )
     def test_bad_arguments_raise_before_any_replica(self, bad):
         f = np.zeros((9, 9), dtype=np.int64)
         f[0, 0], f[1, 1] = 90, 10
         hist = ClickHistogram(f=f, pulses=100)
         resp = response_matrix(uniform_weights(8), 8)
-        with pytest.raises(ValidationError):
-            bootstrap_characterize(hist, resp, resp, 8, **{"replicas": 3, **bad})
+        (name,) = bad
+        with pytest.raises(ValidationError, match=name):
+            bootstrap_characterize(hist, resp, resp, **{"n_max": 8, "replicas": 3, **bad})

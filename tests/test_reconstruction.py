@@ -219,7 +219,7 @@ class TestEmReconstruct:
         with pytest.raises(ValidationError, match="tol"):
             em_reconstruct(hist, RESP8, RESP8, 3, tol=tol)
 
-    @pytest.mark.parametrize("max_iter", [0, -3])
+    @pytest.mark.parametrize("max_iter", [0, -3, 2.5])
     def test_bad_max_iter_rejected(self, max_iter):
         hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
         with pytest.raises(ValidationError, match="max_iter"):
