@@ -14,7 +14,6 @@ from .analysis import (
     contamination_map,
     delta_squared,
     efficiency,
-    marginal_moments,
     mode_number,
 )
 from .errors import (
@@ -35,7 +34,6 @@ from .loop_detector import (
     apply_response,
     calibrate,
     response_matrix,
-    simulate_clicks,
     simulate_clicks_batch,
     uniform_weights,
 )
@@ -56,7 +54,6 @@ from .pipeline import (
     RunReport,
     bootstrap_characterize,
     run_full,
-    sample_pulse,
     simulate_calibration,
     simulate_experiment,
 )
@@ -105,15 +102,12 @@ __all__ = [
     "generating_fn_value",
     "joint_distribution",
     "log_likelihood",
-    "marginal_moments",
     "mode_number",
     "perturbative_contamination_fraction",
     "reduce_multimode",
     "response_matrix",
     "run_full",
-    "sample_pulse",
     "simulate_calibration",
-    "simulate_clicks",
     "simulate_clicks_batch",
     "simulate_experiment",
     "suggest_n_max",

@@ -64,23 +64,16 @@ def _moments(rho: JointDistribution):
     return mean_a, mean_b, var_a, var_b, cov
 
 
-def marginal_moments(rho: JointDistribution, arm: str = "a") -> tuple[float, float]:
-    """Mean and variance of one arm's marginal ('a' or 'b')."""
-    mean_a, mean_b, var_a, var_b, _ = _moments(rho)
-    if arm == "a":
-        return mean_a, var_a
-    if arm == "b":
-        return mean_b, var_b
-    raise ValidationError("arm must be 'a' or 'b'")
-
-
 def mode_number(rho: JointDistribution, arm: str = "a") -> float:
     """Equivalent number of modes <n>^2 / ((dn)^2 - <n>) from one arm.
 
     Equals M exactly for the source model and is independent of the pump
     strength; requires a super-Poissonian marginal.
     """
-    mean, var = marginal_moments(rho, arm)
+    if arm not in ("a", "b"):
+        raise ValidationError("arm must be 'a' or 'b'")
+    mean_a, mean_b, var_a, var_b, _ = _moments(rho)
+    mean, var = (mean_a, var_a) if arm == "a" else (mean_b, var_b)
     if mean <= 0.0:
         raise DegenerateInputError(f"arm {arm} marginal mean vanishes")
     if var <= mean:

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, loop_detector, model, pipeline, reconstruction
+from ._fileio import format_mapping
 from .errors import (
     ClassicalRegimeError,
     DegenerateInputError,
@@ -35,9 +36,8 @@ _NUMERICAL = (
 
 
 def _echo_config(args: argparse.Namespace) -> None:
-    skip = {"func", "parser"}
     for key in sorted(vars(args)):
-        if key not in skip:
+        if key != "func":
             print(f"config: {key}={getattr(args, key)}")
 
 
@@ -80,9 +80,8 @@ def _cmd_simulate(args) -> int:
     if args.responses_dir is not None:
         out = Path(args.responses_dir)
         out.mkdir(parents=True, exist_ok=True)
-        n_max = args.resp_n_max if args.resp_n_max is not None else cfg.n_max
         for arm, weights in (("a", cfg.weights_a), ("b", cfg.weights_b)):
-            resp = loop_detector.response_matrix(weights, n_max)
+            resp = loop_detector.response_matrix(weights, cfg.n_max)
             text = loop_detector.format_response(resp)
             (out / f"response_{arm}.txt").write_text(text, encoding="ascii")
         print(f"responses_dir={out}")
@@ -147,6 +146,7 @@ def _cmd_pipeline(args) -> int:
     if report.characterization is not None:
         print(f"M_hat={report.characterization.M_hat:.17g}")
         print(f"eta_hat={report.characterization.eta_hat:.17g}")
+    print(format_mapping(report.timings), end="")
     print(f"out_dir={args.out_dir}")
     return 0
 
@@ -182,9 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--responses-dir",
         default=None,
         dest="responses_dir",
-        help="also write the true-weight response matrices here",
+        help="also write the true-weight response matrices at the config's n_max here",
     )
-    p.add_argument("--resp-n-max", type=int, default=None, dest="resp_n_max")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("reconstruct", help="invert a histogram by maximum likelihood")

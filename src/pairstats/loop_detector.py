@@ -152,18 +152,14 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     return DetectorResponse(P=P, weights=weights)
 
 
-def simulate_clicks(n: int, weights: PathWeights, rng: np.random.Generator) -> int:
-    """Number of paths hit when n photons scatter independently over the paths."""
-    return int(simulate_clicks_batch(np.array([n]), weights, rng)[0])
-
-
 def simulate_clicks_batch(
     ns: np.ndarray, weights: PathWeights, rng: np.random.Generator
 ) -> np.ndarray:
-    """Vectorized :func:`simulate_clicks` over an array of photon numbers."""
+    """Click numbers for an array of photon numbers: entry i is the number of
+    paths hit when ns[i] photons scatter independently over the paths."""
     ns = np.asarray(ns)
-    if np.any(ns < 0):
-        raise ValidationError("photon numbers must be >= 0")
+    if ns.dtype.kind not in "iu" or np.any(ns < 0):
+        raise ValidationError("photon numbers must be integers >= 0")
     k = np.zeros(ns.shape, dtype=np.int64)
     k[ns == 1] = 1
     multi = np.flatnonzero(ns >= 2)

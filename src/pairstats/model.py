@@ -31,6 +31,7 @@ from .errors import (
 )
 
 _TOL = 1e-12
+_N_CAP = 4096  # largest cutoff suggest_n_max searches
 
 
 def _freeze(obj, name, value):
@@ -176,14 +177,6 @@ class JointDistribution:
         object.__setattr__(self, "n_max", n_max)
         object.__setattr__(self, "tail_mass", tail)
 
-    def marginal(self, arm: str = "a") -> np.ndarray:
-        """Marginal photon-number distribution of one arm ('a' or 'b')."""
-        if arm == "a":
-            return self.probs.sum(axis=1)
-        if arm == "b":
-            return self.probs.sum(axis=0)
-        raise ValidationError("arm must be 'a' or 'b'")
-
 
 def reduce_multimode(src: MultimodeSource) -> ReducedMoments:
     """Collapse the multimode moments onto the two filtered modes.
@@ -312,32 +305,27 @@ def joint_distribution(
     return JointDistribution(probs=probs, n_max=n_max, tail_mass=tail)
 
 
-def suggest_n_max(
-    src: EffectiveSource, tail_bound: float = 1e-10, n_cap: int = 4096
-) -> int:
+def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
     """Smallest cutoff whose out-of-grid mass is certified below ``tail_bound``.
 
     Each arm's marginal is negative binomial; the mass outside the square grid
     is at most the sum of the two marginal tails, each bounded here by a
     geometric comparison once the pmf ratio falls below one.  Raises
-    TruncationError when no cutoff up to ``n_cap`` meets the bound; the error
-    carries the tail bound reached at ``n_cap`` (inf if an arm's pmf ratio
-    is still at least one there).
+    TruncationError when no cutoff up to ``_N_CAP`` = 4096 meets the bound;
+    the error carries the tail bound reached at the cap (inf if an arm's pmf
+    ratio is still at least one there).
     """
     if not 0.0 < tail_bound < math.inf:
         raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
-    n_cap = _index(n_cap, "n_cap")
-    if n_cap < 1:
-        raise ValidationError("n_cap must be >= 1")
 
     def arm_cutoff(eta: float) -> tuple[int, float]:
-        """First n <= n_cap whose arm tail bound is within half the bound
-        (else n_cap), with that tail bound."""
+        """First n <= _N_CAP whose arm tail bound is within half the bound
+        (else _N_CAP), with that tail bound."""
         if eta == 0.0:
             return 0, 0.0
         q = src.N * eta / (1.0 + src.N * eta)
         p = (1.0 - q) ** src.M
-        for n in range(n_cap + 1):
+        for n in range(_N_CAP + 1):
             ratio_next = q * (src.M + n + 1.0) / (n + 2.0)  # pmf ratio beyond n+1
             p_next = p * q * (src.M + n) / (n + 1.0)
             if ratio_next < 1.0:
@@ -345,13 +333,13 @@ def suggest_n_max(
                 if tail <= 0.5 * tail_bound:
                     return n, tail
             p = p_next
-        return n_cap, tail if ratio_next < 1.0 else math.inf
+        return _N_CAP, tail if ratio_next < 1.0 else math.inf
 
     (n_a, tail_a), (n_b, tail_b) = arm_cutoff(src.eta), arm_cutoff(src.eta_prime)
     if max(tail_a, tail_b) > 0.5 * tail_bound:
         tail = tail_a + tail_b
         raise TruncationError(
-            f"tail bound {tail:.3e} at the cap n_max={n_cap} exceeds the requested"
+            f"tail bound {tail:.3e} at the cap n_max={_N_CAP} exceeds the requested"
             f" {tail_bound:.3e}",
             tail_mass=tail,
         )

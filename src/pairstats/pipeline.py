@@ -112,8 +112,8 @@ class ExperimentConfig:
             )
 
 
-def sample_pulse(src: EffectiveSource, rng: np.random.Generator) -> tuple[int, int]:
-    """Photon numbers reaching the two arms for a single pulse.
+def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
+    """Photon numbers (n, m) reaching the two arms for ``size`` pulses.
 
     The pulse's pair number has the generating function (N+1-Ns)**(-M),
     which is exact for any real M >= 1 and is the sum of M independent
@@ -125,11 +125,6 @@ def sample_pulse(src: EffectiveSource, rng: np.random.Generator) -> tuple[int, i
     and arm b alone, in proportion to eta eta', eta (1-eta') and
     eta' (1-eta).
     """
-    n, m = _sample_pulses(src, rng, 1)
-    return int(n[0]), int(m[0])
-
-
-def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     both = src.eta * src.eta_prime
     single = src.eta * (1.0 - src.eta_prime) + src.eta_prime * (1.0 - src.eta)
     # k as the sum of the disjoint shares keeps both/k and the arm-a part of

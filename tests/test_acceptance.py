@@ -83,7 +83,7 @@ def test_criterion_3_delta_squared_identities():
             for eta in (0.3, 0.7, 1.0):
                 for etap in (0.3, 0.7, 1.0):
                     src = EffectiveSource(N=N, eta=eta, eta_prime=etap, M=M)
-                    rho = joint_distribution(src, suggest_n_max(src, 1e-15, n_cap=600))
+                    rho = joint_distribution(src, suggest_n_max(src, 1e-15))
                     expect = 1.0 - 2.0 / (1.0 / eta + 1.0 / etap)
                     worst = max(worst, abs(delta_squared(rho) - expect))
     # equal-loss special case 1 - eta
@@ -124,7 +124,7 @@ def test_criterion_4_mode_number():
         values = []
         for N in (0.01, 0.1, 1.0):
             src = EffectiveSource(N=N, eta=0.7, eta_prime=0.7, M=M)
-            rho = joint_distribution(src, suggest_n_max(src, 1e-16, n_cap=600))
+            rho = joint_distribution(src, suggest_n_max(src, 1e-16))
             values.append(mode_number(rho))
         worst = max(worst, max(abs(v - M) for v in values))
         spread = max(spread, max(values) - min(values))

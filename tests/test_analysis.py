@@ -104,6 +104,10 @@ class TestModeNumber:
         with pytest.raises(DegenerateInputError):
             mode_number(vacuum_rho())
 
+    def test_bad_arm_rejected(self):
+        with pytest.raises(ValidationError, match="arm must be"):
+            mode_number(model_rho(0.5, 0.3, 0.8, 2.0), arm="c")
+
 
 class TestDeltaSquared:
     def test_equal_losses(self):

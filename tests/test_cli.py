@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -183,13 +185,13 @@ class TestSimulateReconstructChain:
 
     def test_dimension_error_exit_3(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
-        write_cfg(cfg_path)
+        write_cfg(cfg_path, n_max=2)
         hist_path = tmp_path / "hist.txt"
         resp_dir = tmp_path / "resp"
         main(
             [
                 "simulate", "--config", str(cfg_path), "--out", str(hist_path),
-                "--responses-dir", str(resp_dir), "--resp-n-max", "2",
+                "--responses-dir", str(resp_dir),
             ]
         )
         code = main(
@@ -258,6 +260,18 @@ class TestPipelineCommand:
         assert "em_converged=False\n" in summary
         assert "em_iterations=3\n" in summary
         assert "em_ll_gap_bound=" in summary
+
+    def test_prints_stage_timings(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        stored = (out / "timings.txt").read_text().splitlines()
+        end = lines.index(f"out_dir={out}")
+        assert stored and lines[end - len(stored) : end] == stored
+        assert lines[end - len(stored) - 1].startswith("eta_hat=")
+        assert all(0.0 < float(ln.split("=", 1)[1]) < math.inf for ln in stored)
 
     def test_rho_file_feeds_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"

@@ -19,7 +19,6 @@ from pairstats.loop_detector import (
     parse_calibration,
     parse_response,
     response_matrix,
-    simulate_clicks,
     simulate_clicks_batch,
     uniform_weights,
 )
@@ -182,13 +181,18 @@ class TestResponseMatrix:
 class TestSimulateClicks:
     def test_zero_photons(self):
         rng = np.random.default_rng(0)
-        assert simulate_clicks(0, uniform_weights(8), rng) == 0
+        assert simulate_clicks_batch(np.array([0]), uniform_weights(8), rng).tolist() == [0]
 
     def test_one_photon(self):
         rng = np.random.default_rng(0)
-        assert all(
-            simulate_clicks(1, uniform_weights(8), rng) == 1 for _ in range(100)
-        )
+        ks = simulate_clicks_batch(np.ones(100, dtype=np.int64), uniform_weights(8), rng)
+        assert ks.tolist() == [1] * 100
+
+    @pytest.mark.parametrize("ns", [[math.nan], [2.5], [-1]], ids=["nan", "fraction", "negative"])
+    def test_bad_photon_numbers_rejected(self, ns):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match="photon numbers must be integers >= 0"):
+            simulate_clicks_batch(np.array(ns), uniform_weights(4), rng)
 
     def test_two_photons_match_P22(self):
         rng = np.random.default_rng(123)

@@ -225,7 +225,7 @@ class TestJointDistribution:
         src = EffectiveSource(N=0.9, eta=0.55, eta_prime=0.75, M=3.0)
         dist = joint_distribution(src, suggest_n_max(src, 1e-14))
         n = np.arange(dist.n_max + 1)
-        pa = dist.marginal("a")
+        pa = dist.probs.sum(axis=1)
         mean = float(pa @ n)
         var = float(pa @ n**2) - mean**2
         assert mean == pytest.approx(3.0 * 0.55 * 0.9, abs=1e-9)
@@ -372,21 +372,14 @@ class TestSuggestNMax:
         with pytest.raises(TruncationError) as err:
             suggest_n_max(src, 1e-12)
         assert 1e-12 < err.value.tail_mass < 1e-8
-        with pytest.raises(TruncationError) as err:
-            suggest_n_max(src, 1e-12, n_cap=100)
-        assert err.value.tail_mass >= joint_distribution(src, 100).tail_mass
+        # n = m is geometric, so the grid tail at the 4096 cap is q^4097
+        q = 200.0 / 201.0
+        assert err.value.tail_mass >= q**4097
         # the pmf still rises at the cap: no finite bound is certified
         rising = EffectiveSource(N=1e6, eta=1.0, eta_prime=1.0, M=50.0)
         with pytest.raises(TruncationError) as err:
-            suggest_n_max(rising, 1e-12, n_cap=100)
+            suggest_n_max(rising, 1e-12)
         assert err.value.tail_mass == np.inf
-
-    def test_cap_below_one_rejected(self):
-        src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
-        with pytest.raises(ValidationError, match="n_cap"):
-            suggest_n_max(src, 1e-12, n_cap=0)
-        with pytest.raises(ValidationError, match="n_cap"):
-            suggest_n_max(src, 1e-12, n_cap=2.5)
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1e-3])
     def test_bad_tail_bound_rejected(self, bound):

@@ -22,7 +22,6 @@ from pairstats.pipeline import (
     format_config,
     parse_config,
     run_full,
-    sample_pulse,
     simulate_calibration,
     simulate_experiment,
     _block_rng,
@@ -179,8 +178,8 @@ class TestSamplePulse:
     def test_near_vacuum(self):
         src = EffectiveSource(N=1e-9, eta=0.9, eta_prime=0.9, M=2.0)
         rng = _block_rng(1, 9, 0)
-        draws = [sample_pulse(src, rng) for _ in range(200)]
-        assert all(d == (0, 0) for d in draws)
+        n, m = _sample_pulses(src, rng, 200)
+        assert not n.any() and not m.any()
 
     def test_lossless_pairs_stay_matched(self):
         src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
@@ -221,7 +220,7 @@ class TestSamplePulse:
     def test_unsampleable_intensity_rejected(self):
         src = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
         with pytest.raises(ValidationError, match="too large to sample"):
-            sample_pulse(src, _block_rng(0, 9, 0))
+            _sample_pulses(src, _block_rng(0, 9, 0), 1)
 
     def test_large_M_moments(self):
         # mean M N eta and variance M N eta (1 + N eta), each within 5

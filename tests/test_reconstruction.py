@@ -278,7 +278,7 @@ class TestEmReconstruct:
 
     def test_recovers_model_moments_from_synthetic_run(self):
         # asymmetric-loss source whose arm means are 0.15 and 0.18
-        from pairstats.analysis import marginal_moments
+        from pairstats.analysis import characterize
         from pairstats.pipeline import ExperimentConfig, simulate_experiment
 
         src = EffectiveSource(N=0.1875, eta=0.05, eta_prime=0.06, M=16.0)
@@ -293,8 +293,8 @@ class TestEmReconstruct:
         hist = simulate_experiment(cfg)
         resp = response_matrix(uniform_weights(8), 8)
         result = em_reconstruct(hist, resp, resp, 8, tol=1e-13, max_iter=200_000)
-        mean_a, _ = marginal_moments(result.rho, "a")
-        mean_b, _ = marginal_moments(result.rho, "b")
+        char = characterize(result.rho)
+        mean_a, mean_b = char.mean_n, char.mean_n_prime
         # binomial-ish sampling errors on the means at 2e6 pulses
         assert mean_a == pytest.approx(0.15, abs=4 * 3e-4)
         assert mean_b == pytest.approx(0.18, abs=4 * 3e-4)
