@@ -4,10 +4,10 @@ A matrix file (distribution, histogram, response) is a ``# key=value ...``
 header line over comma-separated rows; a mapping file (config, calibration,
 run report, summary) holds one ``key=value`` a line, skipping blank and ``#``
 lines.  ``fmt`` writes numbers so that they round-trip exactly.  Readers
-convert every field through ``typed_fields``, by type: ``int``, ``float``,
-``boolean`` or ``float_list``.  A bad header, a repeated key, a missing field, a
-value its type rejects or a non-numeric matrix entry raises ValidationError
-naming the artifact, so the parsers built on these helpers catch nothing.
+convert every field through ``typed_fields``, by type: ``int``, ``float`` or
+``float_list``.  A bad header, a repeated key, a missing field, a value its
+type rejects or a non-numeric matrix entry raises ValidationError naming the
+artifact, so the parsers built on these helpers catch nothing.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ def fmt(value) -> str:
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     return format(float(value), ".17g")
-
-
-def boolean(text: str) -> bool:
-    """Read back ``fmt`` of a bool: exactly ``True`` or ``False``."""
-    if text not in ("True", "False"):
-        raise ValueError(text)
-    return text == "True"
 
 
 def float_list(text: str) -> np.ndarray:

@@ -15,49 +15,29 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, loop_detector, model, pipeline, reconstruction
-from ._fileio import format_mapping
-from .errors import (
-    ClassicalRegimeError,
-    DegenerateInputError,
-    PhysicalityError,
-    SubPoissonianMarginalError,
-    SupportError,
-    TruncationError,
-    ValidationError,
-)
+from ._fileio import fmt, format_mapping
+from .errors import ClassicalRegimeError, PairStatsError, PhysicalityError, ValidationError
 
 _VALIDATION = (ValidationError, ClassicalRegimeError, PhysicalityError, UnicodeDecodeError)
-_NUMERICAL = (
-    TruncationError,
-    SupportError,
-    DegenerateInputError,
-    SubPoissonianMarginalError,
-)
 
 
 def _echo_config(args: argparse.Namespace) -> None:
     for key in sorted(vars(args)):
         if key != "func":
-            print(f"config: {key}={getattr(args, key)}")
+            value = getattr(args, key)
+            print(f"config: {key}={fmt(value) if isinstance(value, np.ndarray) else value}")
 
 
-def _parse_grid(spec: str, parser: argparse.ArgumentParser) -> np.ndarray:
-    """Grid spec: 'lin:start:stop:num', 'log:start:stop:num' or 'v1,v2,...'."""
-    spec = spec.strip()
-    if not spec:
-        parser.error("empty grid specification")
-    try:
-        if spec.startswith("lin:") or spec.startswith("log:"):
-            kind, start, stop, num = spec.split(":")
-            start, stop, num = float(start), float(stop), int(num)
-            if num < 1:
-                raise ValueError
-            if kind == "lin":
-                return np.linspace(start, stop, num)
-            return np.geomspace(start, stop, num)
+def grid(spec: str) -> np.ndarray:
+    """Argparse type of a grid: 'lin:start:stop:num', 'log:start:stop:num' or 'v1,v2,...'."""
+    kind, _, rest = spec.strip().partition(":")
+    if kind not in ("lin", "log"):
         return np.array([float(v) for v in spec.split(",")])
-    except ValueError:
-        parser.error(f"bad grid specification {spec!r}")
+    start, stop, num = rest.split(":")
+    if int(num) < 1:
+        raise ValueError(num)
+    space = np.linspace if kind == "lin" else np.geomspace
+    return space(float(start), float(stop), int(num))
 
 
 def _cmd_model(args) -> int:
@@ -205,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("map", help="contamination contour matrix")
     p.add_argument("--which", type=int, choices=(2, 4), required=True)
     p.add_argument("--M", type=float, default=1.0)
-    p.add_argument("--eta-grid", required=True, dest="eta_grid")
-    p.add_argument("--rate-grid", required=True, dest="rate_grid")
+    p.add_argument("--eta-grid", type=grid, required=True, dest="eta_grid")
+    p.add_argument("--rate-grid", type=grid, required=True, dest="rate_grid")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_map)
 
@@ -219,15 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "map":
-        args.eta_grid = _parse_grid(args.eta_grid, parser)
-        args.rate_grid = _parse_grid(args.rate_grid, parser)
+    args = build_parser().parse_args(argv)
     _echo_config(args)
     try:
         return args.func(args)
-    except (OSError, *_VALIDATION, *_NUMERICAL) as exc:
+    except (OSError, UnicodeDecodeError, PairStatsError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         if isinstance(exc, OSError):
             return 2

@@ -163,9 +163,8 @@ def simulate_clicks_batch(
     k = np.zeros(ns.shape, dtype=np.int64)
     k[ns == 1] = 1
     multi = np.flatnonzero(ns >= 2)
-    if multi.size:
-        counts = rng.multinomial(ns[multi], weights.w)
-        k[multi] = np.count_nonzero(counts > 0, axis=-1)
+    counts = rng.multinomial(ns[multi], weights.w)
+    k[multi] = np.count_nonzero(counts > 0, axis=-1)
     return k
 
 
@@ -250,17 +249,3 @@ def format_calibration(cal: CalibrationResult) -> str:
         pairs[f"stderr_{i}"] = s
     return format_mapping(pairs)
 
-
-def parse_calibration(text: str) -> CalibrationResult:
-    pairs = parse_mapping(text, "calibration report")
-    B = typed_fields("calibration report", pairs, {"B": int})["B"]
-    # a report of B paths holds 2B + 2 fields, so a larger B lacks some w_i
-    paths = range(min(B, len(pairs)))
-    types = {"total": int}
-    for i in paths:
-        types[f"w_{i}"] = types[f"stderr_{i}"] = float
-    values = typed_fields("calibration report", pairs, types)
-    w = np.array([values[f"w_{i}"] for i in paths])
-    stderr = np.array([values[f"stderr_{i}"] for i in paths])
-    stderr.setflags(write=False)
-    return CalibrationResult(weights=PathWeights(w), stderr=stderr, total=values["total"])

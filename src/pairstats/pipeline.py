@@ -175,8 +175,6 @@ def simulate_experiment(cfg: ExperimentConfig) -> ClickHistogram:
 def _bin_occupancy(ns, weights: PathWeights, rng: np.random.Generator) -> np.ndarray:
     """Per-path tallies of pulses in which the path saw at least one photon."""
     hit = np.flatnonzero(ns >= 1)
-    if hit.size == 0:
-        return np.zeros(weights.B, dtype=np.int64)
     counts = rng.multinomial(ns[hit], weights.w)
     return (counts > 0).sum(axis=0).astype(np.int64)
 
@@ -294,8 +292,7 @@ class RunReport:
         if self.bootstrap is not None:
             for name, vals in self.bootstrap.items():
                 good = vals[np.isfinite(vals)]
-                if good.size:
-                    summary[f"bootstrap_std_{name}"] = float(good.std(ddof=1)) if good.size > 1 else 0.0
+                summary[f"bootstrap_std_{name}"] = float(good.std(ddof=1)) if good.size > 1 else math.nan
         for stage, message in self.failures.items():
             summary[f"failed_{stage}"] = message
         texts["summary.txt"] = format_mapping(summary)

@@ -25,14 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import (
-    boolean,
-    format_mapping,
-    format_matrix,
-    parse_mapping,
-    parse_matrix,
-    typed_fields,
-)
+from ._fileio import format_mapping, format_matrix, parse_matrix
 from .errors import SupportError, ValidationError
 from .loop_detector import DetectorResponse, apply_response
 from .model import JointDistribution, _freeze, _index
@@ -316,13 +309,3 @@ def format_run_report(result: ReconstructionResult) -> str:
         }
     )
 
-
-def parse_run_report(text: str) -> dict:
-    types = {
-        "iterations": int,
-        "converged": boolean,
-        "final_log_likelihood": float,
-        "ll_gap_bound": float,
-        "n_max": int,
-    }
-    return typed_fields("run report", parse_mapping(text, "run report"), types)

@@ -1,8 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pairstats
+from pairstats import cli, errors
+from pairstats._fileio import float_list
 from pairstats.cli import main
 from pairstats.loop_detector import (
     format_response,
@@ -133,15 +140,32 @@ class TestMapCommand:
         assert np.all(np.isfinite(row)) and np.all(row > 0.0)
 
     def test_empty_grid_usage_error(self, tmp_path):
+        self.test_bad_grid_usage_error(tmp_path, "")
+
+    @pytest.mark.parametrize("spec", ["lin:1:2", "log:1e-5:1e-2:0", "1,x"])
+    def test_bad_grid_usage_error(self, tmp_path, spec):
         with pytest.raises(SystemExit) as exc:
             main(
                 [
                     "map", "--which", "2", "--M", "1",
-                    "--eta-grid", "", "--rate-grid", "1e-4",
+                    "--eta-grid", spec, "--rate-grid", "1e-4",
                     "--out", str(tmp_path / "m.txt"),
                 ]
             )
         assert exc.value.code == 2
+
+    def test_config_echo_one_line_per_option(self, tmp_path, capsys):
+        assert main(
+            [
+                "map", "--which", "2", "--eta-grid", "0.5",
+                "--rate-grid", "log:1e-5:1e-2:7", "--out", str(tmp_path / "m.txt"),
+            ]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        echo = lines[: next(i for i, ln in enumerate(lines) if ln.startswith("cells="))]
+        assert echo and all(ln.startswith("config: ") for ln in echo)
+        (rate,) = [ln for ln in echo if ln.startswith("config: rate_grid=")]
+        assert np.array_equal(float_list(rate.split("=", 1)[1]), np.geomspace(1e-5, 1e-2, 7))
 
 
 class TestSimulateReconstructChain:
@@ -280,6 +304,52 @@ class TestPipelineCommand:
         main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)])
         capsys.readouterr()
         assert main(["analyze", "--rho", str(out / "rho.txt")]) == 0
+
+
+ERROR_KINDS = [
+    kind
+    for kind in vars(errors).values()
+    if isinstance(kind, type) and issubclass(kind, errors.PairStatsError)
+]
+VALIDATION_KINDS = (errors.ValidationError, errors.ClassicalRegimeError, errors.PhysicalityError)
+
+
+class TestExitCodes:
+    def test_every_error_kind_listed(self):
+        assert len(ERROR_KINDS) == 8 and errors.PairStatsError in ERROR_KINDS
+
+    @pytest.mark.parametrize("kind", ERROR_KINDS, ids=lambda kind: kind.__name__)
+    def test_error_kind_exit_code(self, monkeypatch, tmp_path, capsys, kind):
+        exc = kind("boom", 0.5) if kind is errors.TruncationError else kind("boom")
+
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "_cmd_analyze", fail)
+        code = main(["analyze", "--rho", str(tmp_path / "rho.txt")])
+        assert code == (3 if kind in VALIDATION_KINDS else 4)
+        assert capsys.readouterr().err.splitlines() == [f"error: {kind.__name__}: boom"]
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [
+            ([], 0),
+            (["--bogus", "1"], 2),
+            (["--eta", "2"], 3),
+            (["--tail-bound", "1e-3"], 4),
+        ],
+        ids=["ok", "usage", "validation", "numerical"],
+    )
+    def test_module_entry_point(self, tmp_path, args, code):
+        src = str(Path(pairstats.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        command = [
+            sys.executable, "-m", "pairstats.cli", "model",
+            "--N", "1", "--eta", "1", "--eta-prime", "1", "--n-max", "8",
+            "--out", str(tmp_path / "rho.txt"), *args,
+        ]
+        done = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == code, done.stderr
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairstats._fileio import parse_mapping
 from pairstats.analysis import characterize
 from pairstats.errors import ValidationError
 from pairstats.loop_detector import (
@@ -422,6 +424,19 @@ class TestRunFull:
         assert np.isfinite(eta_samples).all()
         assert eta_samples.std(ddof=1) < 0.05
         assert report.timings["bootstrap_s"] > 0.0
+
+    def test_bootstrap_spread_needs_two_finite_replicas(self, tmp_path):
+        report = run_full(
+            small_cfg(pulses=100_000, calibration_pulses=100_000, bootstrap_replicas=1)
+        )
+        assert all(vals.size == 1 for vals in report.bootstrap.values())
+        one_finite = {name: np.array([0.5, math.nan]) for name in report.bootstrap}
+        no_finite = {name: np.full(2, math.nan) for name in report.bootstrap}
+        for i, boot in enumerate((report.bootstrap, one_finite, no_finite)):
+            dataclasses.replace(report, bootstrap=boot).write(tmp_path / str(i))
+            summary = parse_mapping((tmp_path / str(i) / "summary.txt").read_text(), "summary")
+            spread = {k: v for k, v in summary.items() if k.startswith("bootstrap_std_")}
+            assert spread == {f"bootstrap_std_{name}": "nan" for name in report.bootstrap}
 
 
 class TestBootstrapStandalone:
