@@ -8,7 +8,8 @@ parameters are estimated from the result.
 
 Pulses are simulated in fixed-size blocks, each drawing from its own
 counter-based random stream derived from (seed, stage, block index), so a
-run is reproducible bit-for-bit from its config and seed.
+run is reproducible bit-for-bit from its config and seed.  Only the pulses
+holding a pair that reaches a detector are drawn one by one.
 """
 
 from __future__ import annotations
@@ -113,49 +114,47 @@ class ExperimentConfig:
 
 
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
-    """Photon numbers (n, m) reaching the two arms for ``size`` pulses.
+    """Photon numbers (n, m) reaching the two arms, for those of ``size``
+    pulses that hold a pair reaching a detector; the rest are left out.
 
-    The pulse's pair number has the generating function (N+1-Ns)**(-M),
-    which is exact for any real M >= 1 and is the sum of M independent
-    geometric mode pair numbers when M is an integer.  A pair reaches at
-    least one arm with probability k = eta + eta' - eta eta', and thinning
-    that law by k gives the negative binomial law of the reaching pairs,
-    M successes of probability 1/(N k + 1); only those pairs are drawn.  The
-    reaching pairs are then split three ways, into both arms, arm a alone
-    and arm b alone, in proportion to eta eta', eta (1-eta') and
-    eta' (1-eta).
+    With k = eta + eta' - eta eta' and theta = N k, a pulse's reaching pairs
+    are the arrivals on [0, 1] of a Poisson process of rate Gamma(M, theta),
+    negative binomial for any real M >= 1.  One binomial draw counts the
+    pulses with an arrival, each with probability S = 1 - (1+theta)**(-M).
+    Each draws its first arrival t by inverting its distribution, the rate
+    Gamma(M + 1, theta / (1 + theta t)) given t, and Poisson(rate (1 - t))
+    later pairs.  The pairs are split into both arms, arm a alone and arm b
+    alone in proportion to eta eta', eta (1-eta') and eta' (1-eta).
     """
     both = src.eta * src.eta_prime
     single = src.eta * (1.0 - src.eta_prime) + src.eta_prime * (1.0 - src.eta)
     # k as the sum of the disjoint shares keeps both/k and the arm-a part of
     # single within [0, 1] after rounding
     k = both + single
-    n = np.zeros(size, dtype=np.int64)
-    m = np.zeros(size, dtype=np.int64)
     if k == 0.0:
-        return n, m
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    theta = src.N * k
+    nonempty = -math.expm1(-src.M * math.log1p(theta))
+    u = rng.random(rng.binomial(size, nonempty))
+    # the clamp keeps a rounding overshoot from making 1 - t negative
+    t = np.minimum(np.expm1(-np.log1p(-u * nonempty) / src.M) / theta, 1.0)
+    rate = rng.gamma(src.M + 1.0, theta / (1.0 + theta * t))
     try:
-        reach = rng.negative_binomial(src.M, 1.0 / (src.N * k + 1.0), size)
+        pairs = 1 + rng.poisson(rate * (1.0 - t))
     except ValueError as exc:  # numpy refuses counts that could overflow int64
         raise ValidationError(
             f"pair numbers at N={src.N!r}, M={src.M!r} are too large to sample"
         ) from exc
-    # most pulses have no pair that reaches a detector; splitting those
-    # would cost time and change no count
-    hit = np.flatnonzero(reach)
-    pairs = reach[hit]
     in_both = rng.binomial(pairs, both / k)
     a_only = 0
     if single > 0.0:
         a_only = rng.binomial(pairs - in_both, src.eta * (1.0 - src.eta_prime) / single)
-    n[hit] = a_only + in_both
-    m[hit] = pairs - a_only
-    return n, m
+    return a_only + in_both, pairs - a_only
 
 
 def _pulse_blocks(src: EffectiveSource, pulses: int, seed: int, stage: int):
     """Yield (n, m, rng) per block of up to BLOCK_SIZE pulses: the photon
-    numbers of the two arms, and the block's stream for drawing its clicks."""
+    numbers of the block's non-empty pulses, and its stream for their clicks."""
     for block, start in enumerate(range(0, pulses, BLOCK_SIZE)):
         rng = _block_rng(seed, stage, block)
         yield *_sample_pulses(src, rng, min(BLOCK_SIZE, pulses - start)), rng
@@ -169,6 +168,7 @@ def simulate_experiment(cfg: ExperimentConfig) -> ClickHistogram:
         ka = simulate_clicks_batch(n, cfg.weights_a, rng)
         kb = simulate_clicks_batch(m, cfg.weights_b, rng)
         counts += np.bincount(ka * (B + 1) + kb, minlength=counts.size)
+    counts[0] += cfg.pulses - counts.sum()  # the pulses left out are empty
     return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
 
 
@@ -284,6 +284,8 @@ class RunReport:
             summary["em_converged"] = self.reconstruction.converged
             summary["em_iterations"] = self.reconstruction.iterations
             summary["em_ll_gap_bound"] = self.reconstruction.ll_gap_bound
+            rho = self.reconstruction.rho.probs
+            summary["em_edge_mass"] = rho[-1].sum() + rho[:-1, -1].sum()
         if self.characterization is not None:
             summary["M_hat"] = self.characterization.M_hat
             summary["eta_hat"] = self.characterization.eta_hat

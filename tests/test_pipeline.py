@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import nbinom
 
 from pairstats._fileio import parse_mapping
 from pairstats.analysis import characterize
@@ -27,6 +28,7 @@ from pairstats.pipeline import (
     simulate_calibration,
     simulate_experiment,
     _block_rng,
+    _pulse_blocks,
     _sample_pulses,
 )
 from pairstats.reconstruction import ClickHistogram
@@ -49,13 +51,15 @@ def max_law_z(src: EffectiveSource) -> float:
     """Largest per-cell z of 10M sampled pulses against the model.
 
     Only cells with expected count >= 100, where the Gaussian error band is
-    meaningful, enter the multinomial z-test.
+    meaningful, enter the multinomial z-test.  The pulses the sampler leaves
+    out are empty and count in cell (0, 0).
     """
     pulses = 10_000_000
     counts = np.zeros(22 * 22)
     for block in range(5):
         n, m = _sample_pulses(src, _block_rng(3, 9, block), pulses // 5)
         counts += np.bincount(np.minimum(n, 21) * 22 + np.minimum(m, 21), minlength=22 * 22)
+        counts[0] += pulses // 5 - len(n)
     counts = counts.reshape(22, 22)
     n_max = 20
     ana = joint_distribution(src, n_max).probs
@@ -181,7 +185,7 @@ class TestSamplePulse:
         src = EffectiveSource(N=1e-9, eta=0.9, eta_prime=0.9, M=2.0)
         rng = _block_rng(1, 9, 0)
         n, m = _sample_pulses(src, rng, 200)
-        assert not n.any() and not m.any()
+        assert n.size == m.size == 0
 
     def test_lossless_pairs_stay_matched(self):
         src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
@@ -210,14 +214,50 @@ class TestSamplePulse:
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
         assert max_law_z(src) <= 4.0
 
+    @pytest.mark.parametrize(
+        "N, eta, M", [(1e-3, 0.045, 16.0), (5.0, 0.9, 50.0)], ids=["calibration", "bright"]
+    )
+    def test_nonempty_share_is_binomial(self, N, eta, M):
+        # a pulse is returned when it holds a pair reaching a detector, with
+        # probability S = 1 - (1 + N k)**(-M); at the bright source S rounds
+        # to 1, so every pulse must come back
+        src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
+        pulses = 10_000_000
+        kept = sum(n.size for n, _, _ in _pulse_blocks(src, pulses, 7, 9))
+        share = -math.expm1(-M * math.log1p(N * (2.0 * eta - eta * eta)))
+        assert abs(kept - pulses * share) <= 4.0 * math.sqrt(pulses * share * (1.0 - share))
+
+    @pytest.mark.parametrize("N, M", [(5.0, 50.0), (1e-3, 16.0)], ids=["bright", "faint"])
+    def test_reaching_pair_law_past_window(self, N, M):
+        # lossless arms give n = m = K, the pair number of a non-empty pulse,
+        # whose law is the zero-truncated NegBin(M, 1/(1 + N)); every K is
+        # z-tested, past the 21 x 21 window of max_law_z
+        src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
+        counts = np.zeros(0)
+        for n, m, _ in _pulse_blocks(src, 10_000_000, 8, 9):
+            assert np.array_equal(n, m)
+            hist = np.bincount(n)
+            counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
+            counts[: hist.size] += hist
+        assert counts[0] == 0
+        # one empty cell past the largest draw enters too, so a short upper
+        # tail fails the test
+        counts = np.append(counts, 0.0)
+        pmf = nbinom.pmf(np.arange(counts.size), M, 1.0 / (1.0 + N))
+        pmf[0] = 0.0
+        pmf /= -math.expm1(-M * math.log1p(N))
+        expected = counts.sum() * pmf
+        keep = expected >= 100.0
+        z = (counts - expected)[keep] / np.sqrt(expected * (1.0 - pmf))[keep]
+        assert np.abs(z).max() <= 4.0
+
     def test_dark_arms_give_empty_pulses(self):
         src = EffectiveSource(N=1.0, eta=0.0, eta_prime=0.0, M=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draws = _sample_pulses(src, _block_rng(6, 9, 0), 1000)
         for x in draws:
-            assert x.dtype == np.int64 and x.shape == (1000,)
-            assert not x.any()
+            assert x.dtype == np.int64 and x.shape == (0,)
 
     def test_unsampleable_intensity_rejected(self):
         src = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
@@ -233,6 +273,7 @@ class TestSamplePulse:
         mean = src.M * src.N * src.eta
         var = mean * (1.0 + src.N * src.eta)
         for x in _sample_pulses(src, _block_rng(4, 9, 0), pulses):
+            x = np.pad(x, (0, pulses - x.size))
             dev = x - x.mean()
             m2 = float(np.mean(dev**2))
             m4 = float(np.mean(dev**4))
@@ -253,7 +294,7 @@ class TestSamplePulse:
 
     @settings(derandomize=True, max_examples=50, deadline=None)
     @given(
-        log_N=st.floats(-6.0, 4.0),
+        log_N=st.floats(-6.0, 12.0),
         eta=st.floats(0.0, 1.0),
         eta_prime=st.floats(0.0, 1.0),
         M=st.floats(1.0, 1000.0),
@@ -263,8 +304,9 @@ class TestSamplePulse:
         src = EffectiveSource(N=10.0**log_N, eta=eta, eta_prime=eta_prime, M=M)
         n, m = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
         for x in (n, m):
-            assert x.dtype == np.int64 and x.shape == (1000,)
+            assert x.dtype == np.int64 and x.shape == n.shape and x.size <= 1000
             assert (x >= 0).all()
+        assert (n + m >= 1).all()
         again = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
         assert np.array_equal(again[0], n) and np.array_equal(again[1], m)
         lossless = EffectiveSource(N=src.N, eta=1.0, eta_prime=1.0, M=M)
@@ -401,6 +443,26 @@ class TestRunFull:
             for cal in (report.calibration_a, report.calibration_b)
         )
         assert float(line.split("=")[1]) == worst
+
+    def test_edge_mass_in_summary(self, tmp_path):
+        # the EM mass on the last row and column of rho: tiny for the README
+        # source, large for a bright source cut at n_max = 8
+        readme = ExperimentConfig(
+            source=EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0),
+            pulses=1_000_000,
+            seed=42,
+        )
+        bright = small_cfg(source=EffectiveSource(N=2.0, eta=0.9, eta_prime=0.9, M=2.0))
+        edge = {}
+        for name, cfg in (("readme", readme), ("bright", bright)):
+            report = run_full(cfg)
+            report.write(tmp_path / name)
+            summary = parse_mapping((tmp_path / name / "summary.txt").read_text(), "summary")
+            edge[name] = float(summary["em_edge_mass"])
+            rho = report.reconstruction.rho.probs
+            assert edge[name] == pytest.approx(rho[-1].sum() + rho[:, -1].sum() - rho[-1, -1])
+        assert 0.0 <= edge["readme"] <= 1e-6
+        assert edge["bright"] >= 1e-2
 
     def test_partial_report_on_calibration_failure(self, tmp_path):
         # essentially no calibration photons: calibration stage fails but the
