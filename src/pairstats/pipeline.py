@@ -18,7 +18,6 @@ import dataclasses
 import math
 import time
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -241,10 +240,12 @@ def bootstrap_characterize(
 @dataclass(frozen=True)
 class RunReport:
     """Every artifact of one full run; fields are None after a stage failure,
-    with the cause recorded in ``failures``.  ``timings`` holds the wall
-    seconds of each stage that ran and the pulses/s of the two simulated
-    ones; they vary between runs, so they go to ``timings.txt`` and not to
-    the byte-reproducible ``summary.txt``."""
+    with the cause recorded in ``failures`` under the stage's name (written
+    as ``failed_<stage>`` in ``summary.txt``).  ``timings`` holds the wall
+    seconds of every stage that ran, failed or not, and the pulses/s of
+    calibration and collection when they completed; they vary between runs,
+    so they go to ``timings.txt`` and not to the byte-reproducible
+    ``summary.txt``."""
 
     config: ExperimentConfig
     histogram: ClickHistogram | None
@@ -303,69 +304,49 @@ class RunReport:
             (out / name).write_text(text, encoding="ascii")
 
 
-@contextmanager
-def _timed(timings: dict, stage: str):
-    start = time.perf_counter()
-    yield
-    timings[f"{stage}_s"] = time.perf_counter() - start
-
-
 def run_full(cfg: ExperimentConfig) -> RunReport:
     """Calibrate, collect, reconstruct and characterize in one pass.
 
-    Stage errors are recorded in the report's ``failures`` mapping and leave
-    the dependent fields as None; a partial report is still returned.  The
-    calibration stage's time includes the weight fit and the response
-    matrices.
+    Every stage is timed, and a ``PairStatsError`` in any of the five is
+    recorded in the report's ``failures`` mapping under the stage's name and
+    leaves the dependent fields as None; a partial report is still returned.
+    The calibration stage's time includes the weight fit and the response
+    matrices.  The pulses/s of calibration and collection are recorded only
+    when that stage completed.
     """
     failures: dict = {}
     timings: dict = {}
-    cal_a = cal_b = resp_a = resp_b = None
-    hist = recon = char = boot = None
-    with _timed(timings, "calibration"):
+
+    def stage(name, fn, *args, **kwargs):
+        start = time.perf_counter()
         try:
-            bins_a, bins_b = simulate_calibration(cfg)
-            cal_a = calibrate(bins_a)
-            cal_b = calibrate(bins_b)
-            resp_a = response_matrix(cal_a.weights, cfg.n_max)
-            resp_b = response_matrix(cal_b.weights, cfg.n_max)
+            return fn(*args, **kwargs)
         except PairStatsError as exc:
-            failures["calibration"] = f"{type(exc).__name__}: {exc}"
-    with _timed(timings, "collection"):
-        try:
-            hist = simulate_experiment(cfg)
-        except PairStatsError as exc:
-            failures["collection"] = f"{type(exc).__name__}: {exc}"
-    if hist is not None and resp_a is not None and resp_b is not None:
-        with _timed(timings, "reconstruction"):
-            try:
-                recon = em_reconstruct(
-                    hist,
-                    resp_a,
-                    resp_b,
-                    cfg.n_max,
-                    tol=cfg.em_tol,
-                    max_iter=cfg.em_max_iter,
-                )
-            except PairStatsError as exc:
-                failures["reconstruction"] = f"{type(exc).__name__}: {exc}"
+            failures[name] = f"{type(exc).__name__}: {exc}"
+            return None
+        finally:
+            timings[f"{name}_s"] = time.perf_counter() - start
+
+    def calibration():
+        cal_a, cal_b = map(calibrate, simulate_calibration(cfg))
+        resp = [response_matrix(cal.weights, cfg.n_max) for cal in (cal_a, cal_b)]
+        return cal_a, cal_b, *resp
+
+    cal_a, cal_b, resp_a, resp_b = stage("calibration", calibration) or (None,) * 4
+    hist = stage("collection", simulate_experiment, cfg)
+    recon = char = boot = None
+    inputs = (hist, resp_a, resp_b, cfg.n_max)
+    em_opts = dict(tol=cfg.em_tol, max_iter=cfg.em_max_iter)
+    if hist is not None and resp_a is not None:
+        recon = stage("reconstruction", em_reconstruct, *inputs, **em_opts)
     if recon is not None:
-        with _timed(timings, "characterization"):
-            char = characterize(recon.rho)
-        if cfg.bootstrap_replicas > 0:
-            with _timed(timings, "bootstrap"):
-                boot = bootstrap_characterize(
-                    hist,
-                    resp_a,
-                    resp_b,
-                    cfg.n_max,
-                    replicas=cfg.bootstrap_replicas,
-                    seed=cfg.seed,
-                    tol=cfg.em_tol,
-                    max_iter=cfg.em_max_iter,
-                )
-    for stage, pulses in (("calibration", cfg.calibration_pulses), ("collection", cfg.pulses)):
-        timings[f"{stage}_pulses_per_s"] = pulses / timings[f"{stage}_s"]
+        char = stage("characterization", characterize, recon.rho)
+    if recon is not None and cfg.bootstrap_replicas > 0:
+        boot_opts = dict(replicas=cfg.bootstrap_replicas, seed=cfg.seed)
+        boot = stage("bootstrap", bootstrap_characterize, *inputs, **boot_opts, **em_opts)
+    for name, pulses in (("calibration", cfg.calibration_pulses), ("collection", cfg.pulses)):
+        if name not in failures:
+            timings[f"{name}_pulses_per_s"] = pulses / timings[f"{name}_s"]
     return RunReport(
         config=cfg,
         histogram=hist,

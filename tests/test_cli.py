@@ -297,6 +297,31 @@ class TestPipelineCommand:
         assert lines[end - len(stored) - 1].startswith("eta_hat=")
         assert all(0.0 < float(ln.split("=", 1)[1]) < math.inf for ln in stored)
 
+    def test_failed_stage_is_reported(self, tmp_path, capsys):
+        # numpy cannot sample this source's pair numbers, so collection fails
+        # while the low-intensity calibration completes
+        cfg_path = tmp_path / "cfg.txt"
+        src = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="calibration"):
+            write_cfg(cfg_path, source=src, pulses=50_000, calibration_pulses=50_000)
+            assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "failed: collection: ValidationError: pair numbers" in captured.err
+        printed = captured.out.splitlines()
+        assert any(ln.startswith("calibration_pulses_per_s=") for ln in printed)
+        assert not any(ln.startswith("collection_pulses_per_s=") for ln in printed)
+        assert {p.name for p in out.iterdir()} == {
+            "config.txt",
+            "calibration_a.txt",
+            "calibration_b.txt",
+            "response_a.txt",
+            "response_b.txt",
+            "summary.txt",
+            "timings.txt",
+        }
+        assert "failed_collection=ValidationError: " in (out / "summary.txt").read_text()
+
     def test_rho_file_feeds_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
+from pairstats import pipeline
 from pairstats._fileio import parse_mapping
 from pairstats.analysis import characterize
-from pairstats.errors import ValidationError
+from pairstats.errors import DegenerateInputError, ValidationError
 from pairstats.loop_detector import (
     PathWeights,
     apply_response,
@@ -45,6 +47,38 @@ def small_cfg(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+# a source whose pair numbers overflow numpy's sampler: collection fails in its
+# first block while the low-intensity calibration still completes
+UNSAMPLEABLE = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
+
+# the RunReport fields left as None when a stage fails; bootstrap_replicas is
+# 0 except in the bootstrap case, so bootstrap is None in every case
+FAILED_FIELDS = {
+    "calibration": {
+        "calibration_a",
+        "calibration_b",
+        "response_a",
+        "response_b",
+        "reconstruction",
+        "characterization",
+        "bootstrap",
+    },
+    "collection": {"histogram", "reconstruction", "characterization", "bootstrap"},
+    "reconstruction": {"reconstruction", "characterization", "bootstrap"},
+    "characterization": {"characterization", "bootstrap"},
+    "bootstrap": {"bootstrap"},
+}
+
+# the pipeline callee that each stage's failure is injected into
+STAGE_CALLEES = {
+    "calibration": "simulate_calibration",
+    "collection": "simulate_experiment",
+    "reconstruction": "em_reconstruct",
+    "characterization": "characterize",
+    "bootstrap": "bootstrap_characterize",
+}
 
 
 def max_law_z(src: EffectiveSource) -> float:
@@ -477,6 +511,59 @@ class TestRunFull:
         report.write(tmp_path / "partial")
         summary = (tmp_path / "partial" / "summary.txt").read_text()
         assert "failed_calibration=" in summary
+
+    def test_no_rate_for_failed_stage(self, tmp_path):
+        with pytest.warns(UserWarning, match="calibration"):
+            cfg = small_cfg(source=UNSAMPLEABLE, pulses=50_000, calibration_pulses=50_000)
+        report = run_full(cfg)
+        assert report.failures == {
+            "collection": "ValidationError: pair numbers at N=1e+17, M=1000.0"
+            " are too large to sample"
+        }
+        report.write(tmp_path / "run")
+        stored = parse_mapping((tmp_path / "run" / "timings.txt").read_text(), "timings")
+        for keys in (report.timings, stored):
+            assert list(keys) == ["calibration_s", "collection_s", "calibration_pulses_per_s"]
+
+    @pytest.mark.parametrize("stage", list(STAGE_CALLEES))
+    def test_every_stage_fails_the_same_way(self, stage, monkeypatch, tmp_path):
+        def boom(*args, **kwargs):
+            raise DegenerateInputError("boom")
+
+        monkeypatch.setattr(pipeline, STAGE_CALLEES[stage], boom)
+        replicas = 1 if stage == "bootstrap" else 0
+        cfg = small_cfg(pulses=50_000, calibration_pulses=50_000, bootstrap_replicas=replicas)
+        report = run_full(cfg)
+        assert report.failures == {stage: "DegenerateInputError: boom"}
+        assert f"{stage}_s" in report.timings
+        for name in FAILED_FIELDS["calibration"] | FAILED_FIELDS["collection"]:
+            assert (getattr(report, name) is None) == (name in FAILED_FIELDS[stage]), name
+        report.write(tmp_path / "run")
+        summary = parse_mapping((tmp_path / "run" / "summary.txt").read_text(), "summary")
+        assert summary[f"failed_{stage}"] == "DegenerateInputError: boom"
+
+    def test_stage_callees_looked_up_at_call_time(self, monkeypatch):
+        # perfbench's traced runs wrap these pipeline globals; each stage must
+        # call them through the module so the wrappers see every call
+        calls = Counter()
+        for name in (*STAGE_CALLEES.values(), "calibrate", "response_matrix"):
+
+            def counted(*args, _fn=getattr(pipeline, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, counted)
+        report = run_full(small_cfg(pulses=50_000, calibration_pulses=50_000, bootstrap_replicas=2))
+        assert not report.failures
+        assert calls == {
+            "simulate_calibration": 1,
+            "calibrate": 2,
+            "response_matrix": 2,
+            "simulate_experiment": 1,
+            "em_reconstruct": 1 + 2,
+            "characterize": 1 + 2,
+            "bootstrap_characterize": 1,
+        }
 
     def test_bootstrap_spread_covers_truth(self):
         cfg = small_cfg(pulses=400_000, bootstrap_replicas=8, em_tol=1e-12)
