@@ -1,8 +1,8 @@
 """The text artifact formats, and the one place where their text becomes typed values.
 
 A matrix file (distribution, histogram, response) is a ``# key=value ...``
-header line over comma-separated rows; a mapping file (config, calibration,
-run report, summary) holds one ``key=value`` a line, skipping blank and ``#``
+header line over comma-separated rows; a mapping file (config, summary,
+timings) holds one ``key=value`` a line, skipping blank and ``#``
 lines.  ``fmt`` writes numbers so that they round-trip exactly.  Readers
 convert every field through ``typed_fields``, by type: ``int``, ``float`` or
 ``float_list``.  A bad header, a repeated key, a missing field, a value its

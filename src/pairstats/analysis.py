@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._fileio import fmt, format_mapping
+from ._fileio import fmt
 from .errors import (
     DegenerateInputError,
     PairStatsError,
@@ -168,18 +168,20 @@ def _solve_w(target: float, v: float, M: float, which: int) -> float | None:
 
     R is log-concave, so (1 - w) R' - M R changes sign once in (0, 1), at the
     peak; divided by (1 - w)^(M - 1) w^(c - 1), c = which / 2, it cannot underflow.
+    "R(w) >= target or past the peak" is thus monotone in w: one bisection
+    finds the solution, or the peak when the target lies above R there.
     """
     coeffs, c = _rate_coefficients(v, M, which), which // 2
 
     def rate(w: float) -> float:
         return math.exp(M * math.log1p(-w)) * sum(a * w**i for i, a in coeffs)
 
-    peak_w = _bisect(
-        lambda w: sum(a * w ** (i - c) * (i * (1 - w) - M * w) for i, a in coeffs) < 0, 1.0
+    w = _bisect(
+        lambda w: rate(w) >= target
+        or sum(a * w ** (i - c) * (i * (1 - w) - M * w) for i, a in coeffs) < 0,
+        1.0,
     )
-    if target > rate(peak_w):
-        return None if target > rate(peak_w) * (1.0 + 1e-9) else peak_w
-    return _bisect(lambda w: rate(w) >= target, peak_w)
+    return None if target > rate(w) * (1.0 + 1e-9) else w
 
 
 def _law_contamination(w: float, v: float, M: float, which: int) -> float:
@@ -287,11 +289,11 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
 
 # -- text formats -------------------------------------------------------------
 
-def format_characterization(char: SourceCharacterization) -> str:
+def characterization_record(char: SourceCharacterization) -> dict:
+    """Every estimate in field order, then its ``status_<name>``."""
     pairs = {f.name: getattr(char, f.name) for f in fields(char) if f.name != "status"}
-    for name, val in char.status.items():
-        pairs[f"status_{name}"] = val
-    return format_mapping(pairs)
+    pairs.update((f"status_{name}", val) for name, val in char.status.items())
+    return pairs
 
 
 def format_map(

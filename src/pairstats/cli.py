@@ -86,7 +86,7 @@ def _cmd_reconstruct(args) -> int:
     )
     Path(args.rho_out).write_text(model.format_distribution(result.rho), encoding="ascii")
     if args.report_out is not None:
-        text = reconstruction.format_run_report(result)
+        text = format_mapping(reconstruction.em_record(result))
         Path(args.report_out).write_text(text, encoding="ascii")
     print(f"iterations={result.iterations}")
     _print_convergence(result)
@@ -97,7 +97,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_analyze(args) -> int:
     rho = model.parse_distribution(Path(args.rho).read_text(encoding="ascii"))
     char = analysis.characterize(rho)
-    text = analysis.format_characterization(char)
+    text = format_mapping(analysis.characterization_record(char))
     if args.out is not None:
         Path(args.out).write_text(text, encoding="ascii")
     print(text, end="")

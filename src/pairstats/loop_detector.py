@@ -241,11 +241,3 @@ def parse_response(text: str) -> DetectorResponse:
         raise ValidationError("weights length disagrees with header B")
     return DetectorResponse(P=matrix, weights=weights)
 
-
-def format_calibration(cal: CalibrationResult) -> str:
-    pairs = {"B": cal.weights.B, "total": cal.total}
-    for i, (w, s) in enumerate(zip(cal.weights.w, cal.stderr)):
-        pairs[f"w_{i}"] = w
-        pairs[f"stderr_{i}"] = s
-    return format_mapping(pairs)
-

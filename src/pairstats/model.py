@@ -97,10 +97,6 @@ class MultimodeSource:
         _freeze(self, "t", t)
         _freeze(self, "t_prime", tp)
 
-    @property
-    def K(self) -> int:
-        return self.r.size
-
 
 @dataclass(frozen=True)
 class ReducedMoments:

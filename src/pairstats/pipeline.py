@@ -24,14 +24,13 @@ from pathlib import Path
 import numpy as np
 
 from ._fileio import float_list, format_mapping, parse_mapping, typed_fields
-from .analysis import SourceCharacterization, characterize, format_characterization
+from .analysis import SourceCharacterization, characterize, characterization_record
 from .errors import PairStatsError, ValidationError
 from .loop_detector import (
     CalibrationResult,
     DetectorResponse,
     PathWeights,
     calibrate,
-    format_calibration,
     format_response,
     response_matrix,
     simulate_clicks_batch,
@@ -43,8 +42,8 @@ from .reconstruction import (
     ReconstructionResult,
     _check_em_args,
     em_reconstruct,
+    em_record,
     format_histogram,
-    format_run_report,
 )
 
 BLOCK_SIZE = 250_000
@@ -260,38 +259,29 @@ class RunReport:
     timings: dict = field(default_factory=dict)
 
     def write(self, out_dir) -> None:
-        """Write all present artifacts into a directory, plus a summary."""
+        """Write the artifacts that a subcommand reads back (config, histogram,
+        responses, rho), ``summary.txt`` with every other outcome, and
+        ``timings.txt``."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         texts = {"config.txt": format_config(self.config)}
         if self.histogram is not None:
             texts["histogram.txt"] = format_histogram(self.histogram)
-        for arm, cal in (("a", self.calibration_a), ("b", self.calibration_b)):
-            if cal is not None:
-                texts[f"calibration_{arm}.txt"] = format_calibration(cal)
         for arm, resp in (("a", self.response_a), ("b", self.response_b)):
             if resp is not None:
                 texts[f"response_{arm}.txt"] = format_response(resp)
+        summary = {"seed": self.config.seed, "pulses": self.config.pulses}
+        arms = (("a", self.calibration_a), ("b", self.calibration_b))
+        cals = {arm: cal for arm, cal in arms if cal is not None}
+        if cals:
+            summary["calibration_max_rel_stderr"] = max(c.max_rel_stderr for c in cals.values())
+        for arm, cal in cals.items():
+            summary[f"calibration_total_{arm}"] = cal.total
         if self.reconstruction is not None:
             texts["rho.txt"] = format_distribution(self.reconstruction.rho)
-            texts["reconstruction_report.txt"] = format_run_report(self.reconstruction)
+            summary.update(em_record(self.reconstruction))
         if self.characterization is not None:
-            texts["characterization.txt"] = format_characterization(self.characterization)
-        summary = {"seed": self.config.seed, "pulses": self.config.pulses}
-        cals = [cal for cal in (self.calibration_a, self.calibration_b) if cal is not None]
-        if cals:
-            summary["calibration_max_rel_stderr"] = max(cal.max_rel_stderr for cal in cals)
-        if self.reconstruction is not None:
-            summary["em_converged"] = self.reconstruction.converged
-            summary["em_iterations"] = self.reconstruction.iterations
-            summary["em_ll_gap_bound"] = self.reconstruction.ll_gap_bound
-            rho = self.reconstruction.rho.probs
-            summary["em_edge_mass"] = rho[-1].sum() + rho[:-1, -1].sum()
-        if self.characterization is not None:
-            summary["M_hat"] = self.characterization.M_hat
-            summary["eta_hat"] = self.characterization.eta_hat
-            summary["eps2"] = self.characterization.eps2
-            summary["eps4"] = self.characterization.eps4
+            summary.update(characterization_record(self.characterization))
         if self.bootstrap is not None:
             for name, vals in self.bootstrap.items():
                 good = vals[np.isfinite(vals)]

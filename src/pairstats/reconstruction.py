@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import format_mapping, format_matrix, parse_matrix
+from ._fileio import format_matrix, parse_matrix
 from .errors import SupportError, ValidationError
 from .loop_detector import DetectorResponse, apply_response
 from .model import JointDistribution, _freeze, _index
@@ -298,14 +298,14 @@ def parse_histogram(text: str) -> ClickHistogram:
     return ClickHistogram(f=matrix, pulses=header["pulses"])
 
 
-def format_run_report(result: ReconstructionResult) -> str:
-    return format_mapping(
-        {
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "final_log_likelihood": result.log_likelihood_trace[-1],
-            "ll_gap_bound": result.ll_gap_bound,
-            "n_max": result.rho.n_max,
-        }
-    )
-
+def em_record(result: ReconstructionResult) -> dict:
+    """The ``em_*`` keys of ``summary.txt`` and ``reconstruct --report-out``;
+    ``em_edge_mass`` is the mass on the last row and column of rho."""
+    rho = result.rho.probs
+    return {
+        "em_converged": result.converged,
+        "em_iterations": result.iterations,
+        "em_log_likelihood": result.log_likelihood_trace[-1],
+        "em_ll_gap_bound": result.ll_gap_bound,
+        "em_edge_mass": rho[-1].sum() + rho[:-1, -1].sum(),
+    }

@@ -1,3 +1,4 @@
+import dataclasses
 import time
 
 import numpy as np
@@ -8,12 +9,12 @@ from pairstats.analysis import (
     _rate_coefficients,
     _solve_w,
     characterize,
+    characterization_record,
     contamination2,
     contamination4,
     contamination_map,
     delta_squared,
     efficiency,
-    format_characterization,
     format_map,
     mode_number,
 )
@@ -428,9 +429,27 @@ class TestCharacterize:
         assert np.isnan(char.eps4)
 
     def test_serialization_contains_all_fields(self):
-        text = format_characterization(characterize(model_rho(1.0, 0.5, 0.5, 2.0)))
-        for key in ("mean_n=", "M_hat=", "eps4=", "status_delta_sq=ok"):
-            assert key in text
+        char = characterize(model_rho(1.0, 0.5, 0.5, 2.0))
+        record = characterization_record(char)
+        names = [f.name for f in dataclasses.fields(char) if f.name != "status"]
+        status = ["status_" + name for name in ("M_hat", "delta_sq", "eta_hat", "eps2", "eps4")]
+        assert list(record) == names + status
+        assert all(record[name] == getattr(char, name) for name in names)
+        assert record["status_delta_sq"] == "ok"
+
+    def test_all_tail_grid(self):
+        # the shape of the grid that underflows at M=2000: every mass in the tail
+        char = characterize(JointDistribution(np.zeros((3, 3)), 2, tail_mass=1.0))
+        assert (char.mean_n, char.mean_n_prime, char.var_n, char.var_n_prime) == (0, 0, 0, 0)
+        for name in ("M_hat", "delta_sq", "eta_hat", "eps4"):
+            assert np.isnan(getattr(char, name))
+            assert char.status[name] == "DegenerateInputError"
+        assert char.eps2 == 1.0 and char.status["eps2"] == "ok"
+
+    def test_classical_arms_warn_nonpositive_efficiency(self):
+        char = characterize(thermal_product_rho(0.4, 0.7))
+        assert char.eta_hat == pytest.approx(-0.509, abs=1e-3)
+        assert char.status["eta_hat"] == "warning:nonpositive"
 
 
 class TestMapFormat:

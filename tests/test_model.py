@@ -381,6 +381,13 @@ class TestSuggestNMax:
             suggest_n_max(rising, 1e-12)
         assert err.value.tail_mass == np.inf
 
+    @pytest.mark.parametrize("eta, eta_prime", [(0.0, 0.5), (0.5, 0.0)])
+    def test_dark_arm_needs_no_cutoff(self, eta, eta_prime):
+        src = EffectiveSource(N=1.0, eta=eta, eta_prime=eta_prime, M=2.0)
+        n_max = suggest_n_max(src, 1e-12)
+        assert n_max == 28
+        assert joint_distribution(src, n_max).tail_mass == pytest.approx(3.0e-13, rel=0.02)
+
     @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1e-3])
     def test_bad_tail_bound_rejected(self, bound):
         src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)

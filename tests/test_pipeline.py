@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from scipy.stats import nbinom
 
 from pairstats import pipeline
-from pairstats._fileio import parse_mapping
-from pairstats.analysis import characterize
-from pairstats.errors import DegenerateInputError, ValidationError
+from pairstats._fileio import fmt, parse_mapping
+from pairstats.analysis import characterization_record, characterize
+from pairstats.errors import DegenerateInputError, SupportError, ValidationError
 from pairstats.loop_detector import (
     PathWeights,
     apply_response,
+    parse_response,
     response_matrix,
     uniform_weights,
 )
-from pairstats.model import EffectiveSource, joint_distribution
+from pairstats.model import EffectiveSource, joint_distribution, parse_distribution
 from pairstats.pipeline import (
     ExperimentConfig,
     bootstrap_characterize,
@@ -33,7 +34,7 @@ from pairstats.pipeline import (
     _pulse_blocks,
     _sample_pulses,
 )
-from pairstats.reconstruction import ClickHistogram
+from pairstats.reconstruction import ClickHistogram, em_reconstruct, em_record, parse_histogram
 
 
 def small_cfg(**overrides):
@@ -70,6 +71,17 @@ FAILED_FIELDS = {
     "characterization": {"characterization", "bootstrap"},
     "bootstrap": {"bootstrap"},
 }
+
+# a run directory: the files a subcommand reads back, by their reader, and the
+# two that are written for people only
+READERS = {
+    "config.txt": parse_config,
+    "histogram.txt": parse_histogram,
+    "response_a.txt": parse_response,
+    "response_b.txt": parse_response,
+    "rho.txt": parse_distribution,
+}
+OUTPUT_ONLY = {"summary.txt", "timings.txt"}
 
 # the pipeline callee that each stage's failure is injected into
 STAGE_CALLEES = {
@@ -428,26 +440,40 @@ class TestRunFull:
         d1, d2 = tmp_path / "one", tmp_path / "two"
         r1.write(d1)
         r2.write(d2)
-        for name in ("histogram.txt", "rho.txt", "characterization.txt", "summary.txt"):
+        names = {p.name for p in d1.iterdir()} - {"timings.txt"}
+        assert {"histogram.txt", "rho.txt", "summary.txt"} <= names
+        for name in names:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_report_directory_contents(self, tmp_path):
+        cfg = small_cfg(pulses=100_000, calibration_pulses=100_000)
+        run_full(cfg).write(tmp_path / "run")
+        assert {p.name for p in (tmp_path / "run").iterdir()} == {*READERS, *OUTPUT_ONLY}
+        for name, reader in READERS.items():
+            reader((tmp_path / "run" / name).read_text(encoding="ascii"))
+        text = (tmp_path / "run" / "config.txt").read_text()
+        assert format_config(parse_config(text)) == text == format_config(cfg)
+
+    def test_summary_holds_every_outcome(self, tmp_path):
         report = run_full(small_cfg(pulses=100_000, calibration_pulses=100_000))
         report.write(tmp_path / "run")
+        summary = parse_mapping((tmp_path / "run" / "summary.txt").read_text(), "summary")
         expected = {
-            "config.txt",
-            "histogram.txt",
-            "calibration_a.txt",
-            "calibration_b.txt",
-            "response_a.txt",
-            "response_b.txt",
-            "rho.txt",
-            "reconstruction_report.txt",
-            "characterization.txt",
-            "summary.txt",
-            "timings.txt",
+            "seed": report.config.seed,
+            "pulses": report.config.pulses,
+            "calibration_max_rel_stderr": max(
+                cal.max_rel_stderr for cal in (report.calibration_a, report.calibration_b)
+            ),
+            "calibration_total_a": report.calibration_a.total,
+            "calibration_total_b": report.calibration_b.total,
+            **em_record(report.reconstruction),
+            **characterization_record(report.characterization),
         }
-        assert {p.name for p in (tmp_path / "run").iterdir()} == expected
+        assert list(summary) == list(expected)
+        assert summary == {k: v if isinstance(v, str) else fmt(v) for k, v in expected.items()}
+        trace = report.reconstruction.log_likelihood_trace
+        assert float(summary["em_log_likelihood"]) == trace[-1]
+        assert summary["status_eta_hat"] == "ok"
 
     def test_stage_timings(self, tmp_path):
         report = run_full(small_cfg(pulses=100_000, calibration_pulses=100_000))
@@ -511,6 +537,32 @@ class TestRunFull:
         report.write(tmp_path / "partial")
         summary = (tmp_path / "partial" / "summary.txt").read_text()
         assert "failed_calibration=" in summary
+
+    def test_dead_path_fails_reconstruction(self, tmp_path):
+        # the few calibration photons all land in path 0, so the fitted second
+        # path never clicks while the bright run sees two clicks per arm
+        two = PathWeights([0.5, 0.5])
+        cfg = ExperimentConfig(
+            source=EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0),
+            pulses=20_000,
+            seed=3,
+            calibration_pulses=2000,
+            calibration_N=1e-3,
+            weights_a=two,
+            weights_b=two,
+            n_max=6,
+        )
+        report = run_full(cfg)
+        for cal in (report.calibration_a, report.calibration_b):
+            assert cal.weights.w.tolist() == [1.0, 0.0]
+        assert report.failures == {
+            "reconstruction": "SupportError: observed clicks in cells of zero model probability"
+        }
+        report.write(tmp_path / "run")
+        summary = parse_mapping((tmp_path / "run" / "summary.txt").read_text(), "summary")
+        assert summary["calibration_max_rel_stderr"] == "inf"
+        assert summary["failed_reconstruction"] == report.failures["reconstruction"]
+        assert not (tmp_path / "run" / "rho.txt").exists()
 
     def test_no_rate_for_failed_stage(self, tmp_path):
         with pytest.warns(UserWarning, match="calibration"):
@@ -596,6 +648,24 @@ class TestBootstrapStandalone:
         boot = bootstrap_characterize(hist, resp, resp, cfg.n_max, replicas=5, seed=1)
         assert set(boot) >= {"M_hat", "eta_hat", "eps2", "eps4"}
         assert all(len(v) == 5 for v in boot.values())
+
+    def test_failed_replica_is_nan(self, monkeypatch):
+        cfg = small_cfg(pulses=100_000)
+        hist = simulate_experiment(cfg)
+        resp = response_matrix(uniform_weights(8), cfg.n_max)
+        fits = []
+
+        def second_fit_fails(*args, **kwargs):
+            fits.append(None)
+            if len(fits) == 2:
+                raise SupportError("boom")
+            return em_reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "em_reconstruct", second_fit_fails)
+        boot = bootstrap_characterize(hist, resp, resp, cfg.n_max, replicas=3, seed=1)
+        assert len(fits) == 3
+        for vals in boot.values():
+            assert np.isnan(vals[1]) and np.isfinite(vals[[0, 2]]).all()
 
     @pytest.mark.parametrize(
         "bad",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairstats._fileio import fmt, parse_mapping
+from pairstats._fileio import fmt
 from pairstats.errors import SupportError, ValidationError
 from pairstats.loop_detector import (
     PathWeights,
@@ -18,8 +18,8 @@ from pairstats.reconstruction import (
     ClickHistogram,
     ReconstructionResult,
     em_reconstruct,
+    em_record,
     format_histogram,
-    format_run_report,
     log_likelihood,
     parse_histogram,
 )
@@ -172,6 +172,14 @@ class TestEmReconstruct:
         hist = ClickHistogram(f, 5000)
         result = em_reconstruct(hist, RESP8, RESP8, 3, tol=1e-12)
         assert result.rho.probs[0, 0] == pytest.approx(1.0, abs=1e-9)
+
+    def test_clicks_no_photon_number_can_give_raise_support_error(self):
+        # a dead third path: no n gives three clicks, yet three were seen
+        resp = response_matrix(PathWeights([0.5, 0.5, 0.0]), 4)
+        f = np.zeros((4, 4), dtype=np.int64)
+        f[3, 0], f[0, 0] = 5, 95
+        with pytest.raises(SupportError, match="zero model probability"):
+            em_reconstruct(ClickHistogram(f, 100), resp, resp, 4)
 
     def test_monotone_likelihood_random_instances(self):
         for hist in random_instances(10):
@@ -355,15 +363,17 @@ class TestSerialization:
     def test_run_report_fields(self):
         hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
         result = em_reconstruct(hist, RESP8, RESP8, 3, tol=1e-10, max_iter=50)
+        rho = result.rho.probs
         fields = {
-            "iterations": result.iterations,
-            "converged": result.converged,
-            "final_log_likelihood": result.log_likelihood_trace[-1],
-            "ll_gap_bound": result.ll_gap_bound,
-            "n_max": 3,
+            "em_converged": result.converged,
+            "em_iterations": result.iterations,
+            "em_log_likelihood": result.log_likelihood_trace[-1],
+            "em_ll_gap_bound": result.ll_gap_bound,
+            "em_edge_mass": rho[3].sum() + rho[:3, 3].sum(),
         }
-        report = parse_mapping(format_run_report(result), "run report")
-        assert list(report) == list(fields)
-        assert report == {key: fmt(value) for key, value in fields.items()}
-        assert float(report["final_log_likelihood"]) == result.log_likelihood_trace[-1]
-        assert float(report["ll_gap_bound"]) == result.ll_gap_bound > 0.0
+        record = em_record(result)
+        assert list(record) == list(fields)
+        assert {key: fmt(value) for key, value in record.items()} == {
+            key: fmt(value) for key, value in fields.items()
+        }
+        assert record["em_ll_gap_bound"] > 0.0
