@@ -9,12 +9,7 @@ contamination).
 from .analysis import (
     SourceCharacterization,
     characterize,
-    contamination2,
-    contamination4,
     contamination_map,
-    delta_squared,
-    efficiency,
-    mode_number,
 )
 from .errors import (
     ClassicalRegimeError,
@@ -92,17 +87,12 @@ __all__ = [
     "bootstrap_characterize",
     "calibrate",
     "characterize",
-    "contamination2",
-    "contamination4",
     "contamination_map",
-    "delta_squared",
     "effective_params",
-    "efficiency",
     "em_reconstruct",
     "generating_fn_value",
     "joint_distribution",
     "log_likelihood",
-    "mode_number",
     "perturbative_contamination_fraction",
     "reduce_multimode",
     "response_matrix",

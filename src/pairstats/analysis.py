@@ -10,7 +10,6 @@ rate needs no distribution: it is closed-form in the pair-number law.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -64,56 +63,37 @@ def _moments(rho: JointDistribution):
     return mean_a, mean_b, var_a, var_b, cov
 
 
-def mode_number(rho: JointDistribution, arm: str = "a") -> float:
-    """Equivalent number of modes <n>^2 / ((dn)^2 - <n>) from one arm.
+def _mode_number(mean: float, var: float) -> float:
+    """Equivalent number of modes <n>^2 / ((dn)^2 - <n>) from arm a's moments.
 
     Equals M exactly for the source model and is independent of the pump
     strength; requires a super-Poissonian marginal.
     """
-    if arm not in ("a", "b"):
-        raise ValidationError("arm must be 'a' or 'b'")
-    mean_a, mean_b, var_a, var_b, _ = _moments(rho)
-    mean, var = (mean_a, var_a) if arm == "a" else (mean_b, var_b)
     if mean <= 0.0:
-        raise DegenerateInputError(f"arm {arm} marginal mean vanishes")
+        raise DegenerateInputError("arm a marginal mean vanishes")
     if var <= mean:
         raise SubPoissonianMarginalError(
-            f"arm {arm} marginal variance {var!r} does not exceed its mean {mean!r}"
+            f"arm a marginal variance {var!r} does not exceed its mean {mean!r}"
         )
     return mean**2 / (var - mean)
 
 
-def delta_squared(rho: JointDistribution) -> float:
+def _delta_squared(mean_a, mean_b, var_a, var_b, cov) -> float:
     """Mean square of the normalized count difference between the arms.
 
     delta = (n/<n> - n'/<n'>) / sqrt(1/<n> + 1/<n'>); classical beams give
     <delta^2> >= 1, the pair source gives 1 - 2/(1/eta + 1/eta').
     """
-    mean_a, mean_b, var_a, var_b, cov = _moments(rho)
     if mean_a <= 0.0 or mean_b <= 0.0:
         raise DegenerateInputError("a marginal mean vanishes")
     num = var_a / mean_a**2 + var_b / mean_b**2 - 2.0 * cov / (mean_a * mean_b)
     return num / (1.0 / mean_a + 1.0 / mean_b)
 
 
-def efficiency(rho: JointDistribution) -> float:
-    """Average overall efficiency 1 - <delta^2>.
-
-    Positive for nonclassically correlated arms; a nonpositive result (noisy
-    or classical data) is returned with a warning rather than raised.
-    """
-    value = 1.0 - delta_squared(rho)
-    if value <= 0.0:
-        warnings.warn(
-            f"efficiency estimate {value!r} is not positive; the data look"
-            " classical or too noisy",
-            stacklevel=2,
-        )
-    return value
-
-
 def _contamination(rho: JointDistribution, which: int) -> float:
-    """1 - rho[c, c] / P(n + m >= which), c = which / 2.
+    """1 - rho[c, c] / P(n + m >= which), c = which / 2: for which=2 the share
+    of multiphoton events that are not a lone pair, for which=4 the share of
+    four-photon-sector events that are not a double pair.
 
     The tail, all at n + m > n_max, lies wholly in the sector iff n_max >= which - 1.
     """
@@ -125,16 +105,6 @@ def _contamination(rho: JointDistribution, which: int) -> float:
         raise DegenerateInputError(f"{which}-photon sector is empty")
     c = which // 2
     return 1.0 - float(rho.probs[c, c]) / denom
-
-
-def contamination2(rho: JointDistribution) -> float:
-    """Fraction of multiphoton events that are not a lone photon pair."""
-    return _contamination(rho, 2)
-
-
-def contamination4(rho: JointDistribution) -> float:
-    """Fraction of four-photon-sector events that are not a double pair."""
-    return _contamination(rho, 4)
 
 
 def _rate_coefficients(v: float, M: float, which: int) -> list[tuple[int, float]]:
@@ -244,7 +214,10 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
 
 
 def characterize(rho: JointDistribution) -> SourceCharacterization:
-    """Evaluate every estimator, recording failures per field instead of raising."""
+    """Every source estimate of rho, recording failures per field instead of raising:
+    M_hat from arm a, delta_sq, the efficiency eta_hat = 1 - delta_sq (status
+    "warning:nonpositive" when it is <= 0, as for classical or noisy data),
+    and the contaminations eps2, eps4, which need n_max >= 1 and >= 3."""
     status: dict = {}
     values: dict = {}
 
@@ -257,22 +230,19 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
             status[name] = type(exc).__name__
 
     try:
-        mean_n, mean_np, var_n, var_np, _ = _moments(rho)
+        moments = _moments(rho)
     except DegenerateInputError:
-        mean_n = mean_np = var_n = var_np = 0.0
+        moments = (0.0,) * 5  # M_hat and delta_sq then record DegenerateInputError
+    mean_n, mean_np, var_n, var_np, _ = moments
 
-    attempt("M_hat", lambda: mode_number(rho, "a"))
-    attempt("delta_sq", lambda: delta_squared(rho))
-    if status["delta_sq"] == "ok":
-        values["eta_hat"] = 1.0 - values["delta_sq"]
-        status["eta_hat"] = (
-            "ok" if values["eta_hat"] > 0.0 else "warning:nonpositive"
-        )
-    else:
-        values["eta_hat"] = float("nan")
-        status["eta_hat"] = status["delta_sq"]
-    attempt("eps2", lambda: contamination2(rho))
-    attempt("eps4", lambda: contamination4(rho))
+    attempt("M_hat", lambda: _mode_number(mean_n, var_n))
+    attempt("delta_sq", lambda: _delta_squared(*moments))
+    values["eta_hat"] = 1.0 - values["delta_sq"]
+    status["eta_hat"] = status["delta_sq"]
+    if status["eta_hat"] == "ok" and not values["eta_hat"] > 0.0:
+        status["eta_hat"] = "warning:nonpositive"
+    attempt("eps2", lambda: _contamination(rho, 2))
+    attempt("eps4", lambda: _contamination(rho, 4))
     p11 = float(rho.probs[1, 1]) if rho.n_max >= 1 else float("nan")
     p22 = float(rho.probs[2, 2]) if rho.n_max >= 2 else float("nan")
     return SourceCharacterization(

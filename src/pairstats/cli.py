@@ -68,13 +68,16 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _print_convergence(result: reconstruction.ReconstructionResult) -> None:
-    print(f"converged={result.converged}")
+def _print_em(result: reconstruction.ReconstructionResult) -> str:
+    """Print and return the ``em_*`` record; warn on stderr if EM did not converge."""
+    text = format_mapping(reconstruction.em_record(result))
+    print(text, end="")
     if not result.converged:
         print(
             f"warning: not converged after {result.iterations} iterations",
             file=sys.stderr,
         )
+    return text
 
 
 def _cmd_reconstruct(args) -> int:
@@ -85,12 +88,9 @@ def _cmd_reconstruct(args) -> int:
         hist, resp_a, resp_b, args.n_max, tol=args.tol, max_iter=args.max_iter
     )
     Path(args.rho_out).write_text(model.format_distribution(result.rho), encoding="ascii")
+    text = _print_em(result)
     if args.report_out is not None:
-        text = format_mapping(reconstruction.em_record(result))
         Path(args.report_out).write_text(text, encoding="ascii")
-    print(f"iterations={result.iterations}")
-    _print_convergence(result)
-    print(f"log_likelihood={result.log_likelihood_trace[-1]:.17g}")
     return 0
 
 
@@ -122,7 +122,7 @@ def _cmd_pipeline(args) -> int:
     for stage, message in report.failures.items():
         print(f"failed: {stage}: {message}", file=sys.stderr)
     if report.reconstruction is not None:
-        _print_convergence(report.reconstruction)
+        _print_em(report.reconstruction)
     if report.characterization is not None:
         print(f"M_hat={report.characterization.M_hat:.17g}")
         print(f"eta_hat={report.characterization.eta_hat:.17g}")

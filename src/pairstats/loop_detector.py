@@ -170,11 +170,16 @@ def simulate_clicks_batch(
 
 @dataclass(frozen=True)
 class CalibrationResult:
-    """Estimated path weights with per-bin standard errors."""
+    """Path weights estimated from ``total`` calibration clicks."""
 
     weights: PathWeights
-    stderr: np.ndarray
     total: int
+
+    @property
+    def stderr(self) -> np.ndarray:
+        """Per-bin standard errors sqrt(w (1 - w) / total)."""
+        w = self.weights.w
+        return np.sqrt(w * (1.0 - w) / self.total)
 
     @property
     def max_rel_stderr(self) -> float:
@@ -198,10 +203,7 @@ def calibrate(bin_counts) -> CalibrationResult:
     total = sum(int(c) for c in counts)
     if total == 0:
         raise DegenerateInputError("all calibration bins are empty")
-    w = counts / total
-    stderr = np.sqrt(w * (1.0 - w) / total)
-    stderr.setflags(write=False)
-    return CalibrationResult(weights=PathWeights(w), stderr=stderr, total=total)
+    return CalibrationResult(weights=PathWeights(counts / total), total=total)
 
 
 def apply_response(

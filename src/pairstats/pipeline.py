@@ -203,36 +203,27 @@ def bootstrap_characterize(
 
     Pulses are independent draws over the click cells, so resampling them
     with replacement is a multinomial redraw of the histogram.  Returns a
-    mapping from estimate name to the array of replica values (NaN where a
-    replica's estimator was undefined).  The arguments are checked once, up
-    front, so a bad one raises ValidationError instead of NaN replicas.
+    mapping from estimate name to the array of replica values (NaN where
+    ``characterize`` records a replica's estimate as undefined).  The
+    arguments are checked once, up front, so a bad one raises ValidationError
+    before any replica; an error in a replica's fit propagates.
     """
     if _index(replicas, "replicas") < 0:
         raise ValidationError(f"replicas must be >= 0 (got {replicas!r})")
     if not 0 <= _index(seed, "seed") < 2**64:
         raise ValidationError("seed must be a 64-bit unsigned integer")
-    total = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
+    total, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     fields = ("mean_n", "mean_n_prime", "M_hat", "delta_sq", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}
     freqs = (hist.f / total).ravel()
     for replica in range(replicas):
         rng = _block_rng(seed, _STAGE_BOOTSTRAP, replica)
         f = rng.multinomial(total, freqs).reshape(hist.f.shape)
-        try:
-            result = em_reconstruct(
-                ClickHistogram(f=f, pulses=hist.pulses),
-                resp_a,
-                resp_b,
-                n_max,
-                tol=tol,
-                max_iter=max_iter,
-            )
-            char = characterize(result.rho)
-            for name in fields:
-                samples[name].append(getattr(char, name))
-        except PairStatsError:
-            for name in fields:
-                samples[name].append(float("nan"))
+        resampled = ClickHistogram(f=f, pulses=hist.pulses)
+        result = em_reconstruct(resampled, resp_a, resp_b, n_max, tol=tol, max_iter=max_iter)
+        char = characterize(result.rho)
+        for name in fields:
+            samples[name].append(getattr(char, name))
     return {name: np.asarray(vals) for name, vals in samples.items()}
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._fileio import format_matrix, parse_matrix
 from .errors import SupportError, ValidationError
-from .loop_detector import DetectorResponse, apply_response
+from .loop_detector import DetectorResponse
 from .model import JointDistribution, _freeze, _index
 
 _SQUAREM_TRIALS = 4  # extrapolation lengths tried per cycle
@@ -108,17 +108,48 @@ def log_likelihood(
 ) -> float:
     """Multinomial log-likelihood sum_{k,l} f[k,l] ln p[k,l] of rho.
 
-    Cells with zero counts contribute nothing.  Raises SupportError when a
-    nonzero count falls in a cell of zero model probability.
+    Cells with zero counts contribute nothing.  Raises ValidationError when a
+    response's B differs from the histogram's or it does not cover rho's
+    grid, and SupportError when a nonzero count falls in a cell of zero model
+    probability.
     """
-    clicks = apply_response(rho, resp_a, resp_b)
-    if clicks.p.shape != hist.f.shape:
-        raise ValidationError("histogram and response dimensions disagree")
-    mask = hist.f > 0
-    p = clicks.p[mask]
-    if np.any(p <= 0.0):
+    return _forward(_observed_cells(hist, resp_a, resp_b, rho.n_max), rho.probs)[0]
+
+
+def _observed_cells(
+    hist: ClickHistogram, resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int
+):
+    """evaluate(rho) -> (LL, EM multiplier) over the observed cells of hist, or
+    None when one has zero probability; the responses, checked to have hist's
+    B and to cover n_max, are cut at n_max."""
+    for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
+        if resp.B != hist.B:
+            raise ValidationError(f"{name} has B={resp.B} but histogram has B={hist.B}")
+        if resp.n_max < n_max:
+            raise ValidationError(f"{name} covers n <= {resp.n_max} < n_max={n_max}")
+    Pa = resp_a.P[:, : n_max + 1]
+    Pb = resp_b.P[:, : n_max + 1]
+    cells = np.flatnonzero(hist.f)  # observed cells, as flat indices
+    counts = hist.f.take(cells)
+    freqs = counts / counts.sum()
+    ratio = np.zeros(hist.f.shape)
+
+    def evaluate(r):
+        p = (Pa @ r @ Pb.T).take(cells)
+        if not (p > 0.0).all():
+            return None
+        np.put(ratio, cells, freqs / p)
+        return math.fsum((counts * np.log(p)).tolist()), Pa.T @ ratio @ Pb
+
+    return evaluate
+
+
+def _forward(evaluate, r):
+    """``evaluate(r)``, raising SupportError where it gives None."""
+    state = evaluate(r)
+    if state is None:
         raise SupportError("observed clicks in cells of zero model probability")
-    return math.fsum(hist.f[mask] * np.log(p))
+    return state
 
 
 def _check_em_args(
@@ -128,8 +159,9 @@ def _check_em_args(
     n_max: int,
     tol: float,
     max_iter: int,
-) -> int:
-    """Validate the arguments of :func:`em_reconstruct`; return the total count."""
+):
+    """Validate the arguments of :func:`em_reconstruct`; return the total count
+    and the histogram's observed-cell evaluator."""
     n_max = _index(n_max, "n_max")
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
@@ -143,12 +175,7 @@ def _check_em_args(
         raise ValidationError(
             f"n_max={n_max} is below the largest observed click number {observed}"
         )
-    for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
-        if resp.B != hist.B:
-            raise ValidationError(f"{name} has B={resp.B} but histogram has B={hist.B}")
-        if resp.n_max < n_max:
-            raise ValidationError(f"{name} covers n <= {resp.n_max} < n_max={n_max}")
-    return total
+    return total, _observed_cells(hist, resp_a, resp_b, n_max)
 
 
 def em_reconstruct(
@@ -194,14 +221,7 @@ def em_reconstruct(
         max_iter: >= 1; the budget of forward evaluations.
         init: optional starting distribution on the same grid.
     """
-    total = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
-    Pa = resp_a.P[:, : n_max + 1]
-    Pb = resp_b.P[:, : n_max + 1]
-    cells = np.flatnonzero(hist.f)  # observed cells, as flat indices
-    counts = hist.f.take(cells)
-    freqs = counts / total
-    ratio = np.zeros(hist.f.shape)
-
+    total, evaluate = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     if init is None:
         rho = np.full((n_max + 1, n_max + 1), 1.0 / (n_max + 1) ** 2)
     else:
@@ -209,20 +229,6 @@ def em_reconstruct(
             raise ValidationError("init grid size disagrees with n_max")
         rho = init.probs.copy()
         rho /= rho.sum()
-
-    def evaluate(r):
-        """(LL, multiplier) at r, or None if an observed cell has zero probability."""
-        p = (Pa @ r @ Pb.T).take(cells)
-        if not (p > 0.0).all():
-            return None
-        np.put(ratio, cells, freqs / p)
-        return math.fsum((counts * np.log(p)).tolist()), Pa.T @ ratio @ Pb
-
-    def forward(r):
-        state = evaluate(r)
-        if state is None:
-            raise SupportError("observed clicks in cells of zero model probability")
-        return state
 
     def step(r, g):
         new = r * g
@@ -232,7 +238,7 @@ def em_reconstruct(
             new /= drift
         return new
 
-    ll, g = forward(rho)
+    ll, g = _forward(evaluate, rho)
     trace = [ll]
     converged = False
     iterations = 0
@@ -240,7 +246,7 @@ def em_reconstruct(
     while iterations < max_iter:
         prev = ll
         rho = step(rho, g)
-        ll, g = forward(rho)
+        ll, g = _forward(evaluate, rho)
         iterations += 1
         trace.append(ll)
         if ll - prev < tol * max(1.0, abs(ll)):

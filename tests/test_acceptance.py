@@ -10,14 +10,7 @@ import time
 
 import numpy as np
 
-from pairstats.analysis import (
-    characterize,
-    contamination2,
-    contamination4,
-    contamination_map,
-    delta_squared,
-    mode_number,
-)
+from pairstats.analysis import characterize, contamination_map
 from pairstats.loop_detector import (
     PathWeights,
     apply_response,
@@ -41,6 +34,13 @@ from pairstats.pipeline import (
 from pairstats.reconstruction import ClickHistogram, em_reconstruct
 
 from oracles import joint_distribution_oracle
+
+
+def _estimate(rho, name):
+    """``characterize(rho).<name>``, which must have status ok."""
+    char = characterize(rho)
+    assert char.status[name] == "ok", char.status
+    return getattr(char, name)
 
 
 def _report(num: int, ok: bool, detail: str) -> None:
@@ -85,11 +85,11 @@ def test_criterion_3_delta_squared_identities():
                     src = EffectiveSource(N=N, eta=eta, eta_prime=etap, M=M)
                     rho = joint_distribution(src, suggest_n_max(src, 1e-15))
                     expect = 1.0 - 2.0 / (1.0 / eta + 1.0 / etap)
-                    worst = max(worst, abs(delta_squared(rho) - expect))
+                    worst = max(worst, abs(_estimate(rho, "delta_sq") - expect))
     # equal-loss special case 1 - eta
     src = EffectiveSource(N=0.5, eta=0.6, eta_prime=0.6, M=2.0)
     rho = joint_distribution(src, suggest_n_max(src, 1e-15))
-    worst_eq = abs(delta_squared(rho) - (1.0 - 0.6))
+    worst_eq = abs(_estimate(rho, "delta_sq") - (1.0 - 0.6))
 
     # Monte Carlo cross-check at 1e6 pulses, batched for the error bar
     src = EffectiveSource(N=1.0, eta=0.7, eta_prime=0.3, M=2.0)
@@ -126,7 +126,7 @@ def test_criterion_4_mode_number():
         for N in (0.01, 0.1, 1.0):
             src = EffectiveSource(N=N, eta=0.7, eta_prime=0.7, M=M)
             rho = joint_distribution(src, suggest_n_max(src, 1e-16))
-            values.append(mode_number(rho))
+            values.append(_estimate(rho, "M_hat"))
         worst = max(worst, max(abs(v - M) for v in values))
         spread = max(spread, max(values) - min(values))
     ok = worst <= 1e-9 and spread <= 2e-9
@@ -212,8 +212,8 @@ def test_criterion_7_contamination():
         eps4_expect = 1.0 - (N**2 / (N + 1.0) ** 3) / (N / (N + 1.0)) ** 2
         worst = max(
             worst,
-            abs(contamination2(rho) - eps2_expect),
-            abs(contamination4(rho) - eps4_expect),
+            abs(_estimate(rho, "eps2") - eps2_expect),
+            abs(_estimate(rho, "eps4") - eps4_expect),
         )
 
     etas = [0.3, 0.5, 0.8, 1.0]
@@ -275,7 +275,7 @@ def test_criterion_9_end_to_end_closure():
     # double-pair contamination at the fitted no-filter parameters
     src6 = EffectiveSource(N=0.15 / (16.0 * 0.049), eta=0.049, eta_prime=0.049, M=16.0)
     rho6 = joint_distribution(src6, suggest_n_max(src6, 1e-12))
-    eps4 = contamination4(rho6)
+    eps4 = _estimate(rho6, "eps4")
 
     elapsed = time.perf_counter() - start
     ok = (

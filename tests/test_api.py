@@ -1,10 +1,13 @@
 """The package namespace: every exported name is listed once, resolves and,
-if a function, is named in the README."""
+if a function, is named in the README, whose Python example runs."""
 
 import inspect
+import re
 from pathlib import Path
 
 import pairstats
+
+README = Path(__file__).parents[1] / "README.md"
 
 
 def test_all_has_no_duplicates():
@@ -17,6 +20,11 @@ def test_all_names_resolve():
 
 
 def test_public_functions_in_readme():
-    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     functions = [n for n in pairstats.__all__ if inspect.isfunction(getattr(pairstats, n))]
     assert [n for n in functions if f"`{n}`" not in readme] == []
+
+
+def test_readme_python_block_runs():
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    exec(compile(block, str(README), "exec"), {})

@@ -204,8 +204,10 @@ class TestSimulateReconstructChain:
             "em_converged", "em_iterations", "em_log_likelihood", "em_ll_gap_bound", "em_edge_mass"
         ]
 
+        # reconstruct prints the record that --report-out writes
+        assert capsys.readouterr().out.endswith(report_path.read_text())
+
         # analyze accepts the rho the reconstructor wrote
-        out = capsys.readouterr()
         assert main(["analyze", "--rho", str(rho_path)]) == 0
         printed = capsys.readouterr().out
         assert "M_hat=" in printed and "eta_hat=" in printed
@@ -260,7 +262,9 @@ class TestSimulateReconstructChain:
         captured = capsys.readouterr()
         assert code == 0
         assert "warning: not converged" in captured.err
-        assert "converged=False" in captured.out
+        lines = captured.out.splitlines()
+        assert "em_converged=False" in lines and "em_iterations=3" in lines
+        assert not any(ln.startswith("converged=") for ln in lines)
 
 
 class TestPipelineCommand:
@@ -283,7 +287,9 @@ class TestPipelineCommand:
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         captured = capsys.readouterr()
-        assert "converged=False" in captured.out
+        lines = captured.out.splitlines()
+        assert "em_converged=False" in lines and "em_iterations=3" in lines
+        assert not any(ln.startswith("converged=") for ln in lines)
         assert "warning: not converged after 3 iterations" in captured.err
         summary = (out / "summary.txt").read_text()
         assert "em_converged=False\n" in summary

@@ -617,6 +617,27 @@ class TestRunFull:
             "bootstrap_characterize": 1,
         }
 
+    def test_failed_replica_fails_the_bootstrap(self, monkeypatch, tmp_path):
+        fits = []
+
+        def third_fit_fails(*args, **kwargs):
+            fits.append(None)
+            if len(fits) == 3:  # the main fit, then replicas 1 and 2
+                raise SupportError("boom")
+            return em_reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "em_reconstruct", third_fit_fails)
+        cfg = small_cfg(pulses=100_000, calibration_pulses=100_000, bootstrap_replicas=3)
+        report = run_full(cfg)
+        assert len(fits) == 3
+        assert report.failures == {"bootstrap": "SupportError: boom"}
+        assert report.bootstrap is None
+        report.write(tmp_path / "run")
+        summary = parse_mapping((tmp_path / "run" / "summary.txt").read_text(), "summary")
+        assert summary["failed_bootstrap"] == "SupportError: boom"
+        assert not any(key.startswith("bootstrap_std_") for key in summary)
+        assert (tmp_path / "run" / "rho.txt").exists()
+
     def test_bootstrap_spread_covers_truth(self):
         cfg = small_cfg(pulses=400_000, bootstrap_replicas=8, em_tol=1e-12)
         report = run_full(cfg)
@@ -649,23 +670,15 @@ class TestBootstrapStandalone:
         assert set(boot) >= {"M_hat", "eta_hat", "eps2", "eps4"}
         assert all(len(v) == 5 for v in boot.values())
 
-    def test_failed_replica_is_nan(self, monkeypatch):
-        cfg = small_cfg(pulses=100_000)
-        hist = simulate_experiment(cfg)
-        resp = response_matrix(uniform_weights(8), cfg.n_max)
-        fits = []
-
-        def second_fit_fails(*args, **kwargs):
-            fits.append(None)
-            if len(fits) == 2:
-                raise SupportError("boom")
-            return em_reconstruct(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "em_reconstruct", second_fit_fails)
-        boot = bootstrap_characterize(hist, resp, resp, cfg.n_max, replicas=3, seed=1)
-        assert len(fits) == 3
-        for vals in boot.values():
-            assert np.isnan(vals[1]) and np.isfinite(vals[[0, 2]]).all()
+    def test_unreachable_cell_raises(self):
+        # three clicks need the dead third path, so a replica that sees them
+        # cannot be fitted; its error propagates instead of becoming NaN
+        resp = response_matrix(PathWeights([0.5, 0.5, 0.0]), 4)
+        f = np.zeros((4, 4), dtype=np.int64)
+        f[0, 0], f[3, 0] = 95, 5
+        hist = ClickHistogram(f=f, pulses=100)
+        with pytest.raises(SupportError):
+            bootstrap_characterize(hist, resp, resp, 4, replicas=3)
 
     @pytest.mark.parametrize(
         "bad",

@@ -13,7 +13,8 @@ from pairstats.loop_detector import (
     response_matrix,
     uniform_weights,
 )
-from pairstats.model import EffectiveSource, JointDistribution, joint_distribution
+from pairstats.model import EffectiveSource, JointDistribution, joint_distribution, suggest_n_max
+from pairstats.pipeline import ExperimentConfig, run_full
 from pairstats.reconstruction import (
     ClickHistogram,
     ReconstructionResult,
@@ -147,6 +148,33 @@ class TestLogLikelihood:
         assert log_likelihood(hist, rho, RESP8, RESP8) > log_likelihood(
             hist, rho_pert, RESP8, RESP8
         )
+
+    def test_equals_final_em_trace_entry(self):
+        # both evaluate the observed cells through one code path, so they agree
+        # bit for bit on a README run and on an exact-law bright source
+        readme = run_full(
+            ExperimentConfig(
+                source=EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0),
+                pulses=1_000_000,
+                seed=42,
+            )
+        )
+        cases = [(readme.histogram, readme.response_a, readme.response_b, 8)]
+        rng = np.random.default_rng(9)
+        src = EffectiveSource(N=1.5, eta=0.4, eta_prime=0.4, M=3.0)
+        n_max = suggest_n_max(src, 1e-12)
+        ra, rb = (
+            response_matrix(PathWeights(w / w.sum()), n_max)
+            for w in 1.0 + 0.1 * (rng.random((2, 8)) - 0.5)
+        )
+        clicks = apply_response(joint_distribution(src, n_max), ra, rb)
+        counts = rng.multinomial(100_000_000, np.append(clicks.p.ravel(), clicks.deficit))
+        bright = ClickHistogram(f=counts[:-1].reshape(9, 9), pulses=100_000_000)
+        cases += [(bright, ra, rb, 8), (bright, ra, rb, 12)]
+        for hist, resp_a, resp_b, fit_n_max in cases:
+            fit = em_reconstruct(hist, resp_a, resp_b, fit_n_max)
+            got = log_likelihood(hist, fit.rho, resp_a, resp_b)
+            assert got == fit.log_likelihood_trace[-1]
 
     def test_support_error(self):
         f = np.zeros((9, 9), dtype=np.int64)
