@@ -1,6 +1,6 @@
 """The text artifact formats, and the one place where their text becomes typed values.
 
-A matrix file (distribution, histogram, response) is a ``# key=value ...``
+A matrix file (distribution, histogram, response, map) is a ``# key=value ...``
 header line over comma-separated rows; a mapping file (config, summary,
 timings) holds one ``key=value`` a line, skipping blank and ``#``
 lines.  ``fmt`` writes numbers so that they round-trip exactly.  Readers

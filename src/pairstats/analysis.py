@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._fileio import fmt
+from ._fileio import format_matrix
 from .errors import (
     DegenerateInputError,
     PairStatsError,
@@ -266,14 +266,8 @@ def characterization_record(char: SourceCharacterization) -> dict:
     return pairs
 
 
-def format_map(
-    eps: np.ndarray, eta_grid, rate_grid, M: float, which: int
-) -> str:
-    lines = [
-        f"# which={which} M={fmt(M)} sentinel=nan",
-        "# eta=" + ",".join(fmt(v) for v in np.atleast_1d(eta_grid)),
-        "# rate=" + ",".join(fmt(v) for v in np.atleast_1d(rate_grid)),
-    ]
-    for row in np.atleast_2d(eps):
-        lines.append(",".join(fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+def format_map(eps: np.ndarray, eta_grid, rate_grid, M: float, which: int) -> str:
+    """The contamination matrix under a ``# which=... M=... eta=... rate=...``
+    header; a NaN cell is an unreachable rate."""
+    grids = {"eta": np.atleast_1d(eta_grid), "rate": np.atleast_1d(rate_grid)}
+    return format_matrix({"which": which, "M": M, **grids}, eps)

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import (
-    float_list,
-    format_mapping,
-    format_matrix,
-    parse_mapping,
-    parse_matrix,
-    typed_fields,
-)
+from ._fileio import format_matrix, parse_matrix
 from .errors import DegenerateInputError, ValidationError
 from .model import _TOL, JointDistribution, _check_mass, _freeze, _index
 
@@ -57,20 +50,20 @@ def uniform_weights(B: int = 8) -> PathWeights:
 
 @dataclass(frozen=True)
 class DetectorResponse:
-    """Conditional click matrix P[k, n] for one detector arm.
+    """Conditional click matrix P[k, n] for one detector arm of B = rows - 1 paths.
 
     Columns are probability distributions over the click number k for a fixed
-    photon number n; k never exceeds min(n, B).
+    photon number n; k never exceeds min(n, B).  P is the response's whole
+    record: the path weights behind it belong to the calibration.
     """
 
     P: np.ndarray
-    weights: PathWeights
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=float)
-        B = self.weights.B
-        if P.ndim != 2 or P.shape[0] != B + 1 or P.shape[1] < 1:
-            raise ValidationError("P must have B+1 rows and at least one column")
+        if P.ndim != 2 or P.shape[0] < 2 or P.shape[1] < 1:
+            raise ValidationError("P must have at least 2 rows and at least one column")
+        B = P.shape[0] - 1
         if not np.all(np.isfinite(P)) or np.any(P < 0.0):
             raise ValidationError("click probabilities must be finite and >= 0")
         colsums = P.sum(axis=0)
@@ -88,7 +81,7 @@ class DetectorResponse:
 
     @property
     def B(self) -> int:
-        return self.weights.B
+        return self.P.shape[0] - 1
 
     @property
     def n_max(self) -> int:
@@ -149,7 +142,7 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
             new[1 : used + 2, n0:n1] = old[:, :n1] @ rows.T
             new[: used + 1, n0:n1] += stay * old[:, n0:n1]
         P = new
-    return DetectorResponse(P=P, weights=weights)
+    return DetectorResponse(P=P)
 
 
 def simulate_clicks_batch(
@@ -194,6 +187,8 @@ def calibrate(bin_counts) -> CalibrationResult:
     Assumes at most one photon per pulse (the caller's responsibility), under
     which the counts are multinomial and w_hat_i = counts_i / total is the
     maximum-likelihood estimate with standard error sqrt(w (1 - w) / total).
+    A path that never clicked would be a dead path in the response, so it
+    raises DegenerateInputError naming the empty paths.
     """
     counts = np.atleast_1d(np.asarray(bin_counts))
     if counts.ndim != 1 or counts.size < 1:
@@ -203,6 +198,8 @@ def calibrate(bin_counts) -> CalibrationResult:
     total = sum(int(c) for c in counts)
     if total == 0:
         raise DegenerateInputError("all calibration bins are empty")
+    if (empty := np.flatnonzero(counts == 0)).size:
+        raise DegenerateInputError(f"calibration paths {empty.tolist()} never clicked")
     return CalibrationResult(weights=PathWeights(counts / total), total=total)
 
 
@@ -227,19 +224,12 @@ def apply_response(
 # -- text formats -------------------------------------------------------------
 
 def format_response(resp: DetectorResponse) -> str:
-    text = format_matrix({"B": resp.B, "n_max": resp.n_max}, resp.P)
-    return text + format_mapping({"weights": resp.weights.w})
+    """The click matrix under a ``# B=... n_max=...`` header."""
+    return format_matrix({"B": resp.B, "n_max": resp.n_max}, resp.P)
 
 
 def parse_response(text: str) -> DetectorResponse:
-    lines = text.splitlines()
-    tail = parse_mapping("\n".join(ln for ln in lines if ln.startswith("weights=")), "response")
-    weights = PathWeights(typed_fields("response", tail, {"weights": float_list})["weights"])
-    body = "\n".join(ln for ln in lines if not ln.startswith("weights="))
-    header, matrix = parse_matrix(body, "response", {"B": int, "n_max": int})
+    header, matrix = parse_matrix(text, "response", {"B": int, "n_max": int})
     if matrix.shape != (header["B"] + 1, header["n_max"] + 1):
         raise ValidationError("response matrix shape disagrees with its header")
-    if weights.B != header["B"]:
-        raise ValidationError("weights length disagrees with header B")
-    return DetectorResponse(P=matrix, weights=weights)
-
+    return DetectorResponse(P=matrix)

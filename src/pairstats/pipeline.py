@@ -252,7 +252,7 @@ class RunReport:
     def write(self, out_dir) -> None:
         """Write the artifacts that a subcommand reads back (config, histogram,
         responses, rho), ``summary.txt`` with every other outcome, and
-        ``timings.txt``."""
+        ``timings.txt``; a read-back file that this run does not write is deleted."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         texts = {"config.txt": format_config(self.config)}
@@ -266,8 +266,8 @@ class RunReport:
         cals = {arm: cal for arm, cal in arms if cal is not None}
         if cals:
             summary["calibration_max_rel_stderr"] = max(c.max_rel_stderr for c in cals.values())
-        for arm, cal in cals.items():
-            summary[f"calibration_total_{arm}"] = cal.total
+        summary.update((f"calibration_total_{arm}", cal.total) for arm, cal in cals.items())
+        summary.update((f"calibration_weights_{arm}", cal.weights.w) for arm, cal in cals.items())
         if self.reconstruction is not None:
             texts["rho.txt"] = format_distribution(self.reconstruction.rho)
             summary.update(em_record(self.reconstruction))
@@ -281,6 +281,9 @@ class RunReport:
             summary[f"failed_{stage}"] = message
         texts["summary.txt"] = format_mapping(summary)
         texts["timings.txt"] = format_mapping(self.timings)
+        for name in ("histogram.txt", "response_a.txt", "response_b.txt", "rho.txt"):
+            if name not in texts:  # an earlier run's file would pass for this run's
+                (out / name).unlink(missing_ok=True)
         for name, text in texts.items():
             (out / name).write_text(text, encoding="ascii")
 

@@ -13,6 +13,7 @@ from pairstats.analysis import (
     contamination_map,
     format_map,
 )
+from pairstats._fileio import float_list, parse_matrix
 from pairstats.errors import ValidationError
 from pairstats.model import (
     EffectiveSource,
@@ -449,9 +450,17 @@ class TestMapFormat:
         eps = np.array([[0.1, 0.2], [0.3, np.nan]])
         text = format_map(eps, [0.5, 1.0], [1e-4, 1e-3], 1.0, 2)
         lines = text.splitlines()
-        assert lines[0].startswith("# which=2")
-        assert "sentinel=nan" in lines[0]
-        assert lines[1].startswith("# eta=")
-        assert lines[2].startswith("# rate=")
-        assert len(lines) == 5
-        assert "nan" in lines[4]
+        assert lines[0] == "# which=2 M=1 eta=0.5,1 rate=0.0001,0.001"
+        assert len(lines) == 3
+        assert lines[2] == "0.29999999999999999,nan"
+
+    def test_parse_matrix_reads_it_back(self):
+        # one header line with the grids; a NaN cell is an unreachable rate
+        eta, rate = np.linspace(0.05, 1.0, 4), np.geomspace(1e-5, 0.9, 4)
+        eps = contamination_map(eta, rate, M=1.5, which=2)
+        assert np.isnan(eps).any() and np.isfinite(eps).any()
+        types = {"which": int, "M": float, "eta": float_list, "rate": float_list}
+        header, again = parse_matrix(format_map(eps, eta, rate, 1.5, 2), "map", types)
+        assert (header["which"], header["M"]) == (2, 1.5)
+        assert np.array_equal(header["eta"], eta) and np.array_equal(header["rate"], rate)
+        assert np.array_equal(again, eps, equal_nan=True)

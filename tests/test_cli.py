@@ -9,7 +9,7 @@ import pytest
 
 import pairstats
 from pairstats import cli, errors
-from pairstats._fileio import float_list, parse_mapping
+from pairstats._fileio import float_list, parse_mapping, parse_matrix
 from pairstats.cli import main
 from pairstats.loop_detector import (
     format_response,
@@ -25,6 +25,12 @@ from pairstats.model import (
 )
 from pairstats.pipeline import ExperimentConfig, format_config
 from pairstats.reconstruction import ClickHistogram, format_histogram, parse_histogram
+
+
+def read_map(path):
+    """Header and contamination matrix of a ``map --out`` file."""
+    types = {"which": int, "M": float, "eta": float_list, "rate": float_list}
+    return parse_matrix(path.read_text(), "map", types)
 
 
 def write_cfg(path, **overrides):
@@ -103,8 +109,10 @@ class TestMapCommand:
                 "--out", str(out),
             ]
         ) == 0
-        lines = out.read_text().splitlines()
-        value = float(lines[3])
+        header, eps = read_map(out)
+        assert header["eta"].tolist() == [1.0] and header["rate"].tolist() == [0.01]
+        assert eps.shape == (1, 1)
+        value = eps[0, 0]
         roots = np.roots([0.01, 2 * 0.01 - 1.0, 0.01])
         N = min(r.real for r in roots if r.real > 0)
         assert value == pytest.approx(N / (N + 1.0), rel=1e-6)
@@ -118,11 +126,8 @@ class TestMapCommand:
                 "--out", str(out),
             ]
         ) == 0
-        rows = [
-            [float(v) for v in ln.split(",")]
-            for ln in out.read_text().splitlines()[3:]
-        ]
-        eps = np.array(rows)
+        _, eps = read_map(out)
+        assert eps.shape == (3, 3)
         assert np.all(np.diff(eps, axis=0) <= 1e-12)
         assert np.all(np.diff(eps, axis=1) >= -1e-12)
 
@@ -135,8 +140,9 @@ class TestMapCommand:
                 "--out", str(out),
             ]
         ) == 0
-        row = np.array([float(v) for v in out.read_text().splitlines()[3].split(",")])
-        assert row.size == 7
+        _, eps = read_map(out)
+        assert eps.shape == (1, 7)
+        row = eps[0]
         assert np.all(np.isfinite(row)) and np.all(row > 0.0)
 
     def test_empty_grid_usage_error(self, tmp_path):
@@ -270,7 +276,7 @@ class TestSimulateReconstructChain:
 class TestPipelineCommand:
     def test_full_run_and_determinism(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
-        write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000)
+        write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000)
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out1)]) == 0
         assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out2)]) == 0
@@ -283,7 +289,7 @@ class TestPipelineCommand:
 
     def test_unconverged_run_is_reported(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
-        write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000, em_max_iter=3)
+        write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000, em_max_iter=3)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         captured = capsys.readouterr()
@@ -298,7 +304,7 @@ class TestPipelineCommand:
 
     def test_prints_stage_timings(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
-        write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000)
+        write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -333,7 +339,7 @@ class TestPipelineCommand:
 
     def test_rho_file_feeds_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
-        write_cfg(cfg_path, pulses=50_000, calibration_pulses=50_000)
+        write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000)
         out = tmp_path / "run"
         main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)])
         capsys.readouterr()

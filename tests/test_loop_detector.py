@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+from pairstats._fileio import float_list, fmt
 from pairstats.errors import DegenerateInputError, ValidationError
 from pairstats.loop_detector import (
     CalibrationResult,
@@ -225,17 +227,26 @@ class TestCalibrate:
         assert cal.total == 800
 
     def test_proportionality(self):
-        cal = calibrate([200, 100, 100, 100, 100, 100, 100, 0])
+        cal = calibrate([200, 100, 100, 100, 100, 100, 50, 50])
         assert cal.weights.w[0] == pytest.approx(0.25)
-        assert np.allclose(cal.weights.w[1:7], 0.125)
-        assert cal.weights.w[7] == 0.0
-        assert cal.stderr[7] == 0.0
+        assert np.allclose(cal.weights.w[1:6], 0.125)
+        assert np.allclose(cal.weights.w[6:], 0.0625)
+        # a path that never clicked would be a dead path in the response
+        with pytest.raises(DegenerateInputError, match=r"paths \[7\] never clicked"):
+            calibrate([200, 100, 100, 100, 100, 100, 100, 0])
 
     def test_max_rel_stderr(self):
         # stderr_i / w_i = sqrt((1 - w_i) / count_i): worst at the smallest count
         assert calibrate([300, 100]).max_rel_stderr == pytest.approx(np.sqrt(0.75 / 100))
-        assert calibrate([100, 0, 100]).max_rel_stderr == np.inf
         assert calibrate([7]).max_rel_stderr == 0.0
+        # calibrate rejects a zero count; a result built by hand still reports it
+        with pytest.raises(DegenerateInputError, match=r"paths \[1\] never clicked"):
+            calibrate([100, 0, 100])
+        with pytest.raises(DegenerateInputError, match=r"paths \[0, 2\] never clicked"):
+            calibrate([0, 5, 0])
+        dead = CalibrationResult(weights=PathWeights([0.5, 0.0, 0.5]), total=200)
+        assert dead.max_rel_stderr == np.inf
+        assert dead.stderr[1] == 0.0
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
@@ -304,40 +315,55 @@ class TestApplyResponse:
 
 class TestResponseValidation:
     def test_p11_enforced(self):
-        weights = uniform_weights(2)
         bad = np.array([[1.0, 0.2, 0.0], [0.0, 0.8, 0.5], [0.0, 0.0, 0.5]])
-        with pytest.raises(ValidationError):
-            DetectorResponse(P=bad, weights=weights)
+        with pytest.raises(ValidationError, match=r"P\[1, 1\]"):
+            DetectorResponse(P=bad)
 
     def test_column_sum_enforced(self):
-        weights = uniform_weights(1)
         bad = np.array([[1.0, 0.0], [0.0, 0.9]])
-        with pytest.raises(ValidationError):
-            DetectorResponse(P=bad, weights=weights)
+        with pytest.raises(ValidationError, match="sum to 1"):
+            DetectorResponse(P=bad)
 
     def test_non_finite_rejected(self):
         bad = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, 0.0, 0.5]])
-        with pytest.raises(ValidationError):
-            DetectorResponse(P=bad, weights=uniform_weights(2))
+        with pytest.raises(ValidationError, match="finite"):
+            DetectorResponse(P=bad)
+
+    def test_p_is_the_only_field(self):
+        # B comes from the rows of P, which need at least the 0- and 1-click rows
+        assert [f.name for f in dataclasses.fields(DetectorResponse)] == ["P"]
+        assert DetectorResponse(P=np.eye(3)).B == 2
+        with pytest.raises(ValidationError, match="2 rows"):
+            DetectorResponse(P=np.ones((1, 1)))
 
 
 class TestSerialization:
     def test_response_round_trip(self):
         rng = np.random.default_rng(17)
-        raw = rng.random(8)
-        resp = response_matrix(PathWeights(raw / raw.sum()), 12)
-        again = parse_response(format_response(resp))
-        assert np.array_equal(again.P, resp.P)
-        assert np.array_equal(again.weights.w, resp.weights.w)
+        for B, n_max in itertools.product([1, 2, 8], [0, 12, 40]):
+            raw = rng.random(B)
+            resp = response_matrix(PathWeights(raw / raw.sum()), n_max)
+            text = format_response(resp)
+            assert text.startswith(f"# B={B} n_max={n_max}\n")
+            assert len(text.splitlines()) == B + 2 and "weights=" not in text
+            again = parse_response(text)
+            assert np.array_equal(again.P, resp.P)
+            assert (again.B, again.n_max) == (B, n_max)
+
+    def test_weights_line_rejected(self):
+        # the response file is the click matrix alone; an older file that still
+        # carries its path weights is not read
+        resp = response_matrix(uniform_weights(2), 3)
+        with pytest.raises(ValidationError, match="response"):
+            parse_response(format_response(resp) + "weights=0.5,0.5\n")
 
     def test_calibration_report_fields(self):
-        # a run writes each weight into response_<arm>.txt and the total into
-        # summary.txt; the standard errors follow from the two exactly
+        # a run writes the weights and the total into summary.txt with fmt; the
+        # standard errors follow exactly from the two read back
         cal = calibrate([120, 80, 95, 110, 140, 77, 101, 99])
-        again = parse_response(format_response(response_matrix(cal.weights, 4)))
-        assert np.array_equal(again.weights.w, cal.weights.w)
-        w = again.weights.w
-        assert np.array_equal(cal.stderr, np.sqrt(w * (1.0 - w) / cal.total))
+        w, total = float_list(fmt(cal.weights.w)), int(fmt(cal.total))
+        assert np.array_equal(w, cal.weights.w)
+        assert np.array_equal(cal.stderr, np.sqrt(w * (1.0 - w) / total))
 
     def test_click_distribution_validation(self):
         with pytest.raises(ValidationError):

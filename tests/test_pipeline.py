@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.stats import nbinom
 
 from pairstats import pipeline
-from pairstats._fileio import fmt, parse_mapping
+from pairstats._fileio import float_list, fmt, parse_mapping
 from pairstats.analysis import characterization_record, characterize
 from pairstats.errors import DegenerateInputError, SupportError, ValidationError
 from pairstats.loop_detector import (
@@ -466,6 +466,8 @@ class TestRunFull:
             ),
             "calibration_total_a": report.calibration_a.total,
             "calibration_total_b": report.calibration_b.total,
+            "calibration_weights_a": report.calibration_a.weights.w,
+            "calibration_weights_b": report.calibration_b.weights.w,
             **em_record(report.reconstruction),
             **characterization_record(report.characterization),
         }
@@ -474,6 +476,14 @@ class TestRunFull:
         trace = report.reconstruction.log_likelihood_trace
         assert float(summary["em_log_likelihood"]) == trace[-1]
         assert summary["status_eta_hat"] == "ok"
+        # the whole calibration record: each path's stderr follows exactly
+        # from its weight and the arm's total
+        for arm in "ab":
+            cal = getattr(report, f"calibration_{arm}")
+            w = float_list(summary[f"calibration_weights_{arm}"])
+            assert np.array_equal(w, cal.weights.w)
+            total = int(summary[f"calibration_total_{arm}"])
+            assert np.array_equal(np.sqrt(w * (1.0 - w) / total), cal.stderr)
 
     def test_stage_timings(self, tmp_path):
         report = run_full(small_cfg(pulses=100_000, calibration_pulses=100_000))
@@ -538,9 +548,9 @@ class TestRunFull:
         summary = (tmp_path / "partial" / "summary.txt").read_text()
         assert "failed_calibration=" in summary
 
-    def test_dead_path_fails_reconstruction(self, tmp_path):
-        # the few calibration photons all land in path 0, so the fitted second
-        # path never clicks while the bright run sees two clicks per arm
+    def test_dead_path_fails_calibration(self, tmp_path):
+        # the few calibration photons all land in path 0, so the second path
+        # never clicks; calibrate names it before any response is built
         two = PathWeights([0.5, 0.5])
         cfg = ExperimentConfig(
             source=EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0),
@@ -552,17 +562,36 @@ class TestRunFull:
             weights_b=two,
             n_max=6,
         )
+        bins_a, bins_b = simulate_calibration(cfg)
+        assert bins_a[1] == bins_b[1] == 0 < min(bins_a[0], bins_b[0])
         report = run_full(cfg)
-        for cal in (report.calibration_a, report.calibration_b):
-            assert cal.weights.w.tolist() == [1.0, 0.0]
         assert report.failures == {
-            "reconstruction": "SupportError: observed clicks in cells of zero model probability"
+            "calibration": "DegenerateInputError: calibration paths [1] never clicked"
         }
+        assert report.response_a is None and report.reconstruction is None
         report.write(tmp_path / "run")
         summary = parse_mapping((tmp_path / "run" / "summary.txt").read_text(), "summary")
-        assert summary["calibration_max_rel_stderr"] == "inf"
-        assert summary["failed_reconstruction"] == report.failures["reconstruction"]
-        assert not (tmp_path / "run" / "rho.txt").exists()
+        assert "calibration_max_rel_stderr" not in summary
+        assert summary["failed_calibration"] == report.failures["calibration"]
+        names = {p.name for p in (tmp_path / "run").iterdir()}
+        assert names == {"config.txt", "histogram.txt", "summary.txt", "timings.txt"}
+
+    def test_reused_directory_holds_no_stale_artifact(self, tmp_path):
+        # a failed run into a good run's directory must not leave the good
+        # run's responses and rho behind for reconstruct and analyze to read
+        run = tmp_path / "run"
+        run_full(small_cfg(pulses=50_000, calibration_pulses=100_000)).write(run)
+        assert {"response_a.txt", "response_b.txt", "rho.txt"} <= {p.name for p in run.iterdir()}
+        failed = run_full(small_cfg(pulses=50_000, calibration_pulses=1, calibration_N=1e-300))
+        failed.write(run)
+        summary = parse_mapping((run / "summary.txt").read_text(), "summary")
+        assert summary["failed_calibration"].startswith("DegenerateInputError: ")
+        names = {"config.txt", "histogram.txt", "summary.txt", "timings.txt"}
+        assert {p.name for p in run.iterdir()} == names
+        again = parse_histogram((run / "histogram.txt").read_text())
+        assert np.array_equal(again.f, failed.histogram.f)
+        dataclasses.replace(failed, histogram=None).write(run)
+        assert {p.name for p in run.iterdir()} == names - {"histogram.txt"}
 
     def test_no_rate_for_failed_stage(self, tmp_path):
         with pytest.warns(UserWarning, match="calibration"):
