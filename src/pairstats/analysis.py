@@ -38,7 +38,6 @@ class SourceCharacterization:
     var_n: float
     var_n_prime: float
     M_hat: float
-    delta_sq: float
     eta_hat: float
     eps2: float
     eps4: float
@@ -82,12 +81,13 @@ def _delta_squared(mean_a, mean_b, var_a, var_b, cov) -> float:
     """Mean square of the normalized count difference between the arms.
 
     delta = (n/<n> - n'/<n'>) / sqrt(1/<n> + 1/<n'>); classical beams give
-    <delta^2> >= 1, the pair source gives 1 - 2/(1/eta + 1/eta').
+    <delta^2> >= 1, the pair source gives 1 - 2/(1/eta + 1/eta').  Written
+    with mean ratios and no squared means, so that tiny means cannot underflow.
     """
     if mean_a <= 0.0 or mean_b <= 0.0:
         raise DegenerateInputError("a marginal mean vanishes")
-    num = var_a / mean_a**2 + var_b / mean_b**2 - 2.0 * cov / (mean_a * mean_b)
-    return num / (1.0 / mean_a + 1.0 / mean_b)
+    num = var_a * (mean_b / mean_a) + var_b * (mean_a / mean_b) - 2.0 * cov
+    return num / (mean_a + mean_b)
 
 
 def _contamination(rho: JointDistribution, which: int) -> float:
@@ -215,7 +215,7 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
 
 def characterize(rho: JointDistribution) -> SourceCharacterization:
     """Every source estimate of rho, recording failures per field instead of raising:
-    M_hat from arm a, delta_sq, the efficiency eta_hat = 1 - delta_sq (status
+    M_hat from arm a, the efficiency eta_hat = 1 - <delta^2> (status
     "warning:nonpositive" when it is <= 0, as for classical or noisy data),
     and the contaminations eps2, eps4, which need n_max >= 1 and >= 3."""
     status: dict = {}
@@ -232,13 +232,11 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
     try:
         moments = _moments(rho)
     except DegenerateInputError:
-        moments = (0.0,) * 5  # M_hat and delta_sq then record DegenerateInputError
+        moments = (0.0,) * 5  # M_hat and eta_hat then record DegenerateInputError
     mean_n, mean_np, var_n, var_np, _ = moments
 
     attempt("M_hat", lambda: _mode_number(mean_n, var_n))
-    attempt("delta_sq", lambda: _delta_squared(*moments))
-    values["eta_hat"] = 1.0 - values["delta_sq"]
-    status["eta_hat"] = status["delta_sq"]
+    attempt("eta_hat", lambda: 1.0 - _delta_squared(*moments))
     if status["eta_hat"] == "ok" and not values["eta_hat"] > 0.0:
         status["eta_hat"] = "warning:nonpositive"
     attempt("eps2", lambda: _contamination(rho, 2))

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._fileio import format_matrix, parse_matrix
 from .errors import DegenerateInputError, ValidationError
-from .model import _TOL, JointDistribution, _check_mass, _freeze, _index
+from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _freeze, _index
 
 _BLOCK = 64  # binomial rows applied per matrix product in response_matrix
 
@@ -117,10 +117,11 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     Each update is a convex combination, so nothing cancels.  The binomial
     rows come from Pascal's rule, which keeps the column sums within rounding
     of 1 at large n_max, and are applied ``_BLOCK`` rows per matrix product.
+    n_max is at most ``_N_CAP`` = 4096, as for ``joint_distribution``.
     """
     n_max = _index(n_max, "n_max")
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
+    if not 0 <= n_max <= _N_CAP:
+        raise ValidationError(f"n_max must lie in [0, {_N_CAP}] (got {n_max})")
     w = weights.w
     P = np.zeros((w.size + 1, n_max + 1))
     P[0, 0] = 1.0

@@ -31,7 +31,7 @@ from .errors import (
 )
 
 _TOL = 1e-12
-_N_CAP = 4096  # largest cutoff suggest_n_max searches
+_N_CAP = 4096  # largest cutoff of a grid or a response, and of suggest_n_max's search
 
 
 def _freeze(obj, name, value):
@@ -114,11 +114,14 @@ class ReducedMoments:
     def __post_init__(self):
         n_bar = float(self.n_bar)
         n_bar_prime = float(self.n_bar_prime)
-        if not (n_bar >= 0.0 and n_bar_prime >= 0.0):
-            raise ValidationError("mean photon numbers must be >= 0")
+        S = complex(self.S)
+        if not (0.0 <= n_bar < math.inf and 0.0 <= n_bar_prime < math.inf):
+            raise ValidationError("mean photon numbers must be finite and >= 0")
+        if not np.isfinite(S):
+            raise ValidationError(f"pair moment S must be finite (got {S!r})")
         object.__setattr__(self, "n_bar", n_bar)
         object.__setattr__(self, "n_bar_prime", n_bar_prime)
-        object.__setattr__(self, "S", complex(self.S))
+        object.__setattr__(self, "S", S)
 
 
 @dataclass(frozen=True)
@@ -179,13 +182,18 @@ def reduce_multimode(src: MultimodeSource) -> ReducedMoments:
 
     Only diagonal mode pairs contribute: the arm means are filter-weighted
     thermal occupations (cosh 2r - 1)/2 and the pair moment keeps the filter
-    phases through S = sum_k t_k t'_k sinh(2 r_k)/2.
+    phases through S = sum_k t_k t'_k sinh(2 r_k)/2.  Raises ValidationError
+    when an r_k is so large that these overflow.
     """
-    occupation = (np.cosh(2.0 * src.r) - 1.0) / 2.0
-    pair_moment = np.sinh(2.0 * src.r) / 2.0
-    n_bar = float(np.sum(np.abs(src.t) ** 2 * occupation))
-    n_bar_prime = float(np.sum(np.abs(src.t_prime) ** 2 * occupation))
-    S = complex(np.sum(src.t * src.t_prime * pair_moment))
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            occupation = (np.cosh(2.0 * src.r) - 1.0) / 2.0
+            pair_moment = np.sinh(2.0 * src.r) / 2.0
+            n_bar = float(np.sum(np.abs(src.t) ** 2 * occupation))
+            n_bar_prime = float(np.sum(np.abs(src.t_prime) ** 2 * occupation))
+            S = complex(np.sum(src.t * src.t_prime * pair_moment))
+        except FloatingPointError:
+            raise ValidationError(f"r up to {float(src.r.max())!r} overflows the moments") from None
     return ReducedMoments(n_bar=n_bar, n_bar_prime=n_bar_prime, S=S)
 
 
@@ -281,13 +289,13 @@ def joint_distribution(
 
     Args:
         src: effective source parameters; real M >= 1 is accepted.
-        n_max: truncation order of the returned square grid.
+        n_max: truncation order of the returned square grid, at most ``_N_CAP`` = 4096.
         tail_bound: if given, raise TruncationError when the excluded mass
             exceeds it (the error carries the achieved tail mass).
     """
     n_max = _index(n_max, "n_max")
-    if n_max < 0:
-        raise ValidationError("n_max must be >= 0")
+    if not 0 <= n_max <= _N_CAP:
+        raise ValidationError(f"n_max must lie in [0, {_N_CAP}] (got {n_max})")
     if tail_bound is not None and not 0.0 < tail_bound < math.inf:
         raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
     probs = _series_coefficients(src, n_max)

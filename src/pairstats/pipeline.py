@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,9 +62,8 @@ class ExperimentConfig:
     """Full description of one simulated measurement run.
 
     The config plus the seed reproduce a run bit-exactly.  ``calibration_N``
-    must keep the calibration in the single-photon regime; a warning is
-    emitted when the expected photon number per calibration pulse exceeds
-    0.01.
+    must keep the calibration in the single-photon regime; ``summary.txt``
+    records its ``calibration_mean_photons``, which should not exceed 0.01.
     """
 
     source: EffectiveSource
@@ -84,31 +82,23 @@ class ExperimentConfig:
         for f in dataclasses.fields(self):
             if f.type == "int":
                 object.__setattr__(self, f.name, _index(getattr(self, f.name), f.name))
-        if self.pulses <= 0:
-            raise ValidationError("pulses must be > 0")
-        if self.calibration_pulses <= 0:
-            raise ValidationError("calibration_pulses must be > 0")
+        for name in ("pulses", "calibration_pulses"):  # ClickHistogram's rule
+            if not 0 < getattr(self, name) < 2**63:
+                raise ValidationError(f"{name} must be > 0 and < 2**63")
         if self.weights_a.B != self.weights_b.B:
             raise ValidationError("both arms must use the same number of paths")
         if not 0 <= self.seed < 2**64:
             raise ValidationError("seed must be a 64-bit unsigned integer")
         if not 0.0 < self.calibration_N < math.inf:
             raise ValidationError("calibration_N must be finite and > 0")
-        if not 0.0 < self.em_tol < math.inf:
-            raise ValidationError("em_tol must be finite and > 0")
+        if not 0.0 <= self.em_tol < math.inf:  # em_reconstruct's rule
+            raise ValidationError("em_tol must be finite and >= 0")
         if self.n_max < 1:
             raise ValidationError("n_max must be >= 1")
         if self.em_max_iter < 1:
             raise ValidationError("em_max_iter must be >= 1")
         if self.bootstrap_replicas < 0:
             raise ValidationError("bootstrap_replicas must be >= 0")
-        peak_eta = max(self.source.eta, self.source.eta_prime)
-        if self.calibration_N * self.source.M * peak_eta > 0.01:
-            warnings.warn(
-                "calibration intensity is high enough for multi-photon pulses"
-                " to bias the path-weight estimate",
-                stacklevel=2,
-            )
 
 
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
@@ -213,7 +203,7 @@ def bootstrap_characterize(
     if not 0 <= _index(seed, "seed") < 2**64:
         raise ValidationError("seed must be a 64-bit unsigned integer")
     total, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
-    fields = ("mean_n", "mean_n_prime", "M_hat", "delta_sq", "eta_hat", "eps2", "eps4")
+    fields = ("mean_n", "mean_n_prime", "M_hat", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}
     freqs = (hist.f / total).ravel()
     for replica in range(replicas):
@@ -261,7 +251,10 @@ class RunReport:
         for arm, resp in (("a", self.response_a), ("b", self.response_b)):
             if resp is not None:
                 texts[f"response_{arm}.txt"] = format_response(resp)
-        summary = {"seed": self.config.seed, "pulses": self.config.pulses}
+        cfg, src = self.config, self.config.source
+        summary = {"seed": cfg.seed, "pulses": cfg.pulses}
+        # the brighter arm's mean photon number per calibration pulse
+        summary["calibration_mean_photons"] = cfg.calibration_N * src.M * max(src.eta, src.eta_prime)
         arms = (("a", self.calibration_a), ("b", self.calibration_b))
         cals = {arm: cal for arm, cal in arms if cal is not None}
         if cals:

@@ -85,11 +85,11 @@ def test_criterion_3_delta_squared_identities():
                     src = EffectiveSource(N=N, eta=eta, eta_prime=etap, M=M)
                     rho = joint_distribution(src, suggest_n_max(src, 1e-15))
                     expect = 1.0 - 2.0 / (1.0 / eta + 1.0 / etap)
-                    worst = max(worst, abs(_estimate(rho, "delta_sq") - expect))
+                    worst = max(worst, abs(1.0 - _estimate(rho, "eta_hat") - expect))
     # equal-loss special case 1 - eta
     src = EffectiveSource(N=0.5, eta=0.6, eta_prime=0.6, M=2.0)
     rho = joint_distribution(src, suggest_n_max(src, 1e-15))
-    worst_eq = abs(_estimate(rho, "delta_sq") - (1.0 - 0.6))
+    worst_eq = abs(1.0 - _estimate(rho, "eta_hat") - (1.0 - 0.6))
 
     # Monte Carlo cross-check at 1e6 pulses, batched for the error bar
     src = EffectiveSource(N=1.0, eta=0.7, eta_prime=0.3, M=2.0)

@@ -6,6 +6,8 @@ import pytest
 
 from pairstats import analysis, model
 from pairstats.analysis import (
+    _delta_squared,
+    _moments,
     _rate_coefficients,
     _solve_w,
     characterize,
@@ -14,7 +16,7 @@ from pairstats.analysis import (
     format_map,
 )
 from pairstats._fileio import float_list, parse_matrix
-from pairstats.errors import ValidationError
+from pairstats.errors import DegenerateInputError, ValidationError
 from pairstats.model import (
     EffectiveSource,
     JointDistribution,
@@ -58,6 +60,11 @@ def failure(rho, name):
     char = characterize(rho)
     assert np.isnan(getattr(char, name))
     return char.status[name]
+
+
+def delta_sq(rho):
+    """The paper's <delta^2> of rho, which characterize reports as 1 - eta_hat."""
+    return _delta_squared(*_moments(rho))
 
 
 def vacuum_rho():
@@ -114,27 +121,24 @@ class TestModeNumber:
 
 class TestDeltaSquared:
     def test_equal_losses(self):
-        assert estimate(model_rho(0.8, 0.6, 0.6, 2.0), "delta_sq") == pytest.approx(
-            0.4, abs=1e-9
-        )
+        assert delta_sq(model_rho(0.8, 0.6, 0.6, 2.0)) == pytest.approx(0.4, abs=1e-9)
 
     def test_unequal_losses(self):
-        assert estimate(model_rho(1.0, 0.2, 0.6, 1.0), "delta_sq") == pytest.approx(
-            0.7, abs=1e-9
-        )
+        assert delta_sq(model_rho(1.0, 0.2, 0.6, 1.0)) == pytest.approx(0.7, abs=1e-9)
 
     def test_identity_over_grid(self):
         for eta in (0.3, 0.7, 1.0):
             for etap in (0.3, 1.0):
                 expect = 1.0 - 2.0 / (1.0 / eta + 1.0 / etap)
-                got = estimate(model_rho(0.5, eta, etap, 2.0), "delta_sq")
+                got = delta_sq(model_rho(0.5, eta, etap, 2.0))
                 assert got == pytest.approx(expect, abs=1e-9)
 
     def test_uncorrelated_thermal_is_classical(self):
-        assert estimate(thermal_product_rho(0.4, 0.7), "delta_sq") >= 1.0
+        assert delta_sq(thermal_product_rho(0.4, 0.7)) >= 1.0
 
     def test_vacuum_rejected(self):
-        assert failure(vacuum_rho(), "delta_sq") == "DegenerateInputError"
+        with pytest.raises(DegenerateInputError):
+            delta_sq(vacuum_rho())
 
 
 class TestEfficiency:
@@ -147,6 +151,12 @@ class TestEfficiency:
         assert estimate(model_rho(1.0, 1.0, 1.0, 1.0), "eta_hat") == pytest.approx(
             1.0, abs=1e-9
         )
+
+    @pytest.mark.parametrize("N", [1e-160, 1e-162, 1e-200])
+    def test_tiny_pump(self, N):
+        # the squared means underflow here; the mean ratios do not
+        rho = joint_distribution(EffectiveSource(N=N, eta=0.5, eta_prime=0.5), 4)
+        assert estimate(rho, "eta_hat") == pytest.approx(0.5, abs=1e-12)
 
 
 class TestContamination:
@@ -391,7 +401,7 @@ class TestCharacterize:
     def test_vacuum_statuses(self):
         char = characterize(vacuum_rho())
         assert char.mean_n == 0.0 and char.mean_n_prime == 0.0
-        for field in ("M_hat", "delta_sq", "eps2", "eps4"):
+        for field in ("M_hat", "eta_hat", "eps2", "eps4"):
             assert char.status[field] == "DegenerateInputError"
             assert np.isnan(getattr(char, field))
 
@@ -402,7 +412,6 @@ class TestCharacterize:
         assert char.eps2 == pytest.approx(0.5, abs=1e-9)
         assert char.eps4 == pytest.approx(0.5, abs=1e-9)
         assert char.p11 == pytest.approx(0.25, abs=1e-12)
-        assert char.eta_hat == 1.0 - char.delta_sq
 
     def test_heavy_tail_contamination_is_exact(self):
         # the whole tail lies in both sectors, so a coarse grid loses nothing
@@ -425,16 +434,16 @@ class TestCharacterize:
         char = characterize(model_rho(1.0, 0.5, 0.5, 2.0))
         record = characterization_record(char)
         names = [f.name for f in dataclasses.fields(char) if f.name != "status"]
-        status = ["status_" + name for name in ("M_hat", "delta_sq", "eta_hat", "eps2", "eps4")]
+        status = ["status_" + name for name in ("M_hat", "eta_hat", "eps2", "eps4")]
         assert list(record) == names + status
         assert all(record[name] == getattr(char, name) for name in names)
-        assert record["status_delta_sq"] == "ok"
+        assert record["status_eta_hat"] == "ok"
 
     def test_all_tail_grid(self):
         # the shape of the grid that underflows at M=2000: every mass in the tail
         char = characterize(JointDistribution(np.zeros((3, 3)), 2, tail_mass=1.0))
         assert (char.mean_n, char.mean_n_prime, char.var_n, char.var_n_prime) == (0, 0, 0, 0)
-        for name in ("M_hat", "delta_sq", "eta_hat", "eps4"):
+        for name in ("M_hat", "eta_hat", "eps4"):
             assert np.isnan(getattr(char, name))
             assert char.status[name] == "DegenerateInputError"
         assert char.eps2 == 1.0 and char.status["eps2"] == "ok"

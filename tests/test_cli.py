@@ -86,6 +86,18 @@ class TestModelCommand:
         assert code == 3
         assert "error: ValidationError" in capsys.readouterr().err
 
+    def test_n_max_beyond_cap_exits_3(self, tmp_path, capsys):
+        # refused before any allocation: 30000 would need a 6.7 GiB grid
+        code = main(
+            [
+                "model",
+                "--N", "1", "--eta", "1", "--eta-prime", "1",
+                "--M", "1", "--n-max", "30000", "--out", str(tmp_path / "x.txt"),
+            ]
+        )
+        assert code == 3
+        assert "error: ValidationError: n_max must lie in [0, 4096]" in capsys.readouterr().err
+
     def test_tail_bound_exits_4(self, tmp_path, capsys):
         code = main(
             [
@@ -320,9 +332,8 @@ class TestPipelineCommand:
         cfg_path = tmp_path / "cfg.txt"
         src = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="calibration"):
-            write_cfg(cfg_path, source=src, pulses=50_000, calibration_pulses=50_000)
-            assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        write_cfg(cfg_path, source=src, pulses=50_000, calibration_pulses=50_000)
+        assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         captured = capsys.readouterr()
         assert "failed: collection: ValidationError: pair numbers" in captured.err
         printed = captured.out.splitlines()

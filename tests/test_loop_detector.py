@@ -22,7 +22,7 @@ from pairstats.loop_detector import (
     simulate_clicks_batch,
     uniform_weights,
 )
-from pairstats.model import EffectiveSource, JointDistribution, joint_distribution
+from pairstats.model import _N_CAP, EffectiveSource, JointDistribution, joint_distribution
 
 
 def enumerate_click_matrix(w, n_max):
@@ -95,7 +95,7 @@ class TestPathWeights:
 
 
 class TestResponseMatrix:
-    @pytest.mark.parametrize("n_max", [-1, 2.5])
+    @pytest.mark.parametrize("n_max", [-1, 2.5, _N_CAP + 1])
     def test_bad_n_max_rejected(self, n_max):
         with pytest.raises(ValidationError, match="n_max"):
             response_matrix(uniform_weights(4), n_max)
@@ -376,3 +376,33 @@ class TestSerialization:
         p[1, 0] = np.nan
         with pytest.raises(ValidationError):
             ClickDistribution(p=p, deficit=0.0)
+
+
+class TestRaises:
+    @pytest.mark.parametrize(
+        ("call", "match"),
+        [
+            (lambda: PathWeights([]), "non-empty"),
+            (lambda: PathWeights([[0.5, 0.5]]), "1-d"),
+            (lambda: DetectorResponse(P=[[0.5, 0.0], [0.5, 1.0]]), r"P\[0, 0\]"),
+            (
+                lambda: DetectorResponse(P=[[1, 0, 0], [0, 1, 0.5], [0, 0, 0], [0, 0, 0.5]]),
+                r"k > min\(n, B\)",
+            ),
+            (lambda: ClickDistribution(p=np.full(3, 1.0 / 3.0)), "matrix"),
+            (lambda: calibrate([]), "non-empty"),
+            (lambda: parse_response("# B=2 n_max=1\n1,0\n0,1\n"), "header"),
+        ],
+        ids=[
+            "no weights",
+            "2-d weights",
+            "P[0, 0] below 1",
+            "click above the photon number",
+            "1-d click probabilities",
+            "no bin counts",
+            "response shape against header",
+        ],
+    )
+    def test_raises(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from pairstats.errors import (
     ClassicalRegimeError,
+    DegenerateInputError,
     PhysicalityError,
     TruncationError,
     ValidationError,
@@ -20,6 +22,7 @@ from pairstats.model import (
     joint_distribution,
     parse_distribution,
     perturbative_contamination_fraction,
+    _N_CAP,
     _series_coefficients,
     reduce_multimode,
     suggest_n_max,
@@ -426,3 +429,53 @@ class TestSerialization:
         probs[0, 1] = value
         with pytest.raises(ValidationError):
             JointDistribution(probs=probs, n_max=1)
+
+
+SOURCE = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.0)
+
+
+class TestRaises:
+    @pytest.mark.parametrize(
+        ("call", "kind", "match"),
+        [
+            (lambda: MultimodeSource(r=[], t=[], t_prime=[]), ValidationError, "non-empty"),
+            (lambda: ReducedMoments(-1.0, 1.0, 0.0), ValidationError, "mean photon"),
+            (lambda: ReducedMoments(math.inf, 1.0, 2.0), ValidationError, "mean photon"),
+            (lambda: ReducedMoments(1.0, math.inf, 2.0), ValidationError, "mean photon"),
+            (lambda: ReducedMoments(1.0, 1.0, math.nan), ValidationError, "pair moment S"),
+            (lambda: ReducedMoments(1.0, 1.0, complex(0, math.inf)), ValidationError, "S"),
+            (
+                lambda: reduce_multimode(MultimodeSource(r=[400.0], t=[1], t_prime=[1])),
+                ValidationError,
+                "r up to 400.0 overflows",
+            ),
+            (lambda: JointDistribution(np.zeros((2, 3)), 1), ValidationError, "n_max"),
+            (lambda: effective_params(ReducedMoments(0.0, 1.0, 1.0)), PhysicalityError, "empty"),
+            (lambda: joint_distribution(SOURCE, -1), ValidationError, "n_max"),
+            (lambda: joint_distribution(SOURCE, _N_CAP + 1), ValidationError, "4096"),
+            (
+                lambda: perturbative_contamination_fraction(EffectiveSource(1.0, 0.0, 0.0)),
+                DegenerateInputError,
+                r"rho\[1, 1\]",
+            ),
+        ],
+        ids=[
+            "empty r",
+            "negative n_bar",
+            "infinite n_bar",
+            "infinite n_bar_prime",
+            "NaN S",
+            "infinite S",
+            "overflowing r",
+            "non-square probs",
+            "empty arm",
+            "negative n_max",
+            "n_max beyond the cap",
+            "dark arms",
+        ],
+    )
+    def test_raises(self, call, kind, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy RuntimeWarning on the way
+            with pytest.raises(kind, match=match):
+                call()

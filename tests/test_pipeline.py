@@ -24,6 +24,7 @@ from pairstats.loop_detector import (
 from pairstats.model import EffectiveSource, joint_distribution, parse_distribution
 from pairstats.pipeline import (
     ExperimentConfig,
+    RunReport,
     bootstrap_characterize,
     format_config,
     parse_config,
@@ -125,9 +126,18 @@ class TestConfig:
         cfg = small_cfg(source=EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.5))
         assert cfg.source.M == 1.5
 
-    def test_hot_calibration_warns(self):
-        with pytest.warns(UserWarning, match="calibration"):
-            small_cfg(calibration_N=0.5)
+    def test_hot_calibration_is_a_summary_fact(self, tmp_path):
+        # no warning, however many hot configs are built; the run record
+        # states the brighter arm's mean photons per calibration pulse instead
+        src = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.8, M=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfgs = [small_cfg(source=src, calibration_N=0.5) for _ in range(3)]
+        stages = dict.fromkeys(FAILED_FIELDS["calibration"] | FAILED_FIELDS["collection"])
+        RunReport(config=cfgs[0], failures={}, **stages).write(tmp_path)
+        summary = parse_mapping((tmp_path / "summary.txt").read_text(), "summary")
+        photons = fmt(0.5 * 3.0 * 0.8)
+        assert summary == {"seed": "5", "pulses": "200000", "calibration_mean_photons": photons}
 
     @pytest.mark.parametrize(
         "name",
@@ -142,11 +152,34 @@ class TestConfig:
         assert (cfg.pulses, cfg.seed, cfg.n_max) == (1000, 7, 6)
         assert all(type(v) is int for v in (cfg.pulses, cfg.seed, cfg.n_max))
 
-    @pytest.mark.parametrize("name", ["calibration_N", "em_tol"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-3])
+    @pytest.mark.parametrize(
+        ("value", "name"),
+        [(v, "calibration_N") for v in (np.nan, np.inf, 0.0, -1e-3)]
+        + [(v, "em_tol") for v in (np.nan, np.inf, -1e-3)],
+    )
     def test_non_finite_or_nonpositive_rates_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
             small_cfg(**{name: value})
+
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("calibration_pulses", 0),
+            ("pulses", 2**63),  # ClickHistogram's bound
+            ("calibration_pulses", 2**63),
+            ("seed", -1),
+            ("seed", 2**64),
+            ("n_max", 0),
+            ("bootstrap_replicas", -1),
+        ],
+    )
+    def test_out_of_range_counts_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            small_cfg(**{name: value})
+
+    def test_zero_em_tol_accepted(self):
+        # em_reconstruct's rule: tol = 0 runs to the iteration budget
+        assert small_cfg(em_tol=0.0).em_tol == 0.0
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_em_max_iter_below_one_rejected(self, value):
@@ -461,6 +494,7 @@ class TestRunFull:
         expected = {
             "seed": report.config.seed,
             "pulses": report.config.pulses,
+            "calibration_mean_photons": 1e-3 * 1.0 * 1.0,
             "calibration_max_rel_stderr": max(
                 cal.max_rel_stderr for cal in (report.calibration_a, report.calibration_b)
             ),
@@ -547,6 +581,7 @@ class TestRunFull:
         report.write(tmp_path / "partial")
         summary = (tmp_path / "partial" / "summary.txt").read_text()
         assert "failed_calibration=" in summary
+        assert "calibration_mean_photons=1e-300\n" in summary
 
     def test_dead_path_fails_calibration(self, tmp_path):
         # the few calibration photons all land in path 0, so the second path
@@ -594,8 +629,7 @@ class TestRunFull:
         assert {p.name for p in run.iterdir()} == names - {"histogram.txt"}
 
     def test_no_rate_for_failed_stage(self, tmp_path):
-        with pytest.warns(UserWarning, match="calibration"):
-            cfg = small_cfg(source=UNSAMPLEABLE, pulses=50_000, calibration_pulses=50_000)
+        cfg = small_cfg(source=UNSAMPLEABLE, pulses=50_000, calibration_pulses=50_000)
         report = run_full(cfg)
         assert report.failures == {
             "collection": "ValidationError: pair numbers at N=1e+17, M=1000.0"

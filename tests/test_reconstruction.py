@@ -405,3 +405,40 @@ class TestSerialization:
             key: fmt(value) for key, value in fields.items()
         }
         assert record["em_ll_gap_bound"] > 0.0
+
+
+# a B=2 histogram and the n_max=4 response of two even paths
+HIST2 = ClickHistogram(f=np.diag([90, 10, 0]), pulses=100)
+RESP2 = response_matrix(PathWeights([0.5, 0.5]), 4)
+
+
+class TestRaises:
+    @pytest.mark.parametrize(
+        ("call", "match"),
+        [
+            (
+                lambda: ReconstructionResult(
+                    rho=JointDistribution(np.ones((1, 1)), 0),
+                    log_likelihood_trace=(),
+                    iterations=0,
+                    converged=False,
+                ),
+                "non-empty",
+            ),
+            (
+                lambda: em_reconstruct(HIST2, response_matrix(uniform_weights(8), 4), RESP2, 4),
+                "resp_a has B=8 but histogram has B=2",
+            ),
+            (
+                lambda: em_reconstruct(
+                    HIST2, RESP2, RESP2, 4, init=JointDistribution(np.full((3, 3), 1 / 9), 2)
+                ),
+                "init grid",
+            ),
+            (lambda: parse_histogram("# pulses=10 B=2\n1,0\n0,1\n"), "header"),
+        ],
+        ids=["empty trace", "B mismatch", "init grid size", "histogram shape against header"],
+    )
+    def test_raises(self, call, match):
+        with pytest.raises(ValidationError, match=match):
+            call()
