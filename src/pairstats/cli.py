@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resp-a", required=True, dest="resp_a")
     p.add_argument("--resp-b", required=True, dest="resp_b")
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100_000, dest="max_iter")
+    p.add_argument("--tol", type=float, default=reconstruction.EM_TOL)
+    p.add_argument("--max-iter", type=int, default=reconstruction.EM_MAX_ITER, dest="max_iter")
     p.add_argument("--rho-out", required=True, dest="rho_out")
     p.add_argument("--report-out", default=None, dest="report_out")
     p.set_defaults(func=_cmd_reconstruct)

@@ -42,9 +42,7 @@ class PathWeights:
 
 def uniform_weights(B: int = 8) -> PathWeights:
     """Equal-splitting weight vector for a B-path detector."""
-    B = _index(B, "B")
-    if B < 1:
-        raise ValidationError("B must be >= 1")
+    B = _index(B, "B", 1)
     return PathWeights(np.full(B, 1.0 / B))
 
 
@@ -119,9 +117,7 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     of 1 at large n_max, and are applied ``_BLOCK`` rows per matrix product.
     n_max is at most ``_N_CAP`` = 4096, as for ``joint_distribution``.
     """
-    n_max = _index(n_max, "n_max")
-    if not 0 <= n_max <= _N_CAP:
-        raise ValidationError(f"n_max must lie in [0, {_N_CAP}] (got {n_max})")
+    n_max = _index(n_max, "n_max", 0, _N_CAP)
     w = weights.w
     P = np.zeros((w.size + 1, n_max + 1))
     P[0, 0] = 1.0

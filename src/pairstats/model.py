@@ -39,12 +39,16 @@ def _freeze(obj, name, value):
     object.__setattr__(obj, name, value)
 
 
-def _index(value, name: str) -> int:
-    """``value`` as a Python int; ValidationError naming ``name`` if it is not an integer."""
+def _index(value, name: str, lo=-math.inf, hi=math.inf) -> int:
+    """``value`` as a Python int in [lo, hi]; else ValidationError naming ``name``.
+    A bool is refused, as numpy refuses its own."""
     try:
-        return operator.index(value)
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ValidationError(f"{name} must be an integer (got {value!r})") from None
+    if not lo <= value <= hi:
+        raise ValidationError(f"{name} must lie in [{lo}, {hi}] (got {value})")
+    return value
 
 
 def _check_mass(probs: np.ndarray, what: str, missing=0.0, missing_name: str = "") -> float:
@@ -293,9 +297,7 @@ def joint_distribution(
         tail_bound: if given, raise TruncationError when the excluded mass
             exceeds it (the error carries the achieved tail mass).
     """
-    n_max = _index(n_max, "n_max")
-    if not 0 <= n_max <= _N_CAP:
-        raise ValidationError(f"n_max must lie in [0, {_N_CAP}] (got {n_max})")
+    n_max = _index(n_max, "n_max", 0, _N_CAP)
     if tail_bound is not None and not 0.0 < tail_bound < math.inf:
         raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
     probs = _series_coefficients(src, n_max)

@@ -35,8 +35,11 @@ from .loop_detector import (
     simulate_clicks_batch,
     uniform_weights,
 )
-from .model import EffectiveSource, _index, format_distribution
+from .model import _N_CAP, EffectiveSource, _index, format_distribution
 from .reconstruction import (
+    _MAX_PULSES,
+    EM_MAX_ITER,
+    EM_TOL,
     ClickHistogram,
     ReconstructionResult,
     _check_em_args,
@@ -46,6 +49,7 @@ from .reconstruction import (
 )
 
 BLOCK_SIZE = 250_000
+_MAX_SEED = 2**64 - 1  # bootstrap seeds are 64-bit unsigned
 
 _STAGE_CALIBRATION = 0
 _STAGE_MAIN = 1
@@ -55,6 +59,13 @@ _STAGE_BOOTSTRAP = 2
 def _block_rng(seed: int, stage: int, block: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stage, block))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# the range of every int field of ExperimentConfig, as the calls that read it check it
+_INT_RANGES = {
+    "pulses": (1, _MAX_PULSES), "seed": (0, _MAX_SEED), "calibration_pulses": (1, _MAX_PULSES),
+    "n_max": (1, _N_CAP), "em_max_iter": (1, math.inf), "bootstrap_replicas": (0, math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -74,31 +85,20 @@ class ExperimentConfig:
     calibration_pulses: int = 1_000_000
     calibration_N: float = 1e-3
     n_max: int = 8
-    em_tol: float = 1e-10
-    em_max_iter: int = 100_000
+    em_tol: float = EM_TOL
+    em_max_iter: int = EM_MAX_ITER
     bootstrap_replicas: int = 0
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            if f.type == "int":
-                object.__setattr__(self, f.name, _index(getattr(self, f.name), f.name))
-        for name in ("pulses", "calibration_pulses"):  # ClickHistogram's rule
-            if not 0 < getattr(self, name) < 2**63:
-                raise ValidationError(f"{name} must be > 0 and < 2**63")
+        for name, bounds in _INT_RANGES.items():
+            object.__setattr__(self, name, _index(getattr(self, name), name, *bounds))
         if self.weights_a.B != self.weights_b.B:
             raise ValidationError("both arms must use the same number of paths")
-        if not 0 <= self.seed < 2**64:
-            raise ValidationError("seed must be a 64-bit unsigned integer")
         if not 0.0 < self.calibration_N < math.inf:
             raise ValidationError("calibration_N must be finite and > 0")
-        if not 0.0 <= self.em_tol < math.inf:  # em_reconstruct's rule
+        if not 0.0 <= self.em_tol < math.inf:
             raise ValidationError("em_tol must be finite and >= 0")
-        if self.n_max < 1:
-            raise ValidationError("n_max must be >= 1")
-        if self.em_max_iter < 1:
-            raise ValidationError("em_max_iter must be >= 1")
-        if self.bootstrap_replicas < 0:
-            raise ValidationError("bootstrap_replicas must be >= 0")
+
 
 
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
@@ -186,8 +186,8 @@ def bootstrap_characterize(
     n_max: int,
     replicas: int = 100,
     seed: int = 0,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = EM_TOL,
+    max_iter: int = EM_MAX_ITER,
 ) -> dict:
     """Bootstrap the source estimates by resampling pulses.
 
@@ -198,10 +198,8 @@ def bootstrap_characterize(
     arguments are checked once, up front, so a bad one raises ValidationError
     before any replica; an error in a replica's fit propagates.
     """
-    if _index(replicas, "replicas") < 0:
-        raise ValidationError(f"replicas must be >= 0 (got {replicas!r})")
-    if not 0 <= _index(seed, "seed") < 2**64:
-        raise ValidationError("seed must be a 64-bit unsigned integer")
+    _index(replicas, "replicas", 0)
+    _index(seed, "seed", 0, _MAX_SEED)
     total, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     fields = ("mean_n", "mean_n_prime", "M_hat", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}

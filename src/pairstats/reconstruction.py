@@ -31,6 +31,9 @@ from .loop_detector import DetectorResponse
 from .model import JointDistribution, _freeze, _index
 
 _SQUAREM_TRIALS = 4  # extrapolation lengths tried per cycle
+_MAX_PULSES = 2**63 - 1  # click counts are int64
+EM_TOL = 1e-10  # default stop: a plain step gains less than EM_TOL * max(1, |LL|)
+EM_MAX_ITER = 100_000  # default budget of forward evaluations
 
 
 @dataclass(frozen=True)
@@ -46,9 +49,7 @@ class ClickHistogram:
             raise ValidationError("f must be a square (B+1) x (B+1) matrix")
         if not np.all(np.isfinite(f)) or np.any(f < 0) or np.any(f != np.floor(f)):
             raise ValidationError("click counts must be finite nonnegative integers")
-        pulses = _index(self.pulses, "pulses")
-        if not 0 < pulses < 2**63:
-            raise ValidationError("pulses must be > 0 and < 2**63")
+        pulses = _index(self.pulses, "pulses", 1, _MAX_PULSES)
         # an exact total bounds every count by pulses, so the int64 cast is safe
         if sum(int(v) for v in f.flat) > pulses:
             raise ValidationError("total counts cannot exceed the number of pulses")
@@ -113,15 +114,15 @@ def log_likelihood(
     grid, and SupportError when a nonzero count falls in a cell of zero model
     probability.
     """
-    return _forward(_observed_cells(hist, resp_a, resp_b, rho.n_max), rho.probs)[0]
+    return _observed_cells(hist, resp_a, resp_b, rho.n_max)(rho.probs)[0]
 
 
 def _observed_cells(
     hist: ClickHistogram, resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int
 ):
-    """evaluate(rho) -> (LL, EM multiplier) over the observed cells of hist, or
-    None when one has zero probability; the responses, checked to have hist's
-    B and to cover n_max, are cut at n_max."""
+    """evaluate(rho) -> (LL, EM multiplier) over the observed cells of hist,
+    raising SupportError when one has zero probability; the responses, checked
+    to have hist's B and to cover n_max, are cut at n_max."""
     for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
         if resp.B != hist.B:
             raise ValidationError(f"{name} has B={resp.B} but histogram has B={hist.B}")
@@ -137,19 +138,11 @@ def _observed_cells(
     def evaluate(r):
         p = (Pa @ r @ Pb.T).take(cells)
         if not (p > 0.0).all():
-            return None
+            raise SupportError("observed clicks in cells of zero model probability")
         np.put(ratio, cells, freqs / p)
         return math.fsum((counts * np.log(p)).tolist()), Pa.T @ ratio @ Pb
 
     return evaluate
-
-
-def _forward(evaluate, r):
-    """``evaluate(r)``, raising SupportError where it gives None."""
-    state = evaluate(r)
-    if state is None:
-        raise SupportError("observed clicks in cells of zero model probability")
-    return state
 
 
 def _check_em_args(
@@ -165,8 +158,7 @@ def _check_em_args(
     n_max = _index(n_max, "n_max")
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
-    if _index(max_iter, "max_iter") < 1:
-        raise ValidationError(f"max_iter must be >= 1 (got {max_iter!r})")
+    _index(max_iter, "max_iter", 1)
     total = int(hist.f.sum())
     if total <= 0:
         raise ValidationError("histogram is empty")
@@ -183,8 +175,8 @@ def em_reconstruct(
     resp_a: DetectorResponse,
     resp_b: DetectorResponse,
     n_max: int,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
+    tol: float = EM_TOL,
+    max_iter: int = EM_MAX_ITER,
     init: JointDistribution | None = None,
 ) -> ReconstructionResult:
     """Recover rho from a click histogram by SQUAREM-accelerated EM.
@@ -238,7 +230,7 @@ def em_reconstruct(
             new /= drift
         return new
 
-    ll, g = _forward(evaluate, rho)
+    ll, g = evaluate(rho)
     trace = [ll]
     converged = False
     iterations = 0
@@ -246,7 +238,7 @@ def em_reconstruct(
     while iterations < max_iter:
         prev = ll
         rho = step(rho, g)
-        ll, g = _forward(evaluate, rho)
+        ll, g = evaluate(rho)
         iterations += 1
         trace.append(ll)
         if ll - prev < tol * max(1.0, abs(ll)):
@@ -270,14 +262,14 @@ def em_reconstruct(
             alpha = 0.5 * (alpha - 1.0)
             if trial.min() < 0.0:
                 continue
-            state = evaluate(trial)
-            iterations += 1
-            if state is None:
+            try:  # an evaluation counts even when it fails
+                iterations += 1
+                trial = step(trial, evaluate(trial)[1])
+                iterations += 1
+                state = evaluate(trial)
+            except SupportError:
                 continue
-            trial = step(trial, state[1])
-            state = evaluate(trial)
-            iterations += 1
-            if state is not None and state[0] >= ll:
+            if state[0] >= ll:
                 rho, (ll, g) = trial, state
                 trace.append(ll)
                 cycle = [rho]

@@ -348,6 +348,17 @@ class TestPipelineCommand:
         }
         assert "failed_collection=ValidationError: " in (out / "summary.txt").read_text()
 
+    def test_n_max_beyond_cap_exits_3_before_running(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.txt"
+        write_cfg(cfg_path)
+        text = cfg_path.read_text()
+        assert "\nn_max=8\n" in text
+        cfg_path.write_text(text.replace("\nn_max=8\n", "\nn_max=5000\n"))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 3
+        assert "error: ValidationError: n_max must lie in [1, 4096]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_rho_file_feeds_analyze(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"
         write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000)

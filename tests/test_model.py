@@ -23,6 +23,7 @@ from pairstats.model import (
     parse_distribution,
     perturbative_contamination_fraction,
     _N_CAP,
+    _index,
     _series_coefficients,
     reduce_multimode,
     suggest_n_max,
@@ -432,6 +433,21 @@ class TestSerialization:
 
 
 SOURCE = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.0)
+
+
+class TestIndex:
+    @pytest.mark.parametrize(
+        ("value", "match"),
+        [(True, "integer"), (2.0, "integer"), (-1, r"lie in \[0, 4\]"), (5, r"lie in \[0, 4\]")],
+        ids=["bool", "float", "lo-1", "hi+1"],
+    )
+    def test_rejected(self, value, match):
+        with pytest.raises(ValidationError, match=f"^count .*{match}"):
+            _index(value, "count", 0, 4)
+
+    def test_bounds_and_numpy_integers_accepted(self):
+        got = [_index(v, "count", 0, 4) for v in (0, np.int64(4))]
+        assert got == [0, 4] and all(type(v) is int for v in got)
 
 
 class TestRaises:

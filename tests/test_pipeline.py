@@ -51,6 +51,16 @@ def small_cfg(**overrides):
     return ExperimentConfig(**base)
 
 
+# every int field of ExperimentConfig with the range it accepts; None: no upper end
+INT_FIELD_RANGES = [
+    ("pulses", 1, 2**63 - 1),
+    ("seed", 0, 2**64 - 1),
+    ("calibration_pulses", 1, 2**63 - 1),
+    ("n_max", 1, 4096),
+    ("em_max_iter", 1, None),
+    ("bootstrap_replicas", 0, None),
+]
+
 # a source whose pair numbers overflow numpy's sampler: collection fails in its
 # first block while the low-intensity calibration still completes
 UNSAMPLEABLE = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
@@ -177,8 +187,20 @@ class TestConfig:
         with pytest.raises(ValidationError, match=name):
             small_cfg(**{name: value})
 
+    def test_every_int_field_has_a_range(self):
+        ints = {f.name for f in dataclasses.fields(ExperimentConfig) if f.type == "int"}
+        assert {name for name, _, _ in INT_FIELD_RANGES} == ints == set(pipeline._INT_RANGES)
+
+    @pytest.mark.parametrize(("name", "lo", "hi"), INT_FIELD_RANGES)
+    def test_int_field_range(self, name, lo, hi):
+        for value in (lo, 2**70 if hi is None else hi):
+            assert getattr(small_cfg(**{name: value}), name) == value
+        for value in (lo - 1,) if hi is None else (lo - 1, hi + 1):
+            with pytest.raises(ValidationError, match=name):
+                small_cfg(**{name: value})
+
     def test_zero_em_tol_accepted(self):
-        # em_reconstruct's rule: tol = 0 runs to the iteration budget
+        # em_reconstruct accepts tol = 0, which runs to the iteration budget
         assert small_cfg(em_tol=0.0).em_tol == 0.0
 
     @pytest.mark.parametrize("value", [0, -3])

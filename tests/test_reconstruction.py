@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairstats import reconstruction
 from pairstats._fileio import fmt
 from pairstats.errors import SupportError, ValidationError
 from pairstats.loop_detector import (
@@ -248,6 +249,29 @@ class TestEmReconstruct:
         assert result.converged and converged
         assert steps == 69
         assert result.iterations <= 45
+
+    def test_failed_trial_evaluation_counts(self, monkeypatch):
+        # evaluations 2 and 3 are the first cycle's plain steps and 4 its first
+        # SQUAREM trial; failing that one must not change what is counted
+        calls = []
+        observed = reconstruction._observed_cells
+
+        def failing_fourth(*args):
+            evaluate = observed(*args)
+
+            def wrapped(r):
+                calls.append(r)
+                if len(calls) == 4:
+                    raise SupportError("zero model probability")
+                return evaluate(r)
+
+            return wrapped
+
+        monkeypatch.setattr(reconstruction, "_observed_cells", failing_fourth)
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        result = em_reconstruct(hist, RESP8, RESP8, 3, tol=1e-10)
+        assert result.converged
+        assert result.iterations == len(calls) - 1  # the start is free
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
     def test_bad_tol_rejected(self, tol):
