@@ -47,7 +47,9 @@ class SourceCharacterization:
 
 
 def _moments(rho: JointDistribution):
-    """First and second moments of the captured grid, renormalized by its mass."""
+    """Means <n>, <n'> and factorial moments <n(n-1)>, <n'(n'-1)>, <nn'> of the
+    captured grid, renormalized by its mass.  Each is a sum of nonnegative
+    terms, so nothing cancels."""
     captured = float(rho.probs.sum())
     if captured <= 0.0:
         raise DegenerateInputError("distribution carries no probability mass")
@@ -56,37 +58,42 @@ def _moments(rho: JointDistribution):
     pb = rho.probs.sum(axis=0)
     mean_a = float(pa @ n) / captured
     mean_b = float(pb @ n) / captured
-    var_a = float(pa @ n**2) / captured - mean_a**2
-    var_b = float(pb @ n**2) / captured - mean_b**2
-    cov = float(n @ rho.probs @ n) / captured - mean_a * mean_b
-    return mean_a, mean_b, var_a, var_b, cov
+    fact_a = float(pa @ (n * (n - 1.0))) / captured
+    fact_b = float(pb @ (n * (n - 1.0))) / captured
+    cross = float(n @ rho.probs @ n) / captured
+    return mean_a, mean_b, fact_a, fact_b, cross
 
 
-def _mode_number(mean: float, var: float) -> float:
-    """Equivalent number of modes <n>^2 / ((dn)^2 - <n>) from arm a's moments.
+def _mode_number(mean: float, fact: float) -> float:
+    """Equivalent number of modes <n>^2 / ((dn)^2 - <n>) from arm a's moments,
+    written as <n> / (<n(n-1)>/<n> - <n>): the excess variance without the
+    cancellation of (dn)^2 - <n>.
 
     Equals M exactly for the source model and is independent of the pump
-    strength; requires a super-Poissonian marginal.
+    strength; requires a super-Poissonian marginal, <n(n-1)> > <n>^2.
     """
     if mean <= 0.0:
         raise DegenerateInputError("arm a marginal mean vanishes")
-    if var <= mean:
+    excess = fact / mean - mean
+    if excess <= 0.0:
         raise SubPoissonianMarginalError(
-            f"arm a marginal variance {var!r} does not exceed its mean {mean!r}"
+            f"arm a factorial moment <n(n-1)>={fact!r} does not exceed <n>^2 for <n>={mean!r}"
         )
-    return mean**2 / (var - mean)
+    return mean / excess
 
 
-def _delta_squared(mean_a, mean_b, var_a, var_b, cov) -> float:
-    """Mean square of the normalized count difference between the arms.
+def _efficiency(mean_a, mean_b, fact_a, fact_b, cross) -> float:
+    """1 - <delta^2>, the efficiency estimate from the normalized count difference.
 
     delta = (n/<n> - n'/<n'>) / sqrt(1/<n> + 1/<n'>); classical beams give
-    <delta^2> >= 1, the pair source gives 1 - 2/(1/eta + 1/eta').  Written
-    with mean ratios and no squared means, so that tiny means cannot underflow.
+    <delta^2> >= 1, the pair source gives 1 - 2/(1/eta + 1/eta').  In factorial
+    moments, 1 - <delta^2> = (2<nn'> - <n(n-1)><n'>/<n> - <n'(n'-1)><n>/<n'>)
+    / (<n> + <n'>): mean ratios and no squared means, so that tiny means
+    cannot underflow.
     """
     if mean_a <= 0.0 or mean_b <= 0.0:
         raise DegenerateInputError("a marginal mean vanishes")
-    num = var_a * (mean_b / mean_a) + var_b * (mean_a / mean_b) - 2.0 * cov
+    num = 2.0 * cross - fact_a * (mean_b / mean_a) - fact_b * (mean_a / mean_b)
     return num / (mean_a + mean_b)
 
 
@@ -233,10 +240,10 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
         moments = _moments(rho)
     except DegenerateInputError:
         moments = (0.0,) * 5  # M_hat and eta_hat then record DegenerateInputError
-    mean_n, mean_np, var_n, var_np, _ = moments
+    mean_n, mean_np, fact_n, fact_np, _ = moments
 
-    attempt("M_hat", lambda: _mode_number(mean_n, var_n))
-    attempt("eta_hat", lambda: 1.0 - _delta_squared(*moments))
+    attempt("M_hat", lambda: _mode_number(mean_n, fact_n))
+    attempt("eta_hat", lambda: _efficiency(*moments))
     if status["eta_hat"] == "ok" and not values["eta_hat"] > 0.0:
         status["eta_hat"] = "warning:nonpositive"
     attempt("eps2", lambda: _contamination(rho, 2))
@@ -246,8 +253,8 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
     return SourceCharacterization(
         mean_n=mean_n,
         mean_n_prime=mean_np,
-        var_n=var_n,
-        var_n_prime=var_np,
+        var_n=fact_n + mean_n - mean_n**2,
+        var_n_prime=fact_np + mean_np - mean_np**2,
         p11=p11,
         p22=p22,
         status=status,

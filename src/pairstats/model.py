@@ -213,22 +213,24 @@ def effective_params(mom: ReducedMoments, M: float = 1.0) -> EffectiveSource:
         ClassicalRegimeError: if |S|^2 <= n_bar * n_bar_prime.
         PhysicalityError: if the moments imply a transmission above 1.
     """
-    excess = abs(mom.S) ** 2 - mom.n_bar * mom.n_bar_prime
+    if mom.S != 0.0 and (mom.n_bar == 0.0 or mom.n_bar_prime == 0.0):
+        raise PhysicalityError("nonzero pair moment with an empty arm is inconsistent")
+    # |S|^2 / (n_bar n_bar') - 1 from |S| / sqrt(n_bar n_bar'), which never raises
+    # OverflowError: past the float range it is inf, and so unphysical
+    ratio = abs(mom.S) / math.sqrt(mom.n_bar) / math.sqrt(mom.n_bar_prime) if mom.S else 0.0
+    excess = ratio * ratio - 1.0
     if excess <= 0.0:
         raise ClassicalRegimeError(
             "|<ab>|^2 <= <n><n'>: correlations admit a classical model and the"
             " arm transmissions cannot be inferred"
         )
-    if mom.n_bar == 0.0 or mom.n_bar_prime == 0.0:
-        raise PhysicalityError("nonzero pair moment with an empty arm is inconsistent")
-    eta = excess / mom.n_bar_prime
-    eta_prime = excess / mom.n_bar
+    eta = mom.n_bar * excess
+    eta_prime = mom.n_bar_prime * excess
     if eta > 1.0 + 1e-9 or eta_prime > 1.0 + 1e-9:
         raise PhysicalityError(
             f"moments imply transmissions eta={eta!r}, eta_prime={eta_prime!r} above 1"
         )
-    N = mom.n_bar * mom.n_bar_prime / excess
-    return EffectiveSource(N=N, eta=min(eta, 1.0), eta_prime=min(eta_prime, 1.0), M=M)
+    return EffectiveSource(N=1.0 / excess, eta=min(eta, 1.0), eta_prime=min(eta_prime, 1.0), M=M)
 
 
 def generating_fn_value(src: EffectiveSource, x: float, y: float) -> float:

@@ -100,7 +100,6 @@ class ExperimentConfig:
             raise ValidationError("em_tol must be finite and >= 0")
 
 
-
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     """Photon numbers (n, m) reaching the two arms, for those of ``size``
     pulses that hold a pair reaching a detector; the rest are left out.

@@ -6,7 +6,7 @@ import pytest
 
 from pairstats import analysis, model
 from pairstats.analysis import (
-    _delta_squared,
+    _efficiency,
     _moments,
     _rate_coefficients,
     _solve_w,
@@ -64,7 +64,7 @@ def failure(rho, name):
 
 def delta_sq(rho):
     """The paper's <delta^2> of rho, which characterize reports as 1 - eta_hat."""
-    return _delta_squared(*_moments(rho))
+    return 1.0 - _efficiency(*_moments(rho))
 
 
 def vacuum_rho():
@@ -108,6 +108,12 @@ class TestModeNumber:
         rho = model_rho(0.5, 0.3, 0.8, 2.0)
         swapped = JointDistribution(rho.probs.T, rho.n_max, rho.tail_mass)
         assert estimate(swapped, "M_hat") == pytest.approx(2.0, abs=1e-9)
+
+    @pytest.mark.parametrize("N", [1e-12, 1e-16, 1e-100])
+    def test_tiny_pump(self, N):
+        # the variance minus the mean cancels here; the factorial moment does not
+        rho = joint_distribution(EffectiveSource(N=N, eta=0.5, eta_prime=0.5, M=4.0), 4)
+        assert estimate(rho, "M_hat") == pytest.approx(4.0, abs=1e-12)
 
     def test_sub_poissonian_rejected(self):
         probs = np.zeros((3, 3))
