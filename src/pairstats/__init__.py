@@ -15,7 +15,6 @@ from .errors import (
     ClassicalRegimeError,
     DegenerateInputError,
     PairStatsError,
-    PhysicalityError,
     SubPoissonianMarginalError,
     SupportError,
     TruncationError,
@@ -36,12 +35,10 @@ from .model import (
     EffectiveSource,
     JointDistribution,
     MultimodeSource,
-    ReducedMoments,
     effective_params,
     generating_fn_value,
     joint_distribution,
     perturbative_contamination_fraction,
-    reduce_multimode,
     suggest_n_max,
 )
 from .pipeline import (
@@ -74,9 +71,7 @@ __all__ = [
     "MultimodeSource",
     "PairStatsError",
     "PathWeights",
-    "PhysicalityError",
     "ReconstructionResult",
-    "ReducedMoments",
     "RunReport",
     "SourceCharacterization",
     "SubPoissonianMarginalError",
@@ -94,7 +89,6 @@ __all__ = [
     "joint_distribution",
     "log_likelihood",
     "perturbative_contamination_fraction",
-    "reduce_multimode",
     "response_matrix",
     "run_full",
     "simulate_calibration",

@@ -16,9 +16,9 @@ import numpy as np
 
 from . import analysis, loop_detector, model, pipeline, reconstruction
 from ._fileio import fmt, format_mapping
-from .errors import ClassicalRegimeError, PairStatsError, PhysicalityError, ValidationError
+from .errors import ClassicalRegimeError, PairStatsError, ValidationError
 
-_VALIDATION = (ValidationError, ClassicalRegimeError, PhysicalityError, UnicodeDecodeError)
+_VALIDATION = (ValidationError, ClassicalRegimeError, UnicodeDecodeError)
 
 
 def _echo_config(args: argparse.Namespace) -> None:

@@ -17,10 +17,6 @@ class ClassicalRegimeError(PairStatsError):
     """
 
 
-class PhysicalityError(PairStatsError):
-    """The supplied moments imply a transmission above one and are inconsistent."""
-
-
 class TruncationError(PairStatsError):
     """The photon-number cutoff is too small for the requested tail bound."""
 

@@ -25,7 +25,6 @@ from ._fileio import format_matrix, parse_matrix
 from .errors import (
     ClassicalRegimeError,
     DegenerateInputError,
-    PhysicalityError,
     TruncationError,
     ValidationError,
 )
@@ -71,9 +70,10 @@ class MultimodeSource:
     """Pairwise-squeezed mode ensemble seen through per-arm mode filters.
 
     Attributes:
-        r: squeezing parameter of each mode pair, all >= 0.
-        t: complex filter amplitudes for arm a; sum_k |t_k|^2 must equal 1.
-        t_prime: complex filter amplitudes for arm b, same length as ``t``.
+        r: squeezing parameter of each mode pair, all finite and >= 0.
+        t: finite complex filter amplitudes for arm a, 0 < sum_k |t_k|^2 <= 1;
+            a sum below 1 is a lossy filter.
+        t_prime: the same for arm b, with the length of ``t``.
     """
 
     r: np.ndarray
@@ -88,44 +88,18 @@ class MultimodeSource:
             raise ValidationError("r must be a non-empty 1-d sequence")
         if t.shape != r.shape or tp.shape != r.shape:
             raise ValidationError("r, t and t_prime must share one length K >= 1")
-        if np.any(r < 0.0):
-            raise ValidationError("all squeezing parameters r_k must be >= 0")
+        if not np.all((r >= 0.0) & (r < math.inf)):
+            raise ValidationError("all squeezing parameters r_k must be finite and >= 0")
         for name, amps in (("t", t), ("t_prime", tp)):
             power = float(np.sum(np.abs(amps) ** 2))
-            if abs(power - 1.0) > _TOL:
+            if not 0.0 < power <= 1.0 + _TOL:
                 raise ValidationError(
-                    f"filter amplitudes must satisfy sum |{name}|^2 = 1 within 1e-12"
+                    f"filter amplitudes must be finite with 0 < sum |{name}|^2 <= 1"
                     f" (got {power!r})"
                 )
         _freeze(self, "r", r)
         _freeze(self, "t", t)
         _freeze(self, "t_prime", tp)
-
-
-@dataclass(frozen=True)
-class ReducedMoments:
-    """Second-order moments of the two filtered output modes.
-
-    ``n_bar`` and ``n_bar_prime`` are the mean photon numbers of the arms;
-    ``S`` is the complex pair moment <ab>.  Only |S|^2 enters the effective
-    parameters; the phase is kept for faithfulness to the mode reduction.
-    """
-
-    n_bar: float
-    n_bar_prime: float
-    S: complex
-
-    def __post_init__(self):
-        n_bar = float(self.n_bar)
-        n_bar_prime = float(self.n_bar_prime)
-        S = complex(self.S)
-        if not (0.0 <= n_bar < math.inf and 0.0 <= n_bar_prime < math.inf):
-            raise ValidationError("mean photon numbers must be finite and >= 0")
-        if not np.isfinite(S):
-            raise ValidationError(f"pair moment S must be finite (got {S!r})")
-        object.__setattr__(self, "n_bar", n_bar)
-        object.__setattr__(self, "n_bar_prime", n_bar_prime)
-        object.__setattr__(self, "S", S)
 
 
 @dataclass(frozen=True)
@@ -181,56 +155,50 @@ class JointDistribution:
         object.__setattr__(self, "tail_mass", tail)
 
 
-def reduce_multimode(src: MultimodeSource) -> ReducedMoments:
-    """Collapse the multimode moments onto the two filtered modes.
+def effective_params(src: MultimodeSource, M: float = 1.0) -> EffectiveSource:
+    """Effective source parameters of a multimode source, exact up to rounding.
 
-    Only diagonal mode pairs contribute: the arm means are filter-weighted
-    thermal occupations (cosh 2r - 1)/2 and the pair moment keeps the filter
-    phases through S = sum_k t_k t'_k sinh(2 r_k)/2.  Raises ValidationError
-    when an r_k is so large that these overflow.
-    """
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            occupation = (np.cosh(2.0 * src.r) - 1.0) / 2.0
-            pair_moment = np.sinh(2.0 * src.r) / 2.0
-            n_bar = float(np.sum(np.abs(src.t) ** 2 * occupation))
-            n_bar_prime = float(np.sum(np.abs(src.t_prime) ** 2 * occupation))
-            S = complex(np.sum(src.t * src.t_prime * pair_moment))
-        except FloatingPointError:
-            raise ValidationError(f"r up to {float(src.r.max())!r} overflows the moments") from None
-    return ReducedMoments(n_bar=n_bar, n_bar_prime=n_bar_prime, S=S)
-
-
-def effective_params(mom: ReducedMoments, M: float = 1.0) -> EffectiveSource:
-    """Convert reduced moments into the effective source parameters.
-
-    Requires the nonclassicality condition |S|^2 > n_bar * n_bar_prime; below
-    it the correlations admit a classical model and no absolute loss scale
-    exists.  The identities N = n_bar/eta = n_bar_prime/eta_prime hold for the
-    returned parameters.
+    With s = sinh r, x = t s and y = t' s, the arm means are n = sum |x|^2 and
+    n' = sum |y|^2, and since cosh r = s + exp(-r) the pair moment <ab> is
+    S = A + D, A = sum x y, D = sum t t' s exp(-r).  The excess over the
+    classical bound, E = |S|^2 - n n' = 2 Re(A conj(D)) + |D|^2 - G, takes the
+    Gram determinant G = n n' - |A|^2 >= 0 as n |y - (A/n) conj(x)|^2, so
+    that no near-equal terms cancel.  Then eta = E/n', eta' = E/n and
+    N = n n'/E; Cauchy-Schwarz keeps eta, eta' <= 1 up to rounding.
 
     Raises:
-        ClassicalRegimeError: if |S|^2 <= n_bar * n_bar_prime.
-        PhysicalityError: if the moments imply a transmission above 1.
+        ClassicalRegimeError: if E <= 0 (an arm mean of 0 included): the
+            correlations then admit a classical model.  So does E < 1e-300,
+            which double precision cannot resolve from 0.
+        ValidationError: if an arm mean exceeds 1e20 (r above about 23.7),
+            where the rounding of G could move eta by more than 1e-9.
     """
-    if mom.S != 0.0 and (mom.n_bar == 0.0 or mom.n_bar_prime == 0.0):
-        raise PhysicalityError("nonzero pair moment with an empty arm is inconsistent")
-    # |S|^2 / (n_bar n_bar') - 1 from |S| / sqrt(n_bar n_bar'), which never raises
-    # OverflowError: past the float range it is inf, and so unphysical
-    ratio = abs(mom.S) / math.sqrt(mom.n_bar) / math.sqrt(mom.n_bar_prime) if mom.S else 0.0
-    excess = ratio * ratio - 1.0
-    if excess <= 0.0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN mean fails below
+        s = np.sinh(src.r)
+        x, y = src.t * s, src.t_prime * s
+        n_bar, n_bar_prime = float(np.sum(np.abs(x) ** 2)), float(np.sum(np.abs(y) ** 2))
+    if not (n_bar <= 1e20 and n_bar_prime <= 1e20):
+        raise ValidationError(
+            f"r up to {float(src.r.max())!r} gives arm means above 1e20 (r about 23.7)"
+        )
+    excess = 0.0
+    if n_bar > 0.0 and n_bar_prime > 0.0:
+        A = complex(np.sum(x * y))
+        D = complex(np.sum(src.t * src.t_prime * s * np.exp(-src.r)))
+        gram = n_bar * float(np.sum(np.abs(y - (A / n_bar) * np.conj(x)) ** 2))
+        excess = 2.0 * (A * D.conjugate()).real + abs(D) ** 2 - gram
+    if excess < 1e-300:
         raise ClassicalRegimeError(
             "|<ab>|^2 <= <n><n'>: correlations admit a classical model and the"
             " arm transmissions cannot be inferred"
         )
-    eta = mom.n_bar * excess
-    eta_prime = mom.n_bar_prime * excess
-    if eta > 1.0 + 1e-9 or eta_prime > 1.0 + 1e-9:
-        raise PhysicalityError(
-            f"moments imply transmissions eta={eta!r}, eta_prime={eta_prime!r} above 1"
-        )
-    return EffectiveSource(N=1.0 / excess, eta=min(eta, 1.0), eta_prime=min(eta_prime, 1.0), M=M)
+    dim, bright = sorted((n_bar, n_bar_prime))  # E <= dim, so N overflows only if it is inf
+    return EffectiveSource(
+        N=bright * (dim / excess),
+        eta=min(excess / n_bar_prime, 1.0),
+        eta_prime=min(excess / n_bar, 1.0),
+        M=M,
+    )
 
 
 def generating_fn_value(src: EffectiveSource, x: float, y: float) -> float:

@@ -5,6 +5,8 @@ row instead of one anti-diagonal at a time.  The other two share no code with
 it: ``joint_distribution_oracle`` rebuilds the distribution from the physical
 process, and ``closed_form_cell`` sums the closed-form double series of one
 cell in high-precision decimal arithmetic, where nothing underflows.
+``filtered_moments`` gives the moments of a multimode source the textbook way,
+accurate only where |<ab>|^2 - <n><n'> does not cancel and r is moderate.
 """
 
 import math
@@ -15,7 +17,7 @@ from scipy.signal import convolve2d, lfilter
 from scipy.stats import binom
 
 from pairstats.errors import TruncationError, ValidationError
-from pairstats.model import EffectiveSource, JointDistribution
+from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource
 
 
 def _coefficients(src: EffectiveSource) -> tuple[float, float, float, float]:
@@ -110,3 +112,13 @@ def closed_form_cell(src: EffectiveSource, n: int, m: int) -> float:
         for j in (*range(n), *range(m)):
             total *= M + j
         return float(total / A**M)
+
+
+def filtered_moments(src: MultimodeSource) -> tuple[float, float, complex]:
+    """Arm means <n>, <n'> and pair moment <ab> of the filtered modes, from the
+    thermal occupation sinh^2 r and the pair amplitude sinh r cosh r of each mode."""
+    occupation = np.sinh(src.r) ** 2
+    n_bar = float(np.sum(np.abs(src.t) ** 2 * occupation))
+    n_bar_prime = float(np.sum(np.abs(src.t_prime) ** 2 * occupation))
+    S = complex(np.sum(src.t * src.t_prime * np.sinh(src.r) * np.cosh(src.r)))
+    return n_bar, n_bar_prime, S

@@ -373,12 +373,12 @@ ERROR_KINDS = [
     for kind in vars(errors).values()
     if isinstance(kind, type) and issubclass(kind, errors.PairStatsError)
 ]
-VALIDATION_KINDS = (errors.ValidationError, errors.ClassicalRegimeError, errors.PhysicalityError)
+VALIDATION_KINDS = (errors.ValidationError, errors.ClassicalRegimeError)
 
 
 class TestExitCodes:
     def test_every_error_kind_listed(self):
-        assert len(ERROR_KINDS) == 8 and errors.PairStatsError in ERROR_KINDS
+        assert len(ERROR_KINDS) == 7 and errors.PairStatsError in ERROR_KINDS
 
     @pytest.mark.parametrize("kind", ERROR_KINDS, ids=lambda kind: kind.__name__)
     def test_error_kind_exit_code(self, monkeypatch, tmp_path, capsys, kind):

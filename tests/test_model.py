@@ -3,12 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairstats.errors import (
     ClassicalRegimeError,
     DegenerateInputError,
     PairStatsError,
-    PhysicalityError,
     TruncationError,
     ValidationError,
 )
@@ -16,7 +17,6 @@ from pairstats.model import (
     EffectiveSource,
     JointDistribution,
     MultimodeSource,
-    ReducedMoments,
     effective_params,
     format_distribution,
     generating_fn_value,
@@ -26,17 +26,21 @@ from pairstats.model import (
     _N_CAP,
     _index,
     _series_coefficients,
-    reduce_multimode,
     suggest_n_max,
 )
 
-from oracles import closed_form_cell, joint_distribution_oracle, row_scan_coefficients
+from oracles import (
+    closed_form_cell,
+    filtered_moments,
+    joint_distribution_oracle,
+    row_scan_coefficients,
+)
 
 
 class TestMultimodeSource:
     def test_unnormalized_filters_rejected(self):
         with pytest.raises(ValidationError, match="t"):
-            MultimodeSource(r=[0.5], t=[0.9], t_prime=[1.0])
+            MultimodeSource(r=[0.5], t=[1.1], t_prime=[1.0])
 
     def test_negative_squeezing_rejected(self):
         with pytest.raises(ValidationError, match="r_k"):
@@ -51,82 +55,166 @@ class TestMultimodeSource:
         with pytest.raises(ValueError):
             src.r[0] = 2.0
 
+    def test_lossy_filters_accepted(self):
+        src = MultimodeSource(r=[0.5, 0.2], t=[0.3, 0.4j], t_prime=[0.9, 0.0])
+        assert np.sum(np.abs(src.t) ** 2) == pytest.approx(0.25)
+
+
+def single_mode(N, eta, eta_prime, phase=0.0):
+    """The one-mode source with effective parameters N, eta, eta_prime:
+    sinh^2 r = N, and the filter powers are the transmissions."""
+    return MultimodeSource(
+        r=[math.asinh(math.sqrt(N))],
+        t=[math.sqrt(eta) * complex(math.cos(phase), math.sin(phase))],
+        t_prime=[math.sqrt(eta_prime)],
+    )
+
 
 class TestReduceMultimode:
+    """The reduction of a multimode source to its effective parameters."""
+
     def test_single_mode_unit_sinh(self):
-        # sinh r = 1: n_bar = sinh^2 r = 1, S = sinh r cosh r = sqrt(2)
-        src = MultimodeSource(r=[math.asinh(1.0)], t=[1.0], t_prime=[1.0])
-        mom = reduce_multimode(src)
-        assert mom.n_bar == pytest.approx(1.0, abs=1e-14)
-        assert mom.n_bar_prime == pytest.approx(1.0, abs=1e-14)
-        assert mom.S == pytest.approx(math.sqrt(2.0), abs=1e-14)
+        # sinh r = 1: n_bar = sinh^2 r = 1, |S|^2 - n_bar^2 = cosh^2 r - 1 = 1
+        src = effective_params(MultimodeSource(r=[math.asinh(1.0)], t=[1.0], t_prime=[1.0]))
+        assert (src.N, src.eta, src.eta_prime) == pytest.approx((1.0, 1.0, 1.0), abs=1e-14)
 
     def test_vacuum(self):
-        src = MultimodeSource(
-            r=[0.0, 0.0],
-            t=[math.sqrt(0.5), math.sqrt(0.5)],
-            t_prime=[math.sqrt(0.5), math.sqrt(0.5)],
-        )
-        mom = reduce_multimode(src)
-        assert mom.n_bar == 0.0 and mom.n_bar_prime == 0.0 and mom.S == 0.0
+        amp = math.sqrt(0.5)
+        with pytest.raises(ClassicalRegimeError):
+            effective_params(MultimodeSource(r=[0.0, 0.0], t=[amp, amp], t_prime=[amp, amp]))
 
     def test_two_equal_modes(self):
-        # direct evaluation of the two-term sums at r = 0.5
+        # equal modes seen through equal filters act as the one mode r = 0.5
         amp = math.sqrt(0.5)
-        src = MultimodeSource(r=[0.5, 0.5], t=[amp, amp], t_prime=[amp, amp])
-        mom = reduce_multimode(src)
-        assert mom.n_bar == pytest.approx((math.cosh(1.0) - 1.0) / 2.0, rel=1e-14)
-        assert mom.n_bar_prime == pytest.approx((math.cosh(1.0) - 1.0) / 2.0, rel=1e-14)
-        assert mom.S == pytest.approx(math.sinh(1.0) / 2.0, rel=1e-14)
+        src = effective_params(MultimodeSource(r=[0.5, 0.5], t=[amp, amp], t_prime=[amp, amp]))
+        assert src.N == pytest.approx(math.sinh(0.5) ** 2, rel=1e-14)
+        assert (src.eta, src.eta_prime) == pytest.approx((1.0, 1.0), abs=1e-15)
 
     def test_phases_survive_reduction(self):
-        src = MultimodeSource(r=[0.3], t=[1j], t_prime=[1.0])
-        mom = reduce_multimode(src)
-        assert mom.S == pytest.approx(1j * math.sinh(0.6) / 2.0)
+        # a global filter phase drops out; a relative one between equal modes
+        # gives eta = cos^2(phi/2) - sinh^2 r sin^2(phi/2)
+        amp, r = math.sqrt(0.5), 0.3
+        for phi in (0.0, 0.4, 1.0):
+            turned = [amp, amp * complex(math.cos(phi), math.sin(phi))]
+            src = effective_params(
+                MultimodeSource(r=[r, r], t=[1j * amp, 1j * amp], t_prime=turned)
+            )
+            want = math.cos(phi / 2) ** 2 - math.sinh(r) ** 2 * math.sin(phi / 2) ** 2
+            assert src.eta == pytest.approx(want, abs=1e-14), phi
+            assert src.eta_prime == pytest.approx(want, abs=1e-14), phi
 
 
 class TestEffectiveParams:
     def test_lossless_single_mode(self):
-        src = effective_params(ReducedMoments(1.0, 1.0, math.sqrt(2.0)))
-        assert src.eta == pytest.approx(1.0, abs=1e-12)
-        assert src.eta_prime == pytest.approx(1.0, abs=1e-12)
-        assert src.N == pytest.approx(1.0, rel=1e-12)
+        for r in (1e-9, 1e-6, 1e-3, 1.0, 10.0, 20.0, 23.0):
+            src = effective_params(MultimodeSource(r=[r], t=[1.0], t_prime=[1.0]))
+            assert src.N == pytest.approx(math.sinh(r) ** 2, rel=1e-14), r
+            assert (src.eta, src.eta_prime) == pytest.approx((1.0, 1.0), abs=1e-15), r
 
     def test_half_loss_on_arm_a(self):
-        # arm-a amplitude scaled by sqrt(0.5): 50% loss
-        src = effective_params(ReducedMoments(0.5, 1.0, math.sqrt(2.0) * math.sqrt(0.5)))
+        src = effective_params(single_mode(1.0, 0.5, 1.0))
         assert src.eta == pytest.approx(0.5, rel=1e-12)
         assert src.eta_prime == pytest.approx(1.0, rel=1e-12)
         assert src.N == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("r", [1e-6, 0.7, 12.0])
+    @pytest.mark.parametrize(("T", "T_prime"), [(0.3, 0.8), (1e-6, 1.0), (0.05, 0.05)])
+    def test_single_lossy_mode(self, r, T, T_prime):
+        mode = MultimodeSource(r=[r], t=[math.sqrt(T)], t_prime=[math.sqrt(T_prime)])
+        src = effective_params(mode)
+        assert src.eta == pytest.approx(T, rel=1e-12)
+        assert src.eta_prime == pytest.approx(T_prime, rel=1e-12)
+        assert src.N == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
+
     def test_identities_hold(self):
-        mom = ReducedMoments(0.37, 0.82, 0.71 + 0.2j)
-        src = effective_params(mom, M=2.5)
-        assert src.N == pytest.approx(mom.n_bar / src.eta, rel=1e-12)
-        assert src.N == pytest.approx(mom.n_bar_prime / src.eta_prime, rel=1e-12)
+        # the moment triple (0.37, 0.82, 0.71 + 0.2j) as its one lossy mode
+        n_bar, n_bar_prime, S = 0.37, 0.82, 0.71 + 0.2j
+        N = n_bar * n_bar_prime / (abs(S) ** 2 - n_bar * n_bar_prime)
+        mode = single_mode(N, n_bar / N, n_bar_prime / N, phase=math.atan2(S.imag, S.real))
+        assert filtered_moments(mode) == pytest.approx((n_bar, n_bar_prime, S), rel=1e-14)
+        src = effective_params(mode, M=2.5)
+        assert src.N == pytest.approx(N, rel=1e-12)
+        assert src.N * src.eta == pytest.approx(n_bar, rel=1e-12)
+        assert src.N * src.eta_prime == pytest.approx(n_bar_prime, rel=1e-12)
         assert src.M == 2.5
 
     def test_classical_boundary_rejected(self):
+        # orthogonal filters see two independent thermal modes: S = 0
         with pytest.raises(ClassicalRegimeError):
-            effective_params(ReducedMoments(1.0, 1.0, 1.0))
+            effective_params(MultimodeSource(r=[1.0, 1.0], t=[1.0, 0.0], t_prime=[0.0, 1.0]))
 
     @pytest.mark.parametrize(
-        ("moments", "kind"),
+        ("r", "phi"),
+        [(0.5, 0.3), (1.0, 0.5), (3.0, 0.05), (10.0, 1e-4), (20.0, 1e-9), (23.0, 1e-10),
+         (1.0, 1.0), (3.0, 0.2), (20.0, 1e-7)],
+    )
+    def test_two_mode_closed_form(self, r, phi):
+        # arm b sees mode 2 with weight sin^2 phi: eta = cos^2 phi - sinh^2 r sin^2 phi
+        src = MultimodeSource(r=[r, r], t=[1.0, 0.0], t_prime=[math.cos(phi), math.sin(phi)])
+        want = math.cos(phi) ** 2 - math.sinh(r) ** 2 * math.sin(phi) ** 2
+        if want <= 0.0:
+            with pytest.raises(ClassicalRegimeError):
+                effective_params(src)
+            return
+        eff = effective_params(src)
+        assert eff.eta == pytest.approx(want, abs=1e-12)
+        assert eff.eta_prime == pytest.approx(want, abs=1e-12)
+        assert eff.N * eff.eta == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        ("source", "kind"),
         [
-            (lambda: reduce_multimode(MultimodeSource(r=[300.0], t=[1], t_prime=[1])), PairStatsError),
-            (lambda: ReducedMoments(1e200, 1e200, 1e160), ClassicalRegimeError),
+            (lambda: MultimodeSource(r=[300.0], t=[1], t_prime=[1]), ValidationError),
+            (lambda: MultimodeSource(r=[400.0, 400.0], t=[1, 0], t_prime=[0, 1]), ValidationError),
         ],
         ids=["lossless r=300", "classical beyond the float range"],
     )
-    def test_huge_moments_raise_typed_errors(self, moments, kind):
-        # |S|^2 overflows here; the error must still be a PairStatsError
-        with pytest.raises(kind):
-            effective_params(moments())
+    def test_huge_moments_raise_typed_errors(self, source, kind):
+        # the arm means overflow here; the error must still be a PairStatsError
+        with pytest.raises(kind, match="arm means above 1e20"):
+            effective_params(source())
 
-    def test_unphysical_moments_rejected(self):
-        # |S|^2 - n n' = 1.1 > n' = 0.1 implies eta > 1
-        with pytest.raises(PhysicalityError):
-            effective_params(ReducedMoments(1.0, 0.1, math.sqrt(1.2)))
+
+@st.composite
+def multimode_sources(draw):
+    """K = 1-6 modes with r in [0, 3], a lossy arm-a filter and an arm-b filter
+    that is matched to it, perturbed by 5% or drawn independently."""
+    K = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+
+    def amplitudes():
+        v = np.array([complex(draw(unit), draw(unit)) for _ in range(K)])
+        norm = float(np.linalg.norm(v))
+        return v / norm if norm > 1e-3 else np.eye(K)[0].astype(complex)
+
+    r = np.array([draw(st.one_of(st.just(0.0), st.floats(0.0, 3.0))) for _ in range(K)])
+    t = amplitudes()
+    kind = draw(st.sampled_from(["matched", "perturbed", "independent"]))
+    if kind == "independent":
+        t_prime = amplitudes()
+    else:
+        t_prime = t * (1.0 + 0.05 * amplitudes() * (kind == "perturbed"))
+        t_prime /= np.linalg.norm(t_prime)
+    loss_a, loss_b = draw(st.floats(0.05, 1.0)), draw(st.floats(0.05, 1.0))
+    return MultimodeSource(r=r, t=t * math.sqrt(loss_a), t_prime=t_prime * math.sqrt(loss_b))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(multimode_sources())
+def test_effective_params_match_the_moment_oracle(src):
+    n_bar, n_bar_prime, S = filtered_moments(src)
+    excess = abs(S) ** 2 - n_bar * n_bar_prime
+    margin = 1e-4 * abs(S) ** 2  # inside it the oracle's own cancellation decides
+    if excess < -margin or excess < 1e-300:  # no double resolves a smaller excess
+        with pytest.raises(ClassicalRegimeError):
+            effective_params(src)
+    elif excess > margin:
+        eff = effective_params(src)
+        assert eff.eta == pytest.approx(excess / n_bar_prime, rel=1e-10)
+        assert eff.eta_prime == pytest.approx(excess / n_bar, rel=1e-10)
+        assert eff.N == pytest.approx(n_bar * n_bar_prime / excess, rel=1e-10)
+        assert eff.N * eff.eta == pytest.approx(n_bar, rel=1e-12)
+        assert eff.N * eff.eta_prime == pytest.approx(n_bar_prime, rel=1e-12)
 
 
 class TestEffectiveSourceValidation:
@@ -465,18 +553,25 @@ class TestRaises:
         ("call", "kind", "match"),
         [
             (lambda: MultimodeSource(r=[], t=[], t_prime=[]), ValidationError, "non-empty"),
-            (lambda: ReducedMoments(-1.0, 1.0, 0.0), ValidationError, "mean photon"),
-            (lambda: ReducedMoments(math.inf, 1.0, 2.0), ValidationError, "mean photon"),
-            (lambda: ReducedMoments(1.0, math.inf, 2.0), ValidationError, "mean photon"),
-            (lambda: ReducedMoments(1.0, 1.0, math.nan), ValidationError, "pair moment S"),
-            (lambda: ReducedMoments(1.0, 1.0, complex(0, math.inf)), ValidationError, "S"),
+            (lambda: MultimodeSource([math.inf], [1], [1]), ValidationError, "finite"),
+            (lambda: MultimodeSource([math.nan], [1], [1]), ValidationError, "finite"),
+            (lambda: MultimodeSource([1.0], [math.inf], [1]), ValidationError, r"\|t\|"),
+            (lambda: MultimodeSource([1.0], [complex(0, math.nan)], [1]), ValidationError, r"\|t\|"),
+            (lambda: MultimodeSource([1.0], [1], [math.inf]), ValidationError, "t_prime"),
+            (lambda: MultimodeSource([1.0], [0.8, 0.7], [1]), ValidationError, "length"),
+            (lambda: MultimodeSource([1.0, 1.0], [0.8, 0.7], [1, 0]), ValidationError, "<= 1"),
             (
-                lambda: reduce_multimode(MultimodeSource(r=[400.0], t=[1], t_prime=[1])),
+                lambda: effective_params(MultimodeSource([24.0], [1], [1])),
                 ValidationError,
-                "r up to 400.0 overflows",
+                "r up to 24.0 gives arm means above 1e20",
+            ),
+            (
+                lambda: effective_params(MultimodeSource([400.0], [1], [1])),
+                ValidationError,
+                "r up to 400.0 gives",
             ),
             (lambda: JointDistribution(np.zeros((2, 3)), 1), ValidationError, "n_max"),
-            (lambda: effective_params(ReducedMoments(0.0, 1.0, 1.0)), PhysicalityError, "empty"),
+            (lambda: MultimodeSource([1.0], [0.0], [1.0]), ValidationError, r"0 < sum \|t\|"),
             (lambda: joint_distribution(SOURCE, -1), ValidationError, "n_max"),
             (lambda: joint_distribution(SOURCE, _N_CAP + 1), ValidationError, "4096"),
             (
@@ -487,11 +582,14 @@ class TestRaises:
         ],
         ids=[
             "empty r",
-            "negative n_bar",
-            "infinite n_bar",
-            "infinite n_bar_prime",
-            "NaN S",
-            "infinite S",
+            "infinite r",
+            "NaN r",
+            "infinite t",
+            "NaN t",
+            "infinite t_prime",
+            "filter length",
+            "filter power above 1",
+            "arm mean above 1e20",
             "overflowing r",
             "non-square probs",
             "empty arm",
