@@ -114,6 +114,13 @@ def _contamination(rho: JointDistribution, which: int) -> float:
     return 1.0 - float(rho.probs[c, c]) / denom
 
 
+def _diagonal_cell(rho: JointDistribution, c: int) -> float:
+    """rho[c, c], the rate of exactly c photons in each arm."""
+    if rho.n_max < c:
+        raise DegenerateInputError(f"grid too small to hold rho[{c}, {c}]")
+    return rho.probs[c, c]
+
+
 def _rate_coefficients(v: float, M: float, which: int) -> list[tuple[int, float]]:
     """(i, a_i) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - w)^M sum a_i w^i.
 
@@ -224,7 +231,8 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
     """Every source estimate of rho, recording failures per field instead of raising:
     M_hat from arm a, the efficiency eta_hat = 1 - <delta^2> (status
     "warning:nonpositive" when it is <= 0, as for classical or noisy data),
-    and the contaminations eps2, eps4, which need n_max >= 1 and >= 3."""
+    the contaminations eps2, eps4, which need n_max >= 1 and >= 3, and the
+    cells p11, p22, which need n_max >= 1 and >= 2."""
     status: dict = {}
     values: dict = {}
 
@@ -248,15 +256,13 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
         status["eta_hat"] = "warning:nonpositive"
     attempt("eps2", lambda: _contamination(rho, 2))
     attempt("eps4", lambda: _contamination(rho, 4))
-    p11 = float(rho.probs[1, 1]) if rho.n_max >= 1 else float("nan")
-    p22 = float(rho.probs[2, 2]) if rho.n_max >= 2 else float("nan")
+    attempt("p11", lambda: _diagonal_cell(rho, 1))
+    attempt("p22", lambda: _diagonal_cell(rho, 2))
     return SourceCharacterization(
         mean_n=mean_n,
         mean_n_prime=mean_np,
         var_n=fact_n + mean_n - mean_n**2,
         var_n_prime=fact_np + mean_np - mean_np**2,
-        p11=p11,
-        p22=p22,
         status=status,
         **values,
     )

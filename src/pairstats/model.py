@@ -192,7 +192,7 @@ def effective_params(src: MultimodeSource, M: float = 1.0) -> EffectiveSource:
             "|<ab>|^2 <= <n><n'>: correlations admit a classical model and the"
             " arm transmissions cannot be inferred"
         )
-    dim, bright = sorted((n_bar, n_bar_prime))  # E <= dim, so N overflows only if it is inf
+    dim, bright = sorted((n_bar, n_bar_prime))  # dim / E >= 1: overflows only where N does
     return EffectiveSource(
         N=bright * (dim / excess),
         eta=min(excess / n_bar_prime, 1.0),

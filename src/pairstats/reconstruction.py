@@ -93,7 +93,9 @@ class ReconstructionResult:
                 f"log-likelihood trace decreases by {-float(diffs.min()):.3e}"
             )
         object.__setattr__(self, "log_likelihood_trace", trace)
-        object.__setattr__(self, "iterations", int(self.iterations))
+        object.__setattr__(self, "iterations", _index(self.iterations, "iterations", 0))
+        if not isinstance(self.converged, (bool, np.bool_)):
+            raise ValidationError(f"converged must be a bool (got {self.converged!r})")
         object.__setattr__(self, "converged", bool(self.converged))
         bound = float(self.ll_gap_bound)
         if not bound >= 0.0:

@@ -436,11 +436,24 @@ class TestCharacterize:
         assert char.status["eps4"] == "DegenerateInputError"
         assert np.isnan(char.eps4)
 
+    @pytest.mark.parametrize("n_max", [0, 1, 2])
+    def test_diagonal_cells_need_their_grid(self, n_max):
+        src = EffectiveSource(N=0.5, eta=0.5, eta_prime=0.5, M=1.0)
+        rho = joint_distribution(src, n_max)
+        char = characterize(rho)
+        for c, name in ((1, "p11"), (2, "p22")):
+            if n_max >= c:
+                assert getattr(char, name) == rho.probs[c, c]
+                assert char.status[name] == "ok"
+            else:
+                assert np.isnan(getattr(char, name))
+                assert char.status[name] == "DegenerateInputError"
+
     def test_serialization_contains_all_fields(self):
         char = characterize(model_rho(1.0, 0.5, 0.5, 2.0))
         record = characterization_record(char)
         names = [f.name for f in dataclasses.fields(char) if f.name != "status"]
-        status = ["status_" + name for name in ("M_hat", "eta_hat", "eps2", "eps4")]
+        status = ["status_" + name for name in ("M_hat", "eta_hat", "eps2", "eps4", "p11", "p22")]
         assert list(record) == names + status
         assert all(record[name] == getattr(char, name) for name in names)
         assert record["status_eta_hat"] == "ok"

@@ -403,6 +403,21 @@ class TestResultValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        ("field", "value", "match"),
+        [("iterations", -3, r"iterations must lie in \[0, "), ("converged", "no", "converged must be a bool")],
+        ids=["negative iterations", "string converged"],
+    )
+    def test_bad_counters_rejected(self, field, value, match):
+        vac = np.zeros((2, 2))
+        vac[0, 0] = 1.0
+        fields = {"iterations": 1, "converged": np.bool_(True), field: value}
+        with pytest.raises(ValidationError, match=match):
+            ReconstructionResult(
+                rho=JointDistribution(vac, 1, 0.0), log_likelihood_trace=(-10.0,), **fields
+            )
+
+
 class TestSerialization:
     def test_histogram_round_trip(self):
         rng = np.random.default_rng(4)
