@@ -185,7 +185,7 @@ def calibrate(bin_counts) -> CalibrationResult:
     which the counts are multinomial and w_hat_i = counts_i / total is the
     maximum-likelihood estimate with standard error sqrt(w (1 - w) / total).
     A path that never clicked would be a dead path in the response, so it
-    raises DegenerateInputError naming the empty paths.
+    raises DegenerateInputError naming the empty paths (every path, if none clicked).
     """
     counts = np.atleast_1d(np.asarray(bin_counts))
     if counts.ndim != 1 or counts.size < 1:
@@ -193,11 +193,17 @@ def calibrate(bin_counts) -> CalibrationResult:
     if not np.all(np.isfinite(counts)) or np.any(counts < 0) or np.any(counts != np.floor(counts)):
         raise ValidationError("bin counts must be finite nonnegative integers")
     total = sum(int(c) for c in counts)
-    if total == 0:
-        raise DegenerateInputError("all calibration bins are empty")
     if (empty := np.flatnonzero(counts == 0)).size:
         raise DegenerateInputError(f"calibration paths {empty.tolist()} never clicked")
     return CalibrationResult(weights=PathWeights(counts / total), total=total)
+
+
+def _cut_responses(resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int):
+    """Both click matrices cut at n_max; ValidationError if one covers fewer photons."""
+    for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
+        if resp.n_max < n_max:
+            raise ValidationError(f"{name} covers n <= {resp.n_max} < n_max={n_max}")
+    return resp_a.P[:, : n_max + 1], resp_b.P[:, : n_max + 1]
 
 
 def apply_response(
@@ -208,14 +214,8 @@ def apply_response(
     The total click mass equals 1 - rho.tail_mass; the missing part is
     reported as the deficit.
     """
-    for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
-        if resp.n_max < rho.n_max:
-            raise ValidationError(
-                f"{name} covers n <= {resp.n_max} but rho is truncated at {rho.n_max}"
-            )
-    cols = rho.n_max + 1
-    p = resp_a.P[:, :cols] @ rho.probs @ resp_b.P[:, :cols].T
-    return ClickDistribution(p=p, deficit=rho.tail_mass)
+    Pa, Pb = _cut_responses(resp_a, resp_b, rho.n_max)
+    return ClickDistribution(p=Pa @ rho.probs @ Pb.T, deficit=rho.tail_mass)
 
 
 # -- text formats -------------------------------------------------------------

@@ -202,13 +202,13 @@ def effective_params(src: MultimodeSource, M: float = 1.0) -> EffectiveSource:
 
 
 def generating_fn_value(src: EffectiveSource, x: float, y: float) -> float:
-    """Joint generating function at (x, y) in [0, 1]^2; equals 1 at (1, 1)."""
+    """Xi(x, y) for x, y in [0, 1], the module's one evaluator of Xi: exp(-M log1p(N t))
+    with t = u + v (1 - u), u = eta (1 - x) and v = eta' (1 - y), a sum of nonnegative
+    terms, so no rounded base near 1 is raised to the power -M.  Xi(1, 1) = 1."""
     if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
         raise ValidationError("x and y must lie in [0, 1]")
-    denom = src.N + 1.0 - src.N * (src.eta * x + 1.0 - src.eta) * (
-        src.eta_prime * y + 1.0 - src.eta_prime
-    )
-    return float(denom ** -src.M)
+    u, v = src.eta * (1.0 - x), src.eta_prime * (1.0 - y)
+    return math.exp(-src.M * math.log1p(src.N * (u + v * (1.0 - u))))
 
 
 def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
@@ -220,7 +220,7 @@ def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
                        + D (n+M) rho[n, m-1]) / (A (n+1))
 
     with A > 0 and B, C, D >= 0, so every update adds nonnegative terms and
-    no cancellation occurs.  The first row is a one-variable binomial series.
+    no cancellation occurs.  Row 0 is a binomial series from rho[0, 0] = Xi(0, 0).
     A cell on the anti-diagonal n + m = s + 1 needs only diagonals s and
     s - 1, so the grid is filled one diagonal at a time: each diagonal is a
     contiguous vector indexed by n, zero outside the grid.
@@ -234,7 +234,7 @@ def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
     size = n_max + 1
     probs = np.zeros((size, size))
     m = np.arange(1, size)
-    probs[0] = A ** -M * np.concatenate(
+    probs[0] = generating_fn_value(src, 0.0, 0.0) * np.concatenate(
         ([1.0], np.cumprod((C / A) * (M + m - 1.0) / m))
     )
     scale = (np.arange(n_max) + M) / (A * np.arange(1.0, size))  # row n -> n+1
@@ -294,13 +294,11 @@ def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
     if not 0.0 < tail_bound < math.inf:
         raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
 
-    def arm_cutoff(eta: float) -> tuple[int, float]:
-        """First n <= _N_CAP whose arm tail bound is within half the bound
-        (else _N_CAP), with that tail bound."""
-        if eta == 0.0:
-            return 0, 0.0
+    def arm_cutoff(eta: float, x: float, y: float) -> tuple[int, float]:
+        """First n <= _N_CAP whose arm tail bound is within half the bound (else
+        _N_CAP), with that tail bound; the walk starts from the pmf at 0, Xi(x, y)."""
         q = src.N * eta / (1.0 + src.N * eta)
-        p = (1.0 - q) ** src.M
+        p = generating_fn_value(src, x, y)
         for n in range(_N_CAP + 1):
             ratio_next = q * (src.M + n + 1.0) / (n + 2.0)  # pmf ratio beyond n+1
             p_next = p * q * (src.M + n) / (n + 1.0)
@@ -311,7 +309,8 @@ def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
             p = p_next
         return _N_CAP, tail if ratio_next < 1.0 else math.inf
 
-    (n_a, tail_a), (n_b, tail_b) = arm_cutoff(src.eta), arm_cutoff(src.eta_prime)
+    n_a, tail_a = arm_cutoff(src.eta, 0.0, 1.0)
+    n_b, tail_b = arm_cutoff(src.eta_prime, 1.0, 0.0)
     if max(tail_a, tail_b) > 0.5 * tail_bound:
         tail = tail_a + tail_b
         raise TruncationError(
@@ -323,19 +322,19 @@ def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
 
 
 def perturbative_contamination_fraction(src: EffectiveSource) -> float:
-    """Rate of loss-degraded double pairs relative to true single pairs.
-
-    Returns (rho[2,0] + rho[0,2]) / rho[1,1] for a balanced single-mode
-    source; in the weak-pumping limit this tends to 2 (1 - eta)^2 N.
-    """
+    """Rate of loss-degraded double pairs relative to true single pairs,
+    (rho[2,0] + rho[0,2]) / rho[1,1] = 2 N (1 - eta)^2 / (1 + N (1 + (1 - eta)^2))
+    for a balanced single-mode source: at M = 1, rho[2,0] = b^2 rho[0,0], rho[0,2] =
+    c^2 rho[0,0] and rho[1,1] = (2bc + d) rho[0,0] with b, c, d = B/A, C/A, D/A.
+    It tends to 2 (1 - eta)^2 N in the weak-pumping limit."""
     if abs(src.M - 1.0) > _TOL:
         raise ValidationError("defined for a single mode pair (M = 1)")
     if abs(src.eta - src.eta_prime) > _TOL:
         raise ValidationError("defined for balanced losses (eta == eta_prime)")
-    probs = joint_distribution(src, n_max=2).probs
-    if probs[1, 1] == 0.0:
+    if min(src.eta, src.eta_prime) == 0.0:
         raise DegenerateInputError("single-pair rate rho[1, 1] vanishes")
-    return float((probs[2, 0] + probs[0, 2]) / probs[1, 1])
+    loss = (1.0 - src.eta) ** 2
+    return 2.0 * loss / (1.0 / src.N + 1.0 + loss)  # the form above over N; no overflow
 
 
 # -- text formats -------------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._fileio import format_matrix, parse_matrix
 from .errors import SupportError, ValidationError
-from .loop_detector import DetectorResponse
+from .loop_detector import DetectorResponse, _cut_responses
 from .model import JointDistribution, _freeze, _index
 
 _SQUAREM_TRIALS = 4  # extrapolation lengths tried per cycle
@@ -128,10 +128,7 @@ def _observed_cells(
     for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
         if resp.B != hist.B:
             raise ValidationError(f"{name} has B={resp.B} but histogram has B={hist.B}")
-        if resp.n_max < n_max:
-            raise ValidationError(f"{name} covers n <= {resp.n_max} < n_max={n_max}")
-    Pa = resp_a.P[:, : n_max + 1]
-    Pb = resp_b.P[:, : n_max + 1]
+    Pa, Pb = _cut_responses(resp_a, resp_b, n_max)
     cells = np.flatnonzero(hist.f)  # observed cells, as flat indices
     counts = hist.f.take(cells)
     freqs = counts / counts.sum()

@@ -20,11 +20,12 @@ from pairstats.errors import TruncationError, ValidationError
 from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource
 
 
-def _coefficients(src: EffectiveSource) -> tuple[float, float, float, float]:
-    """A, B, C, D of the generating function [A - Bx - Cy - Dxy]**(-M)."""
-    N, eta, etap = src.N, src.eta, src.eta_prime
-    A = N + 1.0 - N * (1.0 - eta) * (1.0 - etap)
-    return A, N * eta * (1.0 - etap), N * (1.0 - eta) * etap, N * eta * etap
+def _coefficients(src: EffectiveSource, num=float):
+    """A, B, C, D of the generating function [A - Bx - Cy - Dxy]**(-M), computed
+    in the number type ``num`` (float, or Decimal in the current context)."""
+    N, eta, etap = num(src.N), num(src.eta), num(src.eta_prime)
+    A = N + 1 - N * (1 - eta) * (1 - etap)
+    return A, N * eta * (1 - etap), N * (1 - eta) * etap, N * eta * etap
 
 
 def row_scan_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
@@ -85,7 +86,7 @@ def joint_distribution_oracle(
 
 
 def closed_form_cell(src: EffectiveSource, n: int, m: int) -> float:
-    """rho[n, m] from the closed-form double series, to 40 significant digits.
+    """rho[n, m] from the closed-form double series, to 50 significant digits.
 
     With [A - Bx - Cy - Dxy]**(-M) the generating function, b = B/A, c = C/A
     and d = (AD + BC)/A^2,
@@ -94,14 +95,16 @@ def closed_form_cell(src: EffectiveSource, n: int, m: int) -> float:
                     sum_{k <= min(n, m)} d^k b^(n-k) c^(m-k)
                                          / (k! (M)_k (n-k)! (m-k)!)
 
-    where (M)_k is the rising factorial.  Every term is nonnegative.  Decimal
-    arithmetic has no underflow, so cells far below 1e-300 stay exact; double
-    precision lgamma would lose ~1e-12 to the rounding of log(1000!) alone.
-    Requires 0 < eta, eta_prime < 1, so that b and c are positive.
+    where (M)_k is the rising factorial.  Every term is nonnegative.  A, B, C
+    and D are formed in decimal from the exact values of the float inputs, so
+    no double rounding of A enters A^-M.  Decimal arithmetic has no underflow,
+    so cells far below 1e-300 stay exact; double precision lgamma would lose
+    ~1e-12 to the rounding of log(1000!) alone.  Requires 0 < eta, eta_prime
+    < 1, so that b and c are positive.
     """
     with localcontext() as ctx:
-        ctx.prec = 40
-        A, B, C, D = (Decimal(x) for x in _coefficients(src))
+        ctx.prec = 50
+        A, B, C, D = _coefficients(src, Decimal)
         M = Decimal(src.M)
         b, c, d = B / A, C / A, (A * D + B * C) / (A * A)
         term = b**n * c**m / (math.factorial(n) * math.factorial(m))  # k = 0

@@ -3,6 +3,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairstats import analysis, model
 from pairstats.analysis import (
@@ -114,6 +116,19 @@ class TestModeNumber:
         # the variance minus the mean cancels here; the factorial moment does not
         rho = joint_distribution(EffectiveSource(N=N, eta=0.5, eta_prime=0.5, M=4.0), 4)
         assert estimate(rho, "M_hat") == pytest.approx(4.0, abs=1e-12)
+
+    @pytest.mark.parametrize("M", [1.0, 3.0, 100.0])
+    @pytest.mark.parametrize("N", [1e-6, 1e-4, 1e-2, 1.0, 10.0])
+    def test_exact_on_a_deep_cut(self, N, M):
+        # a cutoff bounds the missing mass, not the missing <n(n-1)>: cut at a
+        # tail of 1e-12, N = 1e-6 and M = 100 miss M by 6.5e-3; at 1e-30 the
+        # factorial-moment tail is far below the tolerance
+        assert estimate(model_rho(N, 0.6, 0.4, M, tail=1e-30), "M_hat") == pytest.approx(
+            M, rel=1e-9
+        )
+        if (N, M) == (1e-6, 100.0):
+            shallow = estimate(model_rho(N, 0.6, 0.4, M, tail=1e-12), "M_hat")
+            assert 1e-3 < abs(shallow - M) / M < 1e-2
 
     def test_sub_poissonian_rejected(self):
         probs = np.zeros((3, 3))
@@ -272,6 +287,17 @@ class TestContaminationMap:
         # 7 rate at M=1, eta=0.5
         eps = contamination_map([0.5], [1e-200], M=1.0, which=2)[0, 0]
         assert eps == pytest.approx(7e-200, rel=1e-6)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        eta=st.floats(0.0, 1.0, exclude_min=True),
+        log_rate=st.floats(-300.0, 0.0),
+        log_M=st.floats(0.0, 6.0),
+        which=st.sampled_from([2, 4]),
+    )
+    def test_cells_in_unit_interval_or_nan(self, eta, log_rate, log_M, which):
+        cell = contamination_map([eta], [10.0**log_rate], M=10.0**log_M, which=which)[0, 0]
+        assert np.isnan(cell) or 0.0 <= cell <= 1.0
 
     def test_bad_grids_rejected(self):
         with pytest.raises(ValidationError):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from pairstats._fileio import float_list, fmt
@@ -171,6 +173,24 @@ class TestResponseMatrix:
         assert resp.P.shape == (65, 201)
         assert np.abs(resp.P.sum(axis=0) - 1.0).max() <= 1e-12
 
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_invariants_over_the_valid_box(self, data):
+        B = data.draw(st.integers(1, 64), label="B")
+        raw = data.draw(
+            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=B, max_size=B),
+            label="raw weights",
+        )
+        assume(sum(raw) > 0.0)
+        # the cost grows as B n_max^2: a B=64, n_max=300 call takes about 0.3 s
+        n_max = data.draw(st.integers(0, min(300, 2400 // B)), label="n_max")
+        P = response_matrix(PathWeights(np.array(raw) / sum(raw)), n_max).P
+        # an entry may round to 1 + 1e-14; the package's mass tolerance is 1e-12
+        assert np.all((P >= 0.0) & (P <= 1.0 + 1e-12))
+        assert np.abs(P.sum(axis=0) - 1.0).max() <= 1e-12
+        k, n = np.ogrid[: B + 1, : n_max + 1]
+        assert np.all(P[k > np.minimum(n, B)] == 0.0)
+
     @pytest.mark.parametrize("B", [1, 3])
     def test_vacuum_column_only(self, B):
         resp = response_matrix(uniform_weights(B), 0)
@@ -249,7 +269,7 @@ class TestCalibrate:
         assert dead.stderr[1] == 0.0
 
     def test_all_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(DegenerateInputError, match=r"paths \[0, 1, 2, 3\] never clicked"):
             calibrate([0, 0, 0, 0])
 
     def test_multinomial_recovery_within_4_sigma(self):

@@ -436,6 +436,34 @@ class TestFarTail:
             assert probs[n, m] == pytest.approx(exact, rel=1e-12, abs=0.0), (n, m)
 
 
+class TestSmallCellsAgainstClosedForm:
+    """Cells and tail mass of sources with small N and large M.  A rounded base
+    A near 1 raised to -M would carry a relative error of about M u (up to
+    3e-13 at M = 2500) into every cell, and tail_mass = 1 - sum would read
+    0.0 where 2.1e-13 is missing; row 0 therefore starts from Xi(0, 0)."""
+
+    def test_cells_and_tail_mass(self):
+        rng = np.random.default_rng(1701)
+        for _ in range(40):
+            src = EffectiveSource(
+                N=float(10.0 ** rng.uniform(-4.0, -2.0)),
+                eta=float(rng.uniform(0.05, 0.95)),
+                eta_prime=float(rng.uniform(0.05, 0.95)),
+                M=float(rng.uniform(300.0, 2500.0)),
+            )
+            probs = joint_distribution(src, 3).probs
+            for n in (0, 1, 3):
+                exact = closed_form_cell(src, n, n)
+                assert probs[n, n] == pytest.approx(exact, rel=1e-13, abs=0.0), (src, n)
+        # (N, eta = eta', M): the exact missing mass is 2.14e-13, 1.36e-13, 1.26e-13
+        for N, eta, M in ((1e-3, 0.5, 1500.0), (1e-3, 0.7, 2500.0), (2e-3, 0.3, 1800.0)):
+            src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
+            dist = joint_distribution(src, suggest_n_max(src, 1e-12))
+            cells = range(dist.n_max + 1)
+            missing = 1.0 - math.fsum(closed_form_cell(src, n, m) for n in cells for m in cells)
+            assert dist.tail_mass == pytest.approx(missing, rel=0.0, abs=1e-15), (N, eta, M)
+
+
 class TestPerturbativeFraction:
     def test_lossless_is_zero(self):
         src = EffectiveSource(N=1e-3, eta=1.0, eta_prime=1.0, M=1.0)
@@ -450,6 +478,15 @@ class TestPerturbativeFraction:
     def test_moderate_N(self):
         src = EffectiveSource(N=1e-2, eta=0.5, eta_prime=0.5, M=1.0)
         assert perturbative_contamination_fraction(src) == pytest.approx(5e-3, rel=0.05)
+
+    def test_closed_form_matches_grid_ratio(self):
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            eta = float(rng.uniform(0.01, 1.0))
+            src = EffectiveSource(N=float(10.0 ** rng.uniform(-8.0, 3.0)), eta=eta, eta_prime=eta)
+            probs = joint_distribution(src, 2).probs
+            ratio = (probs[2, 0] + probs[0, 2]) / probs[1, 1]
+            assert perturbative_contamination_fraction(src) == pytest.approx(ratio, rel=1e-14)
 
     def test_preconditions(self):
         with pytest.raises(ValidationError):
