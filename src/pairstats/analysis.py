@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 # perfbench's traced run wraps analysis.joint_distribution and analysis.suggest_n_max
-from .model import JointDistribution, _index, joint_distribution, suggest_n_max  # noqa: F401
+from .model import JointDistribution, _index, _real, joint_distribution, suggest_n_max  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -208,8 +208,7 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
     which = _index(which, "which")
     if which not in (2, 4):
         raise ValidationError("which must be 2 or 4")
-    if not (math.isfinite(M) and M >= 1.0):
-        raise ValidationError("M must be finite and >= 1")
+    M = _real(M, "M", 1.0)
     etas = np.atleast_1d(np.asarray(eta_grid, dtype=float))
     rates = np.atleast_1d(np.asarray(rate_grid, dtype=float))
     if etas.size == 0 or rates.size == 0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from ._fileio import format_matrix, parse_matrix
 from .errors import DegenerateInputError, ValidationError
-from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _freeze, _index
+from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index
 
 _BLOCK = 64  # binomial rows applied per matrix product in response_matrix
 
@@ -187,12 +187,9 @@ def calibrate(bin_counts) -> CalibrationResult:
     A path that never clicked would be a dead path in the response, so it
     raises DegenerateInputError naming the empty paths (every path, if none clicked).
     """
-    counts = np.atleast_1d(np.asarray(bin_counts))
+    counts, total = _counts(np.atleast_1d(bin_counts), "bin counts")
     if counts.ndim != 1 or counts.size < 1:
         raise ValidationError("bin counts must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(counts)) or np.any(counts < 0) or np.any(counts != np.floor(counts)):
-        raise ValidationError("bin counts must be finite nonnegative integers")
-    total = sum(int(c) for c in counts)
     if (empty := np.flatnonzero(counts == 0)).size:
         raise DegenerateInputError(f"calibration paths {empty.tolist()} never clicked")
     return CalibrationResult(weights=PathWeights(counts / total), total=total)

@@ -16,6 +16,7 @@ anti-diagonal n + m at a time in plain numpy.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -50,14 +51,36 @@ def _index(value, name: str, lo=-math.inf, hi=math.inf) -> int:
     return value
 
 
+def _real(value, name: str, lo: float, hi: float = math.inf, strict: bool = False) -> float:
+    """``value`` as a finite float in [lo, hi], or in (lo, hi] when ``strict``; else
+    ValidationError naming ``name``.  A bool, str, None or complex is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a real number (got {value!r})")
+    value = float(value)
+    if not (math.isfinite(value) and (lo < value if strict else lo <= value) and value <= hi):
+        rule = f"{'>' if strict else '>='} {lo:g}" + (f" and <= {hi:g}" if hi < math.inf else "")
+        raise ValidationError(f"{name} must be finite and {rule} (got {value!r})")
+    return value
+
+
+def _counts(values, name: str) -> tuple[np.ndarray, int]:
+    """``values`` as an array of finite nonnegative integers, with its exact total as
+    a Python int; else ValidationError naming ``name``.  A bool, str or complex
+    array is refused, as ``_real`` refuses such a scalar."""
+    counts = np.asarray(values)
+    if counts.dtype.kind not in "iuf" or not np.all(
+        (counts >= 0) & (counts < math.inf) & (np.floor(counts) == counts)
+    ):
+        raise ValidationError(f"{name} must be finite nonnegative integers")
+    return counts, sum(int(c) for c in counts.flat)
+
+
 def _check_mass(probs: np.ndarray, what: str, missing=0.0, missing_name: str = "") -> float:
     """Check entries in [0, 1] and entries plus a finite ``missing`` >= 0 summing to 1
     within 1e-12; return ``missing`` as a float."""
     if not np.all((probs >= 0.0) & (probs <= 1.0 + _TOL)):
         raise ValidationError(f"{what} must lie in [0, 1]")
-    missing = float(missing)
-    if not 0.0 <= missing < math.inf:
-        raise ValidationError(f"{missing_name} must be finite and >= 0")
+    missing = _real(missing, missing_name, 0.0)
     total = float(probs.sum()) + missing
     if abs(total - 1.0) > _TOL:
         plus = f" plus {missing_name}" if missing_name else ""
@@ -120,16 +143,10 @@ class EffectiveSource:
     M: float = 1.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.N) and self.N > 0.0):
-            raise ValidationError("mean pair number N must be finite and > 0")
+        object.__setattr__(self, "N", _real(self.N, "N", 0.0, strict=True))
         for name in ("eta", "eta_prime"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1] (got {value!r})")
-        if not (math.isfinite(self.M) and self.M >= 1.0):
-            raise ValidationError("equivalent mode number M must be finite and >= 1")
-        for name in ("N", "eta", "eta_prime", "M"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, 1.0))
+        object.__setattr__(self, "M", _real(self.M, "M", 1.0))
 
 
 @dataclass(frozen=True)
@@ -205,8 +222,7 @@ def generating_fn_value(src: EffectiveSource, x: float, y: float) -> float:
     """Xi(x, y) for x, y in [0, 1], the module's one evaluator of Xi: exp(-M log1p(N t))
     with t = u + v (1 - u), u = eta (1 - x) and v = eta' (1 - y), a sum of nonnegative
     terms, so no rounded base near 1 is raised to the power -M.  Xi(1, 1) = 1."""
-    if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0):
-        raise ValidationError("x and y must lie in [0, 1]")
+    x, y = _real(x, "x", 0.0, 1.0), _real(y, "y", 0.0, 1.0)
     u, v = src.eta * (1.0 - x), src.eta_prime * (1.0 - y)
     return math.exp(-src.M * math.log1p(src.N * (u + v * (1.0 - u))))
 
@@ -268,8 +284,7 @@ def joint_distribution(
             exceeds it (the error carries the achieved tail mass).
     """
     n_max = _index(n_max, "n_max", 0, _N_CAP)
-    if tail_bound is not None and not 0.0 < tail_bound < math.inf:
-        raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
+    tail_bound = None if tail_bound is None else _real(tail_bound, "tail_bound", 0.0, strict=True)
     probs = _series_coefficients(src, n_max)
     tail = max(0.0, 1.0 - float(probs.sum()))
     if tail_bound is not None and tail > tail_bound:
@@ -291,8 +306,7 @@ def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
     the error carries the tail bound reached at the cap (inf if an arm's pmf
     ratio is still at least one there).
     """
-    if not 0.0 < tail_bound < math.inf:
-        raise ValidationError(f"tail_bound must be finite and > 0 (got {tail_bound!r})")
+    tail_bound = _real(tail_bound, "tail_bound", 0.0, strict=True)
 
     def arm_cutoff(eta: float, x: float, y: float) -> tuple[int, float]:
         """First n <= _N_CAP whose arm tail bound is within half the bound (else

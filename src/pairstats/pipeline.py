@@ -35,7 +35,7 @@ from .loop_detector import (
     simulate_clicks_batch,
     uniform_weights,
 )
-from .model import _N_CAP, EffectiveSource, _index, format_distribution
+from .model import _N_CAP, EffectiveSource, _index, _real, format_distribution
 from .reconstruction import (
     _MAX_PULSES,
     EM_MAX_ITER,
@@ -94,10 +94,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, _index(getattr(self, name), name, *bounds))
         if self.weights_a.B != self.weights_b.B:
             raise ValidationError("both arms must use the same number of paths")
-        if not 0.0 < self.calibration_N < math.inf:
-            raise ValidationError("calibration_N must be finite and > 0")
-        if not 0.0 <= self.em_tol < math.inf:
-            raise ValidationError("em_tol must be finite and >= 0")
+        for name, strict in (("calibration_N", True), ("em_tol", False)):
+            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, strict=strict))
 
 
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
@@ -199,7 +197,7 @@ def bootstrap_characterize(
     """
     _index(replicas, "replicas", 0)
     _index(seed, "seed", 0, _MAX_SEED)
-    total, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
+    total, _, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     fields = ("mean_n", "mean_n_prime", "M_hat", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}
     freqs = (hist.f / total).ravel()

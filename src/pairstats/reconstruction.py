@@ -6,16 +6,18 @@ expectation-maximization update for positive linear models:
 
     rho[n, m] <- rho[n, m] * sum_{k,l} P[k,n] P'[l,m] (f[k,l]/F) / p[k,l]
 
-The update keeps rho nonnegative, preserves its normalization exactly
-(columns of P and P' each sum to one), and never decreases the
-log-likelihood.  Plain EM converges slowly on these inversions, so
-``em_reconstruct`` runs it inside SQUAREM cycles (Varadhan & Roland,
-Scand. J. Stat. 35, 335 (2008)): two plain steps, a squared extrapolation
-along them, and one stabilising step, kept only when the log-likelihood
-does not fall below the second plain step's.  Click numbers above B carry
-no information about photon numbers beyond the detector's resolution, so
-support claimed at n much larger than B is determined by the data only
-weakly; callers choose n_max.
+The update keeps rho nonnegative and never decreases the log-likelihood.
+Its output sums to one for any positive rho, normalized or not: with
+p = P rho P'^T and g the sum above, sum_{n,m} rho[n,m] g[n,m] =
+sum_{k,l} (f[k,l]/F) p[k,l] / p[k,l] = 1, so it is never renormalized.
+Plain EM converges slowly on these inversions, so ``em_reconstruct`` runs
+it inside SQUAREM cycles (Varadhan & Roland, Scand. J. Stat. 35, 335
+(2008)): two plain steps, a squared extrapolation along them, and one
+stabilising step, kept only when the log-likelihood does not fall below the
+second plain step's.  Click numbers above B carry no information about
+photon numbers beyond the detector's resolution, so support claimed at n
+much larger than B is determined by the data only weakly; callers choose
+n_max.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 from ._fileio import format_matrix, parse_matrix
 from .errors import SupportError, ValidationError
 from .loop_detector import DetectorResponse, _cut_responses
-from .model import JointDistribution, _freeze, _index
+from .model import JointDistribution, _counts, _freeze, _index, _real
 
 _SQUAREM_TRIALS = 4  # extrapolation lengths tried per cycle
 _MAX_PULSES = 2**63 - 1  # click counts are int64
@@ -44,17 +46,14 @@ class ClickHistogram:
     pulses: int
 
     def __post_init__(self):
-        f = np.asarray(self.f)
+        f, total = _counts(self.f, "click counts")
         if f.ndim != 2 or f.shape[0] != f.shape[1] or f.shape[0] < 1:
             raise ValidationError("f must be a square (B+1) x (B+1) matrix")
-        if not np.all(np.isfinite(f)) or np.any(f < 0) or np.any(f != np.floor(f)):
-            raise ValidationError("click counts must be finite nonnegative integers")
         pulses = _index(self.pulses, "pulses", 1, _MAX_PULSES)
         # an exact total bounds every count by pulses, so the int64 cast is safe
-        if sum(int(v) for v in f.flat) > pulses:
+        if total > pulses:
             raise ValidationError("total counts cannot exceed the number of pulses")
-        f = f.astype(np.int64)
-        _freeze(self, "f", f)
+        _freeze(self, "f", f.astype(np.int64))
         object.__setattr__(self, "pulses", pulses)
 
     @property
@@ -152,11 +151,10 @@ def _check_em_args(
     tol: float,
     max_iter: int,
 ):
-    """Validate the arguments of :func:`em_reconstruct`; return the total count
-    and the histogram's observed-cell evaluator."""
+    """Validate the arguments of :func:`em_reconstruct`; return the total count,
+    tol as a float and the histogram's observed-cell evaluator."""
     n_max = _index(n_max, "n_max")
-    if not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0 (got {tol!r})")
+    tol = _real(tol, "tol", 0.0)
     _index(max_iter, "max_iter", 1)
     total = int(hist.f.sum())
     if total <= 0:
@@ -166,7 +164,7 @@ def _check_em_args(
         raise ValidationError(
             f"n_max={n_max} is below the largest observed click number {observed}"
         )
-    return total, _observed_cells(hist, resp_a, resp_b, n_max)
+    return total, tol, _observed_cells(hist, resp_a, resp_b, n_max)
 
 
 def em_reconstruct(
@@ -181,25 +179,26 @@ def em_reconstruct(
     """Recover rho from a click histogram by SQUAREM-accelerated EM.
 
     Starts from the uniform distribution on the (n_max+1)^2 grid (or from
-    ``init``) and runs SQUAREM cycles of the multiplicative update F.  A
+    ``init``) and runs SQUAREM cycles of the multiplicative update F, whose
+    output sums to one for any positive input (see the module docstring).  A
     cycle takes two plain steps, x1 = F(x0) and x2 = F(x1), then tries the
     extrapolation x0 - 2 a r + a^2 v, with r = x1 - x0, v = x2 - 2 x1 + x0
     and a = min(-|r|/|v|, -1), followed by one stabilising step F.  The
     stabilised point replaces x2 only if the extrapolation is nonnegative,
     gives every observed cell positive probability, and the stabilised
     log-likelihood is at least LL(x2).  Otherwise a is halved toward -1, and
-    after a few halvings the cycle keeps x2.  The log-likelihood of the
-    accepted iterates therefore never decreases.
+    after a few halvings the cycle keeps x2.
 
     The run stops once a plain step from the current iterate gains less than
     tol * max(1, |LL|); it then returns that step's output with
-    ``converged=True``.  ``iterations`` counts forward evaluations: each
-    computes the click probabilities, the log-likelihood and the EM
-    multiplier at one point.  Every plain step and every trial or stabilised
-    point costs one; the starting point is free.  After ``max_iter``
-    evaluations the run returns its last accepted iterate with
-    ``converged=False``, which is reported through the flag, not an
-    exception.
+    ``converged=True``, or the current iterate if rounding made the step
+    lose log-likelihood: the trace of accepted iterates never decreases.
+    ``iterations`` counts forward evaluations: each computes the click
+    probabilities, the log-likelihood and the EM multiplier at one point.
+    Every plain step and every trial or stabilised point costs one; the
+    starting point is free.  After ``max_iter`` evaluations the run returns
+    its last accepted iterate with ``converged=False``, which is reported
+    through the flag, not an exception.
 
     Args:
         hist: observed joint click counts.
@@ -210,24 +209,15 @@ def em_reconstruct(
         tol: finite and >= 0; stop when a plain step gains less than
             tol * max(1, |LL|).
         max_iter: >= 1; the budget of forward evaluations.
-        init: optional starting distribution on the same grid.
+        init: optional starting distribution on the same grid, with mass on it.
     """
-    total, evaluate = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
+    total, tol, evaluate = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     if init is None:
         rho = np.full((n_max + 1, n_max + 1), 1.0 / (n_max + 1) ** 2)
     else:
-        if init.n_max != n_max:
-            raise ValidationError("init grid size disagrees with n_max")
-        rho = init.probs.copy()
-        rho /= rho.sum()
-
-    def step(r, g):
-        new = r * g
-        # F(r) sums to one for any r; renormalize only if rounding shows
-        drift = new.sum()
-        if abs(drift - 1.0) > 1e-13:
-            new /= drift
-        return new
+        if init.n_max != n_max or not init.probs.any():
+            raise ValidationError("init grid must match n_max and hold probability mass")
+        rho = init.probs / init.probs.sum()
 
     ll, g = evaluate(rho)
     trace = [ll]
@@ -235,12 +225,13 @@ def em_reconstruct(
     iterations = 0
     cycle = [rho]  # accepted iterates since the last extrapolation
     while iterations < max_iter:
-        prev = ll
-        rho = step(rho, g)
-        ll, g = evaluate(rho)
+        state = evaluate(new := rho * g)
         iterations += 1
-        trace.append(ll)
-        if ll - prev < tol * max(1.0, abs(ll)):
+        gain = state[0] - ll
+        if gain >= 0.0:  # a step that rounding makes lose LL is not taken
+            rho, (ll, g) = new, state
+            trace.append(ll)
+        if gain < tol * max(1.0, abs(ll)):
             converged = True
             break
         cycle.append(rho)
@@ -263,7 +254,7 @@ def em_reconstruct(
                 continue
             try:  # an evaluation counts even when it fails
                 iterations += 1
-                trial = step(trial, evaluate(trial)[1])
+                trial = trial * evaluate(trial)[1]
                 iterations += 1
                 state = evaluate(trial)
             except SupportError:

@@ -18,7 +18,7 @@ from pairstats.analysis import (
     format_map,
 )
 from pairstats._fileio import float_list, parse_matrix
-from pairstats.errors import DegenerateInputError, ValidationError
+from pairstats.errors import DegenerateInputError, PairStatsError, ValidationError
 from pairstats.model import (
     EffectiveSource,
     JointDistribution,
@@ -27,6 +27,8 @@ from pairstats.model import (
 )
 
 from oracles import joint_distribution_oracle
+
+ERROR_CLASSES = {cls.__name__ for cls in PairStatsError.__subclasses__()}
 
 
 def model_rho(N, eta, eta_prime, M, tail=1e-13):
@@ -497,6 +499,44 @@ class TestCharacterize:
         char = characterize(thermal_product_rho(0.4, 0.7))
         assert char.eta_hat == pytest.approx(-0.509, abs=1e-3)
         assert char.status["eta_hat"] == "warning:nonpositive"
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        n_max=st.integers(0, 12),
+        shape=st.sampled_from(["dense", "zero rows", "point mass"]),
+        log_mass=st.one_of(st.just(0.0), st.floats(-300.0, 0.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_estimates_meet_their_invariants(self, n_max, shape, log_mass, seed):
+        # an estimate is NaN exactly when its status names an error class, and the
+        # contaminations and diagonal cells are probabilities
+        rng = np.random.default_rng(seed)
+        size = n_max + 1
+        if shape == "point mass":
+            probs = np.zeros((size, size))
+            probs[tuple(rng.integers(0, size, 2))] = 1.0
+        else:
+            probs = rng.random((size, size)) ** 4
+            if shape == "zero rows":
+                probs[rng.random(size) < 0.5] = 0.0
+                probs[:, rng.random(size) < 0.5] = 0.0
+            if not probs.any():
+                probs[0, 0] = 1.0
+            probs /= probs.sum()
+        mass = 10.0**log_mass  # the rest is tail
+        try:
+            char = characterize(JointDistribution(probs * mass, n_max, 1.0 - mass))
+        except PairStatsError:
+            return
+        for name, status in char.status.items():
+            value = getattr(char, name)
+            assert np.isnan(value) == (status in ERROR_CLASSES), (name, status, value)
+            assert status in ERROR_CLASSES or status == "ok" or (
+                name == "eta_hat" and status == "warning:nonpositive"
+            )
+        for name in ("eps2", "eps4", "p11", "p22"):
+            value = getattr(char, name)
+            assert np.isnan(value) or 0.0 <= value <= 1.0, (name, value)
 
 
 class TestMapFormat:

@@ -1,8 +1,10 @@
 import dataclasses
 import math
+import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from scipy.stats import nbinom
 from pairstats import pipeline
 from pairstats._fileio import float_list, fmt, parse_mapping
 from pairstats.analysis import characterization_record, characterize
-from pairstats.errors import DegenerateInputError, SupportError, ValidationError
+from pairstats.errors import DegenerateInputError, PairStatsError, SupportError, ValidationError
 from pairstats.loop_detector import (
     PathWeights,
     apply_response,
@@ -60,6 +62,8 @@ INT_FIELD_RANGES = [
     ("em_max_iter", 1, None),
     ("bootstrap_replicas", 0, None),
 ]
+
+ERROR_CLASSES = {cls.__name__ for cls in PairStatsError.__subclasses__()}
 
 # a source whose pair numbers overflow numpy's sampler: collection fails in its
 # first block while the low-intensity calibration still completes
@@ -661,6 +665,35 @@ class TestRunFull:
         stored = parse_mapping((tmp_path / "run" / "timings.txt").read_text(), "timings")
         for keys in (report.timings, stored):
             assert list(keys) == ["calibration_s", "collection_s", "calibration_pulses_per_s"]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        N=st.sampled_from([1e-9, 50.0]),
+        eta=st.sampled_from([0.0, 0.05, 1.0]),
+        M=st.sampled_from([1.0, 300.0]),
+        B=st.sampled_from([1, 8]),
+        pulses=st.sampled_from([1, 1000]),
+        n_max=st.sampled_from([1, 8]),
+    )
+    def test_corners_fail_only_by_typed_stage_failures(self, N, eta, M, B, pulses, n_max):
+        # a sample of the corners of the config box, not their full product
+        cfg = small_cfg(
+            source=EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M),
+            pulses=pulses,
+            weights_a=uniform_weights(B),
+            weights_b=uniform_weights(B),
+            n_max=n_max,
+        )
+        report = run_full(cfg)
+        for stage, message in report.failures.items():
+            assert stage in STAGE_CALLEES
+            assert message.split(":")[0] in ERROR_CLASSES, message
+            assert all(getattr(report, name) is None for name in FAILED_FIELDS[stage]), stage
+        with tempfile.TemporaryDirectory() as out:
+            report.write(out)
+            summary = parse_mapping(Path(out, "summary.txt").read_text(), "summary")
+        failed = {k[len("failed_") :]: v for k, v in summary.items() if k.startswith("failed_")}
+        assert failed == report.failures
 
     @pytest.mark.parametrize("stage", list(STAGE_CALLEES))
     def test_every_stage_fails_the_same_way(self, stage, monkeypatch, tmp_path):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pairstats import reconstruction
 from pairstats._fileio import fmt
-from pairstats.errors import SupportError, ValidationError
+from pairstats.errors import PairStatsError, SupportError, ValidationError
 from pairstats.loop_detector import (
     PathWeights,
     apply_response,
@@ -222,6 +222,32 @@ class TestEmReconstruct:
         result = em_reconstruct(hist, RESP8, RESP8, 3, tol=0.0, max_iter=1, init=init)
         assert np.abs(result.rho.probs - RHO_STAR).max() <= 1e-12
 
+    @pytest.mark.parametrize("count", [280_247, 6_877_710_873])
+    def test_step_lost_to_rounding_is_not_taken(self, count):
+        # every pulse clicks both single-path arms, so LL -> 0 while its rounding
+        # grows with the count: the second plain step loses 2.8e-10 (6.9e-6) nats
+        resp = response_matrix(uniform_weights(1), 10)
+        hist = ClickHistogram(np.array([[0, 0], [0, count]]), count)
+        result = em_reconstruct(hist, resp, resp, 10, tol=0.0)
+        assert result.converged and result.iterations == 2
+        assert len(result.log_likelihood_trace) == 2
+        assert np.diff(result.log_likelihood_trace).min() >= 0.0
+        assert result.log_likelihood_trace[-1] == log_likelihood(hist, result.rho, resp, resp)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_one_update_sums_to_one_from_any_positive_rho(self, seed):
+        # sum rho * g = sum (f/F) p / p = 1 for any positive rho, so em_reconstruct
+        # never renormalizes an update
+        rng = np.random.default_rng(seed)
+        hist = next(random_instances(1, seed=seed))
+        n_max = int(rng.integers(3, 13))
+        w = rng.random(8) + 0.05
+        resp_a = response_matrix(PathWeights(w / w.sum()), n_max)
+        resp_b = response_matrix(uniform_weights(8), n_max)
+        rho = rng.random((n_max + 1, n_max + 1)) * 10.0 ** rng.uniform(-3, 3)
+        _, g = reconstruction._observed_cells(hist, resp_a, resp_b, n_max)(rho)
+        assert abs(float((rho * g).sum()) - 1.0) <= 1e-13
+
     def test_normalization_every_iteration(self):
         hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
         for iters in (1, 3, 10, 100):
@@ -376,6 +402,50 @@ class TestEmReconstruct:
         assert ll_base == pytest.approx(ll_shift, abs=1e-12)
 
 
+class TestEmProperties:
+    """Over B 1-8, zero path weights, counts up to 1e12 and n_max from the
+    largest observed click up to 12, em_reconstruct returns a distribution
+    that meets its invariants or raises a PairStatsError."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        B=st.integers(1, 8),
+        log_scale=st.floats(0.0, 12.0),
+        reachable=st.booleans(),
+        extra=st.integers(0, 12),
+        max_iter=st.integers(1, 300),
+        tol=st.sampled_from([0.0, 1e-12, 1e-10, 1e-6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_result_meets_invariants_or_raises_typed(
+        self, B, log_scale, reachable, extra, max_iter, tol, seed
+    ):
+        rng = np.random.default_rng(seed)
+        weights = []
+        for _ in range(2):
+            w = rng.random(B)
+            w[rng.random(B) < 0.3] = 0.0  # dead paths
+            w[rng.integers(B)] += 0.1
+            weights.append(PathWeights(w / w.sum()))
+        f = np.floor(rng.random((B + 1, B + 1)) ** 3 * 10.0**log_scale).astype(np.int64)
+        f[rng.random(f.shape) < 0.4] = 0
+        if reachable:  # only click numbers that the live paths can give
+            f[np.count_nonzero(weights[0].w) + 1 :] = 0
+            f[:, np.count_nonzero(weights[1].w) + 1 :] = 0
+        n_max = min(int(np.argwhere(f > 0).max(initial=0)) + extra, 12)
+        try:
+            hist = ClickHistogram(f, int(f.sum()) + 1)
+            resp_a, resp_b = (response_matrix(w, n_max) for w in weights)
+            result = em_reconstruct(hist, resp_a, resp_b, n_max, tol=tol, max_iter=max_iter)
+        except PairStatsError:
+            return
+        trace = np.array(result.log_likelihood_trace)
+        assert np.diff(trace).min(initial=0.0) >= 0.0
+        assert result.rho.probs.min() >= 0.0
+        assert abs(result.rho.probs.sum() - 1.0) <= 1e-12
+        assert 1 <= result.iterations <= max_iter
+
+
 class TestResultValidation:
     def test_decreasing_trace_rejected(self):
         vac = np.zeros((2, 2))
@@ -474,9 +544,21 @@ class TestRaises:
                 ),
                 "init grid",
             ),
+            (
+                lambda: em_reconstruct(
+                    HIST2, RESP2, RESP2, 2, init=JointDistribution(np.zeros((3, 3)), 2, 1.0)
+                ),
+                "init grid",
+            ),
             (lambda: parse_histogram("# pulses=10 B=2\n1,0\n0,1\n"), "header"),
         ],
-        ids=["empty trace", "B mismatch", "init grid size", "histogram shape against header"],
+        ids=[
+            "empty trace",
+            "B mismatch",
+            "init grid size",
+            "all-tail init",
+            "histogram shape against header",
+        ],
     )
     def test_raises(self, call, match):
         with pytest.raises(ValidationError, match=match):
