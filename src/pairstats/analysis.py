@@ -21,8 +21,9 @@ from .errors import (
     SubPoissonianMarginalError,
     ValidationError,
 )
+from .model import JointDistribution, _index, _real, _reals
 # perfbench's traced run wraps analysis.joint_distribution and analysis.suggest_n_max
-from .model import JointDistribution, _index, _real, joint_distribution, suggest_n_max  # noqa: F401
+from .model import joint_distribution, suggest_n_max  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,8 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
     if which not in (2, 4):
         raise ValidationError("which must be 2 or 4")
     M = _real(M, "M", 1.0)
-    etas = np.atleast_1d(np.asarray(eta_grid, dtype=float))
-    rates = np.atleast_1d(np.asarray(rate_grid, dtype=float))
+    etas = np.asarray(_reals(eta_grid, "eta grid"), dtype=float)
+    rates = np.asarray(_reals(rate_grid, "rate grid"), dtype=float)
     if etas.size == 0 or rates.size == 0:
         raise ValidationError("grids must be non-empty")
     if not np.all((etas > 0.0) & (etas <= 1.0)):

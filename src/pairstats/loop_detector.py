@@ -3,10 +3,10 @@
 A photon entering the arm leaves through path i with probability w_i, and a
 path fires (one click) when at least one photon exits through it.  The
 conditional probability of k clicks given n photons is built by adding the
-paths one at a time, each taking a binomial share of the photons.  Losses
-are not modelled here; they are absorbed into the arm transmissions of the
-source model, so the response matrices describe lossless detectors with
-P[1, 1] = 1.
+paths one at a time, each taking a binomial share of the photons; the binomial
+rows of all paths advance together, 16 photon numbers at a time.  Losses are
+not modelled here; they are absorbed into the arm transmissions of the source
+model, so the response matrices describe lossless detectors with P[1, 1] = 1.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ import numpy as np
 
 from ._fileio import format_matrix, parse_matrix
 from .errors import DegenerateInputError, ValidationError
-from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index
+from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index, _reals
 
-_BLOCK = 64  # binomial rows applied per matrix product in response_matrix
+_BLOCK = 16  # photon numbers per block of response_matrix; its scratch grows with it
 
 
 @dataclass(frozen=True)
@@ -29,7 +29,7 @@ class PathWeights:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.atleast_1d(np.asarray(self.w, dtype=float))
+        w = np.asarray(_reals(self.w, "path weights"), dtype=float)
         if w.ndim != 1 or w.size < 1:
             raise ValidationError("path weights must be a non-empty 1-d sequence")
         _check_mass(w, "path weights")
@@ -114,32 +114,34 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
 
     Each update is a convex combination, so nothing cancels.  The binomial
     rows come from Pascal's rule, which keeps the column sums within rounding
-    of 1 at large n_max, and are applied ``_BLOCK`` rows per matrix product.
-    n_max is at most ``_N_CAP`` = 4096, as for ``joint_distribution``.
+    of 1 at large n_max.  They advance for all ``used`` nonzero paths at once, one
+    numpy step per n, in blocks of ``_BLOCK`` = 16 rows; each path's stage then takes
+    the block by one matrix product, and path u + 1 reads stage u.  Scratch: about
+    used x 17 x (n_max + 3) doubles, plus the stages' used (used + 1) / 2 + B + 1
+    rows of n_max + 1.  n_max is at most ``_N_CAP`` = 4096, as for ``joint_distribution``.
     """
     n_max = _index(n_max, "n_max", 0, _N_CAP)
     w = weights.w
-    P = np.zeros((w.size + 1, n_max + 1))
-    P[0, 0] = 1.0
-    block = np.zeros((_BLOCK, n_max + 1))
-    for used, i in enumerate(np.flatnonzero(w)):
-        p = w[i] / w[: i + 1].sum()
-        row = np.zeros(n_max + 3)  # row[m + 1] = C(n, m) (1-p)^m p^(n-m); row[0] = 0
-        row[1] = 1.0
-        new = np.zeros_like(P)
-        for n0 in range(0, n_max + 1, _BLOCK):
-            n1 = min(n0 + _BLOCK, n_max + 1)
-            for j, n in enumerate(range(n0, n1)):
-                block[j, :n1] = row[1 : n1 + 1]
-                row[1 : n + 3] = p * row[1 : n + 3] + (1.0 - p) * row[: n + 2]
-            rows = block[: n1 - n0, :n1]
-            stay = rows[:, n0:].diagonal().copy()
-            np.fill_diagonal(rows[:, n0:], 0.0)
-            old = P[: used + 1]
-            new[1 : used + 2, n0:n1] = old[:, :n1] @ rows.T
-            new[: used + 1, n0:n1] += stay * old[:, n0:n1]
-        P = new
-    return DetectorResponse(P=P)
+    paths = np.flatnonzero(w)
+    p = np.array([[w[i] / w[: i + 1].sum()] for i in paths])
+    # stage u is P after the first u nonzero paths: rows 0..u, but all B + 1 in the last
+    stages = [np.eye(1, n_max + 1)] + [np.zeros((u + 1, n_max + 1)) for u in range(1, paths.size)]
+    stages.append(np.zeros((w.size + 1, n_max + 1)))
+    # rows[u, j, m + 1] = C(n, m) (1-p)^m p^(n-m) for path u, n = n0 + j; row _BLOCK: n1
+    rows = np.zeros((paths.size, _BLOCK + 1, n_max + 3))
+    rows[:, _BLOCK, 1] = 1.0
+    for n0 in range(0, n_max + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, n_max + 1)
+        rows[:, 0] = rows[:, _BLOCK]
+        for j, n in enumerate(range(n0, n1)):
+            rows[:, j + 1, 1 : n + 3] = p * rows[:, j, 1 : n + 3] + (1.0 - p) * rows[:, j, : n + 2]
+        block, k = rows[:, : n1 - n0, 1 : n1 + 1], np.arange(n1 - n0)
+        stay = block[:, k, n0 + k]
+        block[:, k, n0 + k] = 0.0
+        for u, (old, new) in enumerate(zip(stages, stages[1:])):
+            new[1 : u + 2, n0:n1] = old[:, :n1] @ block[u].T
+            new[: u + 1, n0:n1] += stay[u] * old[:, n0:n1]
+    return DetectorResponse(P=stages[-1])
 
 
 def simulate_clicks_batch(
@@ -187,7 +189,7 @@ def calibrate(bin_counts) -> CalibrationResult:
     A path that never clicked would be a dead path in the response, so it
     raises DegenerateInputError naming the empty paths (every path, if none clicked).
     """
-    counts, total = _counts(np.atleast_1d(bin_counts), "bin counts")
+    counts, total = _counts(bin_counts, "bin counts")
     if counts.ndim != 1 or counts.size < 1:
         raise ValidationError("bin counts must be a non-empty 1-d sequence")
     if (empty := np.flatnonzero(counts == 0)).size:

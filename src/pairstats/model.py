@@ -63,14 +63,23 @@ def _real(value, name: str, lo: float, hi: float = math.inf, strict: bool = Fals
     return value
 
 
+def _reals(values, name: str, complex_ok: bool = False) -> np.ndarray:
+    """``values`` as an at least 1-d array of its own int, float or (if ``complex_ok``)
+    complex dtype; a ragged nest or a bool, str or object entry raises ValidationError."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # numpy refuses a ragged nest of sequences
+        raise ValidationError(f"{name} must be a rectangular array of numbers") from None
+    if array.dtype.kind not in ("iufc" if complex_ok else "iuf"):
+        raise ValidationError(f"{name} must be {'complex' if complex_ok else 'real'} numbers")
+    return array if array.ndim else array.reshape(1)
+
+
 def _counts(values, name: str) -> tuple[np.ndarray, int]:
     """``values`` as an array of finite nonnegative integers, with its exact total as
-    a Python int; else ValidationError naming ``name``.  A bool, str or complex
-    array is refused, as ``_real`` refuses such a scalar."""
-    counts = np.asarray(values)
-    if counts.dtype.kind not in "iuf" or not np.all(
-        (counts >= 0) & (counts < math.inf) & (np.floor(counts) == counts)
-    ):
+    a Python int; else ValidationError naming ``name``.  The dtype is kept."""
+    counts = _reals(values, name)
+    if not np.all((counts >= 0) & (counts < math.inf) & (np.floor(counts) == counts)):
         raise ValidationError(f"{name} must be finite nonnegative integers")
     return counts, sum(int(c) for c in counts.flat)
 
@@ -104,9 +113,9 @@ class MultimodeSource:
     t_prime: np.ndarray
 
     def __post_init__(self):
-        r = np.atleast_1d(np.asarray(self.r, dtype=float))
-        t = np.atleast_1d(np.asarray(self.t, dtype=complex))
-        tp = np.atleast_1d(np.asarray(self.t_prime, dtype=complex))
+        r = np.asarray(_reals(self.r, "r"), dtype=float)
+        t = np.asarray(_reals(self.t, "t", complex_ok=True), dtype=complex)
+        tp = np.asarray(_reals(self.t_prime, "t_prime", complex_ok=True), dtype=complex)
         if r.ndim != 1 or r.size < 1:
             raise ValidationError("r must be a non-empty 1-d sequence")
         if t.shape != r.shape or tp.shape != r.shape:

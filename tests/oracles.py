@@ -7,6 +7,8 @@ process, and ``closed_form_cell`` sums the closed-form double series of one
 cell in high-precision decimal arithmetic, where nothing underflows.
 ``filtered_moments`` gives the moments of a multimode source the textbook way,
 accurate only where |<ab>|^2 - <n><n'> does not cancel and r is moderate.
+``response_matrix_per_path`` builds the click matrix of ``pairstats.loop_detector``
+one path at a time, advancing one Pascal row per photon number.
 """
 
 import math
@@ -125,3 +127,32 @@ def filtered_moments(src: MultimodeSource) -> tuple[float, float, complex]:
     n_bar_prime = float(np.sum(np.abs(src.t_prime) ** 2 * occupation))
     S = complex(np.sum(src.t * src.t_prime * np.sinh(src.r) * np.cosh(src.r)))
     return n_bar, n_bar_prime, S
+
+
+def response_matrix_per_path(w: np.ndarray, n_max: int) -> np.ndarray:
+    """Click matrix P[k, n] of the recurrence of ``pairstats.response_matrix``, one path
+    at a time: path i takes a Binomial(n, p) share, p = w_i / (w_1 + ... + w_i),
+    and its Pascal row advances one photon number per step.  The binomial rows
+    are applied 64 rows per matrix product."""
+    block = 64
+    P = np.zeros((w.size + 1, n_max + 1))
+    P[0, 0] = 1.0
+    rows = np.zeros((block, n_max + 1))
+    for used, i in enumerate(np.flatnonzero(w)):
+        p = w[i] / w[: i + 1].sum()
+        row = np.zeros(n_max + 3)  # row[m + 1] = C(n, m) (1-p)^m p^(n-m); row[0] = 0
+        row[1] = 1.0
+        new = np.zeros_like(P)
+        for n0 in range(0, n_max + 1, block):
+            n1 = min(n0 + block, n_max + 1)
+            for j, n in enumerate(range(n0, n1)):
+                rows[j, :n1] = row[1 : n1 + 1]
+                row[1 : n + 3] = p * row[1 : n + 3] + (1.0 - p) * row[: n + 2]
+            part = rows[: n1 - n0, :n1]
+            stay = part[:, n0:].diagonal().copy()
+            np.fill_diagonal(part[:, n0:], 0.0)
+            old = P[: used + 1]
+            new[1 : used + 2, n0:n1] = old[:, :n1] @ part.T
+            new[: used + 1, n0:n1] += stay * old[:, n0:n1]
+        P = new
+    return P

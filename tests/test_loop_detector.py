@@ -26,6 +26,8 @@ from pairstats.loop_detector import (
 )
 from pairstats.model import _N_CAP, EffectiveSource, JointDistribution, joint_distribution
 
+from oracles import response_matrix_per_path
+
 
 def enumerate_click_matrix(w, n_max):
     """Exhaustive reference: weight every photon-to-path assignment."""
@@ -190,6 +192,25 @@ class TestResponseMatrix:
         assert np.abs(P.sum(axis=0) - 1.0).max() <= 1e-12
         k, n = np.ogrid[: B + 1, : n_max + 1]
         assert np.all(P[k > np.minimum(n, B)] == 0.0)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 15, 16, 17, 63, 64, 65, 998])
+    def test_matches_per_path_oracle(self, n_max):
+        """Blocks of 16 photon numbers against the one-path-at-a-time loop: the same
+        rows and products, so one block (n_max < 16) is bit-identical, and more
+        blocks differ only in the summation order of the products."""
+        rng = np.random.default_rng(n_max)
+        for B in range(1, 17 if n_max == 998 else 65):
+            raw = rng.random(B)
+            raw[rng.random(B) < 0.25] = 0.0
+            raw[rng.integers(B)] += 0.5  # at least one nonzero path
+            w = raw / raw.sum()
+            resp = response_matrix(PathWeights(w), n_max)
+            oracle = response_matrix_per_path(w, n_max)
+            assert resp.P.base is None, "the response must not keep the stages alive"
+            if n_max < 16:
+                assert np.array_equal(resp.P, oracle), B
+            else:
+                assert np.all(np.abs(resp.P - oracle) <= 1e-14 * oracle + 1e-300), B
 
     @pytest.mark.parametrize("B", [1, 3])
     def test_vacuum_column_only(self, B):

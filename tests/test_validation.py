@@ -1,6 +1,7 @@
-"""Every real-number argument goes through ``model._real`` and every count array
-through ``model._counts``: a wrong type or a non-finite value raises
-ValidationError at each entry point that takes one.  The cases are enumerated,
+"""Every real-number argument goes through ``model._real``, every real or complex
+array through ``model._reals`` and every count array through ``model._counts``:
+a wrong type, a ragged nest or a non-finite value raises ValidationError at each
+entry point that takes one.  The cases are enumerated,
 not sampled, so the test is deterministic."""
 
 import math
@@ -14,6 +15,8 @@ from pairstats import (
     EffectiveSource,
     ExperimentConfig,
     JointDistribution,
+    MultimodeSource,
+    PathWeights,
     ValidationError,
     calibrate,
     contamination_map,
@@ -101,3 +104,38 @@ def test_count_arrays_keep_exact_totals(dtype):
     assert calibrate(np.array([3, 1], dtype=dtype)).total == 4
     hist = ClickHistogram(np.array([[3, 1], [0, 2]], dtype=dtype), 6)
     assert hist.f.dtype == np.int64 and int(hist.f.sum()) == 6
+
+
+def test_ragged_counts_rejected():
+    with pytest.raises(ValidationError, match="bin counts"):
+        calibrate([[1, 2], [3]])
+    with pytest.raises(ValidationError, match="click counts"):
+        ClickHistogram(f=[[1, 2], [3]], pulses=10)
+
+
+# each call is valid but for the entries of the array named first
+WRONG_ARRAYS = [
+    ("path weights", lambda: PathWeights(["0.5", "0.5"])),
+    ("path weights", lambda: PathWeights([True])),
+    ("path weights", lambda: PathWeights([1 + 0j])),
+    ("path weights", lambda: PathWeights([[0.5], [0.25, 0.25]])),
+    ("eta grid", lambda: contamination_map(["0.5"], [1e-4])),
+    ("rate grid", lambda: contamination_map([0.5], ["1e-4"])),
+    ("r", lambda: MultimodeSource(r=["0.1"], t=[1.0], t_prime=[1.0])),
+    ("r", lambda: MultimodeSource(r=[0.1 + 0j], t=[1.0], t_prime=[1.0])),
+    ("t", lambda: MultimodeSource(r=[0.1], t=[True], t_prime=[1.0])),
+    ("t_prime", lambda: MultimodeSource(r=[0.1], t=[1.0], t_prime=["1"])),
+]
+
+
+@pytest.mark.parametrize(("name", "call"), WRONG_ARRAYS, ids=[n for n, _ in WRONG_ARRAYS])
+def test_wrong_array_entries_rejected(name, call):
+    with pytest.raises(ValidationError, match=f"^{name} must be"):
+        call()
+
+
+def test_numeric_arrays_accepted():
+    assert PathWeights(np.array([1, 0], dtype=np.uint8)).w.tolist() == [1.0, 0.0]
+    assert contamination_map(np.array([1]), [1e-4]).shape == (1, 1)
+    src = MultimodeSource(r=[1], t=np.array([0.5 + 0.5j]), t_prime=[np.float32(1.0)])
+    assert src.r.dtype == float and src.t.dtype == complex and src.t_prime.dtype == complex
