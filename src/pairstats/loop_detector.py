@@ -58,7 +58,7 @@ class DetectorResponse:
     P: np.ndarray
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=float)
+        P = np.asarray(_reals(self.P, "P"), dtype=float)
         if P.ndim != 2 or P.shape[0] < 2 or P.shape[1] < 1:
             raise ValidationError("P must have at least 2 rows and at least one column")
         B = P.shape[0] - 1
@@ -95,7 +95,7 @@ class ClickDistribution:
     deficit: float = 0.0
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = np.asarray(_reals(self.p, "click probabilities"), dtype=float)
         if p.ndim != 2:
             raise ValidationError("p must be a matrix")
         deficit = _check_mass(p, "click probabilities", self.deficit, "deficit")

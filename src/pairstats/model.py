@@ -171,7 +171,7 @@ class JointDistribution:
     tail_mass: float = 0.0
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        probs = np.asarray(_reals(self.probs, "probs"), dtype=float)
         n_max = _index(self.n_max, "n_max")
         if n_max < 0 or probs.shape != (n_max + 1, n_max + 1):
             raise ValidationError("probs must be a (n_max+1) x (n_max+1) matrix")

@@ -7,15 +7,21 @@ distribution is recovered by expectation-maximization, and the source
 parameters are estimated from the result.
 
 Pulses are simulated in fixed-size blocks, each drawing from its own
-counter-based random stream derived from (seed, stage, block index), so a
-run is reproducible bit-for-bit from its config and seed.  Only the pulses
-holding a pair that reaches a detector are drawn one by one.
+counter-based random stream derived from (seed, stage, block index).  The
+blocks of calibration and collection run on a pool of one thread per usable
+CPU, made on first use, and their integer tallies are summed in block order,
+so a run is reproducible bit-for-bit from its config and seed whatever the
+number of threads.  Only the pulses holding a pair that reaches a detector
+are drawn one by one.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import functools
 import math
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -137,22 +143,60 @@ def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     return a_only + in_both, pairs - a_only
 
 
-def _pulse_blocks(src: EffectiveSource, pulses: int, seed: int, stage: int):
-    """Yield (n, m, rng) per block of up to BLOCK_SIZE pulses: the photon
-    numbers of the block's non-empty pulses, and its stream for their clicks."""
-    for block, start in enumerate(range(0, pulses, BLOCK_SIZE)):
-        rng = _block_rng(seed, stage, block)
-        yield *_sample_pulses(src, rng, min(BLOCK_SIZE, pulses - start)), rng
+@functools.cache
+def _pool():
+    """(pool, threads): the thread pool that runs pulse blocks, one thread per usable CPU."""
+    from concurrent.futures import ThreadPoolExecutor  # imports logging, so not at startup
+
+    try:
+        threads = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        threads = os.cpu_count() or 1
+    return ThreadPoolExecutor(max_workers=threads, thread_name_prefix="pairstats-block"), threads
+
+
+if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none of its threads
+    os.register_at_fork(after_in_child=_pool.cache_clear)
+
+
+def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
+    """Yield fn(n, m, rng) for each block of up to BLOCK_SIZE pulses, in block
+    order: the photon numbers of the block's non-empty pulses, and its stream
+    for their clicks.  Blocks run on the pool, each on its own stream, so the
+    results do not depend on the number of threads.  At most two blocks per
+    thread are submitted ahead, which bounds memory for any number of pulses.
+    A block's error is raised, and the blocks not yet started are cancelled."""
+
+    def block(index: int):
+        rng = _block_rng(seed, stage, index)
+        size = min(BLOCK_SIZE, pulses - index * BLOCK_SIZE)
+        return fn(*_sample_pulses(src, rng, size), rng)
+
+    pool, threads = _pool()
+    pending = collections.deque()
+    try:
+        for index in range(-(-pulses // BLOCK_SIZE)):
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+            pending.append(pool.submit(block, index))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
 
 def simulate_experiment(cfg: ExperimentConfig) -> ClickHistogram:
     """Accumulate the joint click histogram over cfg.pulses pulses."""
     B = cfg.weights_a.B
-    counts = np.zeros((B + 1) * (B + 1), dtype=np.int64)
-    for n, m, rng in _pulse_blocks(cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN):
+    size = (B + 1) * (B + 1)
+
+    def clicks(n, m, rng):
         ka = simulate_clicks_batch(n, cfg.weights_a, rng)
         kb = simulate_clicks_batch(m, cfg.weights_b, rng)
-        counts += np.bincount(ka * (B + 1) + kb, minlength=counts.size)
+        return np.bincount(ka * (B + 1) + kb, minlength=size)
+
+    counts = sum(_map_blocks(clicks, cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN))
     counts[0] += cfg.pulses - counts.sum()  # the pulses left out are empty
     return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
 
@@ -167,12 +211,11 @@ def _bin_occupancy(ns, weights: PathWeights, rng: np.random.Generator) -> np.nda
 def simulate_calibration(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin click tallies of both arms at the low-intensity setting."""
     low = dataclasses.replace(cfg.source, N=cfg.calibration_N)
-    bins_a = np.zeros(cfg.weights_a.B, dtype=np.int64)
-    bins_b = np.zeros(cfg.weights_b.B, dtype=np.int64)
-    blocks = _pulse_blocks(low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION)
-    for n, m, rng in blocks:
-        bins_a += _bin_occupancy(n, cfg.weights_a, rng)
-        bins_b += _bin_occupancy(m, cfg.weights_b, rng)
+
+    def tallies(n, m, rng):
+        return np.stack([_bin_occupancy(n, cfg.weights_a, rng), _bin_occupancy(m, cfg.weights_b, rng)])
+
+    bins_a, bins_b = sum(_map_blocks(tallies, low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION))
     return bins_a, bins_b
 
 
@@ -218,7 +261,8 @@ class RunReport:
     with the cause recorded in ``failures`` under the stage's name (written
     as ``failed_<stage>`` in ``summary.txt``).  ``timings`` holds the wall
     seconds of every stage that ran, failed or not, and the pulses/s of
-    calibration and collection when they completed; they vary between runs,
+    calibration and collection when they completed, as wall-clock throughput
+    over all the threads that ran the stage's blocks; they vary between runs,
     so they go to ``timings.txt`` and not to the byte-reproducible
     ``summary.txt``."""
 

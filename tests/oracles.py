@@ -9,8 +9,12 @@ cell in high-precision decimal arithmetic, where nothing underflows.
 accurate only where |<ab>|^2 - <n><n'> does not cancel and r is moderate.
 ``response_matrix_per_path`` builds the click matrix of ``pairstats.loop_detector``
 one path at a time, advancing one Pascal row per photon number.
+``simulate_experiment_serial`` and ``simulate_calibration_serial`` run the pulse
+blocks of ``pairstats.pipeline`` one after another in the calling thread, so that
+the thread pool's results can be held to them bit for bit.
 """
 
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -18,8 +22,12 @@ import numpy as np
 from scipy.signal import convolve2d, lfilter
 from scipy.stats import binom
 
+from pairstats import pipeline
 from pairstats.errors import TruncationError, ValidationError
+from pairstats.loop_detector import simulate_clicks_batch
 from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource
+from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _sample_pulses
+from pairstats.reconstruction import ClickHistogram
 
 
 def _coefficients(src: EffectiveSource, num=float):
@@ -156,3 +164,36 @@ def response_matrix_per_path(w: np.ndarray, n_max: int) -> np.ndarray:
             new[: used + 1, n0:n1] += stay * old[:, n0:n1]
         P = new
     return P
+
+
+def pulse_blocks(src: EffectiveSource, pulses: int, seed: int, stage: int):
+    """Yield (n, m, rng) per block of up to ``pipeline.BLOCK_SIZE`` pulses, in block
+    order: the photon numbers of the block's non-empty pulses, and its stream for
+    their clicks."""
+    size = pipeline.BLOCK_SIZE
+    for block, start in enumerate(range(0, pulses, size)):
+        rng = _block_rng(seed, stage, block)
+        yield *_sample_pulses(src, rng, min(size, pulses - start)), rng
+
+
+def simulate_experiment_serial(cfg) -> ClickHistogram:
+    """``pairstats.simulate_experiment`` with its blocks run one after another."""
+    B = cfg.weights_a.B
+    counts = np.zeros((B + 1) * (B + 1), dtype=np.int64)
+    for n, m, rng in pulse_blocks(cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN):
+        ka = simulate_clicks_batch(n, cfg.weights_a, rng)
+        kb = simulate_clicks_batch(m, cfg.weights_b, rng)
+        counts += np.bincount(ka * (B + 1) + kb, minlength=counts.size)
+    counts[0] += cfg.pulses - counts.sum()  # the pulses left out are empty
+    return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
+
+
+def simulate_calibration_serial(cfg) -> tuple[np.ndarray, np.ndarray]:
+    """``pairstats.simulate_calibration`` with its blocks run one after another."""
+    low = dataclasses.replace(cfg.source, N=cfg.calibration_N)
+    bins_a = np.zeros(cfg.weights_a.B, dtype=np.int64)
+    bins_b = np.zeros(cfg.weights_b.B, dtype=np.int64)
+    for n, m, rng in pulse_blocks(low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION):
+        bins_a += _bin_occupancy(n, cfg.weights_a, rng)
+        bins_b += _bin_occupancy(m, cfg.weights_b, rng)
+    return bins_a, bins_b

@@ -1,9 +1,13 @@
 import dataclasses
+import functools
 import math
+import multiprocessing
+import os
 import tempfile
 import tracemalloc
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +29,7 @@ from pairstats.loop_detector import (
 )
 from pairstats.model import EffectiveSource, joint_distribution, parse_distribution
 from pairstats.pipeline import (
+    BLOCK_SIZE,
     ExperimentConfig,
     RunReport,
     bootstrap_characterize,
@@ -34,10 +39,11 @@ from pairstats.pipeline import (
     simulate_calibration,
     simulate_experiment,
     _block_rng,
-    _pulse_blocks,
     _sample_pulses,
 )
 from pairstats.reconstruction import ClickHistogram, em_reconstruct, em_record, parse_histogram
+
+from oracles import pulse_blocks, simulate_calibration_serial, simulate_experiment_serial
 
 
 def small_cfg(**overrides):
@@ -328,7 +334,7 @@ class TestSamplePulse:
         # to 1, so every pulse must come back
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
         pulses = 10_000_000
-        kept = sum(n.size for n, _, _ in _pulse_blocks(src, pulses, 7, 9))
+        kept = sum(n.size for n, _, _ in pulse_blocks(src, pulses, 7, 9))
         share = -math.expm1(-M * math.log1p(N * (2.0 * eta - eta * eta)))
         assert abs(kept - pulses * share) <= 4.0 * math.sqrt(pulses * share * (1.0 - share))
 
@@ -339,7 +345,7 @@ class TestSamplePulse:
         # z-tested, past the 21 x 21 window of max_law_z
         src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
         counts = np.zeros(0)
-        for n, m, _ in _pulse_blocks(src, 10_000_000, 8, 9):
+        for n, m, _ in pulse_blocks(src, 10_000_000, 8, 9):
             assert np.array_equal(n, m)
             hist = np.bincount(n)
             counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
@@ -470,6 +476,106 @@ class TestCalibration:
         for i in range(8):
             sigma = np.sqrt(weights.w[i] * (1 - weights.w[i]) / total)
             assert abs(what[i] - weights.w[i]) <= 5.0 * sigma
+
+
+# one pulse, one block short by a pulse, one block, two blocks and a part, ten blocks
+PULSE_COUNTS = [1, BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE + 7, 10 * BLOCK_SIZE]
+
+
+def threads_cfg(pulses):
+    # about a quarter of the collection pulses and a twelfth of the calibration
+    # pulses hold a pair, so every block draws clicks in both stages
+    return small_cfg(
+        source=EffectiveSource(N=0.2, eta=0.3, eta_prime=0.2, M=4.0),
+        pulses=pulses,
+        calibration_pulses=pulses,
+        calibration_N=0.05,
+        seed=11,
+    )
+
+
+def report_files(report) -> dict:
+    """The bytes of every file ``report.write`` makes, except ``timings.txt``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        report.write(tmp)
+        return {p.name: p.read_bytes() for p in Path(tmp).iterdir() if p.name != "timings.txt"}
+
+
+@functools.cache
+def serial_outputs(pulses):
+    """Histogram, calibration tallies and run_full files of the serial block loop."""
+    cfg = threads_cfg(pulses)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "simulate_experiment", simulate_experiment_serial)
+        mp.setattr(pipeline, "simulate_calibration", simulate_calibration_serial)
+        files = report_files(run_full(cfg))
+    return simulate_experiment_serial(cfg).f, simulate_calibration_serial(cfg), files
+
+
+@pytest.fixture(params=[1, 3], ids=["1-thread", "3-threads"])
+def pool_threads(request, monkeypatch):
+    """Run the pulse blocks on a pool of the given number of threads."""
+    with ThreadPoolExecutor(max_workers=request.param) as pool:
+        monkeypatch.setattr(pipeline, "_pool", lambda: (pool, request.param))
+        yield request.param
+
+
+class TestBlocksOnThreads:
+    """Blocks run on a thread pool give the serial loop's results bit for bit."""
+
+    @pytest.mark.parametrize("pulses", PULSE_COUNTS)
+    def test_histogram_matches_serial(self, pulses, pool_threads):
+        f = simulate_experiment(threads_cfg(pulses)).f
+        expected = serial_outputs(pulses)[0]
+        assert f.dtype == expected.dtype and np.array_equal(f, expected)
+
+    @pytest.mark.parametrize("pulses", PULSE_COUNTS)
+    def test_calibration_matches_serial(self, pulses, pool_threads):
+        for bins, expected in zip(simulate_calibration(threads_cfg(pulses)), serial_outputs(pulses)[1]):
+            assert bins.dtype == expected.dtype and np.array_equal(bins, expected)
+
+    @pytest.mark.parametrize("pulses", PULSE_COUNTS)
+    def test_run_full_files_match_serial(self, pulses, pool_threads):
+        assert report_files(run_full(threads_cfg(pulses))) == serial_outputs(pulses)[2]
+
+    def test_blocks_submitted_ahead_are_bounded(self, monkeypatch):
+        # however many blocks a run has, at most two per thread wait in the
+        # pool, so memory does not grow with the number of pulses
+        monkeypatch.setattr(pipeline, "BLOCK_SIZE", 10)
+        submitted = []
+        with ThreadPoolExecutor(max_workers=3) as pool:
+
+            class Recording:
+                def submit(self, fn, index):
+                    submitted.append(index)
+                    return pool.submit(fn, index)
+
+            monkeypatch.setattr(pipeline, "_pool", lambda: (Recording(), 3))
+            src = threads_cfg(1).source
+            ahead, sizes = [], []
+            for done, size in enumerate(pipeline._map_blocks(lambda n, m, rng: n.size, src, 1005, 4, 9)):
+                ahead.append(len(submitted) - done)
+                sizes.append(size)
+        assert submitted == list(range(101)) and max(ahead) == 6
+        assert sizes == [n.size for n, _, _ in pulse_blocks(src, 1005, 4, 9)]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+    def test_forked_child_makes_its_own_pool(self):
+        # a child forked after the pool was made inherits none of its threads,
+        # so it must make a pool of its own rather than wait on the old one
+        cfg = threads_cfg(2 * BLOCK_SIZE + 7)
+        expected = simulate_experiment(cfg).f
+        with multiprocessing.get_context("fork").Pool(1) as workers:
+            hist = workers.apply_async(simulate_experiment, (cfg,)).get(timeout=60)
+        assert np.array_equal(hist.f, expected)
+
+    def test_block_error_reaches_the_stage(self, pool_threads):
+        # every block of this source raises; the stage records the error's type
+        cfg = small_cfg(source=UNSAMPLEABLE, pulses=2 * BLOCK_SIZE + 7, calibration_pulses=1000)
+        assert run_full(cfg).failures == {
+            "collection": "ValidationError: pair numbers at N=1e+17, M=1000.0"
+            " are too large to sample"
+        }
 
 
 class TestRunFull:

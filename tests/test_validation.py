@@ -12,6 +12,7 @@ import pytest
 from pairstats import (
     ClickDistribution,
     ClickHistogram,
+    DetectorResponse,
     EffectiveSource,
     ExperimentConfig,
     JointDistribution,
@@ -125,6 +126,11 @@ WRONG_ARRAYS = [
     ("r", lambda: MultimodeSource(r=[0.1 + 0j], t=[1.0], t_prime=[1.0])),
     ("t", lambda: MultimodeSource(r=[0.1], t=[True], t_prime=[1.0])),
     ("t_prime", lambda: MultimodeSource(r=[0.1], t=[1.0], t_prime=["1"])),
+    ("probs", lambda: JointDistribution([["1"]], 0)),
+    ("probs", lambda: JointDistribution([[True]], 0)),
+    ("click probabilities", lambda: ClickDistribution([["1"]])),
+    ("P", lambda: DetectorResponse([["1"], ["0"]])),
+    ("P", lambda: DetectorResponse([[True], [False]])),
 ]
 
 
