@@ -11,8 +11,8 @@ counter-based random stream derived from (seed, stage, block index).  The
 blocks of calibration and collection run on a pool of one thread per usable
 CPU, made on first use, and their integer tallies are summed in block order,
 so a run is reproducible bit-for-bit from its config and seed whatever the
-number of threads.  Only the pulses holding a pair that reaches a detector
-are drawn one by one.
+number of threads.  Pulses holding one pair that reaches a detector are
+only counted; those holding more are drawn one by one.
 """
 
 from __future__ import annotations
@@ -104,43 +104,52 @@ class ExperimentConfig:
             object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, strict=strict))
 
 
-def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
-    """Photon numbers (n, m) reaching the two arms, for those of ``size``
-    pulses that hold a pair reaching a detector; the rest are left out.
+def _arrival(v, shape: float):
+    """theta x the next arrival of a Poisson process of rate Gamma(shape, theta), from a uniform v."""
+    return np.expm1(-np.log1p(-v) / shape)
 
-    With k = eta + eta' - eta eta' and theta = N k, a pulse's reaching pairs
-    are the arrivals on [0, 1] of a Poisson process of rate Gamma(M, theta),
-    negative binomial for any real M >= 1.  One binomial draw counts the
-    pulses with an arrival, each with probability S = 1 - (1+theta)**(-M).
-    Each draws its first arrival t by inverting its distribution, the rate
-    Gamma(M + 1, theta / (1 + theta t)) given t, and Poisson(rate (1 - t))
-    later pairs.  The pairs are split into both arms, arm a alone and arm b
-    alone in proportion to eta eta', eta (1-eta') and eta' (1-eta).
+
+def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
+    """(singles, n, m): of ``size`` pulses, the counts of those with one pair
+    reaching a detector as photon numbers (1, 1), (1, 0) and (0, 1), and the
+    photon numbers of those with more; the rest are empty.
+
+    With k = eta + eta' - eta eta' and theta = N k, the reaching pairs are the
+    arrivals on [0, 1] of a Poisson process of rate Gamma(M, theta), for any
+    real M >= 1.  A binomial counts the pulses with a first arrival t, which
+    has survival (1 + theta s)**(-M) and is drawn by inversion.  Given t the
+    rest, in units of 1 - t, has rate Gamma(M + 1, theta2), theta2 = theta
+    (1 - t) / (1 + theta t); a second uniform inverts (1 + theta2 s)**(-(M+1))
+    for a second arrival t2 <= 1.  Given t2 the rate is Gamma(M + 2, theta2 /
+    (1 + theta2 t2)), and Poisson(rate (1 - t2)) more pairs follow.  Pairs go
+    to both arms, arm a alone and arm b alone as eta eta' : eta (1-eta') : eta' (1-eta).
     """
     both = src.eta * src.eta_prime
-    single = src.eta * (1.0 - src.eta_prime) + src.eta_prime * (1.0 - src.eta)
-    # k as the sum of the disjoint shares keeps both/k and the arm-a part of
-    # single within [0, 1] after rounding
-    k = both + single
+    shares = np.array([both, src.eta * (1.0 - src.eta_prime), src.eta_prime * (1.0 - src.eta)])
+    single = shares[1] + shares[2]
+    k = both + single  # as the sum of the disjoint shares, it keeps every share ratio <= 1
     if k == 0.0:
-        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+        return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
     theta = src.N * k
     nonempty = -math.expm1(-src.M * math.log1p(theta))
     u = rng.random(rng.binomial(size, nonempty))
-    # the clamp keeps a rounding overshoot from making 1 - t negative
-    t = np.minimum(np.expm1(-np.log1p(-u * nonempty) / src.M) / theta, 1.0)
-    rate = rng.gamma(src.M + 1.0, theta / (1.0 + theta * t))
+    t = np.minimum(_arrival(u * nonempty, src.M) / theta, 1.0)  # 1 - t >= 0 despite rounding
+    theta2 = theta * (1.0 - t) / (1.0 + theta * t)
+    x2 = _arrival(rng.random(u.size), src.M + 1.0)
+    multi = x2 < theta2  # strict, so that theta2 = 0 (t = 1) holds no second pair
+    later = rng.gamma(src.M + 2.0, (theta2 - x2)[multi] / (1.0 + x2[multi]))  # rate (1 - t2)
     try:
-        pairs = 1 + rng.poisson(rate * (1.0 - t))
+        pairs = 2 + rng.poisson(later)
     except ValueError as exc:  # numpy refuses counts that could overflow int64
         raise ValidationError(
             f"pair numbers at N={src.N!r}, M={src.M!r} are too large to sample"
         ) from exc
+    singles = rng.multinomial(u.size - pairs.size, shares / k)
     in_both = rng.binomial(pairs, both / k)
     a_only = 0
     if single > 0.0:
-        a_only = rng.binomial(pairs - in_both, src.eta * (1.0 - src.eta_prime) / single)
-    return a_only + in_both, pairs - a_only
+        a_only = rng.binomial(pairs - in_both, shares[1] / single)
+    return singles, a_only + in_both, pairs - a_only
 
 
 @functools.cache
@@ -160,9 +169,9 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
 
 
 def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
-    """Yield fn(n, m, rng) for each block of up to BLOCK_SIZE pulses, in block
-    order: the photon numbers of the block's non-empty pulses, and its stream
-    for their clicks.  Blocks run on the pool, each on its own stream, so the
+    """Yield fn(singles, n, m, rng) for each block of up to BLOCK_SIZE pulses,
+    in block order: the block's ``_sample_pulses`` draw, and its stream for
+    the clicks.  Blocks run on the pool, each on its own stream, so the
     results do not depend on the number of threads.  At most two blocks per
     thread are submitted ahead, which bounds memory for any number of pulses.
     A block's error is raised, and the blocks not yet started are cancelled."""
@@ -191,32 +200,33 @@ def simulate_experiment(cfg: ExperimentConfig) -> ClickHistogram:
     B = cfg.weights_a.B
     size = (B + 1) * (B + 1)
 
-    def clicks(n, m, rng):
+    def clicks(singles, n, m, rng):
         ka = simulate_clicks_batch(n, cfg.weights_a, rng)
         kb = simulate_clicks_batch(m, cfg.weights_b, rng)
-        return np.bincount(ka * (B + 1) + kb, minlength=size)
+        counts = np.bincount(ka * (B + 1) + kb, minlength=size)
+        counts[[B + 2, B + 1, 1]] += singles  # one photon is one click
+        return counts
 
     counts = sum(_map_blocks(clicks, cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN))
     counts[0] += cfg.pulses - counts.sum()  # the pulses left out are empty
     return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
 
 
-def _bin_occupancy(ns, weights: PathWeights, rng: np.random.Generator) -> np.ndarray:
-    """Per-path tallies of pulses in which the path saw at least one photon."""
-    hit = np.flatnonzero(ns >= 1)
-    counts = rng.multinomial(ns[hit], weights.w)
-    return (counts > 0).sum(axis=0).astype(np.int64)
+def _bin_occupancy(ones, ns, weights: PathWeights, rng: np.random.Generator) -> np.ndarray:
+    """Per-path tallies of pulses in which the path saw a photon: ``ones`` pulses of one, and ``ns``."""
+    counts = rng.multinomial(ns[ns >= 1], weights.w)
+    return (counts > 0).sum(axis=0) + rng.multinomial(ones, weights.w)
 
 
 def simulate_calibration(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     """Per-bin click tallies of both arms at the low-intensity setting."""
     low = dataclasses.replace(cfg.source, N=cfg.calibration_N)
 
-    def tallies(n, m, rng):
-        return np.stack([_bin_occupancy(n, cfg.weights_a, rng), _bin_occupancy(m, cfg.weights_b, rng)])
+    def tallies(singles, n, m, rng):
+        a = _bin_occupancy(singles[0] + singles[1], n, cfg.weights_a, rng)
+        return np.stack([a, _bin_occupancy(singles[0] + singles[2], m, cfg.weights_b, rng)])
 
-    bins_a, bins_b = sum(_map_blocks(tallies, low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION))
-    return bins_a, bins_b
+    return tuple(sum(_map_blocks(tallies, low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION)))
 
 
 def bootstrap_characterize(

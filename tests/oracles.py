@@ -9,9 +9,12 @@ cell in high-precision decimal arithmetic, where nothing underflows.
 accurate only where |<ab>|^2 - <n><n'> does not cancel and r is moderate.
 ``response_matrix_per_path`` builds the click matrix of ``pairstats.loop_detector``
 one path at a time, advancing one Pascal row per photon number.
-``simulate_experiment_serial`` and ``simulate_calibration_serial`` run the pulse
-blocks of ``pairstats.pipeline`` one after another in the calling thread, so that
-the thread pool's results can be held to them bit for bit.
+``sample_pulses_per_pulse`` is the law oracle of the sampler of
+``pairstats.pipeline``: it draws every non-empty pulse in full, single-pair
+pulses included.  ``simulate_experiment_serial`` and
+``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
+one after another in the calling thread, so that the thread pool's results can
+be held to them bit for bit.
 """
 
 import dataclasses
@@ -166,10 +169,45 @@ def response_matrix_per_path(w: np.ndarray, n_max: int) -> np.ndarray:
     return P
 
 
+def sample_pulses_per_pulse(src: EffectiveSource, rng: np.random.Generator, size: int):
+    """Photon numbers (n, m) of those of ``size`` pulses that hold a pair reaching
+    a detector, each drawn in full; the rest are left out.
+
+    One binomial draw counts the pulses with a reaching pair, with probability
+    S = 1 - (1+theta)**(-M), theta = N (eta + eta' - eta eta').  Each draws its
+    first arrival t on [0, 1] by inversion, the rate Gamma(M + 1, theta / (1 +
+    theta t)) given t, Poisson(rate (1 - t)) later pairs, and two binomial
+    splits of its pairs.
+    """
+    both = src.eta * src.eta_prime
+    single = src.eta * (1.0 - src.eta_prime) + src.eta_prime * (1.0 - src.eta)
+    k = both + single
+    if k == 0.0:
+        return np.zeros(0, np.int64), np.zeros(0, np.int64)
+    theta = src.N * k
+    nonempty = -math.expm1(-src.M * math.log1p(theta))
+    u = rng.random(rng.binomial(size, nonempty))
+    t = np.minimum(np.expm1(-np.log1p(-u * nonempty) / src.M) / theta, 1.0)
+    rate = rng.gamma(src.M + 1.0, theta / (1.0 + theta * t))
+    pairs = 1 + rng.poisson(rate * (1.0 - t))
+    in_both = rng.binomial(pairs, both / k)
+    a_only = 0
+    if single > 0.0:
+        a_only = rng.binomial(pairs - in_both, src.eta * (1.0 - src.eta_prime) / single)
+    return a_only + in_both, pairs - a_only
+
+
+def nonempty_pulses(singles, n, m):
+    """Photon numbers (n, m) of every non-empty pulse of a ``_sample_pulses`` draw:
+    its single-pair counts spelled out as (1, 1), (1, 0) and (0, 1), then (n, m)."""
+    ones = np.repeat([[1, 1], [1, 0], [0, 1]], singles, axis=0)
+    return np.concatenate([ones[:, 0], n]), np.concatenate([ones[:, 1], m])
+
+
 def pulse_blocks(src: EffectiveSource, pulses: int, seed: int, stage: int):
-    """Yield (n, m, rng) per block of up to ``pipeline.BLOCK_SIZE`` pulses, in block
-    order: the photon numbers of the block's non-empty pulses, and its stream for
-    their clicks."""
+    """Yield (singles, n, m, rng) per block of up to ``pipeline.BLOCK_SIZE`` pulses,
+    in block order: the block's ``_sample_pulses`` draw, and its stream for the
+    clicks."""
     size = pipeline.BLOCK_SIZE
     for block, start in enumerate(range(0, pulses, size)):
         rng = _block_rng(seed, stage, block)
@@ -180,10 +218,13 @@ def simulate_experiment_serial(cfg) -> ClickHistogram:
     """``pairstats.simulate_experiment`` with its blocks run one after another."""
     B = cfg.weights_a.B
     counts = np.zeros((B + 1) * (B + 1), dtype=np.int64)
-    for n, m, rng in pulse_blocks(cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN):
+    for singles, n, m, rng in pulse_blocks(cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN):
         ka = simulate_clicks_batch(n, cfg.weights_a, rng)
         kb = simulate_clicks_batch(m, cfg.weights_b, rng)
         counts += np.bincount(ka * (B + 1) + kb, minlength=counts.size)
+        counts[B + 2] += singles[0]
+        counts[B + 1] += singles[1]
+        counts[1] += singles[2]
     counts[0] += cfg.pulses - counts.sum()  # the pulses left out are empty
     return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
 
@@ -193,7 +234,9 @@ def simulate_calibration_serial(cfg) -> tuple[np.ndarray, np.ndarray]:
     low = dataclasses.replace(cfg.source, N=cfg.calibration_N)
     bins_a = np.zeros(cfg.weights_a.B, dtype=np.int64)
     bins_b = np.zeros(cfg.weights_b.B, dtype=np.int64)
-    for n, m, rng in pulse_blocks(low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION):
-        bins_a += _bin_occupancy(n, cfg.weights_a, rng)
-        bins_b += _bin_occupancy(m, cfg.weights_b, rng)
+    for (both, a_only, b_only), n, m, rng in pulse_blocks(
+        low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION
+    ):
+        bins_a += _bin_occupancy(both + a_only, n, cfg.weights_a, rng)
+        bins_b += _bin_occupancy(both + b_only, m, cfg.weights_b, rng)
     return bins_a, bins_b

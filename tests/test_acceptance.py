@@ -33,7 +33,7 @@ from pairstats.pipeline import (
 )
 from pairstats.reconstruction import ClickHistogram, em_reconstruct
 
-from oracles import joint_distribution_oracle
+from oracles import joint_distribution_oracle, nonempty_pulses
 
 
 def _estimate(rho, name):
@@ -98,7 +98,8 @@ def test_criterion_3_delta_squared_identities():
     for b in range(20):
         rng = _block_rng(314159, 3, b)
         # the pulses the sampler leaves out are empty: pad them back as zeros
-        n, m = (np.pad(x, (0, 50_000 - x.size)) for x in _sample_pulses(src, rng, 50_000))
+        drawn = nonempty_pulses(*_sample_pulses(src, rng, 50_000))
+        n, m = (np.pad(x, (0, 50_000 - x.size)) for x in drawn)
         mn, mm = n.mean(), m.mean()
         num = (
             n.var() / mn**2 + m.var() / mm**2

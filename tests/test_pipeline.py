@@ -43,7 +43,13 @@ from pairstats.pipeline import (
 )
 from pairstats.reconstruction import ClickHistogram, em_reconstruct, em_record, parse_histogram
 
-from oracles import pulse_blocks, simulate_calibration_serial, simulate_experiment_serial
+from oracles import (
+    nonempty_pulses,
+    pulse_blocks,
+    sample_pulses_per_pulse,
+    simulate_calibration_serial,
+    simulate_experiment_serial,
+)
 
 
 def small_cfg(**overrides):
@@ -114,6 +120,14 @@ STAGE_CALLEES = {
 }
 
 
+def clipped_cells(n, m, pulses: int) -> np.ndarray:
+    """Counts of ``pulses`` pulses over the 22 x 22 cells of (n, m) clipped at 21,
+    flattened; the pulses beyond those drawn are empty and count in cell (0, 0)."""
+    counts = np.bincount(np.minimum(n, 21) * 22 + np.minimum(m, 21), minlength=22 * 22)
+    counts[0] += pulses - n.size
+    return counts
+
+
 def max_law_z(src: EffectiveSource) -> float:
     """Largest per-cell z of 10M sampled pulses against the model.
 
@@ -124,9 +138,8 @@ def max_law_z(src: EffectiveSource) -> float:
     pulses = 10_000_000
     counts = np.zeros(22 * 22)
     for block in range(5):
-        n, m = _sample_pulses(src, _block_rng(3, 9, block), pulses // 5)
-        counts += np.bincount(np.minimum(n, 21) * 22 + np.minimum(m, 21), minlength=22 * 22)
-        counts[0] += pulses // 5 - len(n)
+        n, m = nonempty_pulses(*_sample_pulses(src, _block_rng(3, 9, block), pulses // 5))
+        counts += clipped_cells(n, m, pulses // 5)
     counts = counts.reshape(22, 22)
     n_max = 20
     ana = joint_distribution(src, n_max).probs
@@ -134,6 +147,28 @@ def max_law_z(src: EffectiveSource) -> float:
     keep = expected >= 100.0
     sigma = np.sqrt(expected * (1.0 - ana))
     z = (counts[: n_max + 1, : n_max + 1] - expected)[keep] / sigma[keep]
+    return float(np.abs(z).max())
+
+
+def per_pulse_z(src: EffectiveSource) -> float:
+    """Largest per-cell two-sample z between 10M pulses of the sampler and 10M
+    of the per-pulse oracle, each from its own streams.
+
+    Only the cells where the two samples hold 200 or more pulses together enter.
+    """
+    pulses, blocks = 10_000_000, 10
+    counts = np.zeros((2, 22 * 22))
+    for block in range(blocks):
+        draws = (
+            nonempty_pulses(*_sample_pulses(src, _block_rng(12, 9, block), pulses // blocks)),
+            sample_pulses_per_pulse(src, _block_rng(13, 9, block), pulses // blocks),
+        )
+        for side, (n, m) in enumerate(draws):
+            counts[side] += clipped_cells(n, m, pulses // blocks)
+    pooled = counts.sum(axis=0)
+    keep = pooled >= 200.0
+    share = pooled[keep] / (2 * pulses)
+    z = (counts[0] - counts[1])[keep] / np.sqrt(2 * pulses * share * (1.0 - share))
     return float(np.abs(z).max())
 
 
@@ -295,13 +330,41 @@ class TestSamplePulse:
     def test_near_vacuum(self):
         src = EffectiveSource(N=1e-9, eta=0.9, eta_prime=0.9, M=2.0)
         rng = _block_rng(1, 9, 0)
-        n, m = _sample_pulses(src, rng, 200)
-        assert n.size == m.size == 0
+        singles, n, m = _sample_pulses(src, rng, 200)
+        assert singles.sum() == n.size == m.size == 0
 
     def test_lossless_pairs_stay_matched(self):
+        # only (1, 1) singles, and both arms see every pair of the others
         src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
-        n, m = _sample_pulses(src, _block_rng(2, 9, 0), 50_000)
-        assert np.array_equal(n, m)
+        singles, n, m = _sample_pulses(src, _block_rng(2, 9, 0), 50_000)
+        assert singles[0] > 0 and singles[1] == singles[2] == 0
+        assert n.size > 0 and np.array_equal(n, m)
+
+    @pytest.mark.parametrize("v", [0.0, 0.5])
+    def test_no_second_pair_after_the_last_instant(self, v):
+        # a first arrival at t = 1 leaves theta2 = 0; the sampler's test
+        # x2 < theta2 must then find no second pair, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x2 = pipeline._arrival(np.array([v]), 17.0)  # shape M + 1 at M = 16
+            assert not (x2 < 0.0).any()
+
+    @pytest.mark.parametrize(
+        "N, eta, eta_prime, M",
+        [
+            (0.2, 0.045, 0.045, 16.0),
+            (1.0, 1.0, 0.0, 2.0),
+            (1.0, 0.0, 0.3, 3.0),
+            (1.0, 1.0, 1.0, 2.5),
+            (3.0, 0.9, 0.2, 1.0),
+            (1.0, 0.5, 0.7, 2.5),
+            (1.0, 0.5, 0.7, 16.6),
+        ],
+        ids=["readme", "arm-a-only", "arm-b-only", "lossless", "bright-unbalanced", "M2.5", "M16.6"],
+    )
+    def test_law_matches_per_pulse_oracle(self, N, eta, eta_prime, M):
+        src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
+        assert per_pulse_z(src) <= 4.0
 
     def test_empirical_law_matches_model(self):
         assert max_law_z(EffectiveSource(N=1.0, eta=0.5, eta_prime=0.7, M=2.0)) <= 4.0
@@ -334,7 +397,7 @@ class TestSamplePulse:
         # to 1, so every pulse must come back
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
         pulses = 10_000_000
-        kept = sum(n.size for n, _, _ in pulse_blocks(src, pulses, 7, 9))
+        kept = sum(singles.sum() + n.size for singles, n, _, _ in pulse_blocks(src, pulses, 7, 9))
         share = -math.expm1(-M * math.log1p(N * (2.0 * eta - eta * eta)))
         assert abs(kept - pulses * share) <= 4.0 * math.sqrt(pulses * share * (1.0 - share))
 
@@ -345,7 +408,8 @@ class TestSamplePulse:
         # z-tested, past the 21 x 21 window of max_law_z
         src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
         counts = np.zeros(0)
-        for n, m, _ in pulse_blocks(src, 10_000_000, 8, 9):
+        for singles, n, m, _ in pulse_blocks(src, 10_000_000, 8, 9):
+            n, m = nonempty_pulses(singles, n, m)
             assert np.array_equal(n, m)
             hist = np.bincount(n)
             counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
@@ -366,7 +430,8 @@ class TestSamplePulse:
         src = EffectiveSource(N=1.0, eta=0.0, eta_prime=0.0, M=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draws = _sample_pulses(src, _block_rng(6, 9, 0), 1000)
+            singles, *draws = _sample_pulses(src, _block_rng(6, 9, 0), 1000)
+        assert singles.dtype == np.int64 and np.array_equal(singles, [0, 0, 0])
         for x in draws:
             assert x.dtype == np.int64 and x.shape == (0,)
 
@@ -383,7 +448,7 @@ class TestSamplePulse:
         pulses = 250_000
         mean = src.M * src.N * src.eta
         var = mean * (1.0 + src.N * src.eta)
-        for x in _sample_pulses(src, _block_rng(4, 9, 0), pulses):
+        for x in nonempty_pulses(*_sample_pulses(src, _block_rng(4, 9, 0), pulses)):
             x = np.pad(x, (0, pulses - x.size))
             dev = x - x.mean()
             m2 = float(np.mean(dev**2))
@@ -413,16 +478,18 @@ class TestSamplePulse:
     )
     def test_valid_box(self, log_N, eta, eta_prime, M, seed):
         src = EffectiveSource(N=10.0**log_N, eta=eta, eta_prime=eta_prime, M=M)
-        n, m = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
+        singles, n, m = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
+        assert singles.dtype == np.int64 and singles.shape == (3,) and (singles >= 0).all()
+        assert singles.sum() + n.size <= 1000
         for x in (n, m):
-            assert x.dtype == np.int64 and x.shape == n.shape and x.size <= 1000
+            assert x.dtype == np.int64 and x.shape == n.shape
             assert (x >= 0).all()
-        assert (n + m >= 1).all()
+        assert (n + m >= 2).all()
         again = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
-        assert np.array_equal(again[0], n) and np.array_equal(again[1], m)
+        assert all(np.array_equal(x, y) for x, y in zip(again, (singles, n, m)))
         lossless = EffectiveSource(N=src.N, eta=1.0, eta_prime=1.0, M=M)
-        n, m = _sample_pulses(lossless, _block_rng(seed, 9, 0), 1000)
-        assert np.array_equal(n, m)
+        singles, n, m = _sample_pulses(lossless, _block_rng(seed, 9, 0), 1000)
+        assert singles[1] == singles[2] == 0 and np.array_equal(n, m)
 
 
 class TestSimulateExperiment:
@@ -553,11 +620,12 @@ class TestBlocksOnThreads:
             monkeypatch.setattr(pipeline, "_pool", lambda: (Recording(), 3))
             src = threads_cfg(1).source
             ahead, sizes = [], []
-            for done, size in enumerate(pipeline._map_blocks(lambda n, m, rng: n.size, src, 1005, 4, 9)):
+            blocks = pipeline._map_blocks(lambda singles, n, m, rng: n.size, src, 1005, 4, 9)
+            for done, size in enumerate(blocks):
                 ahead.append(len(submitted) - done)
                 sizes.append(size)
         assert submitted == list(range(101)) and max(ahead) == 6
-        assert sizes == [n.size for n, _, _ in pulse_blocks(src, 1005, 4, 9)]
+        assert sizes == [n.size for _, n, _, _ in pulse_blocks(src, 1005, 4, 9)]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_makes_its_own_pool(self):
@@ -716,21 +784,21 @@ class TestRunFull:
         assert "calibration_mean_photons=1e-300\n" in summary
 
     def test_dead_path_fails_calibration(self, tmp_path):
-        # the few calibration photons all land in path 0, so the second path
-        # never clicks; calibrate names it before any response is built
-        two = PathWeights([0.5, 0.5])
+        # path 1 has zero weight, so it never clicks whatever the seed;
+        # calibrate names it before any response is built
+        dead = PathWeights([0.5, 0.0, 0.5])
         cfg = ExperimentConfig(
             source=EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0),
             pulses=20_000,
             seed=3,
-            calibration_pulses=2000,
+            calibration_pulses=200_000,
             calibration_N=1e-3,
-            weights_a=two,
-            weights_b=two,
+            weights_a=dead,
+            weights_b=dead,
             n_max=6,
         )
         bins_a, bins_b = simulate_calibration(cfg)
-        assert bins_a[1] == bins_b[1] == 0 < min(bins_a[0], bins_b[0])
+        assert bins_a[1] == bins_b[1] == 0 < min(bins_a[0], bins_a[2], bins_b[0], bins_b[2])
         report = run_full(cfg)
         assert report.failures == {
             "calibration": "DegenerateInputError: calibration paths [1] never clicked"
