@@ -197,9 +197,12 @@ def calibrate(bin_counts) -> CalibrationResult:
     return CalibrationResult(weights=PathWeights(counts / total), total=total)
 
 
-def _cut_responses(resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int):
-    """Both click matrices cut at n_max; ValidationError if one covers fewer photons."""
+def _cut_responses(resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int, B=None):
+    """Both click matrices cut at n_max; ValidationError if one covers fewer
+    photons or, given a histogram's B, has another number of paths."""
     for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
+        if B is not None and resp.B != B:
+            raise ValidationError(f"{name} has B={resp.B} but histogram has B={B}")
         if resp.n_max < n_max:
             raise ValidationError(f"{name} covers n <= {resp.n_max} < n_max={n_max}")
     return resp_a.P[:, : n_max + 1], resp_b.P[:, : n_max + 1]

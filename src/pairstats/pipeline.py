@@ -55,6 +55,7 @@ from .reconstruction import (
 )
 
 BLOCK_SIZE = 250_000
+_POOL_MIN_SAMPLED = 16_000  # sampled pulses a block must expect to pay for the pool (2-CPU x86-64)
 _MAX_SEED = 2**64 - 1  # bootstrap seeds are 64-bit unsigned
 
 _STAGE_CALIBRATION = 0
@@ -109,6 +110,17 @@ def _arrival(v, shape: float):
     return np.expm1(-np.log1p(-v) / shape)
 
 
+def _reaching_pairs(src: EffectiveSource):
+    """(shares, k, nonempty): the chances eta eta', eta (1-eta') and eta' (1-eta)
+    that a pair reaches both arms, arm a alone and arm b alone; their sum k,
+    which keeps every share ratio <= 1; and 1 - (1 + N k)**(-M), the chance
+    that a pulse holds a reaching pair."""
+    both = src.eta * src.eta_prime
+    shares = np.array([both, src.eta * (1.0 - src.eta_prime), src.eta_prime * (1.0 - src.eta)])
+    k = both + (shares[1] + shares[2])
+    return shares, k, -math.expm1(-src.M * math.log1p(src.N * k))
+
+
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     """(singles, n, m): of ``size`` pulses, the counts of those with one pair
     reaching a detector as photon numbers (1, 1), (1, 0) and (0, 1), and the
@@ -124,14 +136,11 @@ def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     (1 + theta2 t2)), and Poisson(rate (1 - t2)) more pairs follow.  Pairs go
     to both arms, arm a alone and arm b alone as eta eta' : eta (1-eta') : eta' (1-eta).
     """
-    both = src.eta * src.eta_prime
-    shares = np.array([both, src.eta * (1.0 - src.eta_prime), src.eta_prime * (1.0 - src.eta)])
-    single = shares[1] + shares[2]
-    k = both + single  # as the sum of the disjoint shares, it keeps every share ratio <= 1
+    shares, k, nonempty = _reaching_pairs(src)
     if k == 0.0:
         return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
+    both, single = shares[0], shares[1] + shares[2]
     theta = src.N * k
-    nonempty = -math.expm1(-src.M * math.log1p(theta))
     u = rng.random(rng.binomial(size, nonempty))
     t = np.minimum(_arrival(u * nonempty, src.M) / theta, 1.0)  # 1 - t >= 0 despite rounding
     theta2 = theta * (1.0 - t) / (1.0 + theta * t)
@@ -171,20 +180,24 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
 def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
     """Yield fn(singles, n, m, rng) for each block of up to BLOCK_SIZE pulses,
     in block order: the block's ``_sample_pulses`` draw, and its stream for
-    the clicks.  Blocks run on the pool, each on its own stream, so the
-    results do not depend on the number of threads.  At most two blocks per
-    thread are submitted ahead, which bounds memory for any number of pulses.
-    A block's error is raised, and the blocks not yet started are cancelled."""
+    the clicks.  Each block has its own stream, so results do not depend on
+    where it runs: the calling thread when it expects fewer than
+    _POOL_MIN_SAMPLED pulses with a reaching pair, else the pool, two blocks
+    per thread ahead at most.  A block's error is raised, later ones cancelled."""
 
     def block(index: int):
         rng = _block_rng(seed, stage, index)
         size = min(BLOCK_SIZE, pulses - index * BLOCK_SIZE)
         return fn(*_sample_pulses(src, rng, size), rng)
 
+    blocks = range(-(-pulses // BLOCK_SIZE))
+    if min(BLOCK_SIZE, pulses) * _reaching_pairs(src)[2] < _POOL_MIN_SAMPLED:
+        yield from map(block, blocks)
+        return
     pool, threads = _pool()
     pending = collections.deque()
     try:
-        for index in range(-(-pulses // BLOCK_SIZE)):
+        for index in blocks:
             if len(pending) == 2 * threads:
                 yield pending.popleft().result()
             pending.append(pool.submit(block, index))
@@ -250,7 +263,7 @@ def bootstrap_characterize(
     """
     _index(replicas, "replicas", 0)
     _index(seed, "seed", 0, _MAX_SEED)
-    total, _, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
+    total, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
     fields = ("mean_n", "mean_n_prime", "M_hat", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}
     freqs = (hist.f / total).ravel()

@@ -10,14 +10,17 @@ The update keeps rho nonnegative and never decreases the log-likelihood.
 Its output sums to one for any positive rho, normalized or not: with
 p = P rho P'^T and g the sum above, sum_{n,m} rho[n,m] g[n,m] =
 sum_{k,l} (f[k,l]/F) p[k,l] / p[k,l] = 1, so it is never renormalized.
-Plain EM converges slowly on these inversions, so ``em_reconstruct`` runs
-it inside SQUAREM cycles (Varadhan & Roland, Scand. J. Stat. 35, 335
-(2008)): two plain steps, a squared extrapolation along them, and one
-stabilising step, kept only when the log-likelihood does not fall below the
-second plain step's.  Click numbers above B carry no information about
-photon numbers beyond the detector's resolution, so support claimed at n
-much larger than B is determined by the data only weakly; callers choose
-n_max.
+A fit evaluates p and g on the flattened grid through one design matrix, row
+(k, l) of each observed cell holding P[k,n] P'[l,m] at column (n, m), while it
+has at most _DESIGN_MAX entries; on larger grids, where it would be slower and
+grow as cells * (n_max+1)^2, through products with P and P' on both sides.  Plain
+EM converges slowly on these inversions, so ``em_reconstruct`` runs it inside
+SQUAREM cycles (Varadhan & Roland, Scand. J. Stat. 35, 335 (2008)): two plain
+steps, a squared extrapolation along them, and one stabilising step, kept only
+when the log-likelihood does not fall below the second plain step's.  Click
+numbers above B carry no information about photon numbers beyond the
+detector's resolution, so support claimed at n much larger than B is
+determined by the data only weakly; callers choose n_max.
 """
 
 from __future__ import annotations
@@ -36,6 +39,9 @@ _SQUAREM_TRIALS = 4  # extrapolation lengths tried per cycle
 _MAX_PULSES = 2**63 - 1  # click counts are int64
 EM_TOL = 1e-10  # default stop: a plain step gains less than EM_TOL * max(1, |LL|)
 EM_MAX_ITER = 100_000  # default budget of forward evaluations
+# design-matrix entries (120 KB) past which the two-sided products are faster
+# (x86-64, one BLAS thread: break-even between 14,641 and 15,876)
+_DESIGN_MAX = 15_000
 
 
 @dataclass(frozen=True)
@@ -115,30 +121,45 @@ def log_likelihood(
     grid, and SupportError when a nonzero count falls in a cell of zero model
     probability.
     """
-    return _observed_cells(hist, resp_a, resp_b, rho.n_max)(rho.probs)[0]
+    return float(_observed_cells(hist, resp_a, resp_b, rho.n_max)(rho.probs.ravel())[0])
 
 
 def _observed_cells(
     hist: ClickHistogram, resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int
 ):
-    """evaluate(rho) -> (LL, EM multiplier) over the observed cells of hist,
-    raising SupportError when one has zero probability; the responses, checked
-    to have hist's B and to cover n_max, are cut at n_max."""
-    for name, resp in (("resp_a", resp_a), ("resp_b", resp_b)):
-        if resp.B != hist.B:
-            raise ValidationError(f"{name} has B={resp.B} but histogram has B={hist.B}")
-    Pa, Pb = _cut_responses(resp_a, resp_b, n_max)
-    cells = np.flatnonzero(hist.f)  # observed cells, as flat indices
-    counts = hist.f.take(cells)
+    """evaluate(rho) -> (LL, EM multiplier, p) over the observed cells of hist, for rho and
+    the multiplier flat on the (n_max+1)^2 grid; SupportError when a cell has zero
+    probability.  The responses, checked to have hist's B and cover n_max, are cut at n_max."""
+    Pa, Pb = _cut_responses(resp_a, resp_b, n_max, hist.B)
+    cells = np.flatnonzero(hist.f)
+    counts = hist.f.take(cells).astype(float)
     freqs = counts / counts.sum()
-    ratio = np.zeros(hist.f.shape)
+    grid = (n_max + 1, n_max + 1)
+    if cells.size * grid[0] * grid[1] <= _DESIGN_MAX:
+        k, l = np.divmod(cells, hist.B + 1)
+        design = (Pa[k, :, None] * Pb[l, None, :]).reshape(cells.size, grid[0] * grid[1])
+
+        def forward(r):
+            return design @ r
+
+        def back(w):
+            return w @ design
+
+    else:
+        ratio = np.zeros(hist.f.shape)
+
+        def forward(r):
+            return (Pa @ r.reshape(grid) @ Pb.T).take(cells)
+
+        def back(w):
+            ratio.flat[cells] = w
+            return (Pa.T @ ratio @ Pb).ravel()
 
     def evaluate(r):
-        p = (Pa @ r @ Pb.T).take(cells)
-        if not (p > 0.0).all():
+        p = forward(r)
+        if not p.min(initial=1.0) > 0.0:
             raise SupportError("observed clicks in cells of zero model probability")
-        np.put(ratio, cells, freqs / p)
-        return math.fsum((counts * np.log(p)).tolist()), Pa.T @ ratio @ Pb
+        return counts @ np.log(p), back(freqs / p), p
 
     return evaluate
 
@@ -151,8 +172,8 @@ def _check_em_args(
     tol: float,
     max_iter: int,
 ):
-    """Validate the arguments of :func:`em_reconstruct`; return the total count,
-    tol as a float and the histogram's observed-cell evaluator."""
+    """Validate the arguments of :func:`em_reconstruct`; return the total count
+    and tol as a float."""
     n_max = _index(n_max, "n_max")
     tol = _real(tol, "tol", 0.0)
     _index(max_iter, "max_iter", 1)
@@ -164,7 +185,8 @@ def _check_em_args(
         raise ValidationError(
             f"n_max={n_max} is below the largest observed click number {observed}"
         )
-    return total, tol, _observed_cells(hist, resp_a, resp_b, n_max)
+    _cut_responses(resp_a, resp_b, n_max, hist.B)
+    return total, tol
 
 
 def em_reconstruct(
@@ -211,15 +233,14 @@ def em_reconstruct(
         max_iter: >= 1; the budget of forward evaluations.
         init: optional starting distribution on the same grid, with mass on it.
     """
-    total, tol, evaluate = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
-    if init is None:
-        rho = np.full((n_max + 1, n_max + 1), 1.0 / (n_max + 1) ** 2)
-    else:
-        if init.n_max != n_max or not init.probs.any():
-            raise ValidationError("init grid must match n_max and hold probability mass")
-        rho = init.probs / init.probs.sum()
+    total, tol = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
+    if init is not None and (init.n_max != n_max or not init.probs.any()):
+        raise ValidationError("init grid must match n_max and hold probability mass")
+    start = np.ones((n_max + 1) ** 2) if init is None else init.probs.ravel()
+    rho = start / start.sum()
 
-    ll, g = evaluate(rho)
+    evaluate = _observed_cells(hist, resp_a, resp_b, n_max)
+    ll, g, _ = evaluate(rho)
     trace = [ll]
     converged = False
     iterations = 0
@@ -229,7 +250,7 @@ def em_reconstruct(
         iterations += 1
         gain = state[0] - ll
         if gain >= 0.0:  # a step that rounding makes lose LL is not taken
-            rho, (ll, g) = new, state
+            rho, (ll, g, _) = new, state
             trace.append(ll)
         if gain < tol * max(1.0, abs(ll)):
             converged = True
@@ -241,10 +262,10 @@ def em_reconstruct(
         cycle = [x2]
         r = x1 - x0
         v = x2 - x1 - r
-        norm_v = float(np.linalg.norm(v))
+        norm_v = math.sqrt(v @ v)
         if norm_v == 0.0:
             continue
-        alpha = min(-float(np.linalg.norm(r)) / norm_v, -1.0)
+        alpha = min(-math.sqrt(r @ r) / norm_v, -1.0)
         for _ in range(_SQUAREM_TRIALS):
             if alpha == -1.0 or iterations + 2 > max_iter:
                 break
@@ -260,12 +281,12 @@ def em_reconstruct(
             except SupportError:
                 continue
             if state[0] >= ll:
-                rho, (ll, g) = trial, state
+                rho, (ll, g, _) = trial, state
                 trace.append(ll)
                 cycle = [rho]
                 break
     return ReconstructionResult(
-        rho=JointDistribution(probs=rho, n_max=n_max, tail_mass=0.0),
+        rho=JointDistribution(probs=rho.reshape(n_max + 1, n_max + 1), n_max=n_max, tail_mass=0.0),
         log_likelihood_trace=tuple(trace),
         iterations=iterations,
         converged=converged,

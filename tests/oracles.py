@@ -14,7 +14,10 @@ one path at a time, advancing one Pascal row per photon number.
 pulses included.  ``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
-be held to them bit for bit.
+be held to them bit for bit.  ``observed_cells_two_sided`` evaluates the EM
+likelihood of ``pairstats.reconstruction`` on the 2-D grid by products with
+the response matrices on both sides, summing it exactly, to hold both of that
+module's evaluators to.
 """
 
 import dataclasses
@@ -26,8 +29,8 @@ from scipy.signal import convolve2d, lfilter
 from scipy.stats import binom
 
 from pairstats import pipeline
-from pairstats.errors import TruncationError, ValidationError
-from pairstats.loop_detector import simulate_clicks_batch
+from pairstats.errors import SupportError, TruncationError, ValidationError
+from pairstats.loop_detector import _cut_responses, simulate_clicks_batch
 from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource
 from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _sample_pulses
 from pairstats.reconstruction import ClickHistogram
@@ -240,3 +243,24 @@ def simulate_calibration_serial(cfg) -> tuple[np.ndarray, np.ndarray]:
         bins_a += _bin_occupancy(both + a_only, n, cfg.weights_a, rng)
         bins_b += _bin_occupancy(both + b_only, m, cfg.weights_b, rng)
     return bins_a, bins_b
+
+
+def observed_cells_two_sided(hist: ClickHistogram, resp_a, resp_b, n_max: int):
+    """``reconstruction._observed_cells`` on the 2-D grid: evaluate(rho)
+    -> (LL, EM multiplier, p) for rho on the (n_max+1)^2 grid, with p = P rho P'^T
+    over the observed cells, g = P^T (f/F / p) P' on the grid and LL summed
+    exactly by ``math.fsum``."""
+    Pa, Pb = _cut_responses(resp_a, resp_b, n_max)
+    cells = np.flatnonzero(hist.f)
+    counts = hist.f.take(cells)
+    freqs = counts / counts.sum()
+
+    def evaluate(r):
+        p = (Pa @ r @ Pb.T).take(cells)
+        if not (p > 0.0).all():
+            raise SupportError("observed clicks in cells of zero model probability")
+        ratio = np.zeros(hist.f.shape)
+        np.put(ratio, cells, freqs / p)
+        return math.fsum((counts * np.log(p)).tolist()), Pa.T @ ratio @ Pb, p
+
+    return evaluate

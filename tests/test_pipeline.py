@@ -587,6 +587,21 @@ def pool_threads(request, monkeypatch):
         yield request.param
 
 
+@pytest.fixture
+def submitted(monkeypatch):
+    """The indices of the blocks submitted to a two-thread pool, in order."""
+    indices = []
+    with ThreadPoolExecutor(max_workers=2) as pool:
+
+        class Recording:
+            def submit(self, fn, index):
+                indices.append(index)
+                return pool.submit(fn, index)
+
+        monkeypatch.setattr(pipeline, "_pool", lambda: (Recording(), 2))
+        yield indices
+
+
 class TestBlocksOnThreads:
     """Blocks run on a thread pool give the serial loop's results bit for bit."""
 
@@ -607,8 +622,10 @@ class TestBlocksOnThreads:
 
     def test_blocks_submitted_ahead_are_bounded(self, monkeypatch):
         # however many blocks a run has, at most two per thread wait in the
-        # pool, so memory does not grow with the number of pulses
+        # pool, so memory does not grow with the number of pulses; a zero
+        # break-even sends these 10-pulse blocks to the pool
         monkeypatch.setattr(pipeline, "BLOCK_SIZE", 10)
+        monkeypatch.setattr(pipeline, "_POOL_MIN_SAMPLED", 0)
         submitted = []
         with ThreadPoolExecutor(max_workers=3) as pool:
 
@@ -626,6 +643,34 @@ class TestBlocksOnThreads:
                 sizes.append(size)
         assert submitted == list(range(101)) and max(ahead) == 6
         assert sizes == [n.size for _, n, _, _ in pulse_blocks(src, 1005, 4, 9)]
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["calling-thread", "pool"])
+    def test_pool_only_from_break_even(self, pooled, submitted, monkeypatch):
+        # blocks expected to sample fewer than _POOL_MIN_SAMPLED pulses run on
+        # the calling thread, the others on the pool; the histogram is the same
+        pulses = 2 * BLOCK_SIZE + 7
+        cfg = threads_cfg(pulses)
+        sampled = BLOCK_SIZE * pipeline._reaching_pairs(cfg.source)[2]
+        break_even = sampled if pooled else np.nextafter(sampled, math.inf)
+        monkeypatch.setattr(pipeline, "_POOL_MIN_SAMPLED", break_even)
+        f = simulate_experiment(cfg).f
+        assert submitted == ([0, 1, 2] if pooled else [])
+        assert np.array_equal(f, serial_outputs(pulses)[0])
+
+    def test_readme_calibration_runs_on_calling_thread(self, submitted):
+        # about 350 of a README calibration block's 250,000 pulses hold a pair,
+        # too few to pay for the pool; its 1,000,000 bright pulses do not
+        cfg = small_cfg(
+            source=EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0),
+            calibration_pulses=1_000_000,
+        )
+        for bins, expected in zip(simulate_calibration(cfg), simulate_calibration_serial(cfg)):
+            assert np.array_equal(bins, expected)
+        assert submitted == []
+        bright = dataclasses.replace(cfg, calibration_N=cfg.source.N)
+        for bins, expected in zip(simulate_calibration(bright), simulate_calibration_serial(bright)):
+            assert np.array_equal(bins, expected)
+        assert submitted == [0, 1, 2, 3]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_makes_its_own_pool(self):

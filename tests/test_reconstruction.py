@@ -1,4 +1,10 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,6 +31,8 @@ from pairstats.reconstruction import (
     log_likelihood,
     parse_histogram,
 )
+
+from oracles import observed_cells_two_sided
 
 RESP8 = response_matrix(uniform_weights(8), 3)
 
@@ -152,7 +160,8 @@ class TestLogLikelihood:
 
     def test_equals_final_em_trace_entry(self):
         # both evaluate the observed cells through one code path, so they agree
-        # bit for bit on a README run and on an exact-law bright source
+        # bit for bit on a README run and on an exact-law bright source, fitted
+        # through the design matrix (n_max 8, 12) and the two-sided products (16)
         readme = run_full(
             ExperimentConfig(
                 source=EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0),
@@ -171,7 +180,7 @@ class TestLogLikelihood:
         clicks = apply_response(joint_distribution(src, n_max), ra, rb)
         counts = rng.multinomial(100_000_000, np.append(clicks.p.ravel(), clicks.deficit))
         bright = ClickHistogram(f=counts[:-1].reshape(9, 9), pulses=100_000_000)
-        cases += [(bright, ra, rb, 8), (bright, ra, rb, 12)]
+        cases += [(bright, ra, rb, 8), (bright, ra, rb, 12), (bright, ra, rb, 16)]
         for hist, resp_a, resp_b, fit_n_max in cases:
             fit = em_reconstruct(hist, resp_a, resp_b, fit_n_max)
             got = log_likelihood(hist, fit.rho, resp_a, resp_b)
@@ -186,6 +195,131 @@ class TestLogLikelihood:
         rho = JointDistribution(vac, 3, 0.0)
         with pytest.raises(SupportError):
             log_likelihood(hist, rho, RESP8, RESP8)
+
+
+class TestObservedCells:
+    """Both evaluators, the design matrix and the two-sided products, give the
+    oracle's p, EM multiplier and log-likelihood, and refuse the same inputs."""
+
+    @pytest.mark.parametrize("design_max", [math.inf, -1], ids=["design", "two-sided"])
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        B=st.integers(1, 8),
+        extra=st.integers(0, 4),
+        log_scale=st.floats(0.0, 12.0),
+        reachable=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_oracle(self, design_max, B, extra, log_scale, reachable, seed):
+        rng = np.random.default_rng(seed)
+        n_max = B + extra
+        weights = []
+        for _ in range(2):
+            w = rng.random(B) ** 2  # uneven
+            w[rng.random(B) < 0.2] = 0.0  # dead paths
+            w[rng.integers(B)] += 0.1
+            weights.append(PathWeights(w / w.sum()))
+        resp_a, resp_b = (response_matrix(w, n_max) for w in weights)
+        f = np.floor(rng.random((B + 1, B + 1)) ** 3 * 10.0**log_scale).astype(np.int64)
+        f[rng.random(f.shape) < 0.4] = 0  # empty cells
+        if reachable:  # only click numbers that the live paths can give
+            f[np.count_nonzero(weights[0].w) + 1 :] = 0
+            f[:, np.count_nonzero(weights[1].w) + 1 :] = 0
+        f[0, 0] += 1
+        hist = ClickHistogram(f, int(f.sum()))
+        rho = rng.random((n_max + 1, n_max + 1)) ** 4
+        empty = rng.random(n_max + 1) < 0.2  # photon numbers without mass
+        empty[rng.integers(n_max + 1)] = False
+        rho[empty] = 0.0
+        rho /= rho.sum()
+
+        with mock.patch.object(reconstruction, "_DESIGN_MAX", design_max):
+            evaluate = reconstruction._observed_cells(hist, resp_a, resp_b, n_max)
+        oracle = observed_cells_two_sided(hist, resp_a, resp_b, n_max)
+        try:
+            ll_ref, g_ref, p_ref = oracle(rho)
+        except SupportError:
+            with pytest.raises(SupportError, match="zero model probability"):
+                evaluate(rho.ravel())
+            return
+        ll, g, p = evaluate(rho.ravel())
+        g_ref = g_ref.ravel()
+        assert (np.abs(p - p_ref) <= 1e-13 * p_ref).all()
+        assert (np.abs(g - g_ref) <= 1e-13 * g_ref).all()
+        assert abs(ll - ll_ref) <= 1e-12 * abs(ll_ref)
+
+    def test_design_only_on_small_grids(self):
+        # the design matrix is used while it has at most _DESIGN_MAX entries;
+        # at n_max 600 it would hold 81 x 601^2 doubles, 234 MB, so a log-likelihood
+        # and a short fit must stay within a few copies of the 2.9 MB grid
+        f = np.arange(1, 82).reshape(9, 9)
+        hist = ClickHistogram(f, int(f.sum()))
+        resp = response_matrix(uniform_weights(8), 600)
+        rho = JointDistribution(np.full((601, 601), 601.0**-2), 600, 0.0)
+        tracemalloc.start()
+        try:
+            ll = log_likelihood(hist, rho, resp, resp)
+            ll_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            fit = em_reconstruct(hist, resp, resp, 600, max_iter=5)
+            fit_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ll_ref = observed_cells_two_sided(hist, resp, resp, 600)(rho.probs)[0]
+        assert ll == pytest.approx(ll_ref, rel=1e-12)
+        assert fit.iterations == 5
+        assert ll_peak <= 4 * rho.probs.nbytes
+        assert fit_peak <= 16 * rho.probs.nbytes
+
+    @pytest.mark.parametrize("design_max", [math.inf, -1], ids=["design", "two-sided"])
+    def test_all_zero_histogram_is_zero(self, design_max):
+        # no observed cell, so no term: both evaluators return 0 and a zero multiplier
+        hist = ClickHistogram(np.zeros((9, 9), np.int64), 10)
+        rho = JointDistribution(RHO_STAR, 3, 0.0)
+        with mock.patch.object(reconstruction, "_DESIGN_MAX", design_max):
+            assert log_likelihood(hist, rho, RESP8, RESP8) == 0.0
+            ll, g, p = reconstruction._observed_cells(hist, RESP8, RESP8, 3)(RHO_STAR.ravel())
+        assert ll == 0.0 and p.size == 0 and np.array_equal(g, np.zeros(16))
+
+
+# n_max=12 and 16 fits of an exact-law bright histogram, through the design matrix
+# and the two-sided products; prints rho's bytes, the trace and the evaluation count
+BLAS_THREADS_FIT = """
+import numpy as np
+from pairstats.loop_detector import PathWeights, apply_response, response_matrix
+from pairstats.model import EffectiveSource, joint_distribution, suggest_n_max
+from pairstats.reconstruction import ClickHistogram, em_reconstruct
+
+rng = np.random.default_rng(9)
+src = EffectiveSource(N=1.5, eta=0.4, eta_prime=0.4, M=3.0)
+n_max = suggest_n_max(src, 1e-12)
+ra, rb = (
+    response_matrix(PathWeights(w / w.sum()), n_max)
+    for w in 1.0 + 0.1 * (rng.random((2, 8)) - 0.5)
+)
+clicks = apply_response(joint_distribution(src, n_max), ra, rb)
+counts = rng.multinomial(100_000_000, np.append(clicks.p.ravel(), clicks.deficit))
+hist = ClickHistogram(counts[:-1].reshape(9, 9), 100_000_000)
+for fit_n_max in (12, 16):
+    fit = em_reconstruct(hist, ra, rb, fit_n_max)
+    print(fit.rho.probs.tobytes().hex(), fit.log_likelihood_trace, fit.iterations)
+"""
+
+
+def test_em_independent_of_blas_threads():
+    # neither evaluator's products may round differently when OpenBLAS
+    # splits them over threads
+    src = str(Path(reconstruction.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        run = subprocess.run(
+            [sys.executable, "-c", BLAS_THREADS_FIT], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        outputs.append(run.stdout)
+    assert outputs[0] == outputs[1]
 
 
 class TestEmReconstruct:
@@ -244,8 +378,8 @@ class TestEmReconstruct:
         w = rng.random(8) + 0.05
         resp_a = response_matrix(PathWeights(w / w.sum()), n_max)
         resp_b = response_matrix(uniform_weights(8), n_max)
-        rho = rng.random((n_max + 1, n_max + 1)) * 10.0 ** rng.uniform(-3, 3)
-        _, g = reconstruction._observed_cells(hist, resp_a, resp_b, n_max)(rho)
+        rho = rng.random((n_max + 1) ** 2) * 10.0 ** rng.uniform(-3, 3)
+        _, g, _ = reconstruction._observed_cells(hist, resp_a, resp_b, n_max)(rho)
         assert abs(float((rho * g).sum()) - 1.0) <= 1e-13
 
     def test_normalization_every_iteration(self):
