@@ -3,8 +3,8 @@
 A photon entering the arm leaves through path i with probability w_i, and a
 path fires (one click) when at least one photon exits through it.  The
 conditional probability of k clicks given n photons is built by adding the
-paths one at a time, each taking a binomial share of the photons; the binomial
-rows of all paths advance together, 16 photon numbers at a time.  Losses are
+paths one at a time, each taking a binomial share of the photons, whose rows
+come 64 photon numbers at a time from one row and a 65-tap kernel.  Losses are
 not modelled here; they are absorbed into the arm transmissions of the source
 model, so the response matrices describe lossless detectors with P[1, 1] = 1.
 """
@@ -19,7 +19,7 @@ from ._fileio import format_matrix, parse_matrix
 from .errors import DegenerateInputError, ValidationError
 from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index, _reals
 
-_BLOCK = 16  # photon numbers per block of response_matrix; its scratch grows with it
+_BLOCK = 64  # photon numbers per block of response_matrix: its kernel has _BLOCK + 1 taps
 
 
 @dataclass(frozen=True)
@@ -112,36 +112,46 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
 
         new[k, n] = (1-p)^n P[k, n] + sum_{m<n} C(n, m) (1-p)^m p^(n-m) P[k-1, m]
 
-    Each update is a convex combination, so nothing cancels.  The binomial
-    rows come from Pascal's rule, which keeps the column sums within rounding
-    of 1 at large n_max.  They advance for all ``used`` nonzero paths at once, one
-    numpy step per n, in blocks of ``_BLOCK`` = 16 rows; each path's stage then takes
-    the block by one matrix product, and path u + 1 reads stage u.  Scratch: about
-    used x 17 x (n_max + 3) doubles, plus the stages' used (used + 1) / 2 + B + 1
-    rows of n_max + 1.  n_max is at most ``_N_CAP`` = 4096, as for ``joint_distribution``.
+    Each update is a convex combination, so nothing cancels.  Path u + 1 reads
+    stage u alone, L = min(``_BLOCK``, n_max + 1) photon numbers at a time: the
+    rows of n0 + j are the row of n0 convolved with K[j, i] = C(j, i) (1-p)^i p^(j-i),
+    built by Pascal's rule for all paths at once.  A block is (P @ W) @ K^T, with
+    W[m, i] = row[m - i] for m - i < n0, plus the row's last entry and the stay term.
+    Scratch: two stages, 2 paths (L + 1)^2 kernel doubles and an (n_max + 1) x L
+    window.  n_max is at most ``_N_CAP`` = 4096, as for ``joint_distribution``.
     """
     n_max = _index(n_max, "n_max", 0, _N_CAP)
     w = weights.w
     paths = np.flatnonzero(w)
+    L = min(_BLOCK, n_max + 1)
     p = np.array([[w[i] / w[: i + 1].sum()] for i in paths])
-    # stage u is P after the first u nonzero paths: rows 0..u, but all B + 1 in the last
-    stages = [np.eye(1, n_max + 1)] + [np.zeros((u + 1, n_max + 1)) for u in range(1, paths.size)]
-    stages.append(np.zeros((w.size + 1, n_max + 1)))
-    # rows[u, j, m + 1] = C(n, m) (1-p)^m p^(n-m) for path u, n = n0 + j; row _BLOCK: n1
-    rows = np.zeros((paths.size, _BLOCK + 1, n_max + 3))
-    rows[:, _BLOCK, 1] = 1.0
-    for n0 in range(0, n_max + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, n_max + 1)
-        rows[:, 0] = rows[:, _BLOCK]
-        for j, n in enumerate(range(n0, n1)):
-            rows[:, j + 1, 1 : n + 3] = p * rows[:, j, 1 : n + 3] + (1.0 - p) * rows[:, j, : n + 2]
-        block, k = rows[:, : n1 - n0, 1 : n1 + 1], np.arange(n1 - n0)
-        stay = block[:, k, n0 + k]
-        block[:, k, n0 + k] = 0.0
-        for u, (old, new) in enumerate(zip(stages, stages[1:])):
-            new[1 : u + 2, n0:n1] = old[:, :n1] @ block[u].T
-            new[: u + 1, n0:n1] += stay[u] * old[:, n0:n1]
-    return DetectorResponse(P=stages[-1])
+    q = 1.0 - p
+    pascal = np.zeros((paths.size, L + 1, L + 2))  # [u, j, i + 1] = K[j, i] of path u
+    pascal[:, 0, 1] = 1.0
+    for j in range(L):
+        pascal[:, j + 1, 1 : j + 3] = p * pascal[:, j, 1 : j + 3] + q * pascal[:, j, : j + 2]
+    kern = pascal[:, :, 1:]
+    k = np.arange(L)
+    stay, inner = kern[:, k, k], kern[:, :L, :L].copy()
+    inner[:, k, k] = 0.0
+    blocks = [(n0, min(n0 + L, n_max + 1)) for n0 in range(0, n_max + 1, L)]
+    P = np.eye(1, n_max + 1)  # stage 0: no path, no click
+    for u in range(paths.size):
+        new = np.zeros((u + 2 if u + 1 < paths.size else w.size + 1, n_max + 1))
+        for n0, n1 in blocks:
+            b, up, keep = n1 - n0, new[1 : u + 2, n0:n1], new[: u + 1, n0:n1]
+            edge = row[n0] * P[:, n0:n1] if n0 else P[:, :n1]  # the row's last entry
+            np.matmul(edge, inner[u, :b, :b].T, out=up)
+            keep += stay[u, :b] * edge
+            if n0:  # window[m - lo, i] = row[m - i] for 0 <= m - i < n0, in float64 steps
+                lo = np.argmax(row > 0.0)  # row[:lo] has underflowed to 0
+                pad = np.concatenate((np.zeros(L - 1), row[:n0], np.zeros(b)))
+                window = np.lib.stride_tricks.as_strided(pad[L - 1 + lo :], (n1 - lo, b), (8, -8))
+                up += (P[:, lo:n1] @ window) @ kern[u, :b, :b].T
+            if n1 <= n_max:  # row[m] = C(n1, m) (1-p)^m p^(n1-m), for the next block
+                row = np.convolve(row, kern[u, L]) if n0 else kern[u, L]
+        P = new
+    return DetectorResponse(P=P)
 
 
 def simulate_clicks_batch(

@@ -9,6 +9,8 @@ cell in high-precision decimal arithmetic, where nothing underflows.
 accurate only where |<ab>|^2 - <n><n'> does not cancel and r is moderate.
 ``response_matrix_per_path`` builds the click matrix of ``pairstats.loop_detector``
 one path at a time, advancing one Pascal row per photon number.
+``response_matrix_exact`` gives the exact click law of a few paths by
+inclusion-exclusion in rational arithmetic, rounded once to floats.
 ``sample_pulses_per_pulse`` is the law oracle of the sampler of
 ``pairstats.pipeline``: it draws every non-empty pulse in full, single-pair
 pulses included.  ``simulate_experiment_serial`` and
@@ -21,8 +23,10 @@ module's evaluators to.
 """
 
 import dataclasses
+import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.signal import convolve2d, lfilter
@@ -169,6 +173,37 @@ def response_matrix_per_path(w: np.ndarray, n_max: int) -> np.ndarray:
             new[1 : used + 2, n0:n1] = old[:, :n1] @ part.T
             new[: used + 1, n0:n1] += stay * old[:, n0:n1]
         P = new
+    return P
+
+
+def response_matrix_exact(w, n_max: int) -> np.ndarray:
+    """Exact click matrix P[k, n] of the normalized weights w / sum(w), B <= 6.
+
+    With the weights taken exactly as fractions c_i / C over the common
+    denominator C = sum c_i, the paths in a set T hold all n photons with
+    probability (c_T / C)^n, and inclusion-exclusion over T gives
+
+        P[k, n] = C^-n sum_{t <= k} (-1)^(k-t) C(B-t, k-t) sum_{|T|=t} c_T^n
+
+    in integers; each entry is rounded to a float once, at the end.
+    """
+    B = len(w)
+    if B > 6:
+        raise ValidationError("the exact oracle enumerates 2^B path sets; B must be <= 6")
+    weights = [Fraction(float(x)) for x in w]
+    scale = math.lcm(*(x.denominator for x in weights))
+    c = [int(x * scale) for x in weights]
+    total = sum(c)
+    sets = [itertools.combinations(range(B), t) for t in range(B + 1)]
+    sums = [[sum(c[i] for i in T) for T in group] for group in sets]
+    powers = [[1] * len(group) for group in sums]
+    P = np.zeros((B + 1, n_max + 1))
+    for n in range(n_max + 1):
+        per_size = [sum(group) for group in powers]
+        for k in range(B + 1):
+            terms = [(-1) ** (k - t) * math.comb(B - t, k - t) * per_size[t] for t in range(k + 1)]
+            P[k, n] = sum(terms) / total**n  # int / int rounds once
+        powers = [[x * y for x, y in zip(p, group)] for p, group in zip(powers, sums)]
     return P
 
 
