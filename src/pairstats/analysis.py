@@ -125,22 +125,24 @@ def _diagonal_cell(rho: JointDistribution, c: int) -> float:
 
 
 def _rate_coefficients(v: float, M: float, which: int) -> list[tuple[int, float]]:
-    """(i, a_i) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - w)^M sum a_i w^i.
+    """(i, b_i) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - x/M)^M sum b_i x^i.
 
     With eta = eta', J ~ NegBin(M, w) pairs reach a detector, w = N k / (1 + N k),
     k = 1 - (1 - eta)^2: P(J = j) = (1 - w)^M t_j, t_j = (M)_j w^j / j!.  Each is
     a twin with probability v = eta / (2 - eta), else one photon in either arm.
+    In x = M w, t_j = x^j / j! prod_(i<j) (1 + i/M): no power of M is formed,
+    so nothing overflows at any finite M, and M -> oo is the Poisson law of mean x.
     """
     q2 = (1.0 - v) ** 2
+    d2 = 0.5 * (1.0 + 1.0 / M)
     if which == 2:
-        return [(1, M * v), (2, 0.25 * M * (M + 1.0) * q2)]
-    c2 = 0.5 * M * (M + 1.0)
-    c3, c4 = c2 * (M + 2.0), c2 * (M + 2.0) * (M + 3.0)
-    return [(2, c2 * v * v), (3, 0.5 * c3 * v * q2), (4, c4 * q2 * q2 / 32.0)]
+        return [(1, v), (2, 0.5 * d2 * q2)]
+    d3, d4 = d2 * (1.0 + 2.0 / M), d2 * (1.0 + 2.0 / M) * (1.0 + 3.0 / M)
+    return [(2, d2 * v * v), (3, 0.5 * d3 * v * q2), (4, d4 * q2 * q2 / 32.0)]
 
 
 def _bisect(rising, hi: float) -> float:
-    """Smallest w in (0, hi] with ``rising(w)``, to 1e-12 relative or to the last bit."""
+    """Smallest x in (0, hi] with ``rising(x)``, to 1e-12 relative or to the last bit."""
     lo = 0.0
     while hi - lo > 1e-12 * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
         if rising(mid):
@@ -150,40 +152,42 @@ def _bisect(rising, hi: float) -> float:
     return hi
 
 
-def _solve_w(target: float, v: float, M: float, which: int) -> float | None:
-    """Smallest w with pair rate R(w) == target, or None when unachievable.
+def _solve_x(target: float, v: float, M: float, which: int) -> float | None:
+    """Smallest x = M w with pair rate R(x) == target, or None when unachievable.
 
-    R is log-concave, so (1 - w) R' - M R changes sign once in (0, 1), at the
-    peak; divided by (1 - w)^(M - 1) w^(c - 1), c = which / 2, it cannot underflow.
-    "R(w) >= target or past the peak" is thus monotone in w: one bisection
+    R is log-concave, so (1 - w) R' - M R changes sign once, at the peak;
+    divided by (1 - w)^(M - 1) (x/M)^(c - 1), c = which / 2, it is sum b_i x^(i-c)
+    (i (1 - x/M) - x), which cannot underflow, and each of its terms is negative
+    past x = which, so the peak lies below min(M, which) and no power overflows.
+    "R(x) >= target or past the peak" is thus monotone in x: one bisection
     finds the solution, or the peak when the target lies above R there.
     """
     coeffs, c = _rate_coefficients(v, M, which), which // 2
 
-    def rate(w: float) -> float:
-        return math.exp(M * math.log1p(-w)) * sum(a * w**i for i, a in coeffs)
+    def rate(x: float) -> float:
+        return math.exp(M * math.log1p(-x / M)) * sum(b * x**i for i, b in coeffs)
 
-    w = _bisect(
-        lambda w: rate(w) >= target
-        or sum(a * w ** (i - c) * (i * (1 - w) - M * w) for i, a in coeffs) < 0,
-        1.0,
+    x = _bisect(
+        lambda x: rate(x) >= target
+        or sum(b * x ** (i - c) * (i * (1 - x / M) - x) for i, b in coeffs) < 0,
+        min(M, float(which)),
     )
-    return None if target > rate(w) * (1.0 + 1e-9) else w
+    return None if target > rate(x) * (1.0 + 1e-9) else x
 
 
-def _law_contamination(w: float, v: float, M: float, which: int) -> float:
+def _law_contamination(x: float, v: float, M: float, which: int) -> float:
     """eps = P(n + m >= which, off (c, c)) / P(n + m >= which), c = which / 2.
 
     Both sum nonnegative terms t_j of the J law of ``_rate_coefficients``,
     scaled to t_c = 1: nothing cancels or underflows.  t_(j+1) / t_j = r_j =
-    w (M + j) / (j + 1) falls toward w < 1, so once r_j < 1 the terms after
-    t_j sum to at most t_j r_j / (1 - r_j).
+    x (1 + j/M) / (j + 1) falls toward x / M < 1, so once r_j < 1 the terms
+    after t_j sum to at most t_j r_j / (1 - r_j).
     """
     t = [1.0]
     for j in range(which // 2, which):
-        t.append(t[-1] * w * (M + j) / (j + 1))
+        t.append(t[-1] * x * (1.0 + j / M) / (j + 1))
     term, j, rest = t[-1], which, 0.0
-    while (r := w * (M + j) / (j + 1)) >= 1.0 or term * r > (1.0 - r) * 1e-17 * rest:
+    while (r := x * (1.0 + j / M) / (j + 1)) >= 1.0 or term * r > (1.0 - r) * 1e-17 * rest:
         term *= r
         j += 1
         rest += term
@@ -201,7 +205,8 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
     solved on the rising branch so that the single-pair rate rho[1, 1]
     (double-pair rate rho[2, 2] for which=4) equals the requested rate, and
     the contamination there is evaluated, both in closed form from the law of
-    the pairs that reach a detector (no grid).  Unachievable rates yield NaN.
+    the pairs that reach a detector (no grid), at any finite M >= 1.
+    Unachievable rates yield NaN.
 
     Returns:
         Matrix of shape (len(eta_grid), len(rate_grid)).
@@ -223,9 +228,9 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
     for i, eta in enumerate(etas):
         v = float(eta) / (2.0 - float(eta))
         for j, rate in enumerate(rates):
-            w = _solve_w(float(rate), v, M, which)
-            if w is not None:
-                out[i, j] = _law_contamination(w, v, M, which)
+            x = _solve_x(float(rate), v, M, which)
+            if x is not None:
+                out[i, j] = _law_contamination(x, v, M, which)
     return out
 
 

@@ -44,8 +44,6 @@ from .loop_detector import (
 from .model import _N_CAP, EffectiveSource, _index, _real, format_distribution
 from .reconstruction import (
     _MAX_PULSES,
-    EM_MAX_ITER,
-    EM_TOL,
     ClickHistogram,
     ReconstructionResult,
     _check_em_args,
@@ -71,7 +69,7 @@ def _block_rng(seed: int, stage: int, block: int) -> np.random.Generator:
 # the range of every int field of ExperimentConfig, as the calls that read it check it
 _INT_RANGES = {
     "pulses": (1, _MAX_PULSES), "seed": (0, _MAX_SEED), "calibration_pulses": (1, _MAX_PULSES),
-    "n_max": (1, _N_CAP), "em_max_iter": (1, math.inf), "bootstrap_replicas": (0, math.inf),
+    "n_max": (1, _N_CAP), "bootstrap_replicas": (0, math.inf),
 }
 
 
@@ -82,6 +80,7 @@ class ExperimentConfig:
     The config plus the seed reproduce a run bit-exactly.  ``calibration_N``
     must keep the calibration in the single-photon regime; ``summary.txt``
     records its ``calibration_mean_photons``, which should not exceed 0.01.
+    It holds no EM setting: ``run_full`` fits at ``em_reconstruct``'s defaults.
     """
 
     source: EffectiveSource
@@ -92,8 +91,6 @@ class ExperimentConfig:
     calibration_pulses: int = 1_000_000
     calibration_N: float = 1e-3
     n_max: int = 8
-    em_tol: float = EM_TOL
-    em_max_iter: int = EM_MAX_ITER
     bootstrap_replicas: int = 0
 
     def __post_init__(self):
@@ -101,8 +98,8 @@ class ExperimentConfig:
             object.__setattr__(self, name, _index(getattr(self, name), name, *bounds))
         if self.weights_a.B != self.weights_b.B:
             raise ValidationError("both arms must use the same number of paths")
-        for name, strict in (("calibration_N", True), ("em_tol", False)):
-            object.__setattr__(self, name, _real(getattr(self, name), name, 0.0, strict=strict))
+        calibration_N = _real(self.calibration_N, "calibration_N", 0.0, strict=True)
+        object.__setattr__(self, "calibration_N", calibration_N)
 
 
 def _arrival(v, shape: float):
@@ -249,13 +246,12 @@ def bootstrap_characterize(
     n_max: int,
     replicas: int = 100,
     seed: int = 0,
-    tol: float = EM_TOL,
-    max_iter: int = EM_MAX_ITER,
 ) -> dict:
     """Bootstrap the source estimates by resampling pulses.
 
     Pulses are independent draws over the click cells, so resampling them
-    with replacement is a multinomial redraw of the histogram.  Returns a
+    with replacement is a multinomial redraw of the histogram, and each
+    replica is fitted by ``em_reconstruct`` at its defaults.  Returns a
     mapping from estimate name to the array of replica values (NaN where
     ``characterize`` records a replica's estimate as undefined).  The
     arguments are checked once, up front, so a bad one raises ValidationError
@@ -263,7 +259,7 @@ def bootstrap_characterize(
     """
     _index(replicas, "replicas", 0)
     _index(seed, "seed", 0, _MAX_SEED)
-    total, _ = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
+    total = _check_em_args(hist, resp_a, resp_b, n_max)
     fields = ("mean_n", "mean_n_prime", "M_hat", "eta_hat", "eps2", "eps4")
     samples = {name: [] for name in fields}
     freqs = (hist.f / total).ravel()
@@ -271,8 +267,7 @@ def bootstrap_characterize(
         rng = _block_rng(seed, _STAGE_BOOTSTRAP, replica)
         f = rng.multinomial(total, freqs).reshape(hist.f.shape)
         resampled = ClickHistogram(f=f, pulses=hist.pulses)
-        result = em_reconstruct(resampled, resp_a, resp_b, n_max, tol=tol, max_iter=max_iter)
-        char = characterize(result.rho)
+        char = characterize(em_reconstruct(resampled, resp_a, resp_b, n_max).rho)
         for name in fields:
             samples[name].append(getattr(char, name))
     return {name: np.asarray(vals) for name, vals in samples.items()}
@@ -375,14 +370,12 @@ def run_full(cfg: ExperimentConfig) -> RunReport:
     hist = stage("collection", simulate_experiment, cfg)
     recon = char = boot = None
     inputs = (hist, resp_a, resp_b, cfg.n_max)
-    em_opts = dict(tol=cfg.em_tol, max_iter=cfg.em_max_iter)
     if hist is not None and resp_a is not None:
-        recon = stage("reconstruction", em_reconstruct, *inputs, **em_opts)
+        recon = stage("reconstruction", em_reconstruct, *inputs)
     if recon is not None:
         char = stage("characterization", characterize, recon.rho)
     if recon is not None and cfg.bootstrap_replicas > 0:
-        boot_opts = dict(replicas=cfg.bootstrap_replicas, seed=cfg.seed)
-        boot = stage("bootstrap", bootstrap_characterize, *inputs, **boot_opts, **em_opts)
+        boot = stage("bootstrap", bootstrap_characterize, *inputs, cfg.bootstrap_replicas, cfg.seed)
     for name, pulses in (("calibration", cfg.calibration_pulses), ("collection", cfg.pulses)):
         if name not in failures:
             timings[f"{name}_pulses_per_s"] = pulses / timings[f"{name}_s"]

@@ -165,18 +165,11 @@ def _observed_cells(
 
 
 def _check_em_args(
-    hist: ClickHistogram,
-    resp_a: DetectorResponse,
-    resp_b: DetectorResponse,
-    n_max: int,
-    tol: float,
-    max_iter: int,
-):
-    """Validate the arguments of :func:`em_reconstruct`; return the total count
-    and tol as a float."""
+    hist: ClickHistogram, resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int
+) -> int:
+    """Validate the fit inputs that :func:`em_reconstruct` shares with
+    ``bootstrap_characterize``; return the total count."""
     n_max = _index(n_max, "n_max")
-    tol = _real(tol, "tol", 0.0)
-    _index(max_iter, "max_iter", 1)
     total = int(hist.f.sum())
     if total <= 0:
         raise ValidationError("histogram is empty")
@@ -186,7 +179,7 @@ def _check_em_args(
             f"n_max={n_max} is below the largest observed click number {observed}"
         )
     _cut_responses(resp_a, resp_b, n_max, hist.B)
-    return total, tol
+    return total
 
 
 def em_reconstruct(
@@ -233,7 +226,9 @@ def em_reconstruct(
         max_iter: >= 1; the budget of forward evaluations.
         init: optional starting distribution on the same grid, with mass on it.
     """
-    total, tol = _check_em_args(hist, resp_a, resp_b, n_max, tol, max_iter)
+    tol = _real(tol, "tol", 0.0)
+    _index(max_iter, "max_iter", 1)
+    total = _check_em_args(hist, resp_a, resp_b, n_max)
     if init is not None and (init.n_max != n_max or not init.probs.any()):
         raise ValidationError("init grid must match n_max and hold probability mass")
     start = np.ones((n_max + 1) ** 2) if init is None else init.probs.ravel()

@@ -253,8 +253,6 @@ def test_criterion_9_end_to_end_closure():
         calibration_pulses=4_000_000,
         calibration_N=0.006,
         n_max=8,
-        em_tol=1e-12,
-        em_max_iter=200_000,
     )
     report = run_full(cfg)
     char = report.characterization
@@ -268,7 +266,6 @@ def test_criterion_9_end_to_end_closure():
         cfg.n_max,
         replicas=10,
         seed=cfg.seed,
-        tol=1e-12,
     )
     m_sigma = float(np.nanstd(boot["M_hat"], ddof=1))
     eta_sigma = float(np.nanstd(boot["eta_hat"], ddof=1))

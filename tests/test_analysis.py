@@ -11,7 +11,7 @@ from pairstats.analysis import (
     _efficiency,
     _moments,
     _rate_coefficients,
-    _solve_w,
+    _solve_x,
     characterize,
     characterization_record,
     contamination_map,
@@ -43,13 +43,13 @@ def balanced_law(eta):
 
 def pair_rate(w, v, M, which):
     """rho[1, 1] (which=2) or rho[2, 2] (which=4) of the balanced source at w."""
-    return (1.0 - w) ** M * sum(a * w**i for i, a in _rate_coefficients(v, M, which))
+    return (1.0 - w) ** M * sum(b * (M * w) ** i for i, b in _rate_coefficients(v, M, which))
 
 
 def solved_N(rate, eta, M, which):
     k, v = balanced_law(eta)
-    w = _solve_w(rate, v, M, which)
-    return None if w is None else w / (k * (1.0 - w))
+    x = _solve_x(rate, v, M, which)
+    return None if x is None else x / (k * (M - x))
 
 
 def estimate(rho, name):
@@ -283,6 +283,15 @@ class TestContaminationMap:
         eps = contamination_map([0.5], [5e-324], M=1.0, which=which)[0, 0]
         assert time.perf_counter() - start < 1.0
         assert 0.0 <= eps <= 1.0
+        # so does an M past where M^2 (which=2) or M^4 (which=4) overflows,
+        # where the map reads the M -> oo limit, reached by M = 1e12
+        for eta in (0.5, 1.0):
+            limit = contamination_map([eta], [1e-3], M=1e12, which=which)[0, 0]
+            for M in (1e77, 1e78, 1e100, 1.5e154, 1e155, 1e200, 1e300, np.finfo(float).max):
+                start = time.perf_counter()
+                eps = contamination_map([eta], [1e-3], M=M, which=which)[0, 0]
+                assert time.perf_counter() - start < 1.0
+                assert eps == pytest.approx(limit, rel=1e-9), (eta, M)
 
     def test_leading_order_at_tiny_rate(self):
         # eps2 -> (M + 1) rate (1 - (1 - v)^2 / 2) / (2 M v^2), v = eta / (2 - eta):

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import pairstats
-from pairstats import cli, errors
+from pairstats import cli, errors, pipeline
 from pairstats._fileio import float_list, parse_mapping, parse_matrix
 from pairstats.cli import main
 from pairstats.loop_detector import (
@@ -24,7 +25,12 @@ from pairstats.model import (
     parse_distribution,
 )
 from pairstats.pipeline import ExperimentConfig, format_config
-from pairstats.reconstruction import ClickHistogram, format_histogram, parse_histogram
+from pairstats.reconstruction import (
+    ClickHistogram,
+    em_reconstruct,
+    format_histogram,
+    parse_histogram,
+)
 
 
 def read_map(path):
@@ -291,7 +297,8 @@ class TestPipelineCommand:
         write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000)
         out1, out2 = tmp_path / "run1", tmp_path / "run2"
         assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out1)]) == 0
-        assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out2)]) == 0
+        # a run's own config.txt reproduces it
+        assert main(["pipeline", "--config", str(out1 / "config.txt"), "--out-dir", str(out2)]) == 0
         printed = capsys.readouterr().out
         assert "M_hat=" in printed
         names = {p.name for p in out1.iterdir()}
@@ -299,9 +306,12 @@ class TestPipelineCommand:
         for name in names - {"timings.txt"}:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_unconverged_run_is_reported(self, tmp_path, capsys):
+    def test_unconverged_run_is_reported(self, tmp_path, capsys, monkeypatch):
+        # the config holds no EM setting, so the budget of 3 evaluations is patched in
+        budget = functools.partial(em_reconstruct, max_iter=3)
+        monkeypatch.setattr(pipeline, "em_reconstruct", budget)
         cfg_path = tmp_path / "cfg.txt"
-        write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000, em_max_iter=3)
+        write_cfg(cfg_path, pulses=50_000, calibration_pulses=1_000_000)
         out = tmp_path / "run"
         assert main(["pipeline", "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         captured = capsys.readouterr()
@@ -547,11 +557,16 @@ class TestMalformedInput:
     def test_unknown_config_key_exits_3(self, tmp_path, capsys):
         write_inputs(tmp_path)
         path = tmp_path / "config.txt"
-        path.write_text(path.read_text() + "pulse=5\n")
-        assert main(command("config", tmp_path)) == 3
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: ValidationError: config has unknown keys ['pulse']"]
-        assert not (tmp_path / "out.txt").exists()
+        valid = path.read_text()
+        # a misspelt key, and a config.txt written while it still held the EM settings
+        em_lines = "em_tol=1e-10\nem_max_iter=100000\n"
+        old = valid.replace("bootstrap_replicas=", em_lines + "bootstrap_replicas=")
+        for text, keys in ((valid + "pulse=5\n", "['pulse']"), (old, "['em_max_iter', 'em_tol']")):
+            path.write_text(text)
+            assert main(command("config", tmp_path)) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"error: ValidationError: config has unknown keys {keys}"]
+            assert not (tmp_path / "out.txt").exists()
 
     def test_non_ascii_file_exits_3(self, tmp_path, capsys):
         write_inputs(tmp_path)

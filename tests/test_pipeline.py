@@ -71,7 +71,6 @@ INT_FIELD_RANGES = [
     ("seed", 0, 2**64 - 1),
     ("calibration_pulses", 1, 2**63 - 1),
     ("n_max", 1, 4096),
-    ("em_max_iter", 1, None),
     ("bootstrap_replicas", 0, None),
 ]
 
@@ -196,7 +195,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "name",
-        ["pulses", "seed", "calibration_pulses", "n_max", "em_max_iter", "bootstrap_replicas"],
+        ["pulses", "seed", "calibration_pulses", "n_max", "bootstrap_replicas"],
     )
     def test_non_integer_counts_rejected(self, name):
         with pytest.raises(ValidationError, match=name):
@@ -209,8 +208,7 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         ("value", "name"),
-        [(v, "calibration_N") for v in (np.nan, np.inf, 0.0, -1e-3)]
-        + [(v, "em_tol") for v in (np.nan, np.inf, -1e-3)],
+        [(v, "calibration_N") for v in (np.nan, np.inf, 0.0, -1e-3)],
     )
     def test_non_finite_or_nonpositive_rates_rejected(self, name, value):
         with pytest.raises(ValidationError, match=name):
@@ -244,15 +242,6 @@ class TestConfig:
             with pytest.raises(ValidationError, match=name):
                 small_cfg(**{name: value})
 
-    def test_zero_em_tol_accepted(self):
-        # em_reconstruct accepts tol = 0, which runs to the iteration budget
-        assert small_cfg(em_tol=0.0).em_tol == 0.0
-
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_em_max_iter_below_one_rejected(self, value):
-        with pytest.raises(ValidationError, match="em_max_iter"):
-            small_cfg(em_max_iter=value)
-
     def test_mismatched_arms_rejected(self):
         with pytest.raises(ValidationError):
             small_cfg(weights_a=uniform_weights(8), weights_b=uniform_weights(4))
@@ -261,7 +250,6 @@ class TestConfig:
         cfg = small_cfg(
             source=EffectiveSource(N=0.21, eta=0.045, eta_prime=0.05, M=16.0),
             seed=123456789,
-            em_tol=1e-12,
             bootstrap_replicas=7,
         )
         again = parse_config(format_config(cfg))
@@ -274,8 +262,6 @@ class TestConfig:
             "calibration_pulses",
             "calibration_N",
             "n_max",
-            "em_tol",
-            "em_max_iter",
             "bootstrap_replicas",
         ):
             assert getattr(again, name) == getattr(cfg, name)
@@ -285,7 +271,6 @@ class TestConfig:
             source=EffectiveSource(N=0.2, eta=0.3, eta_prime=0.35, M=4.0),
             weights_a=PathWeights([0.25, 0.75]),
             weights_b=PathWeights([0.5, 0.5]),
-            em_tol=1e-12,
             bootstrap_replicas=2,
         )
         assert format_config(cfg) == (
@@ -298,8 +283,6 @@ class TestConfig:
             "calibration_pulses=200000\n"
             "calibration_N=0.001\n"
             "n_max=8\n"
-            "em_tol=9.9999999999999998e-13\n"
-            "em_max_iter=100000\n"
             "bootstrap_replicas=2\n"
             "weights_a=0.25,0.75\n"
             "weights_b=0.5,0.5\n"
@@ -696,8 +679,6 @@ class TestRunFull:
         cfg = small_cfg(
             source=EffectiveSource(N=0.3, eta=1.0, eta_prime=1.0, M=1.0),
             pulses=10_000_000,
-            em_tol=1e-13,
-            em_max_iter=50_000,
         )
         report = run_full(cfg)
         assert not report.failures
@@ -976,7 +957,7 @@ class TestRunFull:
         assert (tmp_path / "run" / "rho.txt").exists()
 
     def test_bootstrap_spread_covers_truth(self):
-        cfg = small_cfg(pulses=400_000, bootstrap_replicas=8, em_tol=1e-12)
+        cfg = small_cfg(pulses=400_000, bootstrap_replicas=8)
         report = run_full(cfg)
         assert report.bootstrap is not None
         eta_samples = report.bootstrap["eta_hat"]
@@ -1020,14 +1001,14 @@ class TestBootstrapStandalone:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"tol": float("nan")},
-            {"max_iter": 0},
             {"replicas": -1},
             {"n_max": 8.5},
-            {"max_iter": 2.5},
             {"replicas": 1.5},
             {"seed": 1.5},
             {"seed": -1},
+            {"seed": 2**64},
+            {"replicas": True},
+            {"n_max": 0},  # below the largest observed click number
         ],
     )
     def test_bad_arguments_raise_before_any_replica(self, bad):

@@ -45,7 +45,6 @@ REAL_ARGUMENTS = {
     "joint_distribution tail_bound": lambda v: joint_distribution(SRC, 4, tail_bound=v),
     "suggest_n_max tail_bound": lambda v: suggest_n_max(SRC, v),
     "calibration_N": lambda v: ExperimentConfig(SRC, calibration_N=v),
-    "em_tol": lambda v: ExperimentConfig(SRC, em_tol=v),
     "tol": lambda v: em_reconstruct(HIST, RESP, RESP, 2, tol=v, max_iter=5),
     "contamination_map M": lambda v: contamination_map([0.5], [1e-4], M=v),
     "tail_mass": lambda v: JointDistribution(np.zeros((1, 1)), 0, v),
@@ -77,8 +76,8 @@ def test_wrong_type_or_non_finite_real_rejected(name, value):
 
 def test_stored_reals_are_floats():
     src = EffectiveSource(N=1, eta=np.float64(0.5), eta_prime=1, M=np.int64(3))
-    cfg = ExperimentConfig(src, calibration_N=np.float32(0.5), em_tol=0)
-    values = [src.N, src.eta, src.eta_prime, src.M, cfg.calibration_N, cfg.em_tol]
+    cfg = ExperimentConfig(src, calibration_N=np.float32(0.5))
+    values = [src.N, src.eta, src.eta_prime, src.M, cfg.calibration_N]
     assert all(type(v) is float for v in values)
 
 
