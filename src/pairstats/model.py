@@ -181,8 +181,9 @@ class JointDistribution:
         object.__setattr__(self, "tail_mass", tail)
 
 
-def effective_params(src: MultimodeSource, M: float = 1.0) -> EffectiveSource:
-    """Effective source parameters of a multimode source, exact up to rounding.
+def effective_params(src: MultimodeSource) -> EffectiveSource:
+    """The one effective mode pair (M = 1) that src is filtered into, exact up to rounding;
+    ``dataclasses.replace(effective_params(src), M=m)`` models m identical such pairs.
 
     With s = sinh r, x = t s and y = t' s, the arm means are n = sum |x|^2 and
     n' = sum |y|^2, and since cosh r = s + exp(-r) the pair moment <ab> is
@@ -223,7 +224,6 @@ def effective_params(src: MultimodeSource, M: float = 1.0) -> EffectiveSource:
         N=bright * (dim / excess),
         eta=min(excess / n_bar_prime, 1.0),
         eta_prime=min(excess / n_bar, 1.0),
-        M=M,
     )
 
 

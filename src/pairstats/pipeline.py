@@ -94,6 +94,10 @@ class ExperimentConfig:
     bootstrap_replicas: int = 0
 
     def __post_init__(self):
+        kinds = {"source": EffectiveSource, "weights_a": PathWeights, "weights_b": PathWeights}
+        for name, kind in kinds.items():
+            if not isinstance(value := getattr(self, name), kind):
+                raise ValidationError(f"{name} must be a {kind.__name__} (got {value!r})")
         for name, bounds in _INT_RANGES.items():
             object.__setattr__(self, name, _index(getattr(self, name), name, *bounds))
         if self.weights_a.B != self.weights_b.B:

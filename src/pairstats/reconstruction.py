@@ -189,16 +189,15 @@ def em_reconstruct(
     n_max: int,
     tol: float = EM_TOL,
     max_iter: int = EM_MAX_ITER,
-    init: JointDistribution | None = None,
 ) -> ReconstructionResult:
     """Recover rho from a click histogram by SQUAREM-accelerated EM.
 
-    Starts from the uniform distribution on the (n_max+1)^2 grid (or from
-    ``init``) and runs SQUAREM cycles of the multiplicative update F, whose
-    output sums to one for any positive input (see the module docstring).  A
-    cycle takes two plain steps, x1 = F(x0) and x2 = F(x1), then tries the
-    extrapolation x0 - 2 a r + a^2 v, with r = x1 - x0, v = x2 - 2 x1 + x0
-    and a = min(-|r|/|v|, -1), followed by one stabilising step F.  The
+    Starts from the uniform distribution on the (n_max+1)^2 grid and runs
+    SQUAREM cycles of the multiplicative update F, whose output sums to one
+    for any positive input (see the module docstring).  A cycle takes two
+    plain steps, x1 = F(x0) and x2 = F(x1), then tries the extrapolation
+    x0 - 2 a r + a^2 v, with r = x1 - x0, v = x2 - 2 x1 + x0 and
+    a = min(-|r|/|v|, -1), followed by one stabilising step F.  The
     stabilised point replaces x2 only if the extrapolation is nonnegative,
     gives every observed cell positive probability, and the stabilised
     log-likelihood is at least LL(x2).  Otherwise a is halved toward -1, and
@@ -224,15 +223,11 @@ def em_reconstruct(
         tol: finite and >= 0; stop when a plain step gains less than
             tol * max(1, |LL|).
         max_iter: >= 1; the budget of forward evaluations.
-        init: optional starting distribution on the same grid, with mass on it.
     """
     tol = _real(tol, "tol", 0.0)
     _index(max_iter, "max_iter", 1)
     total = _check_em_args(hist, resp_a, resp_b, n_max)
-    if init is not None and (init.n_max != n_max or not init.probs.any()):
-        raise ValidationError("init grid must match n_max and hold probability mass")
-    start = np.ones((n_max + 1) ** 2) if init is None else init.probs.ravel()
-    rho = start / start.sum()
+    rho = np.full((n_max + 1) ** 2, 1.0 / (n_max + 1) ** 2)
 
     evaluate = _observed_cells(hist, resp_a, resp_b, n_max)
     ll, g, _ = evaluate(rho)

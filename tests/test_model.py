@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -132,11 +133,16 @@ class TestEffectiveParams:
         N = n_bar * n_bar_prime / (abs(S) ** 2 - n_bar * n_bar_prime)
         mode = single_mode(N, n_bar / N, n_bar_prime / N, phase=math.atan2(S.imag, S.real))
         assert filtered_moments(mode) == pytest.approx((n_bar, n_bar_prime, S), rel=1e-14)
-        src = effective_params(mode, M=2.5)
+        src = effective_params(mode)
         assert src.N == pytest.approx(N, rel=1e-12)
         assert src.N * src.eta == pytest.approx(n_bar, rel=1e-12)
         assert src.N * src.eta_prime == pytest.approx(n_bar_prime, rel=1e-12)
-        assert src.M == 2.5
+        assert src.M == 1.0
+        # m identical copies of the pair: only M changes
+        copies = dataclasses.replace(src, M=2.5)
+        assert (copies.N, copies.eta, copies.eta_prime, copies.M) == (
+            src.N, src.eta, src.eta_prime, 2.5
+        )
 
     def test_classical_boundary_rejected(self):
         # orthogonal filters see two independent thermal modes: S = 0

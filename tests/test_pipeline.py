@@ -201,6 +201,20 @@ class TestConfig:
         with pytest.raises(ValidationError, match=name):
             small_cfg(**{name: 2.5})
 
+    @pytest.mark.parametrize(
+        ("name", "value"),
+        [
+            ("source", None),
+            ("source", {"N": 0.2, "eta": 0.5, "eta_prime": 0.5, "M": 1.0}),
+            ("weights_a", [0.5, 0.5]),
+            ("weights_b", "0.5,0.5"),
+        ],
+        ids=["source None", "source dict", "weights_a list", "weights_b str"],
+    )
+    def test_wrong_typed_objects_rejected(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be a"):
+            small_cfg(**{name: value})
+
     def test_numpy_integers_accepted(self):
         cfg = small_cfg(pulses=np.int64(1000), seed=np.uint64(7), n_max=np.int32(6))
         assert (cfg.pulses, cfg.seed, cfg.n_max) == (1000, 7, 6)
@@ -654,6 +668,22 @@ class TestBlocksOnThreads:
         for bins, expected in zip(simulate_calibration(bright), simulate_calibration_serial(bright)):
             assert np.array_equal(bins, expected)
         assert submitted == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        ("cpus", "threads"), [(os.cpu_count(), os.cpu_count()), (None, 1)], ids=["known", "unknown"]
+    )
+    def test_pool_without_affinity_call(self, cpus, threads, monkeypatch):
+        # a platform without sched_getaffinity sizes the pool by cpu_count, or
+        # at one thread when that is unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pipeline._pool.cache_clear()
+        try:
+            pool, count = pipeline._pool()
+            pool.shutdown()
+            assert count == threads
+        finally:
+            pipeline._pool.cache_clear()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
     def test_forked_child_makes_its_own_pool(self):
