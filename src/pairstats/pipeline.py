@@ -11,8 +11,9 @@ counter-based random stream derived from (seed, stage, block index).  The
 blocks of calibration and collection run on a pool of one thread per usable
 CPU, made on first use, and their integer tallies are summed in block order,
 so a run is reproducible bit-for-bit from its config and seed whatever the
-number of threads.  Pulses holding one pair that reaches a detector are
-only counted; those holding more are drawn one by one.
+number of threads.  One multinomial per block counts the pulses that hold
+one, several and no pairs reaching a detector; only those holding several
+draw their pair numbers, one by one.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .reconstruction import (
 )
 
 BLOCK_SIZE = 250_000
-_POOL_MIN_SAMPLED = 16_000  # sampled pulses a block must expect to pay for the pool (2-CPU x86-64)
+_POOL_MIN_SAMPLED = 2_000  # multi-pair pulses a block must expect to pay for the pool (2-CPU x86-64)
 _MAX_SEED = 2**64 - 1  # bootstrap seeds are 64-bit unsigned
 
 _STAGE_CALIBRATION = 0
@@ -106,20 +107,30 @@ class ExperimentConfig:
         object.__setattr__(self, "calibration_N", calibration_N)
 
 
-def _arrival(v, shape: float):
-    """theta x the next arrival of a Poisson process of rate Gamma(shape, theta), from a uniform v."""
-    return np.expm1(-np.log1p(-v) / shape)
+def _log1p_excess(y: float, log1p_y: float, scale: float = 1.0) -> float:
+    """scale (log1p(y) - y) <= 0 for y > -1, given log1p(y); near 0, where that
+    cancels, by its series, multiplied in an order that underflows last."""
+    if abs(y) > 0.125:
+        return scale * (log1p_y - y)
+    return -(scale * y) * y * sum((-y) ** j / (j + 2) for j in range(20))  # to 1e-18 relative
 
 
 def _reaching_pairs(src: EffectiveSource):
-    """(shares, k, nonempty): the chances eta eta', eta (1-eta') and eta' (1-eta)
+    """(shares, k, cells): the chances eta eta', eta (1-eta') and eta' (1-eta)
     that a pair reaches both arms, arm a alone and arm b alone; their sum k,
-    which keeps every share ratio <= 1; and 1 - (1 + N k)**(-M), the chance
-    that a pulse holds a reaching pair."""
+    which keeps every share ratio <= 1; and the chances that a pulse holds one,
+    several and no reaching pairs.  Their number is NegBin(M, 1/(1 + theta)),
+    theta = N k, so with x = theta / (1 + theta) these are M x (1 + theta)**(-M),
+    1 - (1 - x)**M (1 + M x), from two logs <= 0 that do not cancel, and (1 + theta)**(-M)."""
     both = src.eta * src.eta_prime
     shares = np.array([both, src.eta * (1.0 - src.eta_prime), src.eta_prime * (1.0 - src.eta)])
     k = both + (shares[1] + shares[2])
-    return shares, k, -math.expm1(-src.M * math.log1p(src.N * k))
+    theta = src.N * k
+    x, log1p_theta = theta / (1.0 + theta), math.log1p(theta)  # log1p(-x) = -log1p(theta)
+    y = src.M * x
+    several = _log1p_excess(-x, -log1p_theta, src.M) + _log1p_excess(y, math.log1p(y))
+    empty = math.exp(-src.M * log1p_theta)
+    return shares, k, np.array([y * empty, -math.expm1(several), empty])
 
 
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
@@ -127,34 +138,36 @@ def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     reaching a detector as photon numbers (1, 1), (1, 0) and (0, 1), and the
     photon numbers of those with more; the rest are empty.
 
-    With k = eta + eta' - eta eta' and theta = N k, the reaching pairs are the
-    arrivals on [0, 1] of a Poisson process of rate Gamma(M, theta), for any
-    real M >= 1.  A binomial counts the pulses with a first arrival t, which
-    has survival (1 + theta s)**(-M) and is drawn by inversion.  Given t the
-    rest, in units of 1 - t, has rate Gamma(M + 1, theta2), theta2 = theta
-    (1 - t) / (1 + theta t); a second uniform inverts (1 + theta2 s)**(-(M+1))
-    for a second arrival t2 <= 1.  Given t2 the rate is Gamma(M + 2, theta2 /
-    (1 + theta2 t2)), and Poisson(rate (1 - t2)) more pairs follow.  Pairs go
-    to both arms, arm a alone and arm b alone as eta eta' : eta (1-eta') : eta' (1-eta).
+    One multinomial counts the pulses with one, several and no reaching pairs,
+    and only those with several draw their pair number K >= 2, by rejection
+    (theta = N k): where M (M + 1) theta**2 < 2, J of NegBin(M + 2, 1/(1 +
+    theta)) is kept with chance 2/((J+1)(J+2)) as K = J + 2, else K of
+    NegBin(M, 1/(1 + theta)) is kept if K >= 2.  Either keeps at least a
+    quarter of its draws.  Two binomials split the pairs to both arms, arm a
+    alone and arm b alone as eta eta' : eta (1-eta') : eta' (1-eta).
     """
-    shares, k, nonempty = _reaching_pairs(src)
+    shares, k, cells = _reaching_pairs(src)
     if k == 0.0:
         return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
     both, single = shares[0], shares[1] + shares[2]
-    theta = src.N * k
-    u = rng.random(rng.binomial(size, nonempty))
-    t = np.minimum(_arrival(u * nonempty, src.M) / theta, 1.0)  # 1 - t >= 0 despite rounding
-    theta2 = theta * (1.0 - t) / (1.0 + theta * t)
-    x2 = _arrival(rng.random(u.size), src.M + 1.0)
-    multi = x2 < theta2  # strict, so that theta2 = 0 (t = 1) holds no second pair
-    later = rng.gamma(src.M + 2.0, (theta2 - x2)[multi] / (1.0 + x2[multi]))  # rate (1 - t2)
-    try:
-        pairs = 2 + rng.poisson(later)
-    except ValueError as exc:  # numpy refuses counts that could overflow int64
-        raise ValidationError(
-            f"pair numbers at N={src.N!r}, M={src.M!r} are too large to sample"
-        ) from exc
-    singles = rng.multinomial(u.size - pairs.size, shares / k)
+    one, count, _ = rng.multinomial(size, cells)
+    theta, M = src.N * k, src.M
+    spread = M * (M + 1.0) * theta * theta
+    dim = spread < 2.0
+    shape = M + 2.0 if dim else M
+    pairs = np.zeros(0, np.int64)
+    while pairs.size < count:  # so cells[1] > 0
+        # the share of draws kept; draw as many as keep the rest on average
+        kept = 2.0 * cells[1] / max(spread, 2.0 * cells[1]) if dim else cells[1]
+        try:
+            j = rng.negative_binomial(shape, 1.0 / (1.0 + theta), math.ceil((count - pairs.size) / kept))
+        except ValueError as exc:  # numpy refuses counts that could overflow int64
+            raise ValidationError(
+                f"pair numbers at N={src.N!r}, M={M!r} are too large to sample"
+            ) from exc
+        j = j[rng.random(j.size) * (j + 1.0) * (j + 2.0) < 2.0] + 2 if dim else j[j >= 2]
+        pairs = np.concatenate([pairs, j[: count - pairs.size]])
+    singles = rng.multinomial(one, shares / k)
     in_both = rng.binomial(pairs, both / k)
     a_only = 0
     if single > 0.0:
@@ -183,7 +196,7 @@ def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
     in block order: the block's ``_sample_pulses`` draw, and its stream for
     the clicks.  Each block has its own stream, so results do not depend on
     where it runs: the calling thread when it expects fewer than
-    _POOL_MIN_SAMPLED pulses with a reaching pair, else the pool, two blocks
+    _POOL_MIN_SAMPLED pulses with several reaching pairs, else the pool, two blocks
     per thread ahead at most.  A block's error is raised, later ones cancelled."""
 
     def block(index: int):
@@ -192,7 +205,7 @@ def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
         return fn(*_sample_pulses(src, rng, size), rng)
 
     blocks = range(-(-pulses // BLOCK_SIZE))
-    if min(BLOCK_SIZE, pulses) * _reaching_pairs(src)[2] < _POOL_MIN_SAMPLED:
+    if min(BLOCK_SIZE, pulses) * _reaching_pairs(src)[2][1] < _POOL_MIN_SAMPLED:
         yield from map(block, blocks)
         return
     pool, threads = _pool()

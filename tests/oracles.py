@@ -13,7 +13,9 @@ one path at a time, advancing one Pascal row per photon number.
 inclusion-exclusion in rational arithmetic, rounded once to floats.
 ``sample_pulses_per_pulse`` is the law oracle of the sampler of
 ``pairstats.pipeline``: it draws every non-empty pulse in full, single-pair
-pulses included.  ``simulate_experiment_serial`` and
+pulses included.  ``reaching_pair_cells`` gives its chances of one, several
+and no reaching pairs in a pulse in high-precision decimal arithmetic.
+``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
 be held to them bit for bit.  ``observed_cells_two_sided`` evaluates the EM
@@ -233,6 +235,21 @@ def sample_pulses_per_pulse(src: EffectiveSource, rng: np.random.Generator, size
     if single > 0.0:
         a_only = rng.binomial(pairs - in_both, src.eta * (1.0 - src.eta_prime) / single)
     return a_only + in_both, pairs - a_only
+
+
+def reaching_pair_cells(M: float, theta: float) -> tuple[float, float, float]:
+    """P(K = 1), P(K >= 2) and P(K = 0) for K ~ NegBin(M, 1/(1 + theta)), the
+    reaching pairs of a pulse, from the plain formulas M theta (1 + theta)**(-M-1),
+    1 - P(K = 0) - P(K = 1) and (1 + theta)**(-M) in decimal arithmetic.  As
+    theta falls, P(K >= 2) ~ M (M + 1) theta**2 / 2 cancels more digits, so the
+    precision grows to keep 40 digits past them; nothing underflows in decimal.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40 + 2 * max(0, -math.floor(math.log10(theta)))
+        t, m = Decimal(theta), Decimal(M)
+        empty = (-m * (1 + t).ln()).exp()
+        one = m * t / (1 + t) * empty
+        return float(one), float(1 - empty - one), float(empty)
 
 
 def nonempty_pulses(singles, n, m):

@@ -3,6 +3,7 @@ import functools
 import math
 import multiprocessing
 import os
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -46,6 +47,7 @@ from pairstats.reconstruction import ClickHistogram, em_reconstruct, em_record, 
 from oracles import (
     nonempty_pulses,
     pulse_blocks,
+    reaching_pair_cells,
     sample_pulses_per_pulse,
     simulate_calibration_serial,
     simulate_experiment_serial,
@@ -337,15 +339,6 @@ class TestSamplePulse:
         assert singles[0] > 0 and singles[1] == singles[2] == 0
         assert n.size > 0 and np.array_equal(n, m)
 
-    @pytest.mark.parametrize("v", [0.0, 0.5])
-    def test_no_second_pair_after_the_last_instant(self, v):
-        # a first arrival at t = 1 leaves theta2 = 0; the sampler's test
-        # x2 < theta2 must then find no second pair, without a warning
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            x2 = pipeline._arrival(np.array([v]), 17.0)  # shape M + 1 at M = 16
-            assert not (x2 < 0.0).any()
-
     @pytest.mark.parametrize(
         "N, eta, eta_prime, M",
         [
@@ -398,7 +391,63 @@ class TestSamplePulse:
         share = -math.expm1(-M * math.log1p(N * (2.0 * eta - eta * eta)))
         assert abs(kept - pulses * share) <= 4.0 * math.sqrt(pulses * share * (1.0 - share))
 
-    @pytest.mark.parametrize("N, M", [(5.0, 50.0), (1e-3, 16.0)], ids=["bright", "faint"])
+    @pytest.mark.parametrize(
+        "N, eta, M, pulses",
+        [
+            (0.2, 0.045, 16.0, 40 * BLOCK_SIZE),
+            (1e-3, 0.045, 16.0, 400 * BLOCK_SIZE),
+            (1.5, 0.6, 3.0, 8 * BLOCK_SIZE),
+        ],
+        ids=["readme", "calibration", "bright"],
+    )
+    def test_pulse_kind_counts_match_closed_forms(self, N, eta, M, pulses):
+        # a block's counts of pulses with one and with several reaching pairs
+        # are binomial at the chances of _reaching_pairs: z-tested per block
+        # where a block expects 100 or more, and summed over the blocks
+        src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
+        p = pipeline._reaching_pairs(src)[2][:2]
+        blocks = pulse_blocks(src, pulses, 5, 9)
+        counts = np.array([(singles.sum(), n.size) for singles, n, _, _ in blocks])
+        totals = counts.sum(axis=0, keepdims=True)
+        for tallies, size, bound in ((counts, BLOCK_SIZE, 5.0), (totals, pulses, 4.0)):
+            expected = size * p
+            z = (tallies - expected) / np.sqrt(expected * (1.0 - p))
+            assert np.abs(z[:, expected >= 100.0]).max() <= bound
+
+    @pytest.mark.parametrize("M", [*np.geomspace(1.0, 1e4, 9), 2.5])
+    def test_pulse_kind_chances_match_decimal_oracle(self, M):
+        # lossless arms make theta = N; each chance within 1e-12 relative, or
+        # within 1e-12 of the least normal float where it underflows
+        for theta in np.geomspace(1e-300, 1e6, 154):
+            src = EffectiveSource(N=theta, eta=1.0, eta_prime=1.0, M=M)
+            cells = pipeline._reaching_pairs(src)[2]
+            for got, want in zip(cells, reaching_pair_cells(M, theta)):
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * sys.float_info.min)
+
+    @pytest.mark.parametrize("eta", [0.045, 1.0])
+    def test_underflowing_intensity_gives_empty_pulses(self, eta):
+        # N k rounds to 0 at eta = 0.045 and to N at eta = 1; either way every
+        # pulse comes back empty, with no warning
+        src = EffectiveSource(N=5e-324, eta=eta, eta_prime=eta, M=16.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cells = pipeline._reaching_pairs(src)[2]
+            singles, n, m = _sample_pulses(src, _block_rng(1, 9, 0), BLOCK_SIZE)
+        assert cells[1] == 0.0 and cells[2] == 1.0 and (eta == 1.0 or cells[0] == 0.0)
+        assert singles.sum() == n.size == m.size == 0
+
+    @pytest.mark.parametrize(
+        "N, M",
+        [(5.0, 50.0), (1e-3, 16.0), (0.99, 1.0), (1.01, 1.0), (0.0845, 16.0), (0.087, 16.0)],
+        ids=[
+            "bright",
+            "faint",
+            "M1-below-switch",
+            "M1-above-switch",
+            "M16-below-switch",
+            "M16-above-switch",
+        ],
+    )
     def test_reaching_pair_law_past_window(self, N, M):
         # lossless arms give n = m = K, the pair number of a non-empty pulse,
         # whose law is the zero-truncated NegBin(M, 1/(1 + N)); every K is
@@ -547,8 +596,8 @@ PULSE_COUNTS = [1, BLOCK_SIZE - 1, BLOCK_SIZE, 2 * BLOCK_SIZE + 7, 10 * BLOCK_SI
 
 
 def threads_cfg(pulses):
-    # about a quarter of the collection pulses and a twelfth of the calibration
-    # pulses hold a pair, so every block draws clicks in both stages
+    # about one in 18 of the collection pulses and one in 225 of the calibration
+    # pulses hold several pairs, so every full block draws clicks in both stages
     return small_cfg(
         source=EffectiveSource(N=0.2, eta=0.3, eta_prime=0.2, M=4.0),
         pulses=pulses,
@@ -578,7 +627,9 @@ def serial_outputs(pulses):
 
 @pytest.fixture(params=[1, 3], ids=["1-thread", "3-threads"])
 def pool_threads(request, monkeypatch):
-    """Run the pulse blocks on a pool of the given number of threads."""
+    """Run the pulse blocks on a pool of the given number of threads, however few
+    pulses with several pairs a block expects."""
+    monkeypatch.setattr(pipeline, "_POOL_MIN_SAMPLED", 0)
     with ThreadPoolExecutor(max_workers=request.param) as pool:
         monkeypatch.setattr(pipeline, "_pool", lambda: (pool, request.param))
         yield request.param
@@ -643,11 +694,12 @@ class TestBlocksOnThreads:
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["calling-thread", "pool"])
     def test_pool_only_from_break_even(self, pooled, submitted, monkeypatch):
-        # blocks expected to sample fewer than _POOL_MIN_SAMPLED pulses run on
-        # the calling thread, the others on the pool; the histogram is the same
+        # blocks expected to draw fewer than _POOL_MIN_SAMPLED pulses with
+        # several pairs run on the calling thread, the others on the pool; the
+        # histogram is the same
         pulses = 2 * BLOCK_SIZE + 7
         cfg = threads_cfg(pulses)
-        sampled = BLOCK_SIZE * pipeline._reaching_pairs(cfg.source)[2]
+        sampled = BLOCK_SIZE * pipeline._reaching_pairs(cfg.source)[2][1]
         break_even = sampled if pooled else np.nextafter(sampled, math.inf)
         monkeypatch.setattr(pipeline, "_POOL_MIN_SAMPLED", break_even)
         f = simulate_experiment(cfg).f
@@ -655,8 +707,9 @@ class TestBlocksOnThreads:
         assert np.array_equal(f, serial_outputs(pulses)[0])
 
     def test_readme_calibration_runs_on_calling_thread(self, submitted):
-        # about 350 of a README calibration block's 250,000 pulses hold a pair,
-        # too few to pay for the pool; its 1,000,000 bright pulses do not
+        # fewer than one of a README calibration block's 250,000 pulses holds
+        # several pairs, too few to pay for the pool; at the collection's N
+        # about 8,600 do
         cfg = small_cfg(
             source=EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0),
             calibration_pulses=1_000_000,
