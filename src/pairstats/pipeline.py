@@ -155,13 +155,13 @@ def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     spread = M * (M + 1.0) * theta * theta
     dim = spread < 2.0
     shape = M + 2.0 if dim else M
+    # the share of draws kept; each pass draws as many as keep the rest on average
+    kept = 2.0 * cells[1] / max(spread, 2.0 * cells[1]) if dim and cells[1] > 0.0 else cells[1]
     pairs = np.zeros(0, np.int64)
     while pairs.size < count:  # so cells[1] > 0
-        # the share of draws kept; draw as many as keep the rest on average
-        kept = 2.0 * cells[1] / max(spread, 2.0 * cells[1]) if dim else cells[1]
-        try:
-            j = rng.negative_binomial(shape, 1.0 / (1.0 + theta), math.ceil((count - pairs.size) / kept))
-        except ValueError as exc:  # numpy refuses counts that could overflow int64
+        try:  # NegBin as Poisson(Gamma(shape, theta)): 1/(1 + theta) would round a tiny theta away
+            j = rng.poisson(rng.gamma(shape, theta, math.ceil((count - pairs.size) / kept)))
+        except ValueError as exc:  # numpy refuses rates whose counts could overflow int64
             raise ValidationError(
                 f"pair numbers at N={src.N!r}, M={M!r} are too large to sample"
             ) from exc

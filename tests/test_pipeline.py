@@ -472,6 +472,32 @@ class TestSamplePulse:
         z = (counts - expected)[keep] / np.sqrt(expected * (1.0 - pmf))[keep]
         assert np.abs(z).max() <= 4.0
 
+    @pytest.mark.parametrize("N, M", [(1e-16, 1e16), (1e-17, 1e16), (1e-17, 2e17)])
+    def test_reaching_pair_law_at_huge_M(self, N, M):
+        # 1/(1 + N) rounds N off here, by 11% at N = 1e-16 and to 0 at 1e-17,
+        # so sampler and law must both use N itself: lossless K is
+        # NegBin(M, 1/(1 + N)), its pmf built up from K = 0 by
+        # P(K + 1) = P(K) (M + K) / (K + 1) x, x = N / (1 + N); at M = 2e17,
+        # M (M + 1) N**2 = 4, so the sampler takes its bright branch
+        src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
+        counts = np.zeros(0)
+        for singles, n, m, _ in pulse_blocks(src, 2_000_000, 8, 9):
+            hist = np.bincount(nonempty_pulses(singles, n, m)[0])
+            counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
+            counts[: hist.size] += hist
+        counts = np.append(counts, 0.0)  # one empty cell past the largest draw
+        pmf = np.empty(counts.size)
+        pmf[0] = math.exp(-M * math.log1p(N))
+        for K in range(counts.size - 1):
+            pmf[K + 1] = pmf[K] * (M + K) / (K + 1) * (N / (1.0 + N))
+        pmf /= -math.expm1(-M * math.log1p(N))
+        pmf[0] = 0.0
+        expected = counts.sum() * pmf
+        keep = expected >= 100.0
+        assert keep[3]  # the test sees K = 3, which a rounded 1/(1 + N) loses at M = 1e16
+        z = (counts - expected)[keep] / np.sqrt(expected * (1.0 - pmf))[keep]
+        assert np.abs(z).max() <= 4.0
+
     def test_dark_arms_give_empty_pulses(self):
         src = EffectiveSource(N=1.0, eta=0.0, eta_prime=0.0, M=2.0)
         with warnings.catch_warnings():
