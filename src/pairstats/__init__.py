@@ -10,6 +10,7 @@ from .analysis import (
     SourceCharacterization,
     characterize,
     contamination_map,
+    source_contamination,
 )
 from .errors import (
     ClassicalRegimeError,
@@ -38,7 +39,6 @@ from .model import (
     effective_params,
     generating_fn_value,
     joint_distribution,
-    perturbative_contamination_fraction,
     suggest_n_max,
 )
 from .pipeline import (
@@ -88,12 +88,12 @@ __all__ = [
     "generating_fn_value",
     "joint_distribution",
     "log_likelihood",
-    "perturbative_contamination_fraction",
     "response_matrix",
     "run_full",
     "simulate_calibration",
     "simulate_clicks_batch",
     "simulate_experiment",
+    "source_contamination",
     "suggest_n_max",
     "uniform_weights",
 ]

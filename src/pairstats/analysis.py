@@ -3,14 +3,16 @@
 Implements the equivalent mode number (from the marginal factorial moments),
 the overall efficiency through the normalized count-difference statistic,
 and the pair-contamination parameters for the single- and double-pair
-sectors.  The contour map of contamination against efficiency and production
-rate needs no distribution: it is closed-form in the pair-number law.
+sectors.  A model source's contaminations (``source_contamination``) and the
+contour map of contamination against efficiency and production rate need no
+distribution: both are closed-form in the law of the pairs that reach a detector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import accumulate
 
 import numpy as np
 
@@ -21,7 +23,7 @@ from .errors import (
     SubPoissonianMarginalError,
     ValidationError,
 )
-from .model import JointDistribution, _index, _real, _reals
+from .model import EffectiveSource, JointDistribution, _index, _real, _reals
 # perfbench's traced run wraps analysis.joint_distribution and analysis.suggest_n_max
 from .model import joint_distribution, suggest_n_max  # noqa: F401
 
@@ -125,31 +127,15 @@ def _diagonal_cell(rho: JointDistribution, c: int) -> float:
 
 
 def _rate_coefficients(v: float, M: float, which: int) -> list[tuple[int, float]]:
-    """(i, b_i) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - x/M)^M sum b_i x^i.
-
-    With eta = eta', J ~ NegBin(M, w) pairs reach a detector, w = N k / (1 + N k),
-    k = 1 - (1 - eta)^2: P(J = j) = (1 - w)^M t_j, t_j = (M)_j w^j / j!.  Each is
-    a twin with probability v = eta / (2 - eta), else one photon in either arm.
-    In x = M w, t_j = x^j / j! prod_(i<j) (1 + i/M): no power of M is formed,
-    so nothing overflows at any finite M, and M -> oo is the Poisson law of mean x.
-    """
+    """(i, b_i) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - x/M)^M sum b_i x^i:
+    the law of ``_law_contamination`` at eta = eta', where x = M w with w = N k / (1 + N k),
+    k = 1 - (1 - eta)^2, and each pair is a twin with chance v = eta / (2 - eta)."""
     q2 = (1.0 - v) ** 2
     d2 = 0.5 * (1.0 + 1.0 / M)
     if which == 2:
         return [(1, v), (2, 0.5 * d2 * q2)]
     d3, d4 = d2 * (1.0 + 2.0 / M), d2 * (1.0 + 2.0 / M) * (1.0 + 3.0 / M)
     return [(2, d2 * v * v), (3, 0.5 * d3 * v * q2), (4, d4 * q2 * q2 / 32.0)]
-
-
-def _bisect(rising, hi: float) -> float:
-    """Smallest x in (0, hi] with ``rising(x)``, to 1e-12 relative or to the last bit."""
-    lo = 0.0
-    while hi - lo > 1e-12 * hi and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if rising(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _solve_x(target: float, v: float, M: float, which: int) -> float | None:
@@ -167,46 +153,76 @@ def _solve_x(target: float, v: float, M: float, which: int) -> float | None:
     def rate(x: float) -> float:
         return math.exp(M * math.log1p(-x / M)) * sum(b * x**i for i, b in coeffs)
 
-    x = _bisect(
-        lambda x: rate(x) >= target
-        or sum(b * x ** (i - c) * (i * (1 - x / M) - x) for i, b in coeffs) < 0,
-        min(M, float(which)),
-    )
-    return None if target > rate(x) * (1.0 + 1e-9) else x
+    def past_peak(x: float) -> bool:
+        return sum(b * x ** (i - c) * (i * (1 - x / M) - x) for i, b in coeffs) < 0
+
+    lo, hi = 0.0, min(M, float(which))  # bisect to 1e-12 relative or to the last bit
+    while hi - lo > 1e-12 * hi and lo < (x := 0.5 * (lo + hi)) < hi:
+        if rate(x) >= target or past_peak(x):
+            hi = x
+        else:
+            lo = x
+    return None if target > rate(hi) * (1.0 + 1e-9) else hi
 
 
-def _law_contamination(x: float, v: float, M: float, which: int) -> float:
+def _law_contamination(x: float, M: float, which: int, v: float, a: float, b: float) -> float:
     """eps = P(n + m >= which, off (c, c)) / P(n + m >= which), c = which / 2.
 
-    Both sum nonnegative terms t_j of the J law of ``_rate_coefficients``,
-    scaled to t_c = 1: nothing cancels or underflows.  t_(j+1) / t_j = r_j =
-    x (1 + j/M) / (j + 1) falls toward x / M < 1, so once r_j < 1 the terms
-    after t_j sum to at most t_j r_j / (1 - r_j).
+    J ~ NegBin(M, x/M) pairs reach a detector, P(J = j) = (1 - x/M)^M t_j, t_j = x^j / j!
+    prod_(i<j) (1 + i/M); each lands in both arms, arm a alone or arm b alone with chances
+    v, a, b.  With s = a + b, h = 1 + s + s^2 (v h = 1 - s^3) and rest = sum_(j>which) t_j,
+    eps2 = (t_2 (1 - 2ab) + rest) / (t_1 v + t_2 + rest), eps4 = (t_3 v (h - 6ab) + t_4
+    (1 - 6a^2 b^2) + rest) / (t_2 v^2 + t_3 v h + t_4 + rest): nonnegative terms, each
+    above at most its match below, so nothing cancels and eps <= 1.  Where P(J > which)
+    >= 1/2, t_j = P(J = j) and rest = P(J > which): a huge x reads 1, as P(J = j) <= x^j
+    e^-x.  Elsewhere t_c = 1, so a tiny x underflows nothing, and r_j = t_(j+1) / t_j =
+    x (1 + j/M) / (j + 1) falls toward x/M < 1: past r_j < 1 the tail is <= t_j r_j / (1 - r_j).
     """
-    t = [1.0]
-    for j in range(which // 2, which):
-        t.append(t[-1] * x * (1.0 + j / M) / (j + 1))
-    term, j, rest = t[-1], which, 0.0
-    while (r := x * (1.0 + j / M) / (j + 1)) >= 1.0 or term * r > (1.0 - r) * 1e-17 * rest:
-        term *= r
-        j += 1
-        rest += term
-    q = 1.0 - v
+    c, step = which // 2, lambda t_j, j: t_j * x * (1.0 + j / M) / (j + 1)
+    p0 = math.exp(M * math.log1p(-x / M)) if x < M else 0.0  # P(J = 0); 0 if w rounds to 1
+    p = list(accumulate(range(which), step, initial=p0))
+    t, rest = p[c:], 1.0 - math.fsum(p)
+    if rest < 0.5:
+        t = list(accumulate(range(c, which), step, initial=1.0))
+        term, j, rest = t[-1], which, 0.0
+        while (r := step(1.0, j)) >= 1.0 or term * r > (1.0 - r) * 1e-17 * rest:
+            term, j = term * r, j + 1
+            rest += term
     if which == 2:
-        return (t[1] * (1.0 - 0.5 * q * q) + rest) / (t[0] * v + t[1] + rest)
-    num = 0.5 * t[1] * v * (3.0 - v * v) + t[2] * (1.0 - 0.375 * q**4) + rest
-    return num / (t[0] * v * v + t[1] * (1.0 - q**3) + t[2] + rest)
+        num, den = t[1] * (1.0 - 2.0 * a * b) + rest, t[0] * v + t[1] + rest
+    else:
+        h = 1.0 + (a + b) * (1.0 + a + b)
+        num = t[1] * v * (h - 6.0 * a * b) + t[2] * (1.0 - 6.0 * (a * b) ** 2) + rest
+        den = t[0] * v * v + t[1] * v * h + t[2] + rest
+    if den <= 0.0:
+        raise DegenerateInputError(f"the {which}-photon sector underflows to 0")
+    return num / den
+
+
+def source_contamination(src: EffectiveSource) -> tuple[float, float]:
+    """(eps2, eps4) of the model source at any N, M and arms, with no grid: J ~ NegBin(M,
+    theta / (1 + theta)) pairs reach a detector, theta = N k, k = eta + eta' - eta eta',
+    each in both arms, arm a alone or arm b alone with chances eta eta' / k, eta (1 - eta')
+    / k and eta' (1 - eta) / k.  Raises DegenerateInputError when no pair reaches a
+    detector (eta = eta' = 0) or a sector underflows to 0."""
+    eta, etap = src.eta, src.eta_prime
+    k = eta + etap * (1.0 - eta)
+    if k == 0.0:
+        raise DegenerateInputError("no pair reaches a detector (eta = eta_prime = 0)")
+    theta = src.N * k
+    v, a, b = eta / k * etap, eta / k * (1.0 - etap), etap / k * (1.0 - eta)  # no 1/k formed
+    x = src.M * (theta / (1.0 + theta))
+    return tuple(_law_contamination(x, src.M, which, v, a, b) for which in (2, 4))
 
 
 def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np.ndarray:
     """Contamination versus efficiency and production rate, on a grid.
 
-    For every (eta, rate) cell of the balanced-loss source, the pump is
-    solved on the rising branch so that the single-pair rate rho[1, 1]
-    (double-pair rate rho[2, 2] for which=4) equals the requested rate, and
-    the contamination there is evaluated, both in closed form from the law of
-    the pairs that reach a detector (no grid), at any finite M >= 1.
-    Unachievable rates yield NaN.
+    For every (eta, rate) cell of the balanced-loss source, the pump is solved on
+    the rising branch so that the single-pair rate rho[1, 1] (double-pair rate
+    rho[2, 2] for which=4) equals the rate, and the contamination there is taken,
+    both in closed form with no grid, at any finite M >= 1.  An unachievable rate
+    yields NaN.
 
     Returns:
         Matrix of shape (len(eta_grid), len(rate_grid)).
@@ -230,7 +246,7 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
         for j, rate in enumerate(rates):
             x = _solve_x(float(rate), v, M, which)
             if x is not None:
-                out[i, j] = _law_contamination(x, v, M, which)
+                out[i, j] = _law_contamination(x, M, which, v, 0.5 * (1.0 - v), 0.5 * (1.0 - v))
     return out
 
 

@@ -25,7 +25,6 @@ import numpy as np
 from ._fileio import format_matrix, parse_matrix
 from .errors import (
     ClassicalRegimeError,
-    DegenerateInputError,
     TruncationError,
     ValidationError,
 )
@@ -342,22 +341,6 @@ def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
             tail_mass=tail,
         )
     return max(n_a, n_b, 1)
-
-
-def perturbative_contamination_fraction(src: EffectiveSource) -> float:
-    """Rate of loss-degraded double pairs relative to true single pairs,
-    (rho[2,0] + rho[0,2]) / rho[1,1] = 2 N (1 - eta)^2 / (1 + N (1 + (1 - eta)^2))
-    for a balanced single-mode source: at M = 1, rho[2,0] = b^2 rho[0,0], rho[0,2] =
-    c^2 rho[0,0] and rho[1,1] = (2bc + d) rho[0,0] with b, c, d = B/A, C/A, D/A.
-    It tends to 2 (1 - eta)^2 N in the weak-pumping limit."""
-    if abs(src.M - 1.0) > _TOL:
-        raise ValidationError("defined for a single mode pair (M = 1)")
-    if abs(src.eta - src.eta_prime) > _TOL:
-        raise ValidationError("defined for balanced losses (eta == eta_prime)")
-    if min(src.eta, src.eta_prime) == 0.0:
-        raise DegenerateInputError("single-pair rate rho[1, 1] vanishes")
-    loss = (1.0 - src.eta) ** 2
-    return 2.0 * loss / (1.0 / src.N + 1.0 + loss)  # the form above over N; no overflow
 
 
 # -- text formats -------------------------------------------------------------

@@ -15,6 +15,8 @@ inclusion-exclusion in rational arithmetic, rounded once to floats.
 ``pairstats.pipeline``: it draws every non-empty pulse in full, single-pair
 pulses included.  ``reaching_pair_cells`` gives its chances of one, several
 and no reaching pairs in a pulse in high-precision decimal arithmetic.
+``source_contamination_decimal`` gives a source's eps2 and eps4 as one minus
+the diagonal cell over its sector, in 400-digit decimal arithmetic.
 ``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
@@ -250,6 +252,32 @@ def reaching_pair_cells(M: float, theta: float) -> tuple[float, float, float]:
         empty = (-m * (1 + t).ln()).exp()
         one = m * t / (1 + t) * empty
         return float(one), float(1 - empty - one), float(empty)
+
+
+def source_contamination_decimal(src: EffectiveSource) -> tuple[float, float]:
+    """eps2 = 1 - rho[1, 1] / P(n + m >= 2) and eps4 = 1 - rho[2, 2] / P(n + m >= 4)
+    from the reaching-pair law, in 400-digit decimal arithmetic.
+
+    J ~ NegBin(M, 1/(1 + theta)) pairs reach a detector, theta = N k with
+    k = eta + eta' - eta eta'; each is seen in both arms (v = eta eta'/k), in arm a
+    alone (a = eta (1 - eta')/k) or in arm b alone (b = eta' (1 - eta)/k).  The
+    sectors are one minus their complements, so that digits cancel; 400 digits keep
+    more than 300 past them for N >= 1e-12.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        N, eta, etap, M = (Decimal(val) for val in (src.N, src.eta, src.eta_prime, src.M))
+        k = eta + etap - eta * etap
+        theta = N * k
+        p = [(-M * (1 + theta).ln()).exp()]
+        for j in range(1, 5):
+            p.append(p[-1] * (M + j - 1) / j * theta / (1 + theta))
+        v, a, b = eta * etap / k, eta * (1 - etap) / k, etap * (1 - eta) / k
+        rho11 = p[1] * v + 2 * p[2] * a * b
+        rho22 = p[2] * v**2 + 6 * p[3] * v * a * b + 6 * p[4] * (a * b) ** 2
+        sector2 = 1 - p[0] - p[1] * (a + b)
+        sector4 = 1 - p[0] - p[1] - p[2] * (1 - v**2) - p[3] * (a + b) ** 3
+        return float(1 - rho11 / sector2), float(1 - rho22 / sector4)
 
 
 def nonempty_pulses(singles, n, m):

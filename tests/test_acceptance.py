@@ -21,7 +21,6 @@ from pairstats.model import (
     EffectiveSource,
     JointDistribution,
     joint_distribution,
-    perturbative_contamination_fraction,
     suggest_n_max,
 )
 from pairstats.pipeline import (
@@ -234,7 +233,8 @@ def test_criterion_8_perturbative_fraction():
     worst_rel = 0.0
     for eta in (0.3, 0.5, 0.9):
         src = EffectiveSource(N=1e-4, eta=eta, eta_prime=eta, M=1.0)
-        got = perturbative_contamination_fraction(src)
+        probs = joint_distribution(src, 2).probs
+        got = (probs[2, 0] + probs[0, 2]) / probs[1, 1]
         expect = 2.0 * (1.0 - eta) ** 2 * 1e-4
         worst_rel = max(worst_rel, abs(got - expect) / expect)
     _report(8, worst_rel <= 0.01, f"max relative deviation = {worst_rel:.2e}")

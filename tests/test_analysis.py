@@ -1,5 +1,6 @@
 import dataclasses
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from pairstats.analysis import (
     characterization_record,
     contamination_map,
     format_map,
+    source_contamination,
 )
 from pairstats._fileio import float_list, parse_matrix
 from pairstats.errors import DegenerateInputError, PairStatsError, ValidationError
@@ -26,7 +28,7 @@ from pairstats.model import (
     suggest_n_max,
 )
 
-from oracles import joint_distribution_oracle
+from oracles import joint_distribution_oracle, source_contamination_decimal
 
 ERROR_CLASSES = {cls.__name__ for cls in PairStatsError.__subclasses__()}
 
@@ -299,6 +301,43 @@ class TestContaminationMap:
         eps = contamination_map([0.5], [1e-200], M=1.0, which=2)[0, 0]
         assert eps == pytest.approx(7e-200, rel=1e-6)
 
+    # (M, which, eta, rate, cell): cells of the balanced-arm law, held to 1e-14 so
+    # that a change to the shared pair law shows
+    PINNED = [
+        (1.0, 2, 0.3, 1e-6, 2.1221611909788304e-05),
+        (1.0, 2, 0.9, 1e-3, 0.0014705297771308572),
+        (1.0, 4, 0.3, 1e-9, 0.0015037422994332013),
+        (1.0, 4, 0.9, 1e-5, 0.005505444493220404),
+        (16.0, 2, 0.3, 1e-6, 1.1274148148855933e-05),
+        (16.0, 2, 0.9, 1e-3, 0.0007811676057052168),
+        (16.0, 4, 0.3, 1e-9, 0.0007745820631124676),
+        (16.0, 4, 0.9, 1e-5, 0.002835812683148676),
+        (1e200, 2, 0.3, 1e-6, 1.0610973431079021e-05),
+        (1e200, 2, 0.9, 1e-3, 0.0007352133529390511),
+        (1e200, 4, 0.3, 1e-9, 0.0007097819570257248),
+        (1e200, 4, 0.9, 1e-5, 0.0025986027649070004),
+    ]
+
+    @pytest.mark.parametrize("M, which, eta, rate, want", PINNED)
+    def test_pinned_cells(self, M, which, eta, rate, want):
+        cell = contamination_map([eta], [rate], M=M, which=which)[0, 0]
+        assert cell == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("which", [2, 4])
+    def test_low_efficiency_cells_match_decimal_law(self, which):
+        # At eta = 1e-3 a twin has chance v = 5e-4, where 1 - (1 - v)^3 would
+        # cancel 11 bits; the map's pump x = M w is turned back into a source,
+        # with k = eta (2 - eta), which does not cancel.
+        eta = 1e-3
+        for M in (1.0, 16.0, 1000.0):
+            for rate in np.logspace(-14.0, -8.0, 4):
+                cell = contamination_map([eta], [rate], M=M, which=which)[0, 0]
+                x = _solve_x(float(rate), eta / (2.0 - eta), M, which)
+                N = x / (M - x) / (eta * (2.0 - eta))
+                src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
+                want = source_contamination_decimal(src)[which // 2 - 1]
+                assert cell == pytest.approx(want, rel=1e-14, abs=0.0), (M, rate)
+
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(
         eta=st.floats(0.0, 1.0, exclude_min=True),
@@ -326,6 +365,103 @@ class TestContaminationMap:
             contamination_map([0.5], [1e-4, bad], M=1.0, which=2)
         with pytest.raises(ValidationError):
             contamination_map([0.5], [1e-4], M=bad, which=2)
+
+
+def random_source(rng, log_N=(-12.0, 1.0), log_M=(0.0, 4.0)):
+    """A source with log-uniform N and M and independent eta, eta' in [0.01, 1]."""
+    return EffectiveSource(
+        N=float(10.0 ** rng.uniform(*log_N)),
+        eta=float(rng.uniform(0.01, 1.0)),
+        eta_prime=float(rng.uniform(0.01, 1.0)),
+        M=float(10.0 ** rng.uniform(*log_M)),
+    )
+
+
+class TestSourceContamination:
+    def test_matches_decimal_oracle(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            src = random_source(rng)
+            got, want = source_contamination(src), source_contamination_decimal(src)
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), src
+
+    def test_matches_grid_where_pumped(self):
+        # A grid's eps loses digits as the pairs that reach a detector grow rare
+        # (its tail mass is rounded).  Where theta = N k >= 1e-2 it keeps 1e-10 on
+        # eps2 and 1e-7 on eps4; N >= 1e-3 alone is not enough: at N = 1.5e-3,
+        # eta = 0.32, eta' = 0.65 and M = 1.2 (theta = 1.2e-3), eps4 is off by 2e-7.
+        rng = np.random.default_rng(32)
+        for _ in range(100):
+            src = random_source(rng, log_M=(0.0, 2.0))
+            k = src.eta + src.eta_prime * (1.0 - src.eta)
+            src = dataclasses.replace(src, N=float(10.0 ** rng.uniform(-2.0, 1.0)) / k)
+            char = characterize(joint_distribution(src, suggest_n_max(src, 1e-15)))
+            eps2, eps4 = source_contamination(src)
+            assert char.eps2 == pytest.approx(eps2, rel=1e-10), src
+            assert char.eps4 == pytest.approx(eps4, rel=1e-7), src
+
+    def test_balanced_source_matches_map(self):
+        for M, which, eta, rate, want in TestContaminationMap.PINNED:
+            k, v = balanced_law(eta)
+            x = _solve_x(rate, v, M, which)
+            src = EffectiveSource(N=x / (M - x) / k, eta=eta, eta_prime=eta, M=M)
+            assert source_contamination(src)[which // 2 - 1] == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"N": 10.0, "eta": 0.9, "eta_prime": 0.9, "M": 1000.0},
+            {"N": 1e-3, "eta": 0.5, "eta_prime": 0.5, "M": 1e300},
+            {"N": 5e-324, "eta": 1.0, "eta_prime": 1.0, "M": 1.0},
+            {"N": 5e-324, "eta": 0.2, "eta_prime": 0.2, "M": 1.0},
+            {"N": 5e-324, "eta": 0.0, "eta_prime": 1.0, "M": 1.0},
+            {"N": 1e8, "eta": 1.0, "eta_prime": 1.0, "M": 1.0},
+            {"N": 1e300, "eta": 1.0, "eta_prime": 0.5, "M": 59.0},
+            {"N": 1.0, "eta": 1e-170, "eta_prime": 1e-170, "M": 1.0},
+        ],
+        ids=["bright", "huge M", "subnormal N", "subnormal N dim", "subnormal N dark arm",
+             "saturated", "saturated M=59", "subnormal twin share"],
+    )
+    def test_edges_return_fast_or_raise_typed(self, kwargs):
+        src = EffectiveSource(**kwargs)
+        start = time.perf_counter()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                eps = source_contamination(src)
+            except PairStatsError:
+                eps = (0.0, 0.0)
+        assert time.perf_counter() - start < 1.0
+        assert all(0.0 <= e <= 1.0 for e in eps), eps
+
+    def test_bright_sources_read_one(self):
+        # P(J = j) <= x^j e^-x: past x = 60 no (c, c) event is left in double precision
+        assert source_contamination(EffectiveSource(10.0, 0.9, 0.9, 1000.0)) == (1.0, 1.0)
+        assert source_contamination(EffectiveSource(1e-3, 0.5, 0.5, 1e300)) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("dark", ["eta", "eta_prime"])
+    def test_dark_arm_is_all_contamination(self, dark):
+        # with one arm dark no pair shows in both arms, so no event is a lone or double pair
+        for N, M in ((1e-6, 1.0), (1e-3, 5.0), (0.3, 200.0)):
+            src = EffectiveSource(N=N, M=M, **{"eta": 0.7, "eta_prime": 0.4, dark: 0.0})
+            assert source_contamination(src) == (1.0, 1.0)
+
+    def test_lossless_single_mode_closed_form(self):
+        # rho[c, c] = N^c / (N + 1)^(c + 1) and P(n + m >= 2c) = (N / (N + 1))^c
+        for N in (1e-9, 0.5, 2.0):
+            want = N / (N + 1.0)
+            assert source_contamination(EffectiveSource(N, 1.0, 1.0, 1.0)) == pytest.approx(
+                (want, want), rel=1e-14
+            )
+
+    def test_needs_no_grid(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("source_contamination built a grid")
+
+        for module in (analysis, model):
+            monkeypatch.setattr(module, "joint_distribution", refuse)
+            monkeypatch.setattr(module, "suggest_n_max", refuse)
+        assert 0.0 < source_contamination(EffectiveSource(0.2, 0.045, 0.06, 16.0))[0] < 1.0
 
 
 # The contour grid of the benchmark: 8 efficiencies x 9 rates.

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pairstats.analysis import source_contamination
 from pairstats.errors import (
     ClassicalRegimeError,
     DegenerateInputError,
@@ -23,7 +24,6 @@ from pairstats.model import (
     generating_fn_value,
     joint_distribution,
     parse_distribution,
-    perturbative_contamination_fraction,
     _N_CAP,
     _index,
     _series_coefficients,
@@ -470,39 +470,36 @@ class TestSmallCellsAgainstClosedForm:
             assert dist.tail_mass == pytest.approx(missing, rel=0.0, abs=1e-15), (N, eta, M)
 
 
+def double_pair_ratio(src):
+    """(rho[2, 0] + rho[0, 2]) / rho[1, 1], loss-degraded double pairs over true
+    single pairs, from the exact 3 x 3 grid."""
+    probs = joint_distribution(src, 2).probs
+    return (probs[2, 0] + probs[0, 2]) / probs[1, 1]
+
+
 class TestPerturbativeFraction:
     def test_lossless_is_zero(self):
         src = EffectiveSource(N=1e-3, eta=1.0, eta_prime=1.0, M=1.0)
-        assert perturbative_contamination_fraction(src) == 0.0
+        assert double_pair_ratio(src) == 0.0
 
     def test_small_N_limit(self):
         src = EffectiveSource(N=1e-4, eta=0.5, eta_prime=0.5, M=1.0)
-        assert perturbative_contamination_fraction(src) == pytest.approx(
-            2.0 * 0.25 * 1e-4, rel=0.01
-        )
+        assert double_pair_ratio(src) == pytest.approx(2.0 * 0.25 * 1e-4, rel=0.01)
 
     def test_moderate_N(self):
         src = EffectiveSource(N=1e-2, eta=0.5, eta_prime=0.5, M=1.0)
-        assert perturbative_contamination_fraction(src) == pytest.approx(5e-3, rel=0.05)
+        assert double_pair_ratio(src) == pytest.approx(5e-3, rel=0.05)
 
     def test_closed_form_matches_grid_ratio(self):
+        # at M = 1, rho[2, 0] = b^2 rho[0, 0], rho[0, 2] = c^2 rho[0, 0] and
+        # rho[1, 1] = (2bc + d) rho[0, 0] with b, c, d = B/A, C/A, D/A
         rng = np.random.default_rng(8)
         for _ in range(50):
             eta = float(rng.uniform(0.01, 1.0))
             src = EffectiveSource(N=float(10.0 ** rng.uniform(-8.0, 3.0)), eta=eta, eta_prime=eta)
-            probs = joint_distribution(src, 2).probs
-            ratio = (probs[2, 0] + probs[0, 2]) / probs[1, 1]
-            assert perturbative_contamination_fraction(src) == pytest.approx(ratio, rel=1e-14)
-
-    def test_preconditions(self):
-        with pytest.raises(ValidationError):
-            perturbative_contamination_fraction(
-                EffectiveSource(N=0.1, eta=0.5, eta_prime=0.6, M=1.0)
-            )
-        with pytest.raises(ValidationError):
-            perturbative_contamination_fraction(
-                EffectiveSource(N=0.1, eta=0.5, eta_prime=0.5, M=2.0)
-            )
+            loss = (1.0 - eta) ** 2
+            closed = 2.0 * src.N * loss / (1.0 + src.N * (1.0 + loss))
+            assert double_pair_ratio(src) == pytest.approx(closed, rel=1e-14)
 
 
 class TestSuggestNMax:
@@ -618,9 +615,9 @@ class TestRaises:
             (lambda: joint_distribution(SOURCE, -1), ValidationError, "n_max"),
             (lambda: joint_distribution(SOURCE, _N_CAP + 1), ValidationError, "4096"),
             (
-                lambda: perturbative_contamination_fraction(EffectiveSource(1.0, 0.0, 0.0)),
+                lambda: source_contamination(EffectiveSource(1.0, 0.0, 0.0)),
                 DegenerateInputError,
-                r"rho\[1, 1\]",
+                "no pair reaches a detector",
             ),
         ],
         ids=[
