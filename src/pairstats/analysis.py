@@ -102,6 +102,12 @@ def _efficiency(mean_a, mean_b, fact_a, fact_b, cross) -> float:
     return num / (mean_a + mean_b)
 
 
+def _sector(rho: JointDistribution, which: int) -> np.ndarray:
+    """The cells of rho with n + m >= which."""
+    n = np.arange(rho.n_max + 1)
+    return (n[:, None] + n[None, :]) >= which
+
+
 def _contamination(rho: JointDistribution, which: int) -> float:
     """1 - rho[c, c] / P(n + m >= which), c = which / 2: for which=2 the share
     of multiphoton events that are not a lone pair, for which=4 the share of
@@ -111,12 +117,25 @@ def _contamination(rho: JointDistribution, which: int) -> float:
     """
     if rho.n_max < which - 1:
         raise DegenerateInputError(f"grid too small to resolve the {which}-photon sector")
-    n = np.arange(rho.n_max + 1)
-    denom = float(rho.probs[(n[:, None] + n[None, :]) >= which].sum()) + rho.tail_mass
+    denom = float(rho.probs[_sector(rho, which)].sum()) + rho.tail_mass
     if denom <= 0.0:
         raise DegenerateInputError(f"{which}-photon sector is empty")
     c = which // 2
     return 1.0 - float(rho.probs[c, c]) / denom
+
+
+def _tail_swamps(rho: JointDistribution, which: int) -> bool:
+    """Whether the value of ``_contamination`` rests on the tail it adds to the
+    sector: the tail is at least 1e-3 of the sector's mass off the cell (c, c),
+    and rho[c, c] > 0 (else the value is 1 whatever the tail).  On an exact grid
+    the tail is 1 - sum rounded, and at weak pumping that rounding is as large
+    as the mass off the cell."""
+    c = which // 2
+    if rho.tail_mass == 0.0 or rho.probs[c, c] == 0.0:
+        return False
+    off = _sector(rho, which)
+    off[c, c] = False
+    return rho.tail_mass >= 1e-3 * float(rho.probs[off].sum())
 
 
 def _diagonal_cell(rho: JointDistribution, c: int) -> float:
@@ -254,8 +273,9 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
     """Every source estimate of rho, recording failures per field instead of raising:
     M_hat from arm a, the efficiency eta_hat = 1 - <delta^2> (status
     "warning:nonpositive" when it is <= 0, as for classical or noisy data),
-    the contaminations eps2, eps4, which need n_max >= 1 and >= 3, and the
-    cells p11, p22, which need n_max >= 1 and >= 2."""
+    the contaminations eps2, eps4, which need n_max >= 1 and >= 3 (status
+    "warning:tail_mass" when rho's tail is at least 1e-3 of the sector's mass
+    off the diagonal cell), and the cells p11, p22, which need n_max >= 1 and >= 2."""
     status: dict = {}
     values: dict = {}
 
@@ -279,6 +299,9 @@ def characterize(rho: JointDistribution) -> SourceCharacterization:
         status["eta_hat"] = "warning:nonpositive"
     attempt("eps2", lambda: _contamination(rho, 2))
     attempt("eps4", lambda: _contamination(rho, 4))
+    for name, which in (("eps2", 2), ("eps4", 4)):
+        if status[name] == "ok" and _tail_swamps(rho, which):
+            status[name] = "warning:tail_mass"
     attempt("p11", lambda: _diagonal_cell(rho, 1))
     attempt("p22", lambda: _diagonal_cell(rho, 2))
     return SourceCharacterization(

@@ -4,9 +4,11 @@ A photon entering the arm leaves through path i with probability w_i, and a
 path fires (one click) when at least one photon exits through it.  The
 conditional probability of k clicks given n photons is built by adding the
 paths one at a time, each taking a binomial share of the photons, whose rows
-come 64 photon numbers at a time from one row and a 65-tap kernel.  Losses are
-not modelled here; they are absorbed into the arm transmissions of the source
-model, so the response matrices describe lossless detectors with P[1, 1] = 1.
+come 64 photon numbers at a time from one row and a 65-tap kernel.  The
+simulated click numbers draw one path per photon, or one multinomial per pulse
+past 32 photons or 64 paths of nonzero weight.  Losses are not modelled here;
+they are absorbed into the arm transmissions of the source model, so the
+response matrices describe lossless detectors with P[1, 1] = 1.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .errors import DegenerateInputError, ValidationError
 from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index, _reals
 
 _BLOCK = 64  # photon numbers per block of response_matrix: its kernel has _BLOCK + 1 taps
+_PER_PHOTON_MAX = 32  # the most photons of a pulse whose clicks are drawn one path per photon
+_PATH_BITS = (np.uint8, np.uint16, np.uint32, np.uint64)  # per-pulse path sets, by path count
+_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -158,15 +163,37 @@ def simulate_clicks_batch(
     ns: np.ndarray, weights: PathWeights, rng: np.random.Generator
 ) -> np.ndarray:
     """Click numbers for an array of photon numbers: entry i is the number of
-    paths hit when ns[i] photons scatter independently over the paths."""
+    paths hit when ns[i] photons scatter independently over the paths.
+
+    With at most 64 paths of nonzero weight, a pulse of 2 <= n <=
+    ``_PER_PHOTON_MAX`` photons draws one path per photon by inverting the
+    cumulative weights of those paths, over their total, at a uniform u: the
+    path is the number of them <= u, as ``searchsorted(side="right")`` finds
+    it, so a path of zero weight is never drawn.  The paths a pulse hit are
+    the set bits of the OR of its photons' path bits, counted a byte at a
+    time.  Other pulses of n >= 2 draw their path occupancies from one
+    multinomial each."""
     ns = np.asarray(ns)
     if ns.dtype.kind not in "iu" or np.any(ns < 0):
         raise ValidationError("photon numbers must be integers >= 0")
     k = np.zeros(ns.shape, dtype=np.int64)
     k[ns == 1] = 1
-    multi = np.flatnonzero(ns >= 2)
-    counts = rng.multinomial(ns[multi], weights.w)
-    k[multi] = np.count_nonzero(counts > 0, axis=-1)
+    cdf = np.cumsum(weights.w[weights.w > 0.0])
+    cut = _PER_PHOTON_MAX if cdf.size <= 64 else 1
+    few = np.flatnonzero((ns >= 2) & (ns <= cut))
+    if few.size:
+        photons = ns[few]
+        u = rng.random(photons.sum())
+        path = np.zeros(u.size, np.uint8)
+        for edge in cdf[:-1] / cdf[-1]:  # B - 1 passes beat a binary search per photon
+            path += u >= edge
+        bits = next(t for t in _PATH_BITS if np.iinfo(t).bits >= cdf.size)
+        starts = np.concatenate(([0], np.cumsum(photons[:-1])))
+        hit = np.bitwise_or.reduceat((bits(1) << np.arange(cdf.size, dtype=bits))[path], starts)
+        k[few] = _POPCOUNT[hit.view(np.uint8).reshape(few.size, -1)].sum(axis=1)
+    many = np.flatnonzero(ns > cut)
+    counts = rng.multinomial(ns[many], weights.w)
+    k[many] = np.count_nonzero(counts > 0, axis=-1)
     return k
 
 

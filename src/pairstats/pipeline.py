@@ -13,7 +13,8 @@ CPU, made on first use, and their integer tallies are summed in block order,
 so a run is reproducible bit-for-bit from its config and seed whatever the
 number of threads.  One multinomial per block counts the pulses that hold
 one, several and no pairs reaching a detector; only those holding several
-draw their pair numbers, one by one.
+draw their pair numbers, each from one uniform and a table where the pump is
+weak, M (M + 1) theta**2 < 2, and by rejection elsewhere.
 """
 
 from __future__ import annotations
@@ -133,40 +134,62 @@ def _reaching_pairs(src: EffectiveSource):
     return shares, k, np.array([y * empty, -math.expm1(several), empty])
 
 
+def _multi_pair_cdf(M: float, theta: float) -> np.ndarray:
+    """Cumulative weights of K = 2, 3, ... for K ~ NegBin(M, 1/(1 + theta)) given
+    K >= 2, up from 1 at K = 2 by the pmf ratio x (M + K)/(K + 1), x = theta/(1 + theta),
+    so that no tiny theta is rounded away in 1/(1 + theta).  It ends at the first
+    term past the mode that is <= 1e-18 of the first; where M (M + 1) theta**2 < 2
+    every ratio is below 1/2, so that takes at most 60 terms."""
+    x = theta / (1.0 + theta)
+    terms = [1.0]
+    while True:
+        ratio = x * (M + len(terms) + 1.0) / (len(terms) + 2.0)
+        if ratio < 1.0 and terms[-1] * ratio <= 1e-18:
+            return np.cumsum(terms)
+        terms.append(terms[-1] * ratio)
+
+
+def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int, rng):
+    """``count`` draws of the reaching-pair number K of a pulse given K >= 2,
+    theta = N k and several = P(K >= 2).  Where M (M + 1) theta**2 < 2, each
+    inverts one uniform through the table of ``_multi_pair_cdf`` (Devroye 1986,
+    ch. III.2).  Elsewhere K of NegBin(M, 1/(1 + theta)) is drawn as
+    Poisson(Gamma(M, theta)) and kept if K >= 2, which keeps at least a quarter
+    of the draws there."""
+    M = src.M
+    if count and M * (M + 1.0) * theta * theta < 2.0:
+        cdf = _multi_pair_cdf(M, theta)
+        # side="right" skips the terms that add nothing, and searching cdf[:-1]
+        # caps K at the table's last term however u * cdf[-1] rounds
+        return np.searchsorted(cdf[:-1], rng.random(count) * cdf[-1], side="right") + 2
+    pairs = np.zeros(0, np.int64)
+    while pairs.size < count:  # so several > 0
+        try:  # NegBin as Poisson(Gamma(M, theta)): 1/(1 + theta) would round a tiny theta away
+            j = rng.poisson(rng.gamma(M, theta, math.ceil((count - pairs.size) / several)))
+        except ValueError as exc:  # numpy refuses rates whose counts could overflow int64
+            raise ValidationError(
+                f"pair numbers at N={src.N!r}, M={M!r} are too large to sample"
+            ) from exc
+        pairs = np.concatenate([pairs, j[j >= 2][: count - pairs.size]])
+    return pairs
+
+
 def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
     """(singles, n, m): of ``size`` pulses, the counts of those with one pair
     reaching a detector as photon numbers (1, 1), (1, 0) and (0, 1), and the
     photon numbers of those with more; the rest are empty.
 
     One multinomial counts the pulses with one, several and no reaching pairs,
-    and only those with several draw their pair number K >= 2, by rejection
-    (theta = N k): where M (M + 1) theta**2 < 2, J of NegBin(M + 2, 1/(1 +
-    theta)) is kept with chance 2/((J+1)(J+2)) as K = J + 2, else K of
-    NegBin(M, 1/(1 + theta)) is kept if K >= 2.  Either keeps at least a
-    quarter of its draws.  Two binomials split the pairs to both arms, arm a
-    alone and arm b alone as eta eta' : eta (1-eta') : eta' (1-eta).
+    and only those with several draw their pair number, by ``_multi_pairs``.
+    Two binomials split the pairs to both arms, arm a alone and arm b alone as
+    eta eta' : eta (1-eta') : eta' (1-eta).
     """
     shares, k, cells = _reaching_pairs(src)
     if k == 0.0:
         return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
     both, single = shares[0], shares[1] + shares[2]
     one, count, _ = rng.multinomial(size, cells)
-    theta, M = src.N * k, src.M
-    spread = M * (M + 1.0) * theta * theta
-    dim = spread < 2.0
-    shape = M + 2.0 if dim else M
-    # the share of draws kept; each pass draws as many as keep the rest on average
-    kept = 2.0 * cells[1] / max(spread, 2.0 * cells[1]) if dim and cells[1] > 0.0 else cells[1]
-    pairs = np.zeros(0, np.int64)
-    while pairs.size < count:  # so cells[1] > 0
-        try:  # NegBin as Poisson(Gamma(shape, theta)): 1/(1 + theta) would round a tiny theta away
-            j = rng.poisson(rng.gamma(shape, theta, math.ceil((count - pairs.size) / kept)))
-        except ValueError as exc:  # numpy refuses rates whose counts could overflow int64
-            raise ValidationError(
-                f"pair numbers at N={src.N!r}, M={M!r} are too large to sample"
-            ) from exc
-        j = j[rng.random(j.size) * (j + 1.0) * (j + 2.0) < 2.0] + 2 if dim else j[j >= 2]
-        pairs = np.concatenate([pairs, j[: count - pairs.size]])
+    pairs = _multi_pairs(src, src.N * k, cells[1], count, rng)
     singles = rng.multinomial(one, shares / k)
     in_both = rng.binomial(pairs, both / k)
     a_only = 0

@@ -21,6 +21,7 @@ from pairstats.analysis import (
 )
 from pairstats._fileio import float_list, parse_matrix
 from pairstats.errors import DegenerateInputError, PairStatsError, ValidationError
+from pairstats.loop_detector import apply_response, response_matrix, uniform_weights
 from pairstats.model import (
     EffectiveSource,
     JointDistribution,
@@ -28,9 +29,18 @@ from pairstats.model import (
     suggest_n_max,
 )
 
+from pairstats.reconstruction import ClickHistogram, em_reconstruct
+
 from oracles import joint_distribution_oracle, source_contamination_decimal
 
 ERROR_CLASSES = {cls.__name__ for cls in PairStatsError.__subclasses__()}
+
+# the statuses that keep a value but warn about it, by estimate
+WARNINGS = {
+    ("eta_hat", "warning:nonpositive"),
+    ("eps2", "warning:tail_mass"),
+    ("eps4", "warning:tail_mass"),
+}
 
 
 def model_rho(N, eta, eta_prime, M, tail=1e-13):
@@ -602,6 +612,31 @@ class TestCharacterize:
         assert coarse.eps2 == pytest.approx(wide.eps2, rel=1e-12)
         assert coarse.eps4 == pytest.approx(wide.eps4, rel=1e-12)
 
+    @pytest.mark.parametrize("M", [2.0, 3.0, 16.0])
+    def test_rounded_tail_flags_contamination(self, M):
+        # at N = 1e-8 the grid cut at a 1e-15 tail ends at n_max 1 or 2, and its
+        # tail is 1 - sum rounded, as large as the mass eps2 measures: the value
+        # is kept, the status warns
+        src = EffectiveSource(N=1e-8, eta=0.6, eta_prime=0.4, M=M)
+        rho = joint_distribution(src, suggest_n_max(src, 1e-15))
+        char = characterize(rho)
+        assert rho.tail_mass > 0.0 and np.isfinite(char.eps2)
+        assert char.status["eps2"] == "warning:tail_mass"
+
+    def test_readme_and_em_contamination_stay_ok(self):
+        # the README grid's tail is far below 1e-3 of either sector's mass off
+        # the diagonal cell, and an EM rho has no tail
+        src = EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0)
+        rho = joint_distribution(src, suggest_n_max(src, 1e-12))
+        assert rho.tail_mass > 0.0
+        resp = response_matrix(uniform_weights(8), rho.n_max)
+        f = np.round(apply_response(rho, resp, resp).p * 1e8).astype(np.int64)
+        fitted = em_reconstruct(ClickHistogram(f=f, pulses=int(f.sum())), resp, resp, rho.n_max).rho
+        assert fitted.tail_mass == 0.0
+        for grid in (rho, fitted):
+            char = characterize(grid)
+            assert char.status["eps2"] == char.status["eps4"] == "ok", char.status
+
     def test_small_grid_status(self):
         src = EffectiveSource(N=1e-4, eta=0.5, eta_prime=0.5, M=1.0)
         char = characterize(joint_distribution(src, 2))
@@ -676,9 +711,8 @@ class TestCharacterize:
         for name, status in char.status.items():
             value = getattr(char, name)
             assert np.isnan(value) == (status in ERROR_CLASSES), (name, status, value)
-            assert status in ERROR_CLASSES or status == "ok" or (
-                name == "eta_hat" and status == "warning:nonpositive"
-            )
+            assert status in ERROR_CLASSES or status == "ok" or (name, status) in WARNINGS
+            assert mass < 1.0 or status != "warning:tail_mass"  # no tail, no tail warning
         for name in ("eps2", "eps4", "p11", "p22"):
             value = getattr(char, name)
             assert np.isnan(value) or 0.0 <= value <= 1.0, (name, value)

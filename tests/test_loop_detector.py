@@ -13,6 +13,7 @@ from scipy.stats import chisquare
 from pairstats._fileio import float_list, fmt
 from pairstats.errors import DegenerateInputError, ValidationError
 from pairstats.loop_detector import (
+    _PER_PHOTON_MAX,
     CalibrationResult,
     ClickDistribution,
     DetectorResponse,
@@ -304,6 +305,43 @@ class TestSimulateClicks:
         keep = expected > 5
         result = chisquare(observed[keep], expected[keep] * observed[keep].sum() / expected[keep].sum())
         assert result.pvalue > 0.001
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [0.0, 0.3, 0.05, 0.0, 0.1, 0.2, 0.35, 0.0],
+            [0.5 / 63] * 63 + [0.5],
+            [1.0 / 65] * 65,
+        ],
+        ids=["zero-paths-first-middle-last", "B64-heavy-last", "B65-multinomial"],
+    )
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 12, 30, _PER_PHOTON_MAX, _PER_PHOTON_MAX + 1])
+    def test_click_law_matches_matrix_columns(self, w, n):
+        # 400k pulses of n photons each, z-tested per click number against
+        # column n of response_matrix; a click number the matrix rules out, as
+        # one past the paths of nonzero weight, must never occur.  At B = 64
+        # the last path carries half the weight, so a draw that never reached
+        # path 63 fails; B = 65 and n past the cut take the multinomial
+        weights = PathWeights(np.array(w) / math.fsum(w))
+        rng = np.random.default_rng(n)
+        pulses = 400_000
+        batches = [np.full(50_000, n)] * (pulses // 50_000)  # 50k at a time bounds the scratch
+        ks = np.concatenate([simulate_clicks_batch(ns, weights, rng) for ns in batches])
+        observed = np.bincount(ks, minlength=weights.B + 1)
+        law = response_matrix(weights, n).P[:, n]
+        assert observed[law == 0.0].sum() == 0
+        expected = pulses * law
+        keep = expected >= 100.0
+        z = (observed - expected)[keep] / np.sqrt(expected * (1.0 - law))[keep]
+        assert np.abs(z).max() <= 4.0
+
+    @pytest.mark.parametrize("n", [2, _PER_PHOTON_MAX, 50])
+    def test_zero_weight_path_never_fires(self, n):
+        # two paths of weight 1/2 and a dead one: three clicks never happen,
+        # either side of the cut
+        weights = PathWeights([0.5, 0.5, 0.0])
+        ks = simulate_clicks_batch(np.full(100_000, n), weights, np.random.default_rng(7))
+        assert ks.max() == 2 and ks.min() >= 1
 
     def test_batch_matches_scalar_law(self):
         rng = np.random.default_rng(8)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
@@ -325,6 +325,13 @@ class TestConfig:
             parse_config(text)
 
 
+class TopUniform:
+    """A stand-in generator whose every uniform is the largest double below 1."""
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
 class TestSamplePulse:
     def test_near_vacuum(self):
         src = EffectiveSource(N=1e-9, eta=0.9, eta_prime=0.9, M=2.0)
@@ -497,6 +504,24 @@ class TestSamplePulse:
         assert keep[3]  # the test sees K = 3, which a rounded 1/(1 + N) loses at M = 1e16
         z = (counts - expected)[keep] / np.sqrt(expected * (1.0 - pmf))[keep]
         assert np.abs(z).max() <= 4.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(log_M=st.floats(0.0, 17.0), log_share=st.floats(-300.0, 0.0, exclude_max=True))
+    def test_multi_pair_table_in_dim_box(self, log_M, log_share):
+        # below the switch, M (M + 1) theta**2 < 2, the table of K >= 2 ends
+        # within 64 entries, and every draw is a K >= 2 inside it, at the
+        # largest uniform below 1 too
+        M = 10.0**log_M
+        theta = 10.0**log_share * math.sqrt(2.0 / (M * (M + 1.0)))
+        assume(theta > 0.0 and M * (M + 1.0) * theta * theta < 2.0)
+        cdf = pipeline._multi_pair_cdf(M, theta)
+        assert 1 <= cdf.size <= 64 and np.isfinite(cdf).all() and (np.diff(cdf) >= 0.0).all()
+        src = EffectiveSource(N=theta, eta=1.0, eta_prime=1.0, M=M)
+        several = pipeline._reaching_pairs(src)[2][1]
+        for rng in (_block_rng(1, 9, 0), TopUniform()):
+            pairs = pipeline._multi_pairs(src, theta, several, 1000, rng)
+            assert pairs.dtype == np.int64 and pairs.shape == (1000,)
+            assert (pairs >= 2).all() and (pairs <= cdf.size + 1).all()
 
     def test_dark_arms_give_empty_pulses(self):
         src = EffectiveSource(N=1.0, eta=0.0, eta_prime=0.0, M=2.0)
