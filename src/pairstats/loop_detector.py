@@ -2,11 +2,13 @@
 
 A photon entering the arm leaves through path i with probability w_i, and a
 path fires (one click) when at least one photon exits through it.  The
-conditional probability of k clicks given n photons is built by adding the
-paths one at a time, each taking a binomial share of the photons, whose rows
-come 64 photon numbers at a time from one row and a 65-tap kernel.  The
-simulated click numbers draw one path per photon, or one multinomial per pulse
-past 32 photons or 64 paths of nonzero weight.  Losses are not modelled here;
+conditional probability of k clicks given n photons is built one of two ways.
+When the B' paths of nonzero weight are exactly equal, it is the occupancy
+chain of balls in bins, one photon at a time.  Otherwise the paths are added
+one at a time, each taking a binomial share of the photons, whose rows come 64
+photon numbers at a time from one row and a 65-tap kernel.  The simulated
+click numbers draw one path per photon, or one multinomial per pulse past 32
+photons or 64 paths of nonzero weight.  Losses are not modelled here;
 they are absorbed into the arm transmissions of the source model, so the
 response matrices describe lossless detectors with P[1, 1] = 1.
 """
@@ -22,6 +24,7 @@ from .errors import DegenerateInputError, ValidationError
 from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index, _reals
 
 _BLOCK = 64  # photon numbers per block of response_matrix: its kernel has _BLOCK + 1 taps
+_CHAIN_SCALE = 600  # binary exponent of the equal-split chain's scale; 2^600 B' does not overflow
 _PER_PHOTON_MAX = 32  # the most photons of a pulse whose clicks are drawn one path per photon
 _PATH_BITS = (np.uint8, np.uint16, np.uint32, np.uint64)  # per-pulse path sets, by path count
 _POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
@@ -111,7 +114,19 @@ class ClickDistribution:
 def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     """Conditional click probabilities P[k, n] for 0 <= k <= B, 0 <= n <= n_max.
 
-    The paths are added one at a time; after i of them, P[k, n] is the
+    When the B' nonzero weights are exactly equal, photon n + 1 lands in one of
+    the k paths already hit or in one of the B' - k others:
+
+        P[k, n + 1] = (k P[k, n] + (B' - k + 1) P[k - 1, n]) / B'
+
+    one photon number at a time over all k, in O(B' n_max) time and one copy of
+    P as scratch; rows k > B' stay 0.  Every term is nonnegative, so nothing cancels.
+    The chain runs on P scaled by 2^``_CHAIN_SCALE``, so that an entry on its way
+    below the smallest normal double keeps its digits until one final rounding:
+    unscaled, k / B' > 1/2 would round it back up to the smallest subnormal at
+    every step, and it would never reach 0.
+
+    Otherwise the paths are added one at a time; after i of them, P[k, n] is the
     probability that n photons confined to those paths occupy exactly k.
     Path i takes a Binomial(n, p) share of them, p = w_i / (w_1 + ... + w_i):
 
@@ -128,6 +143,16 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     n_max = _index(n_max, "n_max", 0, _N_CAP)
     w = weights.w
     paths = np.flatnonzero(w)
+    if np.all(w[paths] == w[paths[0]]):
+        b = paths.size
+        hit, free = np.arange(1.0, b + 1), np.arange(b, 0.0, -1)  # k and B' - k + 1
+        cols = np.zeros((n_max + 1, w.size + 1))  # cols[n] = 2^_CHAIN_SCALE P[:, n]
+        cols[0, 0] = 2.0**_CHAIN_SCALE
+        for n in range(n_max):
+            step = np.multiply(hit, cols[n, 1 : b + 1], out=cols[n + 1, 1 : b + 1])
+            step += free * cols[n, :b]
+            step /= b
+        return DetectorResponse(P=cols.T.copy() * 2.0**-_CHAIN_SCALE)
     L = min(_BLOCK, n_max + 1)
     p = np.array([[w[i] / w[: i + 1].sum()] for i in paths])
     q = 1.0 - p
@@ -162,7 +187,7 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
 def simulate_clicks_batch(
     ns: np.ndarray, weights: PathWeights, rng: np.random.Generator
 ) -> np.ndarray:
-    """Click numbers for an array of photon numbers: entry i is the number of
+    """Click numbers for a 1-d array of photon numbers: entry i is the number of
     paths hit when ns[i] photons scatter independently over the paths.
 
     With at most 64 paths of nonzero weight, a pulse of 2 <= n <=
@@ -174,6 +199,8 @@ def simulate_clicks_batch(
     time.  Other pulses of n >= 2 draw their path occupancies from one
     multinomial each."""
     ns = np.asarray(ns)
+    if ns.ndim != 1:
+        raise ValidationError("photon numbers must be a 1-d array")
     if ns.dtype.kind not in "iu" or np.any(ns < 0):
         raise ValidationError("photon numbers must be integers >= 0")
     k = np.zeros(ns.shape, dtype=np.int64)

@@ -188,6 +188,38 @@ class TestResponseMatrix:
         P, exact = response_matrix(uniform_weights(B), n_max).P, uniform_click_matrix(B, n_max)
         assert_close_to_law(P, exact, 2e-13)
 
+    @pytest.mark.parametrize("B", [3, 12])
+    def test_chain_to_stirling_law_at_two_thousand_photons(self, B):
+        """Equal weights take the occupancy chain, one rounding-limited step per
+        photon; an entry below the smallest normal double is rounded once, so it
+        is 0 where the law rounds to 0 instead of stuck at the smallest subnormal."""
+        P, exact = response_matrix(uniform_weights(B), 2000).P, uniform_click_matrix(B, 2000)
+        assert_close_to_law(P, exact, 1e-14)
+
+    @pytest.mark.parametrize(
+        "w", [[0.25, 0.0, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0]], ids=["dead-second", "dead-last"]
+    )
+    def test_equal_weights_with_dead_paths(self, w):
+        # the chain runs over the live paths alone; rows past them stay 0
+        w = np.array(w)
+        P = response_matrix(PathWeights(w), 40).P
+        assert np.abs(P - inclusion_exclusion_click_matrix(w, 40)).max() <= 1e-12
+        assert np.all(P[np.count_nonzero(w) + 1 :] == 0.0)
+
+    @pytest.mark.parametrize("B", [4, 12])
+    def test_one_ulp_off_equal_takes_the_recurrence(self, B):
+        # exact equality picks the chain, so one ulp off it builds by the path
+        # recurrence, bit-identical to the per-path loop within one block; the
+        # two constructions agree across many blocks
+        w = np.full(B, 1.0 / B)
+        w[B // 2] = np.nextafter(w[B // 2], 1.0)
+        off = PathWeights(w)
+        recurrence = response_matrix(off, 63).P
+        assert np.array_equal(recurrence, response_matrix_per_path(w, 63))
+        assert not np.array_equal(recurrence, response_matrix(uniform_weights(B), 63).P)
+        chain = response_matrix(uniform_weights(B), 998).P
+        assert np.abs(response_matrix(off, 998).P - chain).max() <= 1e-12
+
     @pytest.mark.parametrize("B", range(1, 7))
     def test_matches_exact_law(self, B):
         """Against the exact law in rational arithmetic.  The weights are dyadic,
@@ -207,16 +239,18 @@ class TestResponseMatrix:
             assert_close_to_law(P, response_matrix_exact(w, n_max), 5e-14)
 
     def test_memory_of_sixty_four_paths(self):
-        # two stages of 65 x 1025 doubles, 64 kernels of 65 x 66 and their
-        # zero-diagonal copies, and one window of 1025 x 64: about 5 MiB
-        weights = uniform_weights(64)
+        # unequal weights take the path recurrence: two stages of 65 x 1025
+        # doubles, 64 kernels of 65 x 66 and their zero-diagonal copies, and
+        # one window of 1025 x 64: about 5 MiB
+        weights = PathWeights(np.arange(1.0, 65.0) / 2080.0)
         tracemalloc.start()
         try:
-            response_matrix(weights, 1024)
+            P = response_matrix(weights, 1024).P
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+        assert np.abs(P.sum(axis=0) - 1.0).max() <= 1e-12
 
     def test_sixty_four_paths(self):
         resp = response_matrix(uniform_weights(64), 200)
@@ -228,14 +262,20 @@ class TestResponseMatrix:
     @given(st.data())
     def test_invariants_over_the_valid_box(self, data):
         B = data.draw(st.integers(1, 64), label="B")
-        raw = data.draw(
-            st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=B, max_size=B),
-            label="raw weights",
-        )
+        if data.draw(st.booleans(), label="equal weights"):
+            # equal live paths take the occupancy chain, whose cost is B n_max,
+            # so n_max reaches the cap
+            raw = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=B, max_size=B), label="live")
+            n_max = data.draw(st.integers(0, _N_CAP), label="n_max")
+        else:
+            raw = data.draw(
+                st.lists(st.one_of(st.just(0.0), st.floats(0.0, 1.0)), min_size=B, max_size=B),
+                label="raw weights",
+            )
+            # the recurrence's cost grows as (B n_max)^2, so B n_max is held to
+            # 2400; a B=64, n_max=300 call, which is past that, takes about 0.04 s
+            n_max = data.draw(st.integers(0, min(300, 2400 // B)), label="n_max")
         assume(sum(raw) > 0.0)
-        # the cost grows as (B n_max)^2, so B n_max is held to 2400; a B=64,
-        # n_max=300 call, which is past that, takes about 0.04 s on one core
-        n_max = data.draw(st.integers(0, min(300, 2400 // B)), label="n_max")
         P = response_matrix(PathWeights(np.array(raw) / sum(raw)), n_max).P
         # an entry may round to 1 + 1e-14; the package's mass tolerance is 1e-12
         assert np.all((P >= 0.0) & (P <= 1.0 + 1e-12))
@@ -262,6 +302,16 @@ class TestResponseMatrix:
                 assert np.array_equal(resp.P, oracle), B
             else:
                 assert np.all(np.abs(resp.P - oracle) <= 1e-14 * oracle + 1e-300), B
+
+    @pytest.mark.parametrize("n_max", [564, 998])
+    def test_unequal_sixteen_paths_against_per_path_oracle(self, n_max):
+        # the block recurrence over many blocks, where equal weights would take
+        # the chain; the two sum in another order, and on 20 seeds at n_max 998
+        # they differed by 4.5e-15 to 2.5e-14 relative
+        raw = np.random.default_rng(n_max).random(16) + 0.5
+        w = raw / raw.sum()
+        P, oracle = response_matrix(PathWeights(w), n_max).P, response_matrix_per_path(w, n_max)
+        assert np.all(np.abs(P - oracle) <= 5e-14 * oracle + 1e-300)
 
     @pytest.mark.parametrize("B", [1, 3])
     def test_vacuum_column_only(self, B):
@@ -507,6 +557,10 @@ class TestSerialization:
             ClickDistribution(p=p, deficit=0.0)
 
 
+def _click_args():
+    return uniform_weights(4), np.random.default_rng(0)
+
+
 class TestRaises:
     @pytest.mark.parametrize(
         ("call", "match"),
@@ -521,6 +575,8 @@ class TestRaises:
             (lambda: ClickDistribution(p=np.full(3, 1.0 / 3.0)), "matrix"),
             (lambda: calibrate([]), "non-empty"),
             (lambda: parse_response("# B=2 n_max=1\n1,0\n0,1\n"), "header"),
+            (lambda: simulate_clicks_batch(np.array([[2, 0], [0, 3]]), *_click_args()), "1-d"),
+            (lambda: simulate_clicks_batch(np.array(5), *_click_args()), "1-d"),
         ],
         ids=[
             "no weights",
@@ -530,6 +586,8 @@ class TestRaises:
             "1-d click probabilities",
             "no bin counts",
             "response shape against header",
+            "2-d photon numbers",
+            "0-d photon numbers",
         ],
     )
     def test_raises(self, call, match):
