@@ -305,7 +305,9 @@ def joint_distribution(
 
 
 def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
-    """Smallest cutoff whose out-of-grid mass is certified below ``tail_bound``.
+    """Smallest cutoff, at least 2, whose out-of-grid mass is certified below
+    ``tail_bound``.  The floor keeps the two-photon cells on the grid: at weak
+    pumping a cut at 1 leaves them to a tail that rounds to 0.
 
     Each arm's marginal is negative binomial; the mass outside the square grid
     is at most the sum of the two marginal tails, each bounded here by a
@@ -340,7 +342,7 @@ def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
             f" {tail_bound:.3e}",
             tail_mass=tail,
         )
-    return max(n_a, n_b, 1)
+    return max(n_a, n_b, 2)
 
 
 # -- text formats -------------------------------------------------------------

@@ -9,12 +9,14 @@ parameters are estimated from the result.
 Pulses are simulated in fixed-size blocks, each drawing from its own
 counter-based random stream derived from (seed, stage, block index).  The
 blocks of calibration and collection run on a pool of one thread per usable
-CPU, made on first use, and their integer tallies are summed in block order,
-so a run is reproducible bit-for-bit from its config and seed whatever the
-number of threads.  One multinomial per block counts the pulses that hold
-one, several and no pairs reaching a detector; only those holding several
-draw their pair numbers, each from one uniform and a table where the pump is
-weak, M (M + 1) theta**2 < 2, and by rejection elsewhere.
+CPU, made on first use, where they carry enough work to pay for it, and their
+integer tallies are summed in block order, so a run is reproducible
+bit-for-bit from its config and seed whatever the number of threads.  One
+multinomial per block counts the pulses that hold one, several and no pairs
+reaching a detector; only those holding several draw their photon numbers.
+Where the pump is weak, M (M + 1) theta**2 < 2, each takes one uniform through
+a table of its photon numbers, built once per stage; elsewhere it draws its
+pair number by rejection and two binomials split the pairs to the arms.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ from .reconstruction import (
 )
 
 BLOCK_SIZE = 250_000
-_POOL_MIN_SAMPLED = 2_000  # multi-pair pulses a block must expect to pay for the pool (2-CPU x86-64)
+_POOL_MIN_SAMPLED = 20_000  # multi-pair pulses a block must expect to pay for the pool (2-CPU x86-64)
 _MAX_SEED = 2**64 - 1  # bootstrap seeds are 64-bit unsigned
 
 _STAGE_CALIBRATION = 0
@@ -134,10 +136,10 @@ def _reaching_pairs(src: EffectiveSource):
     return shares, k, np.array([y * empty, -math.expm1(several), empty])
 
 
-def _multi_pair_cdf(M: float, theta: float) -> np.ndarray:
-    """Cumulative weights of K = 2, 3, ... for K ~ NegBin(M, 1/(1 + theta)) given
-    K >= 2, up from 1 at K = 2 by the pmf ratio x (M + K)/(K + 1), x = theta/(1 + theta),
-    so that no tiny theta is rounded away in 1/(1 + theta).  It ends at the first
+def _multi_pair_terms(M: float, theta: float) -> np.ndarray:
+    """Weights of K = 2, 3, ... for K ~ NegBin(M, 1/(1 + theta)) given K >= 2,
+    up from 1 at K = 2 by the pmf ratio x (M + K)/(K + 1), x = theta/(1 + theta),
+    so that no tiny theta is rounded away in 1/(1 + theta).  They end at the first
     term past the mode that is <= 1e-18 of the first; where M (M + 1) theta**2 < 2
     every ratio is below 1/2, so that takes at most 60 terms."""
     x = theta / (1.0 + theta)
@@ -145,23 +147,37 @@ def _multi_pair_cdf(M: float, theta: float) -> np.ndarray:
     while True:
         ratio = x * (M + len(terms) + 1.0) / (len(terms) + 2.0)
         if ratio < 1.0 and terms[-1] * ratio <= 1e-18:
-            return np.cumsum(terms)
+            return np.array(terms)
         terms.append(terms[-1] * ratio)
+
+
+def _photon_table(M: float, theta: float, split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, m, weights): the photon numbers of a pulse with K >= 2 reaching pairs,
+    over the cells of positive weight P(n, m | K >= 2) = sum_K t_K K!/(i! j! l!)
+    v**i a**j b**l, and those weights.  t_K are the ``_multi_pair_terms``, and i pairs
+    reach both arms, j arm a alone and l arm b alone at the chances split = (v, a, b),
+    so n = i + j and m = i + l.  The law of (n, m) given K pairs is built up from
+    K = 0 one pair at a time, each adding a photon to both arms, to arm a or to arm b."""
+    terms = _multi_pair_terms(M, theta)
+    v, a, b = split
+    size = terms.size + 2  # K and so n and m run to terms.size + 1
+    weights = np.zeros((size, size))
+    given_K = np.zeros((size + 1, size + 1))  # (n, m) at [n + 1, m + 1]: row and column 0 stay 0
+    given_K[1, 1] = 1.0
+    for K in range(1, size):
+        given_K[1:, 1:] = v * given_K[:-1, :-1] + a * given_K[:-1, 1:] + b * given_K[1:, :-1]
+        if K >= 2:
+            weights += terms[K - 2] * given_K[1:, 1:]
+    n, m = np.nonzero(weights)
+    return n, m, weights[n, m]
 
 
 def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int, rng):
     """``count`` draws of the reaching-pair number K of a pulse given K >= 2,
-    theta = N k and several = P(K >= 2).  Where M (M + 1) theta**2 < 2, each
-    inverts one uniform through the table of ``_multi_pair_cdf`` (Devroye 1986,
-    ch. III.2).  Elsewhere K of NegBin(M, 1/(1 + theta)) is drawn as
-    Poisson(Gamma(M, theta)) and kept if K >= 2, which keeps at least a quarter
-    of the draws there."""
+    theta = N k and several = P(K >= 2): K of NegBin(M, 1/(1 + theta)) is drawn
+    as Poisson(Gamma(M, theta)) and kept if K >= 2, which keeps at least a
+    quarter of the draws where M (M + 1) theta**2 >= 2, the only place it runs."""
     M = src.M
-    if count and M * (M + 1.0) * theta * theta < 2.0:
-        cdf = _multi_pair_cdf(M, theta)
-        # side="right" skips the terms that add nothing, and searching cdf[:-1]
-        # caps K at the table's last term however u * cdf[-1] rounds
-        return np.searchsorted(cdf[:-1], rng.random(count) * cdf[-1], side="right") + 2
     pairs = np.zeros(0, np.int64)
     while pairs.size < count:  # so several > 0
         try:  # NegBin as Poisson(Gamma(M, theta)): 1/(1 + theta) would round a tiny theta away
@@ -174,23 +190,48 @@ def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int,
     return pairs
 
 
-def _sample_pulses(src: EffectiveSource, rng: np.random.Generator, size: int):
+_PulseLaw = collections.namedtuple("_PulseLaw", "src shares k cells table")
+
+
+def _pulse_law(src: EffectiveSource) -> _PulseLaw:
+    """What the pulse blocks of one stage draw from, built once per stage: the
+    source, its ``_reaching_pairs`` shares, their sum k and pulse-kind chances,
+    and where the pump is weak, M (M + 1) theta**2 < 2, the ``_photon_table``
+    of multi-pair pulses as (n, m, cumulative weights) (else None)."""
+    shares, k, cells = _reaching_pairs(src)
+    theta = src.N * k
+    table = None
+    if k > 0.0 and src.M * (src.M + 1.0) * theta * theta < 2.0:
+        n, m, weights = _photon_table(src.M, theta, shares / k)
+        table = n, m, np.cumsum(weights)
+    return _PulseLaw(src, shares, k, cells, table)
+
+
+def _sample_pulses(law: _PulseLaw, rng: np.random.Generator, size: int):
     """(singles, n, m): of ``size`` pulses, the counts of those with one pair
     reaching a detector as photon numbers (1, 1), (1, 0) and (0, 1), and the
     photon numbers of those with more; the rest are empty.
 
-    One multinomial counts the pulses with one, several and no reaching pairs,
-    and only those with several draw their pair number, by ``_multi_pairs``.
-    Two binomials split the pairs to both arms, arm a alone and arm b alone as
-    eta eta' : eta (1-eta') : eta' (1-eta).
+    One multinomial counts the pulses with one, several and no reaching pairs.
+    Where the pump is weak, M (M + 1) theta**2 < 2, each pulse with several
+    draws its photon numbers with one uniform inverted through the law's
+    ``_photon_table`` (Devroye 1986, ch. III.2).  Elsewhere it draws its pair
+    number by ``_multi_pairs``, and two binomials split the pairs to both arms,
+    arm a alone and arm b alone as eta eta' : eta (1-eta') : eta' (1-eta).
     """
-    shares, k, cells = _reaching_pairs(src)
+    src, shares, k, cells, table = law
     if k == 0.0:
         return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
-    both, single = shares[0], shares[1] + shares[2]
     one, count, _ = rng.multinomial(size, cells)
+    if table is not None:
+        n, m, cdf = table
+        # side="right" skips the cells that add nothing, and searching cdf[:-1]
+        # caps the pick at the table's last cell however u * cdf[-1] rounds
+        pick = np.searchsorted(cdf[:-1], rng.random(count) * cdf[-1], side="right")
+        return rng.multinomial(one, shares / k), n[pick], m[pick]
     pairs = _multi_pairs(src, src.N * k, cells[1], count, rng)
     singles = rng.multinomial(one, shares / k)
+    both, single = shares[0], shares[1] + shares[2]
     in_both = rng.binomial(pairs, both / k)
     a_only = 0
     if single > 0.0:
@@ -216,19 +257,21 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
 
 def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
     """Yield fn(singles, n, m, rng) for each block of up to BLOCK_SIZE pulses,
-    in block order: the block's ``_sample_pulses`` draw, and its stream for
-    the clicks.  Each block has its own stream, so results do not depend on
-    where it runs: the calling thread when it expects fewer than
-    _POOL_MIN_SAMPLED pulses with several reaching pairs, else the pool, two blocks
-    per thread ahead at most.  A block's error is raised, later ones cancelled."""
+    in block order: the block's ``_sample_pulses`` draw from the stage's one
+    ``_pulse_law``, and its stream for the clicks.  Each block has its own
+    stream, so results do not depend on where it runs: the calling thread when
+    it expects fewer than _POOL_MIN_SAMPLED pulses with several reaching pairs,
+    else the pool, two blocks per thread ahead at most.  A block's error is
+    raised, later ones cancelled."""
+    law = _pulse_law(src)
 
     def block(index: int):
         rng = _block_rng(seed, stage, index)
         size = min(BLOCK_SIZE, pulses - index * BLOCK_SIZE)
-        return fn(*_sample_pulses(src, rng, size), rng)
+        return fn(*_sample_pulses(law, rng, size), rng)
 
     blocks = range(-(-pulses // BLOCK_SIZE))
-    if min(BLOCK_SIZE, pulses) * _reaching_pairs(src)[2][1] < _POOL_MIN_SAMPLED:
+    if min(BLOCK_SIZE, pulses) * law.cells[1] < _POOL_MIN_SAMPLED:
         yield from map(block, blocks)
         return
     pool, threads = _pool()

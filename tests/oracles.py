@@ -40,7 +40,7 @@ from pairstats import pipeline
 from pairstats.errors import SupportError, TruncationError, ValidationError
 from pairstats.loop_detector import _cut_responses, simulate_clicks_batch
 from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource
-from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _sample_pulses
+from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _pulse_law, _sample_pulses
 from pairstats.reconstruction import ClickHistogram
 
 
@@ -290,11 +290,11 @@ def nonempty_pulses(singles, n, m):
 def pulse_blocks(src: EffectiveSource, pulses: int, seed: int, stage: int):
     """Yield (singles, n, m, rng) per block of up to ``pipeline.BLOCK_SIZE`` pulses,
     in block order: the block's ``_sample_pulses`` draw, and its stream for the
-    clicks."""
-    size = pipeline.BLOCK_SIZE
+    clicks, all drawn from one ``_pulse_law`` of the source."""
+    size, law = pipeline.BLOCK_SIZE, _pulse_law(src)
     for block, start in enumerate(range(0, pulses, size)):
         rng = _block_rng(seed, stage, block)
-        yield *_sample_pulses(src, rng, min(size, pulses - start)), rng
+        yield *_sample_pulses(law, rng, min(size, pulses - start)), rng
 
 
 def simulate_experiment_serial(cfg) -> ClickHistogram:

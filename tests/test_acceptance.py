@@ -26,6 +26,7 @@ from pairstats.model import (
 from pairstats.pipeline import (
     ExperimentConfig,
     _block_rng,
+    _pulse_law,
     _sample_pulses,
     bootstrap_characterize,
     run_full,
@@ -93,11 +94,11 @@ def test_criterion_3_delta_squared_identities():
     # Monte Carlo cross-check at 1e6 pulses, batched for the error bar
     src = EffectiveSource(N=1.0, eta=0.7, eta_prime=0.3, M=2.0)
     exact = 1.0 - 2.0 / (1.0 / 0.7 + 1.0 / 0.3)
-    batches = []
+    batches, law = [], _pulse_law(src)
     for b in range(20):
         rng = _block_rng(314159, 3, b)
         # the pulses the sampler leaves out are empty: pad them back as zeros
-        drawn = nonempty_pulses(*_sample_pulses(src, rng, 50_000))
+        drawn = nonempty_pulses(*_sample_pulses(law, rng, 50_000))
         n, m = (np.pad(x, (0, 50_000 - x.size)) for x in drawn)
         mn, mm = n.mean(), m.mean()
         num = (

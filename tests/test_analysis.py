@@ -614,14 +614,28 @@ class TestCharacterize:
 
     @pytest.mark.parametrize("M", [2.0, 3.0, 16.0])
     def test_rounded_tail_flags_contamination(self, M):
-        # at N = 1e-8 the grid cut at a 1e-15 tail ends at n_max 1 or 2, and its
-        # tail is 1 - sum rounded, as large as the mass eps2 measures: the value
-        # is kept, the status warns
+        # at N = 1e-8 the grid cut at a 1e-15 tail ends at n_max 2, and its tail
+        # is 1 - sum rounded: where that is positive (M = 3, 16) it is as large
+        # as the mass eps2 measures, so the value is kept and the status warns;
+        # where it rounds to 0 (M = 2) the grid holds the sector, and eps2 is ok
         src = EffectiveSource(N=1e-8, eta=0.6, eta_prime=0.4, M=M)
         rho = joint_distribution(src, suggest_n_max(src, 1e-15))
         char = characterize(rho)
-        assert rho.tail_mass > 0.0 and np.isfinite(char.eps2)
-        assert char.status["eps2"] == "warning:tail_mass"
+        assert rho.n_max == 2 and np.isfinite(char.eps2)
+        if M == 2.0:
+            assert rho.tail_mass == 0.0 and char.status["eps2"] == "ok"
+            assert char.eps2 == pytest.approx(source_contamination(src)[0], rel=1e-7)
+        else:
+            assert rho.tail_mass > 0.0 and char.status["eps2"] == "warning:tail_mass"
+
+    def test_weakest_grid_holds_the_two_photon_cells(self):
+        # a cut at n_max 1 would leave the sector's cells off (1, 1) to a tail
+        # that rounds to 0 here, and eps2 would read 0 with status ok
+        src = EffectiveSource(N=3.06e-8, eta=0.0584, eta_prime=0.0656, M=1.367)
+        rho = joint_distribution(src, suggest_n_max(src, 1e-15))
+        char = characterize(rho)
+        assert rho.n_max == 2 and rho.tail_mass == 0.0 and char.status["eps2"] == "ok"
+        assert char.eps2 == pytest.approx(source_contamination(src)[0], rel=1e-7)
 
     def test_readme_and_em_contamination_stay_ok(self):
         # the README grid's tail is far below 1e-3 of either sector's mass off

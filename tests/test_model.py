@@ -509,6 +509,12 @@ class TestSuggestNMax:
             n_max = suggest_n_max(src, 1e-10)
             assert joint_distribution(src, n_max).tail_mass < 1e-10
 
+    @pytest.mark.parametrize("N", [1e-300, 1e-12, 3.06e-8])
+    def test_never_below_two(self, N):
+        # the two-photon cells, and so eps2's sector, stay on the grid
+        src = EffectiveSource(N=N, eta=0.0584, eta_prime=0.0656, M=1.367)
+        assert suggest_n_max(src, 1e-15) == 2
+
     def test_monotone_in_bound(self):
         src = EffectiveSource(N=1.0, eta=0.8, eta_prime=0.8, M=2.0)
         assert suggest_n_max(src, 1e-12) >= suggest_n_max(src, 1e-6)

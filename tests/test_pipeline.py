@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from pairstats.pipeline import (
     simulate_calibration,
     simulate_experiment,
     _block_rng,
+    _pulse_law,
     _sample_pulses,
 )
 from pairstats.reconstruction import ClickHistogram, em_reconstruct, em_record, parse_histogram
@@ -137,9 +139,9 @@ def max_law_z(src: EffectiveSource) -> float:
     out are empty and count in cell (0, 0).
     """
     pulses = 10_000_000
-    counts = np.zeros(22 * 22)
+    counts, law = np.zeros(22 * 22), _pulse_law(src)
     for block in range(5):
-        n, m = nonempty_pulses(*_sample_pulses(src, _block_rng(3, 9, block), pulses // 5))
+        n, m = nonempty_pulses(*_sample_pulses(law, _block_rng(3, 9, block), pulses // 5))
         counts += clipped_cells(n, m, pulses // 5)
     counts = counts.reshape(22, 22)
     n_max = 20
@@ -158,10 +160,10 @@ def per_pulse_z(src: EffectiveSource) -> float:
     Only the cells where the two samples hold 200 or more pulses together enter.
     """
     pulses, blocks = 10_000_000, 10
-    counts = np.zeros((2, 22 * 22))
+    counts, law = np.zeros((2, 22 * 22)), _pulse_law(src)
     for block in range(blocks):
         draws = (
-            nonempty_pulses(*_sample_pulses(src, _block_rng(12, 9, block), pulses // blocks)),
+            nonempty_pulses(*_sample_pulses(law, _block_rng(12, 9, block), pulses // blocks)),
             sample_pulses_per_pulse(src, _block_rng(13, 9, block), pulses // blocks),
         )
         for side, (n, m) in enumerate(draws):
@@ -325,26 +327,46 @@ class TestConfig:
             parse_config(text)
 
 
+# weak-pump sources near the switch, M (M + 1) theta**2 = 1.9 at M = 1, which
+# draw from the largest photon-number tables (60 pair numbers)
+SWITCH_THETA = math.sqrt(0.95)
+NEAR_SWITCH = [
+    (SWITCH_THETA / 0.85, 0.5, 0.7, 1.0),
+    (SWITCH_THETA / 0.8, 0.8, 0.0, 1.0),
+    (SWITCH_THETA, 1.0, 1.0, 1.0),
+]
+NEAR_SWITCH_IDS = ["near-switch", "near-switch-dark-arm", "near-switch-lossless"]
+
+
 class TopUniform:
-    """A stand-in generator whose every uniform is the largest double below 1."""
+    """``rng`` with every uniform replaced by the largest double below 1."""
+
+    def __init__(self, rng):
+        self.rng = rng
 
     def random(self, size):
         return np.full(size, np.nextafter(1.0, 0.0))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
 
 
 class TestSamplePulse:
     def test_near_vacuum(self):
         src = EffectiveSource(N=1e-9, eta=0.9, eta_prime=0.9, M=2.0)
         rng = _block_rng(1, 9, 0)
-        singles, n, m = _sample_pulses(src, rng, 200)
+        singles, n, m = _sample_pulses(_pulse_law(src), rng, 200)
         assert singles.sum() == n.size == m.size == 0
 
     def test_lossless_pairs_stay_matched(self):
-        # only (1, 1) singles, and both arms see every pair of the others
-        src = EffectiveSource(N=1.0, eta=1.0, eta_prime=1.0, M=1.0)
-        singles, n, m = _sample_pulses(src, _block_rng(2, 9, 0), 50_000)
-        assert singles[0] > 0 and singles[1] == singles[2] == 0
-        assert n.size > 0 and np.array_equal(n, m)
+        # only (1, 1) singles, and both arms see every pair of the others, on
+        # both sides of the switch M (M + 1) theta**2 = 2
+        for N in (1.0, SWITCH_THETA):
+            law = _pulse_law(EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=1.0))
+            assert (law.table is None) == (N == 1.0)
+            singles, n, m = _sample_pulses(law, _block_rng(2, 9, 0), 50_000)
+            assert singles[0] > 0 and singles[1] == singles[2] == 0
+            assert n.size > 0 and np.array_equal(n, m)
 
     @pytest.mark.parametrize(
         "N, eta, eta_prime, M",
@@ -356,8 +378,9 @@ class TestSamplePulse:
             (3.0, 0.9, 0.2, 1.0),
             (1.0, 0.5, 0.7, 2.5),
             (1.0, 0.5, 0.7, 16.6),
+            *NEAR_SWITCH,
         ],
-        ids=["readme", "arm-a-only", "arm-b-only", "lossless", "bright-unbalanced", "M2.5", "M16.6"],
+        ids=["readme", "arm-a-only", "arm-b-only", "lossless", "bright-unbalanced", "M2.5", "M16.6", *NEAR_SWITCH_IDS],
     )
     def test_law_matches_per_pulse_oracle(self, N, eta, eta_prime, M):
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
@@ -378,8 +401,9 @@ class TestSamplePulse:
             (1.0, 0.0, 0.3, 3.0),
             (1.0, 1.0, 1.0, 2.5),
             (3.0, 0.9, 0.2, 1.0),
+            *NEAR_SWITCH,
         ],
-        ids=["readme", "arm-a-only", "arm-b-only", "lossless", "bright-unbalanced"],
+        ids=["readme", "arm-a-only", "arm-b-only", "lossless", "bright-unbalanced", *NEAR_SWITCH_IDS],
     )
     def test_reaching_pair_split_matches_model(self, N, eta, eta_prime, M):
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
@@ -439,7 +463,7 @@ class TestSamplePulse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cells = pipeline._reaching_pairs(src)[2]
-            singles, n, m = _sample_pulses(src, _block_rng(1, 9, 0), BLOCK_SIZE)
+            singles, n, m = _sample_pulses(_pulse_law(src), _block_rng(1, 9, 0), BLOCK_SIZE)
         assert cells[1] == 0.0 and cells[2] == 1.0 and (eta == 1.0 or cells[0] == 0.0)
         assert singles.sum() == n.size == m.size == 0
 
@@ -506,28 +530,71 @@ class TestSamplePulse:
         assert np.abs(z).max() <= 4.0
 
     @settings(derandomize=True, max_examples=300, deadline=None)
-    @given(log_M=st.floats(0.0, 17.0), log_share=st.floats(-300.0, 0.0, exclude_max=True))
-    def test_multi_pair_table_in_dim_box(self, log_M, log_share):
-        # below the switch, M (M + 1) theta**2 < 2, the table of K >= 2 ends
-        # within 64 entries, and every draw is a K >= 2 inside it, at the
-        # largest uniform below 1 too
+    @given(
+        log_M=st.floats(0.0, 17.0),
+        log_share=st.floats(-300.0, 0.0, exclude_max=True),
+        eta=st.floats(0.0, 1.0),
+        eta_prime=st.floats(0.0, 1.0),
+    )
+    def test_multi_pair_table_in_dim_box(self, log_M, log_share, eta, eta_prime):
+        # below the switch, M (M + 1) theta**2 < 2, the photon-number table has
+        # at most 64 x 64 cells, and every pulse with several reaching pairs
+        # lands on one of them, at the largest uniform below 1 too
         M = 10.0**log_M
         theta = 10.0**log_share * math.sqrt(2.0 / (M * (M + 1.0)))
-        assume(theta > 0.0 and M * (M + 1.0) * theta * theta < 2.0)
-        cdf = pipeline._multi_pair_cdf(M, theta)
-        assert 1 <= cdf.size <= 64 and np.isfinite(cdf).all() and (np.diff(cdf) >= 0.0).all()
-        src = EffectiveSource(N=theta, eta=1.0, eta_prime=1.0, M=M)
-        several = pipeline._reaching_pairs(src)[2][1]
-        for rng in (_block_rng(1, 9, 0), TopUniform()):
-            pairs = pipeline._multi_pairs(src, theta, several, 1000, rng)
-            assert pairs.dtype == np.int64 and pairs.shape == (1000,)
-            assert (pairs >= 2).all() and (pairs <= cdf.size + 1).all()
+        k = eta + eta_prime * (1.0 - eta)
+        assume(theta > 0.0 and k > 0.0 and math.isfinite(theta / k))
+        law = pipeline._pulse_law(EffectiveSource(N=theta / k, eta=eta, eta_prime=eta_prime, M=M))
+        assume(law.table is not None)
+        n, m, cdf = law.table
+        assert cdf.size <= 64 * 64 and max(n.max(), m.max()) < 64
+        assert np.isfinite(cdf).all() and (np.diff(cdf) >= 0.0).all()
+        cells = set(zip(n.tolist(), m.tolist()))
+        assert len(cells) == cdf.size and min(n + m) >= 2
+        several = law._replace(cells=np.array([0.0, 1.0, 0.0]))  # every pulse holds several
+        for rng in (_block_rng(1, 9, 0), TopUniform(_block_rng(1, 9, 0))):
+            singles, drawn_n, drawn_m = _sample_pulses(several, rng, 1000)
+            assert singles.sum() == 0 and drawn_n.shape == drawn_m.shape == (1000,)
+            assert drawn_n.dtype == drawn_m.dtype == np.int64
+            assert set(zip(drawn_n.tolist(), drawn_m.tolist())) <= cells
+
+    @pytest.mark.parametrize(
+        "theta, eta, eta_prime, M",
+        [(1e-4, 0.3, 0.8, 1.0), (3e-5, 1.0, 0.0, 3.5), (1e-5, 0.6, 0.6, 16.0), (1e-4, 1.0, 1.0, 2.0)],
+        ids=["unbalanced", "dark-arm", "balanced", "lossless"],
+    )
+    def test_photon_table_matches_exact_sum(self, theta, eta, eta_prime, M):
+        # every cell of a table with K <= 6 against
+        # sum_K t_K K!/(i! j! l!) v**i a**j b**l in exact rationals, from the
+        # same float t_K and shares, within 1e-15 relative; the table holds
+        # exactly the cells the sum gives a positive weight
+        shares, k, _ = pipeline._reaching_pairs(EffectiveSource(N=1.0, eta=eta, eta_prime=eta_prime, M=M))
+        split = shares / k
+        terms = pipeline._multi_pair_terms(M, theta)
+        assert terms.size <= 5
+        v, a, b = map(Fraction, split)
+        exact = Counter()
+        for K, t in enumerate(terms, start=2):
+            for i in range(K + 1):
+                for j in range(K - i + 1):
+                    l = K - i - j
+                    ways = math.factorial(K) // (math.factorial(i) * math.factorial(j) * math.factorial(l))
+                    exact[i + j, i + l] += Fraction(t) * ways * v**i * a**j * b**l
+        exact = {cell: w for cell, w in exact.items() if w > 0}
+        n, m, weights = pipeline._photon_table(M, theta, split)
+        assert set(zip(n.tolist(), m.tolist())) == exact.keys()
+        for cell, got in zip(zip(n.tolist(), m.tolist()), weights):
+            assert abs(Fraction(got) - exact[cell]) <= Fraction(1e-15) * exact[cell]
+        if eta_prime == 0.0:
+            assert (m == 0).all()
+        if eta == eta_prime == 1.0:
+            assert (n == m).all()
 
     def test_dark_arms_give_empty_pulses(self):
         src = EffectiveSource(N=1.0, eta=0.0, eta_prime=0.0, M=2.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            singles, *draws = _sample_pulses(src, _block_rng(6, 9, 0), 1000)
+            singles, *draws = _sample_pulses(_pulse_law(src), _block_rng(6, 9, 0), 1000)
         assert singles.dtype == np.int64 and np.array_equal(singles, [0, 0, 0])
         for x in draws:
             assert x.dtype == np.int64 and x.shape == (0,)
@@ -535,7 +602,7 @@ class TestSamplePulse:
     def test_unsampleable_intensity_rejected(self):
         src = EffectiveSource(N=1e17, eta=0.5, eta_prime=0.5, M=1000.0)
         with pytest.raises(ValidationError, match="too large to sample"):
-            _sample_pulses(src, _block_rng(0, 9, 0), 1)
+            _sample_pulses(_pulse_law(src), _block_rng(0, 9, 0), 1)
 
     def test_large_M_moments(self):
         # mean M N eta and variance M N eta (1 + N eta), each within 5
@@ -545,7 +612,7 @@ class TestSamplePulse:
         pulses = 250_000
         mean = src.M * src.N * src.eta
         var = mean * (1.0 + src.N * src.eta)
-        for x in nonempty_pulses(*_sample_pulses(src, _block_rng(4, 9, 0), pulses)):
+        for x in nonempty_pulses(*_sample_pulses(_pulse_law(src), _block_rng(4, 9, 0), pulses)):
             x = np.pad(x, (0, pulses - x.size))
             dev = x - x.mean()
             m2 = float(np.mean(dev**2))
@@ -559,7 +626,7 @@ class TestSamplePulse:
         pulses = 50_000
         tracemalloc.start()
         try:
-            _sample_pulses(src, _block_rng(4, 9, 1), pulses)
+            _sample_pulses(_pulse_law(src), _block_rng(4, 9, 1), pulses)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -575,17 +642,17 @@ class TestSamplePulse:
     )
     def test_valid_box(self, log_N, eta, eta_prime, M, seed):
         src = EffectiveSource(N=10.0**log_N, eta=eta, eta_prime=eta_prime, M=M)
-        singles, n, m = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
+        singles, n, m = _sample_pulses(_pulse_law(src), _block_rng(seed, 9, 0), 1000)
         assert singles.dtype == np.int64 and singles.shape == (3,) and (singles >= 0).all()
         assert singles.sum() + n.size <= 1000
         for x in (n, m):
             assert x.dtype == np.int64 and x.shape == n.shape
             assert (x >= 0).all()
         assert (n + m >= 2).all()
-        again = _sample_pulses(src, _block_rng(seed, 9, 0), 1000)
+        again = _sample_pulses(_pulse_law(src), _block_rng(seed, 9, 0), 1000)
         assert all(np.array_equal(x, y) for x, y in zip(again, (singles, n, m)))
         lossless = EffectiveSource(N=src.N, eta=1.0, eta_prime=1.0, M=M)
-        singles, n, m = _sample_pulses(lossless, _block_rng(seed, 9, 0), 1000)
+        singles, n, m = _sample_pulses(_pulse_law(lossless), _block_rng(seed, 9, 0), 1000)
         assert singles[1] == singles[2] == 0 and np.array_equal(n, m)
 
 
@@ -759,8 +826,7 @@ class TestBlocksOnThreads:
 
     def test_readme_calibration_runs_on_calling_thread(self, submitted):
         # fewer than one of a README calibration block's 250,000 pulses holds
-        # several pairs, too few to pay for the pool; at the collection's N
-        # about 8,600 do
+        # several pairs, too few to pay for the pool; at N = 0.45 about 34,000 do
         cfg = small_cfg(
             source=EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0),
             calibration_pulses=1_000_000,
@@ -768,7 +834,7 @@ class TestBlocksOnThreads:
         for bins, expected in zip(simulate_calibration(cfg), simulate_calibration_serial(cfg)):
             assert np.array_equal(bins, expected)
         assert submitted == []
-        bright = dataclasses.replace(cfg, calibration_N=cfg.source.N)
+        bright = dataclasses.replace(cfg, calibration_N=0.45)
         for bins, expected in zip(simulate_calibration(bright), simulate_calibration_serial(bright)):
             assert np.array_equal(bins, expected)
         assert submitted == [0, 1, 2, 3]
