@@ -85,8 +85,8 @@ def _counts(values, name: str) -> tuple[np.ndarray, int]:
 
 def _check_mass(probs: np.ndarray, what: str, missing=0.0, missing_name: str = "") -> float:
     """Check entries in [0, 1] and entries plus a finite ``missing`` >= 0 summing to 1
-    within 1e-12; return ``missing`` as a float."""
-    if not np.all((probs >= 0.0) & (probs <= 1.0 + _TOL)):
+    within 1e-12; return ``missing`` as a float.  A NaN entry makes both bounds NaN."""
+    if not (probs.min(initial=0.0) >= 0.0 and probs.max(initial=0.0) <= 1.0 + _TOL):
         raise ValidationError(f"{what} must lie in [0, 1]")
     missing = _real(missing, missing_name, 0.0)
     total = float(probs.sum()) + missing

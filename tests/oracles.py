@@ -180,6 +180,26 @@ def response_matrix_per_path(w: np.ndarray, n_max: int) -> np.ndarray:
     return P
 
 
+def response_matrix_chain(w: np.ndarray, n_max: int) -> np.ndarray:
+    """Click matrix P[k, n] of equal nonzero weights by the occupancy chain, one
+    photon at a time: photon n + 1 lands in one of the k paths already hit or in
+    one of the B' - k others,
+
+        P[k, n + 1] = (k P[k, n] + (B' - k + 1) P[k - 1, n]) / B'
+
+    on P scaled by 2^600, so that an entry on its way below the smallest normal
+    double is rounded once, at the end; rows past the B' live paths stay 0."""
+    b = np.count_nonzero(w)
+    hit, free = np.arange(1.0, b + 1), np.arange(b, 0.0, -1)  # k and B' - k + 1
+    cols = np.zeros((n_max + 1, w.size + 1))  # cols[n] = 2^600 P[:, n]
+    cols[0, 0] = 2.0**600
+    for n in range(n_max):
+        step = np.multiply(hit, cols[n, 1 : b + 1], out=cols[n + 1, 1 : b + 1])
+        step += free * cols[n, :b]
+        step /= b
+    return cols.T * 2.0**-600
+
+
 def response_matrix_exact(w, n_max: int) -> np.ndarray:
     """Exact click matrix P[k, n] of the normalized weights w / sum(w), B <= 6.
 

@@ -28,7 +28,7 @@ from pairstats.loop_detector import (
 )
 from pairstats.model import _N_CAP, EffectiveSource, JointDistribution, joint_distribution
 
-from oracles import response_matrix_exact, response_matrix_per_path
+from oracles import response_matrix_chain, response_matrix_exact, response_matrix_per_path
 
 
 def enumerate_click_matrix(w, n_max):
@@ -190,11 +190,37 @@ class TestResponseMatrix:
 
     @pytest.mark.parametrize("B", [3, 12])
     def test_chain_to_stirling_law_at_two_thousand_photons(self, B):
-        """Equal weights take the occupancy chain, one rounding-limited step per
-        photon; an entry below the smallest normal double is rounded once, so it
-        is 0 where the law rounds to 0 instead of stuck at the smallest subnormal."""
+        """Equal weights take the occupancy chain, one block of L photon numbers
+        per matrix product; an entry below the smallest normal double is rounded
+        once, so it is 0 where the law rounds to 0 instead of stuck at the
+        smallest subnormal."""
         P, exact = response_matrix(uniform_weights(B), 2000).P, uniform_click_matrix(B, 2000)
         assert_close_to_law(P, exact, 1e-14)
+
+    @pytest.mark.parametrize("B", [3, 12, 64])
+    def test_stirling_law_around_the_block_length(self, B):
+        """(B T)^j is exact in integers up to j = L, the largest with B^L <= 2^53
+        (33, 14 and 8 here), so the first block's columns are the law rounded
+        once; each later block starts from a rounded column."""
+        L = max(j for j in range(1, 65) if B**j <= 2**53)
+        for n_max in (L - 1, L, L + 1, 2 * L + 1):
+            P, exact = response_matrix(uniform_weights(B), n_max).P, uniform_click_matrix(B, n_max)
+            assert_close_to_law(P, exact, 1e-14)
+            assert np.array_equal(P[:, : L + 1], exact[:, : L + 1]), n_max
+
+    @pytest.mark.parametrize("n_max", [0, 1, 2, 40, 1000, _N_CAP])
+    def test_equal_weights_match_chain_oracle(self, n_max):
+        """Against the occupancy chain one photon at a time, for B' = 1-64 live
+        paths among up to 64, the dead ones anywhere: the same zeros, and the
+        same entries to rounding; at n_max 4096 the two differed by at most
+        1.7e-14 relative (B' = 1 and 2 are bit-identical)."""
+        rng = np.random.default_rng(n_max)
+        for b in range(1, 65):
+            w = np.zeros(int(rng.integers(b, 65)))
+            w[rng.choice(w.size, b, replace=False)] = 1.0 / b
+            P, oracle = response_matrix(PathWeights(w), n_max).P, response_matrix_chain(w, n_max)
+            assert np.array_equal(P == 0.0, oracle == 0.0), b
+            assert_close_to_law(P, oracle, 5e-14)
 
     @pytest.mark.parametrize(
         "w", [[0.25, 0.0, 0.25, 0.25, 0.25], [0.5, 0.5, 0.0]], ids=["dead-second", "dead-last"]
@@ -263,8 +289,8 @@ class TestResponseMatrix:
     def test_invariants_over_the_valid_box(self, data):
         B = data.draw(st.integers(1, 64), label="B")
         if data.draw(st.booleans(), label="equal weights"):
-            # equal live paths take the occupancy chain, whose cost is B n_max,
-            # so n_max reaches the cap
+            # equal live paths take the occupancy chain, whose cost is one small
+            # matrix product per block of photon numbers, so n_max reaches the cap
             raw = data.draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=B, max_size=B), label="live")
             n_max = data.draw(st.integers(0, _N_CAP), label="n_max")
         else:

@@ -15,6 +15,7 @@ from pairstats.errors import (
     TruncationError,
     ValidationError,
 )
+from pairstats.loop_detector import ClickDistribution, PathWeights
 from pairstats.model import (
     EffectiveSource,
     JointDistribution,
@@ -25,6 +26,7 @@ from pairstats.model import (
     joint_distribution,
     parse_distribution,
     _N_CAP,
+    _check_mass,
     _index,
     _series_coefficients,
     suggest_n_max,
@@ -578,6 +580,39 @@ class TestSerialization:
         probs[0, 1] = value
         with pytest.raises(ValidationError):
             JointDistribution(probs=probs, n_max=1)
+
+
+class TestCheckMass:
+    @pytest.mark.parametrize(
+        "bad",
+        [math.nan, math.inf, -math.inf, -1e-300, -0.25, 1.5],
+        ids=["nan", "inf", "-inf", "-tiny", "neg", "big"],
+    )
+    @pytest.mark.parametrize("shape", [(1,), (3,), (2, 2), (999, 999)])
+    def test_entry_outside_unit_interval_rejected(self, bad, shape):
+        # the bad entry is last, so a check that stops early cannot pass it
+        probs = np.zeros(shape)
+        probs.flat[0] = 1.0
+        probs.flat[-1] = bad
+        with pytest.raises(ValidationError, match=r"^what must lie in \[0, 1\]$"):
+            _check_mass(probs, "what")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.25])
+    def test_every_caller_rejects_bad_entries(self, bad):
+        for make, what in (
+            (lambda a: JointDistribution(probs=a.reshape(2, 2), n_max=1), "probabilities"),
+            (PathWeights, "path weights"),
+            (lambda a: ClickDistribution(a.reshape(2, 2)), "click probabilities"),
+        ):
+            probs = np.array([0.5, 0.5, 0.25, 0.0])
+            probs[-1] = bad
+            with pytest.raises(ValidationError, match=f"^{what} must lie in"):
+                make(probs)
+
+    def test_empty_array_checks_only_the_sum(self):
+        assert _check_mass(np.zeros((0, 0)), "what", 1.0, "missing") == 1.0
+        with pytest.raises(ValidationError, match="must sum to 1"):
+            _check_mass(np.zeros(0), "what")
 
 
 SOURCE = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.0)
