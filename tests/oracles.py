@@ -1,10 +1,12 @@
 """Slow exact constructions of the joint distribution, used as test oracles.
 
 ``row_scan_coefficients`` solves the recurrence of ``pairstats.model`` row by
-row instead of one anti-diagonal at a time.  The other two share no code with
-it: ``joint_distribution_oracle`` rebuilds the distribution from the physical
-process, and ``closed_form_cell`` sums the closed-form double series of one
-cell in high-precision decimal arithmetic, where nothing underflows.
+row instead of in blocks of anti-diagonals, and ``diagonal_sweep_coefficients``
+one anti-diagonal at a time, storing each diagonal into the grid as it goes,
+in the same operation order as the block sweep.  The other two share no code
+with them: ``joint_distribution_oracle`` rebuilds the distribution from the
+physical process, and ``closed_form_cell`` sums the closed-form double series
+of one cell in high-precision decimal arithmetic, where nothing underflows.
 ``filtered_moments`` gives the moments of a multimode source the textbook way,
 accurate only where |<ab>|^2 - <n><n'> does not cancel and r is moderate.
 ``response_matrix_per_path`` builds the click matrix of ``pairstats.loop_detector``
@@ -39,7 +41,7 @@ from scipy.stats import binom
 from pairstats import pipeline
 from pairstats.errors import SupportError, TruncationError, ValidationError
 from pairstats.loop_detector import _cut_responses, simulate_clicks_batch
-from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource
+from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource, generating_fn_value
 from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _pulse_law, _sample_pulses
 from pairstats.reconstruction import ClickHistogram
 
@@ -69,6 +71,43 @@ def row_scan_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
         w = B * scale * probs[n]
         w[1:] += D * scale * probs[n, :-1]
         probs[n + 1] = lfilter([1.0], [1.0, -C / A], w)
+    return probs
+
+
+def diagonal_sweep_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
+    """The grid of ``model._series_coefficients``, one anti-diagonal at a time.
+
+    Diagonal s is a vector indexed by n, zero outside the grid; its cells
+    lo ... hi are stored into the grid with stride n_max.  Where row 0 is not
+    finite in double precision, the grid is returned with only that row.
+    """
+    A, B, C, D = _coefficients(src)
+    M = src.M
+    size = n_max + 1
+    probs = np.zeros((size, size))
+    m = np.arange(1, size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs[0] = generating_fn_value(src, 0.0, 0.0) * np.concatenate(
+            ([1.0], np.cumprod((C / A) * (M + m - 1.0) / m))
+        )
+    if not np.isfinite(probs[0]).all():
+        return probs
+    scale = (np.arange(n_max) + M) / (A * np.arange(1.0, size))  # row n -> n+1
+    b, c, d = B * scale, C / A, D * scale
+    flat = probs.reshape(-1)  # cell (n, s-n) sits at s + n * n_max
+    older, diag = np.zeros(size), np.zeros(size)
+    diag[0] = probs[0, 0]
+    for s in range(1, 2 * n_max + 1):
+        lo, hi = max(1, s - n_max), min(s, n_max)
+        new = np.zeros(size)
+        if s <= n_max:
+            new[0] = probs[0, s]
+        out = new[lo : hi + 1]
+        np.multiply(b[lo - 1 : hi], diag[lo - 1 : hi], out=out)
+        out += d[lo - 1 : hi] * older[lo - 1 : hi]
+        out += c * diag[lo : hi + 1]
+        flat[s + lo * n_max : s + hi * n_max + 1 : n_max] = out
+        older, diag = diag, new
     return probs
 
 

@@ -116,6 +116,19 @@ class TestModelCommand:
         assert code == 4
         assert "error: TruncationError" in capsys.readouterr().err
 
+    def test_row_zero_overflow_exits_4(self, tmp_path, capsys):
+        code = main(
+            [
+                "model",
+                "--N", "1.2526", "--eta", "0.2020", "--eta-prime", "0.4715",
+                "--M", "3097.8", "--n-max", "1828", "--out", str(tmp_path / "x.txt"),
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: PairStatsError: row 0 overflows at n_max=1828")
+        assert "RuntimeWarning" not in err
+
 
 class TestMapCommand:
     def test_single_lossless_cell(self, tmp_path):

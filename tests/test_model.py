@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -25,6 +26,7 @@ from pairstats.model import (
     generating_fn_value,
     joint_distribution,
     parse_distribution,
+    _BLOCK,
     _N_CAP,
     _check_mass,
     _index,
@@ -34,6 +36,7 @@ from pairstats.model import (
 
 from oracles import (
     closed_form_cell,
+    diagonal_sweep_coefficients,
     filtered_moments,
     joint_distribution_oracle,
     row_scan_coefficients,
@@ -387,19 +390,20 @@ class TestOracle:
         assert probs[0, 1] == pytest.approx(0.125, abs=1e-14)
 
 
+# (N, eta, eta', M); eta or eta' at 0 or 1 sets B, C or D to 0
+SWEEP_SOURCES = [
+    (5.0, 0.9, 0.9, 50.0),
+    (1.5, 0.4, 0.7, 3.0),
+    (1000.0, 0.1, 0.05, 7.3),
+    (2.0, 1.0, 0.3, 4.0),
+    (2.0, 0.3, 1.0, 4.0),
+    (3.0, 0.0, 0.5, 2.0),
+    (1.0, 1.0, 1.0, 1.0),
+]
+
+
 class TestRowScan:
-    @pytest.mark.parametrize(
-        "params",
-        [
-            (5.0, 0.9, 0.9, 50.0),
-            (1.5, 0.4, 0.7, 3.0),
-            (1000.0, 0.1, 0.05, 7.3),
-            (2.0, 1.0, 0.3, 4.0),
-            (2.0, 0.3, 1.0, 4.0),
-            (3.0, 0.0, 0.5, 2.0),
-            (1.0, 1.0, 1.0, 1.0),
-        ],
-    )
+    @pytest.mark.parametrize("params", SWEEP_SOURCES)
     def test_diagonal_sweep_equals_row_scan(self, params):
         src = EffectiveSource(*params)
         for n_max in (0, 1, 2, 3, 8, 13, 101, 564, 998):
@@ -408,6 +412,60 @@ class TestRowScan:
             assert np.array_equal(sweep == 0.0, scan == 0.0), n_max
             normal = scan >= 1e-280
             np.testing.assert_allclose(sweep[normal], scan[normal], rtol=1e-13, atol=0)
+
+
+class TestBlockSweep:
+    """The block sweep against the one-diagonal sweep it replaced, bit for bit, at
+    cutoffs on and around one and two blocks; its scratch; and the typed error
+    where row 0 leaves double precision."""
+
+    @pytest.mark.parametrize("params", SWEEP_SOURCES)
+    def test_equals_diagonal_sweep(self, params):
+        src = EffectiveSource(*params)
+        K = _BLOCK
+        for n_max in (0, 1, 2, 3, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 101, 564, 998, 1293):
+            expected = diagonal_sweep_coefficients(src, n_max)
+            assert np.array_equal(_series_coefficients(src, n_max), expected), n_max
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        log_N=st.floats(-6.0, 3.0),
+        eta=st.floats(0.0, 1.0),
+        eta_prime=st.floats(0.0, 1.0),
+        log_M=st.floats(0.0, 4.0),
+        n_max=st.integers(0, 300),
+    )
+    def test_equals_diagonal_sweep_over_the_box(self, log_N, eta, eta_prime, log_M, n_max):
+        src = EffectiveSource(10.0**log_N, eta, eta_prime, 10.0**log_M)
+        expected = diagonal_sweep_coefficients(src, n_max)
+        if np.isfinite(expected[0]).all():
+            assert np.array_equal(_series_coefficients(src, n_max), expected)
+        else:
+            with pytest.raises(PairStatsError, match="row 0 overflows") as err:
+                _series_coefficients(src, n_max)
+            assert type(err.value) is PairStatsError
+
+    def test_scratch_is_one_block(self):
+        n_max = 998
+        src = EffectiveSource(5.0, 0.9, 0.9, 50.0)
+        joint_distribution(src, n_max)
+        tracemalloc.start()
+        try:
+            joint_distribution(src, n_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grid, scratch = (n_max + 1) ** 2, (_BLOCK + 2) * (n_max + 1)
+        assert peak <= 8 * (grid + scratch) + 128 * 1024, peak
+
+    def test_row_zero_overflow_raises_typed_error(self):
+        # Xi(0, 0) underflows to 0 while the product of row 0's ratios overflows
+        src = EffectiveSource(N=1.2526, eta=0.2020, eta_prime=0.4715, M=3097.8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PairStatsError, match="row 0 overflows at n_max=1828") as err:
+                joint_distribution(src, 1828)
+        assert not isinstance(err.value, ValidationError)
 
 
 class TestFarTail:
