@@ -517,6 +517,60 @@ class TestApplyResponse:
         with pytest.raises(ValidationError):
             apply_response(rho, resp, resp)
 
+    @pytest.mark.parametrize("B", [8, 12, 16])
+    @pytest.mark.parametrize(
+        ("params", "n_max"),
+        [((0.2, 0.045, 0.045, 16.0), 60), ((5.0, 0.9, 0.9, 50.0), 564)],
+        ids=["readme", "bright"],
+    )
+    def test_equals_the_unscaled_product(self, params, n_max, B):
+        # every click cell is above 1e-60 here, so a subnormal partial product
+        # lies hundreds of decades below its last digit, and scaling by a power
+        # of 2 must leave every cell bit for bit as the unscaled products give it
+        rho = joint_distribution(EffectiveSource(*params), n_max)
+        uneven = np.r_[0.0, np.arange(1.0, B)] / (B * (B - 1) / 2)
+        for weights in (uniform_weights(B), PathWeights(uneven)):
+            resp = response_matrix(weights, n_max)
+            p = apply_response(rho, resp, resp).p
+            assert p[p > 0.0].min() > 1e-60
+            assert np.array_equal(p, resp.P @ rho.probs @ resp.P.T)
+
+    @pytest.mark.parametrize("B", [1, 8, 16])
+    def test_vacuum_is_exact(self, B):
+        probs = np.zeros((5, 5))
+        probs[0, 0] = 1.0
+        resp = response_matrix(uniform_weights(B), 4)
+        p = apply_response(JointDistribution(probs, 4, 0.0), resp, resp).p
+        assert p[0, 0] == 1.0 and np.count_nonzero(p) == 1
+
+    @pytest.mark.parametrize("shift", [990, 1020, 1030])
+    @pytest.mark.parametrize("B", [4, 16])
+    def test_tiny_cells_against_exact_rationals(self, shift, B):
+        # a grid at 2^-shift of a source's, its mass moved to rho[0, 0], so every
+        # click cell but p[0, 0] lies below 1e-290 and is a sum of products near
+        # or below the smallest normal double; Fraction sums them exactly
+        n_max = 24
+        probs = np.ldexp(joint_distribution(EffectiveSource(1.0, 0.7, 0.6, 3.0), n_max).probs, -shift)
+        probs[0, 0] = 0.0
+        probs[0, 0] = 1.0 - probs.sum()
+        rho = JointDistribution(probs, n_max, 0.0)
+        exact = np.vectorize(Fraction, otypes=[object])
+        uneven = np.r_[0.0, np.arange(1.0, B)] / (B * (B - 1) / 2)
+        for weights in (uniform_weights(B), PathWeights(uneven)):
+            resp = response_matrix(weights, n_max)
+            P = resp.P
+            truth = exact(P).dot(exact(probs)).dot(exact(P).T)
+            tiny = [c for c in np.ndindex(truth.shape) if truth[c] < 1e-290]
+            assert len(tiny) == truth.size - 1
+            p = apply_response(rho, resp, resp).p
+            plain = P @ probs @ P.T
+            err = [abs(Fraction(p[c]) - truth[c]) for c in tiny]
+            err_plain = [abs(Fraction(plain[c]) - truth[c]) for c in tiny]
+            assert max(err) <= max(err_plain) and sum(err) <= sum(err_plain)
+            # the products round in the normal range, the result once below it
+            subnormal = [e for e, c in zip(err, tiny) if truth[c] < 2.0**-1022]
+            assert max(subnormal, default=0) <= 2.0**-1073
+
 
 class TestResponseValidation:
     def test_p11_enforced(self):

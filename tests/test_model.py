@@ -416,14 +416,15 @@ class TestRowScan:
 
 class TestBlockSweep:
     """The block sweep against the one-diagonal sweep it replaced, bit for bit, at
-    cutoffs on and around one and two blocks; its scratch; and the typed error
-    where row 0 leaves double precision."""
+    cutoffs narrower than a block, on and around one and two blocks, and past
+    them, where each block sweeps a band of rows that grows and then shrinks;
+    its scratch; and the typed error where row 0 leaves double precision."""
 
     @pytest.mark.parametrize("params", SWEEP_SOURCES)
     def test_equals_diagonal_sweep(self, params):
         src = EffectiveSource(*params)
         K = _BLOCK
-        for n_max in (0, 1, 2, 3, K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 101, 564, 998, 1293):
+        for n_max in (*range(11), K - 1, K, K + 1, 2 * K - 1, 2 * K, 2 * K + 1, 101, 564, 998, 1293):
             expected = diagonal_sweep_coefficients(src, n_max)
             assert np.array_equal(_series_coefficients(src, n_max), expected), n_max
 
@@ -671,6 +672,14 @@ class TestCheckMass:
         assert _check_mass(np.zeros((0, 0)), "what", 1.0, "missing") == 1.0
         with pytest.raises(ValidationError, match="must sum to 1"):
             _check_mass(np.zeros(0), "what")
+        with pytest.raises(ValidationError, match="^missing must be finite"):
+            _check_mass(np.zeros(0), "what", -0.5, "missing")
+
+    @pytest.mark.parametrize("bad", [1.5, math.inf])
+    def test_entries_are_checked_before_the_missing_mass(self, bad):
+        # the entries sum past 1 + 1e-12, so the max is read, and fails first
+        with pytest.raises(ValidationError, match=r"^what must lie in \[0, 1\]$"):
+            _check_mass(np.array([0.0, bad, 0.0]), "what", -0.5, "missing")
 
 
 SOURCE = EffectiveSource(N=1.0, eta=0.5, eta_prime=0.5, M=1.0)
