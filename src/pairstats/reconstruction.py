@@ -17,10 +17,13 @@ grow as cells * (n_max+1)^2, through products with P and P' on both sides.  Plai
 EM converges slowly on these inversions, so ``em_reconstruct`` runs it inside
 SQUAREM cycles (Varadhan & Roland, Scand. J. Stat. 35, 335 (2008)): two plain
 steps, a squared extrapolation along them, and one stabilising step, kept only
-when the log-likelihood does not fall below the second plain step's.  Click
-numbers above B carry no information about photon numbers beyond the
-detector's resolution, so support claimed at n much larger than B is
-determined by the data only weakly; callers choose n_max.
+when the log-likelihood does not fall below the second plain step's.  An
+observed cell of zero model probability makes the log-likelihood -inf, which
+each evaluation checks, raising SupportError.  The fit and ``log_likelihood``
+silence numpy's divide warning, and only it, for that log(0).  Click numbers
+above B carry no information about photon numbers beyond the detector's
+resolution, so support claimed at n much larger than B is determined by the
+data only weakly; callers choose n_max.
 """
 
 from __future__ import annotations
@@ -39,8 +42,11 @@ _SQUAREM_TRIALS = 4  # extrapolation lengths tried per cycle
 _MAX_PULSES = 2**63 - 1  # click counts are int64
 EM_TOL = 1e-10  # default stop: a plain step gains less than EM_TOL * max(1, |LL|)
 EM_MAX_ITER = 100_000  # default budget of forward evaluations
-# design-matrix entries (120 KB) past which the two-sided products are faster
-# (x86-64, one BLAS thread: break-even between 14,641 and 15,876)
+# design-matrix entries (120 KB) past which the two-sided products are used.
+# With the evaluations of this module (x86-64, one BLAS thread, B = 8 with every
+# cell observed) the design is faster up to n_max 14 (18,225 entries: 12% at
+# n_max 13, 8% at 14) and 2% slower at 15 (20,736); the bound stays below n_max
+# 13 (15,876) so that those fits keep the two-sided products and their bytes
 _DESIGN_MAX = 15_000
 
 
@@ -121,15 +127,25 @@ def log_likelihood(
     grid, and SupportError when a nonzero count falls in a cell of zero model
     probability.
     """
-    return float(_observed_cells(hist, resp_a, resp_b, rho.n_max)(rho.probs.ravel())[0])
+    evaluate = _observed_cells(hist, resp_a, resp_b, rho.n_max)
+    with np.errstate(divide="ignore"):
+        return evaluate(rho.probs.ravel())[0]
 
 
 def _observed_cells(
     hist: ClickHistogram, resp_a: DetectorResponse, resp_b: DetectorResponse, n_max: int
 ):
-    """evaluate(rho) -> (LL, EM multiplier, p) over the observed cells of hist, for rho and
-    the multiplier flat on the (n_max+1)^2 grid; SupportError when a cell has zero
-    probability.  The responses, checked to have hist's B and cover n_max, are cut at n_max."""
+    """evaluate(rho) -> (LL, g, p) over the observed cells of hist, for rho flat on the
+    (n_max+1)^2 grid: p the observed cells' click probabilities, LL = counts . log p as a
+    Python float, and g the EM multiplier, flat on the grid.
+
+    Support is checked through LL, which costs no pass over p: every observed count is
+    positive, so a cell of zero probability makes LL -inf and a NaN in p makes it NaN,
+    and either raises SupportError before g is formed.  Call evaluate under
+    np.errstate(divide="ignore"), which silences that log(0) only; ``em_reconstruct``
+    enters it once around its loop and ``log_likelihood`` once per call, since entering
+    it costs about 1 us, an eighth of an evaluation.  The responses, checked to have
+    hist's B and cover n_max, are cut at n_max."""
     Pa, Pb = _cut_responses(resp_a, resp_b, n_max, hist.B)
     cells = np.flatnonzero(hist.f)
     counts = hist.f.take(cells).astype(float)
@@ -139,11 +155,13 @@ def _observed_cells(
         k, l = np.divmod(cells, hist.B + 1)
         design = (Pa[k, :, None] * Pb[l, None, :]).reshape(cells.size, grid[0] * grid[1])
 
+        # ndarray.dot runs the same BLAS gemv and ddot as @, bit for bit, without
+        # the matmul ufunc's dispatch, about 0.3 us a call on these sizes
         def forward(r):
-            return design @ r
+            return design.dot(r)
 
         def back(w):
-            return w @ design
+            return w.dot(design)
 
     else:
         ratio = np.zeros(hist.f.shape)
@@ -157,9 +175,10 @@ def _observed_cells(
 
     def evaluate(r):
         p = forward(r)
-        if not p.min(initial=1.0) > 0.0:
+        ll = float(counts.dot(np.log(p)))
+        if not ll > -math.inf:
             raise SupportError("observed clicks in cells of zero model probability")
-        return counts @ np.log(p), back(freqs / p), p
+        return ll, back(freqs / p), p
 
     return evaluate
 
@@ -230,51 +249,52 @@ def em_reconstruct(
     rho = np.full((n_max + 1) ** 2, 1.0 / (n_max + 1) ** 2)
 
     evaluate = _observed_cells(hist, resp_a, resp_b, n_max)
-    ll, g, _ = evaluate(rho)
-    trace = [ll]
-    converged = False
-    iterations = 0
-    cycle = [rho]  # accepted iterates since the last extrapolation
-    while iterations < max_iter:
-        state = evaluate(new := rho * g)
-        iterations += 1
-        gain = state[0] - ll
-        if gain >= 0.0:  # a step that rounding makes lose LL is not taken
-            rho, (ll, g, _) = new, state
-            trace.append(ll)
-        if gain < tol * max(1.0, abs(ll)):
-            converged = True
-            break
-        cycle.append(rho)
-        if len(cycle) < 3:
-            continue
-        x0, x1, x2 = cycle
-        cycle = [x2]
-        r = x1 - x0
-        v = x2 - x1 - r
-        norm_v = math.sqrt(v @ v)
-        if norm_v == 0.0:
-            continue
-        alpha = min(-math.sqrt(r @ r) / norm_v, -1.0)
-        for _ in range(_SQUAREM_TRIALS):
-            if alpha == -1.0 or iterations + 2 > max_iter:
-                break
-            trial = x0 - 2.0 * alpha * r + alpha * alpha * v
-            alpha = 0.5 * (alpha - 1.0)
-            if trial.min() < 0.0:
-                continue
-            try:  # an evaluation counts even when it fails
-                iterations += 1
-                trial = trial * evaluate(trial)[1]
-                iterations += 1
-                state = evaluate(trial)
-            except SupportError:
-                continue
-            if state[0] >= ll:
-                rho, (ll, g, _) = trial, state
+    with np.errstate(divide="ignore"):  # see _observed_cells
+        ll, g, _ = evaluate(rho)
+        trace = [ll]
+        converged = False
+        iterations = 0
+        cycle = [rho]  # accepted iterates since the last extrapolation
+        while iterations < max_iter:
+            state = evaluate(new := rho * g)
+            iterations += 1
+            gain = state[0] - ll
+            if gain >= 0.0:  # a step that rounding makes lose LL is not taken
+                rho, (ll, g, _) = new, state
                 trace.append(ll)
-                cycle = [rho]
+            if gain < tol * max(1.0, abs(ll)):
+                converged = True
                 break
+            cycle.append(rho)
+            if len(cycle) < 3:
+                continue
+            x0, x1, x2 = cycle
+            cycle = [x2]
+            r = x1 - x0
+            v = x2 - x1 - r
+            norm_v = math.sqrt(v @ v)
+            if norm_v == 0.0:
+                continue
+            alpha = min(-math.sqrt(r @ r) / norm_v, -1.0)
+            for _ in range(_SQUAREM_TRIALS):
+                if alpha == -1.0 or iterations + 2 > max_iter:
+                    break
+                trial = x0 - 2.0 * alpha * r + alpha * alpha * v
+                alpha = 0.5 * (alpha - 1.0)
+                if trial.min() < 0.0:
+                    continue
+                try:  # an evaluation counts even when it fails
+                    iterations += 1
+                    trial = trial * evaluate(trial)[1]
+                    iterations += 1
+                    state = evaluate(trial)
+                except SupportError:
+                    continue
+                if state[0] >= ll:
+                    rho, (ll, g, _) = trial, state
+                    trace.append(ll)
+                    cycle = [rho]
+                    break
     return ReconstructionResult(
         rho=JointDistribution(probs=rho.reshape(n_max + 1, n_max + 1), n_max=n_max, tail_mass=0.0),
         log_likelihood_trace=tuple(trace),

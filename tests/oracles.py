@@ -25,7 +25,9 @@ one after another in the calling thread, so that the thread pool's results can
 be held to them bit for bit.  ``observed_cells_two_sided`` evaluates the EM
 likelihood of ``pairstats.reconstruction`` on the 2-D grid by products with
 the response matrices on both sides, summing it exactly, to hold both of that
-module's evaluators to.
+module's evaluators to.  ``squarem_reference`` is that module's SQUAREM fit as
+it stood before its evaluations were made cheaper, to hold the fit to bit for
+bit.
 """
 
 import dataclasses
@@ -403,3 +405,99 @@ def observed_cells_two_sided(hist: ClickHistogram, resp_a, resp_b, n_max: int):
         return math.fsum((counts * np.log(p)).tolist()), Pa.T @ ratio @ Pb, p
 
     return evaluate
+
+
+def squarem_reference(
+    hist: ClickHistogram,
+    resp_a,
+    resp_b,
+    n_max: int,
+    tol: float,
+    max_iter: int,
+    design_max: int = 15_000,
+):
+    """``reconstruction.em_reconstruct`` as it was before its evaluations were made
+    cheaper: the same evaluators, each checking p for a zero cell before its log and
+    run outside any ``np.errstate``, and the same SQUAREM loop.  ``design_max`` is the fit's bound on the design
+    matrix's entries, past which it used the two-sided products.  Returns (rho on
+    the 2-D grid, trace tuple, iterations, converged, ll_gap_bound), which the fit
+    must reproduce bit for bit."""
+    Pa, Pb = _cut_responses(resp_a, resp_b, n_max, hist.B)
+    cells = np.flatnonzero(hist.f)
+    counts = hist.f.take(cells).astype(float)
+    freqs = counts / counts.sum()
+    grid = (n_max + 1, n_max + 1)
+    if cells.size * grid[0] * grid[1] <= design_max:
+        k, l = np.divmod(cells, hist.B + 1)
+        design = (Pa[k, :, None] * Pb[l, None, :]).reshape(cells.size, grid[0] * grid[1])
+
+        def forward(r):
+            return design @ r
+
+        def back(w):
+            return w @ design
+
+    else:
+        ratio = np.zeros(hist.f.shape)
+
+        def forward(r):
+            return (Pa @ r.reshape(grid) @ Pb.T).take(cells)
+
+        def back(w):
+            ratio.flat[cells] = w
+            return (Pa.T @ ratio @ Pb).ravel()
+
+    def evaluate(r):
+        p = forward(r)
+        if not p.min(initial=1.0) > 0.0:
+            raise SupportError("observed clicks in cells of zero model probability")
+        return counts @ np.log(p), back(freqs / p), p
+
+    rho = np.full((n_max + 1) ** 2, 1.0 / (n_max + 1) ** 2)
+    ll, g, _ = evaluate(rho)
+    trace = [ll]
+    converged = False
+    iterations = 0
+    cycle = [rho]
+    while iterations < max_iter:
+        state = evaluate(new := rho * g)
+        iterations += 1
+        gain = state[0] - ll
+        if gain >= 0.0:
+            rho, (ll, g, _) = new, state
+            trace.append(ll)
+        if gain < tol * max(1.0, abs(ll)):
+            converged = True
+            break
+        cycle.append(rho)
+        if len(cycle) < 3:
+            continue
+        x0, x1, x2 = cycle
+        cycle = [x2]
+        r = x1 - x0
+        v = x2 - x1 - r
+        norm_v = math.sqrt(v @ v)
+        if norm_v == 0.0:
+            continue
+        alpha = min(-math.sqrt(r @ r) / norm_v, -1.0)
+        for _ in range(4):
+            if alpha == -1.0 or iterations + 2 > max_iter:
+                break
+            trial = x0 - 2.0 * alpha * r + alpha * alpha * v
+            alpha = 0.5 * (alpha - 1.0)
+            if trial.min() < 0.0:
+                continue
+            try:
+                iterations += 1
+                trial = trial * evaluate(trial)[1]
+                iterations += 1
+                state = evaluate(trial)
+            except SupportError:
+                continue
+            if state[0] >= ll:
+                rho, (ll, g, _) = trial, state
+                trace.append(ll)
+                cycle = [rho]
+                break
+    gap = int(hist.f.sum()) * max(0.0, float(g.max()) - 1.0)
+    return rho.reshape(grid), tuple(float(v) for v in trace), iterations, converged, gap

@@ -13,6 +13,7 @@ from pairstats import cli, errors, pipeline
 from pairstats._fileio import float_list, parse_mapping, parse_matrix
 from pairstats.cli import main
 from pairstats.loop_detector import (
+    PathWeights,
     format_response,
     parse_response,
     response_matrix,
@@ -272,6 +273,31 @@ class TestSimulateReconstructChain:
         )
         assert code == 3
         assert "error: ValidationError" in capsys.readouterr().err
+
+    def test_unreachable_clicks_exit_4(self, tmp_path, capsys):
+        # the third path has zero weight, so no photon number gives three clicks,
+        # yet the histogram holds some: a numerical error, with no numpy warning
+        resp_path = tmp_path / "resp.txt"
+        resp_path.write_text(format_response(response_matrix(PathWeights([0.5, 0.5, 0.0]), 4)))
+        f = np.zeros((4, 4), dtype=np.int64)
+        f[3, 0], f[0, 0] = 5, 95
+        hist_path = tmp_path / "hist.txt"
+        hist_path.write_text(format_histogram(ClickHistogram(f, 100)))
+        rho_path = tmp_path / "rho.txt"
+        code = main(
+            [
+                "reconstruct",
+                "--hist", str(hist_path),
+                "--resp-a", str(resp_path),
+                "--resp-b", str(resp_path),
+                "--n-max", "4",
+                "--rho-out", str(rho_path),
+            ]
+        )
+        assert code == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: SupportError: "), err
+        assert not rho_path.exists()
 
     def test_unconverged_warns_but_exits_0(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.txt"

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
+from contextlib import nullcontext
 from pathlib import Path
 from unittest import mock
 
@@ -32,7 +34,7 @@ from pairstats.reconstruction import (
     parse_histogram,
 )
 
-from oracles import observed_cells_two_sided
+from oracles import observed_cells_two_sided, squarem_reference
 
 RESP8 = response_matrix(uniform_weights(8), 3)
 
@@ -86,6 +88,21 @@ def random_instances(count, seed=77):
         p = apply_response(rho, RESP8, RESP8).p
         f = rng.multinomial(100_000, p.ravel() / p.sum()).reshape(9, 9)
         yield ClickHistogram(f, 100_000)
+
+
+def bright_histogram():
+    """1e8 pulses drawn from the exact click law of a bright source (N=1.5,
+    eta=eta'=0.4, M=3) on two uneven B=8 detectors, with their responses."""
+    rng = np.random.default_rng(9)
+    src = EffectiveSource(N=1.5, eta=0.4, eta_prime=0.4, M=3.0)
+    n_max = suggest_n_max(src, 1e-12)
+    ra, rb = (
+        response_matrix(PathWeights(w / w.sum()), n_max)
+        for w in 1.0 + 0.1 * (rng.random((2, 8)) - 0.5)
+    )
+    clicks = apply_response(joint_distribution(src, n_max), ra, rb)
+    counts = rng.multinomial(100_000_000, np.append(clicks.p.ravel(), clicks.deficit))
+    return ClickHistogram(f=counts[:-1].reshape(9, 9), pulses=100_000_000), ra, rb
 
 
 class TestClickHistogram:
@@ -170,16 +187,7 @@ class TestLogLikelihood:
             )
         )
         cases = [(readme.histogram, readme.response_a, readme.response_b, 8)]
-        rng = np.random.default_rng(9)
-        src = EffectiveSource(N=1.5, eta=0.4, eta_prime=0.4, M=3.0)
-        n_max = suggest_n_max(src, 1e-12)
-        ra, rb = (
-            response_matrix(PathWeights(w / w.sum()), n_max)
-            for w in 1.0 + 0.1 * (rng.random((2, 8)) - 0.5)
-        )
-        clicks = apply_response(joint_distribution(src, n_max), ra, rb)
-        counts = rng.multinomial(100_000_000, np.append(clicks.p.ravel(), clicks.deficit))
-        bright = ClickHistogram(f=counts[:-1].reshape(9, 9), pulses=100_000_000)
+        bright, ra, rb = bright_histogram()
         cases += [(bright, ra, rb, 8), (bright, ra, rb, 12), (bright, ra, rb, 16)]
         for hist, resp_a, resp_b, fit_n_max in cases:
             fit = em_reconstruct(hist, resp_a, resp_b, fit_n_max)
@@ -239,10 +247,13 @@ class TestObservedCells:
         try:
             ll_ref, g_ref, p_ref = oracle(rho)
         except SupportError:
-            with pytest.raises(SupportError, match="zero model probability"):
+            with np.errstate(divide="ignore"), pytest.raises(
+                SupportError, match="zero model probability"
+            ):
                 evaluate(rho.ravel())
             return
-        ll, g, p = evaluate(rho.ravel())
+        with np.errstate(divide="ignore"):  # the evaluator's calling contract
+            ll, g, p = evaluate(rho.ravel())
         g_ref = g_ref.ravel()
         assert (np.abs(p - p_ref) <= 1e-13 * p_ref).all()
         assert (np.abs(g - g_ref) <= 1e-13 * g_ref).all()
@@ -280,6 +291,144 @@ class TestObservedCells:
             assert log_likelihood(hist, rho, RESP8, RESP8) == 0.0
             ll, g, p = reconstruction._observed_cells(hist, RESP8, RESP8, 3)(RHO_STAR.ravel())
         assert ll == 0.0 and p.size == 0 and np.array_equal(g, np.zeros(16))
+
+    @staticmethod
+    def unsupported_cases():
+        """(histogram, response) pairs on the n_max 4 grid that the evaluators
+        must refuse: three clicks from a detector whose third path is dead, and
+        a NaN planted in the response past its validation, which no public
+        input can carry."""
+        dead = response_matrix(PathWeights([0.5, 0.5, 0.0]), 4)
+        f = np.zeros((4, 4), dtype=np.int64)
+        f[3, 0], f[0, 0] = 5, 95
+        yield ClickHistogram(f, 100), dead
+        nan = response_matrix(PathWeights([0.5, 0.5, 0.0]), 4)
+        P = nan.P.copy()
+        P[1, 2] = math.nan
+        object.__setattr__(nan, "P", P)
+        f = np.zeros((4, 4), dtype=np.int64)
+        f[1, 0], f[0, 0] = 5, 95
+        yield ClickHistogram(f, 100), nan
+
+    @pytest.mark.parametrize("design_max", [math.inf, -1], ids=["design", "two-sided"])
+    def test_unsupported_cells_raise_without_warning(self, design_max):
+        grid = np.full(25, 0.04)
+        rho = JointDistribution(grid.reshape(5, 5), 4, 0.0)
+        for hist, resp in self.unsupported_cases():
+            with warnings.catch_warnings(), mock.patch.object(
+                reconstruction, "_DESIGN_MAX", design_max
+            ):
+                warnings.simplefilter("error")
+                evaluate = reconstruction._observed_cells(hist, resp, resp, 4)
+                with np.errstate(divide="ignore"), pytest.raises(
+                    SupportError, match="zero model probability"
+                ):
+                    evaluate(grid)
+                with pytest.raises(SupportError, match="zero model probability"):
+                    log_likelihood(hist, rho, resp, resp)
+                with pytest.raises(SupportError, match="zero model probability"):
+                    em_reconstruct(hist, resp, resp, 4)
+        # a NaN grid entry, planted past JointDistribution's validation
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        nan_grid = RHO_STAR.copy()
+        nan_grid[1, 2] = math.nan
+        rho = JointDistribution(RHO_STAR, 3, 0.0)
+        object.__setattr__(rho, "probs", nan_grid)
+        with warnings.catch_warnings(), mock.patch.object(
+            reconstruction, "_DESIGN_MAX", design_max
+        ):
+            warnings.simplefilter("error")
+            evaluate = reconstruction._observed_cells(hist, RESP8, RESP8, 3)
+            with np.errstate(divide="ignore"), pytest.raises(SupportError):
+                evaluate(nan_grid.ravel())
+            with pytest.raises(SupportError):
+                log_likelihood(hist, rho, RESP8, RESP8)
+
+    @pytest.mark.parametrize(
+        "state",
+        [{}, {"divide": "raise", "over": "warn", "under": "ignore", "invalid": "print"}],
+        ids=["default", "custom"],
+    )
+    def test_errstate_restored(self, state):
+        # the fit and log_likelihood silence divide while they run, so a caller
+        # raising on divide still gets SupportError, and its state comes back
+        # whether the call returned or raised
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        rho = JointDistribution(RHO_STAR, 3, 0.0)
+        calls = [
+            lambda: log_likelihood(hist, rho, RESP8, RESP8),
+            lambda: em_reconstruct(hist, RESP8, RESP8, 3, max_iter=20),
+        ]
+        uniform = JointDistribution(np.full((5, 5), 0.04), 4, 0.0)
+        for bad, resp in self.unsupported_cases():
+            calls += [
+                lambda b=bad, r=resp: log_likelihood(b, uniform, r, r),
+                lambda b=bad, r=resp: em_reconstruct(b, r, r, 4),
+            ]
+        with np.errstate(**state):
+            before = np.geterr()
+            for call in calls:
+                try:
+                    call()
+                except SupportError:
+                    pass
+                assert np.geterr() == before
+
+
+BOTH_EVALUATORS = pytest.mark.parametrize("two_sided", [False, True], ids=["design", "two-sided"])
+
+
+class TestSquaremReference:
+    """em_reconstruct returns the same bytes as the fit it replaced: rho, the
+    trace, the evaluation count and the gap bound, on both evaluators.  The
+    reference keeps its own design-matrix bound, so a fit that changes branch
+    at a size it did not before fails here."""
+
+    @staticmethod
+    def assert_matches(hist, resp_a, resp_b, n_max, two_sided=False,
+                       tol=reconstruction.EM_TOL, max_iter=reconstruction.EM_MAX_ITER):
+        bound = {"design_max": -1} if two_sided else {}  # else the reference's own
+        with mock.patch.object(reconstruction, "_DESIGN_MAX", -1) if two_sided else nullcontext():
+            fit = em_reconstruct(hist, resp_a, resp_b, n_max, tol=tol, max_iter=max_iter)
+        rho, trace, iterations, converged, gap = squarem_reference(
+            hist, resp_a, resp_b, n_max, tol, max_iter, **bound
+        )
+        assert np.array_equal(fit.rho.probs, rho)
+        assert fit.log_likelihood_trace == trace
+        assert fit.iterations == iterations
+        assert fit.converged == converged
+        assert fit.ll_gap_bound == gap
+
+    @BOTH_EVALUATORS
+    def test_exact_histogram(self, two_sided):
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        self.assert_matches(hist, RESP8, RESP8, 3, two_sided)
+
+    @BOTH_EVALUATORS
+    def test_random_instances(self, two_sided):
+        for hist in random_instances(10):
+            self.assert_matches(hist, RESP8, RESP8, 3, two_sided)
+
+    @BOTH_EVALUATORS
+    @pytest.mark.parametrize("n_max", [8, 12])
+    def test_bright_histogram(self, n_max, two_sided):
+        hist, ra, rb = bright_histogram()
+        self.assert_matches(hist, ra, rb, n_max, two_sided)
+
+    @BOTH_EVALUATORS
+    def test_zero_tol_at_the_budget(self, two_sided):
+        hist = exact_histogram(RHO_STAR, RESP8, 4194304 * 64)
+        self.assert_matches(hist, RESP8, RESP8, 3, two_sided, tol=0.0, max_iter=400)
+        for hist in random_instances(3, seed=5):
+            self.assert_matches(hist, RESP8, RESP8, 3, two_sided, tol=0.0, max_iter=400)
+
+    def test_two_sided_past_the_bound(self):
+        # all 81 cells observed: 13,689 design entries at n_max 12 and 15,876 at
+        # 13, on either side of _DESIGN_MAX; the two evaluators differ in the
+        # last bits, so each fit must take the same branch as the reference
+        hist, ra, rb = bright_histogram()
+        assert np.count_nonzero(hist.f) == 81
+        self.assert_matches(hist, ra, rb, 13)
 
 
 # n_max=12 and 16 fits of an exact-law bright histogram, through the design matrix
