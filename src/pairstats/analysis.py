@@ -5,14 +5,16 @@ the overall efficiency through the normalized count-difference statistic,
 and the pair-contamination parameters for the single- and double-pair
 sectors.  A model source's contaminations (``source_contamination``) and the
 contour map of contamination against efficiency and production rate need no
-distribution: both are closed-form in the law of the pairs that reach a detector.
+distribution: both are closed-form in ``model``'s law of the pairs that reach a
+detector, J ~ NegBin(M, w).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .errors import (
     SubPoissonianMarginalError,
     ValidationError,
 )
-from .model import EffectiveSource, JointDistribution, _index, _real, _reals
+from .model import EffectiveSource, JointDistribution, _index, _pair_law, _pair_walk, _real, _reals
 # perfbench's traced run wraps analysis.joint_distribution and analysis.suggest_n_max
 from .model import joint_distribution, suggest_n_max  # noqa: F401
 
@@ -146,15 +148,13 @@ def _diagonal_cell(rho: JointDistribution, c: int) -> float:
 
 
 def _rate_coefficients(v: float, M: float, which: int) -> list[tuple[int, float]]:
-    """(i, b_i) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - x/M)^M sum b_i x^i:
-    the law of ``_law_contamination`` at eta = eta', where x = M w with w = N k / (1 + N k),
-    k = 1 - (1 - eta)^2, and each pair is a twin with chance v = eta / (2 - eta)."""
-    q2 = (1.0 - v) ** 2
-    d2 = 0.5 * (1.0 + 1.0 / M)
-    if which == 2:
-        return [(1, v), (2, 0.5 * d2 * q2)]
-    d3, d4 = d2 * (1.0 + 2.0 / M), d2 * (1.0 + 2.0 / M) * (1.0 + 3.0 / M)
-    return [(2, d2 * v * v), (3, 0.5 * d3 * v * q2), (4, d4 * q2 * q2 / 32.0)]
+    """(j, b_j) with rho[1, 1] (which=2) or rho[2, 2] (which=4) = (1 - x/M)^M sum b_j x^j
+    at eta = eta', x = M w, a = b = (1 - v)/2: the x^j coefficient of ``_pair_walk`` times
+    the chance j!/(i! l! l!) v^i (ab)^l that i twins and l lone pairs per arm give (c, c)."""
+    c, ab = which // 2, 0.25 * (1.0 - v) ** 2
+    chances = (v, 2.0 * ab) if which == 2 else (v * v, 6.0 * v * ab, 6.0 * ab * ab)  # l = 0 ... c
+    coeffs = islice(_pair_walk(M, 1.0 / M), c, which + 1)
+    return [(c + l, t * chance) for l, ((t, _), chance) in enumerate(zip(coeffs, chances))]
 
 
 def _solve_x(target: float, v: float, M: float, which: int) -> float | None:
@@ -187,26 +187,28 @@ def _solve_x(target: float, v: float, M: float, which: int) -> float | None:
 def _law_contamination(x: float, M: float, which: int, v: float, a: float, b: float) -> float:
     """eps = P(n + m >= which, off (c, c)) / P(n + m >= which), c = which / 2.
 
-    J ~ NegBin(M, x/M) pairs reach a detector, P(J = j) = (1 - x/M)^M t_j, t_j = x^j / j!
-    prod_(i<j) (1 + i/M); each lands in both arms, arm a alone or arm b alone with chances
-    v, a, b.  With s = a + b, h = 1 + s + s^2 (v h = 1 - s^3) and rest = sum_(j>which) t_j,
-    eps2 = (t_2 (1 - 2ab) + rest) / (t_1 v + t_2 + rest), eps4 = (t_3 v (h - 6ab) + t_4
-    (1 - 6a^2 b^2) + rest) / (t_2 v^2 + t_3 v h + t_4 + rest): nonnegative terms, each
-    above at most its match below, so nothing cancels and eps <= 1.  Where P(J > which)
-    >= 1/2, t_j = P(J = j) and rest = P(J > which): a huge x reads 1, as P(J = j) <= x^j
-    e^-x.  Elsewhere t_c = 1, so a tiny x underflows nothing, and r_j = t_(j+1) / t_j =
-    x (1 + j/M) / (j + 1) falls toward x/M < 1: past r_j < 1 the tail is <= t_j r_j / (1 - r_j).
-    """
-    c, step = which // 2, lambda t_j, j: t_j * x * (1.0 + j / M) / (j + 1)
+    J ~ NegBin(M, x/M) pairs reach a detector, P(J = j) = (1 - x/M)^M t_j, t_j the x^j
+    coefficient of ``_pair_walk`` times x^j; each lands in both arms, arm a alone or arm b
+    alone with chances v, a, b.  With s = a + b, h = 1 + s + s^2 (v h = 1 - s^3) and rest =
+    sum_(j>which) t_j, eps2 = (t_2 (1 - 2ab) + rest) / (t_1 v + t_2 + rest), eps4 = (t_3 v
+    (h - 6ab) + t_4 (1 - 6a^2 b^2) + rest) / (t_2 v^2 + t_3 v h + t_4 + rest): nonnegative
+    terms, each above at most its match below, so nothing cancels and eps <= 1.  Where
+    P(J > which) >= 1/2, t_j = P(J = j) and rest = P(J > which): a huge x reads 1, as
+    P(J = j) <= x^j e^-x.  Elsewhere t_c = 1, so a tiny x underflows nothing, and the pmf
+    ratio r_j = t_(j+1) / t_j, x times the walk's, falls toward x/M < 1: past r_j < 1
+    the tail is <= t_j r_j / (1 - r_j)."""
+    c, walk = which // 2, _pair_walk(M, 1.0 / M)  # x^j coefficients: no tiny w = x/M is formed
+    ratios = [x * r for _, r in islice(walk, which)]  # r_0 ... r_(which-1)
     p0 = math.exp(M * math.log1p(-x / M)) if x < M else 0.0  # P(J = 0); 0 if w rounds to 1
-    p = list(accumulate(range(which), step, initial=p0))
+    p = list(accumulate(ratios, operator.mul, initial=p0))
     t, rest = p[c:], 1.0 - math.fsum(p)
     if rest < 0.5:
-        t = list(accumulate(range(c, which), step, initial=1.0))
-        term, j, rest = t[-1], which, 0.0
-        while (r := step(1.0, j)) >= 1.0 or term * r > (1.0 - r) * 1e-17 * rest:
-            term, j = term * r, j + 1
-            rest += term
+        t = list(accumulate(ratios[c:], operator.mul, initial=1.0))
+        term, rest = t[-1], 0.0
+        for _, r in walk:  # on from r_which
+            if (r := x * r) < 1.0 and term * r <= (1.0 - r) * 1e-17 * rest:
+                break
+            term, rest = term * r, rest + term * r
     if which == 2:
         num, den = t[1] * (1.0 - 2.0 * a * b) + rest, t[0] * v + t[1] + rest
     else:
@@ -219,19 +221,14 @@ def _law_contamination(x: float, M: float, which: int, v: float, a: float, b: fl
 
 
 def source_contamination(src: EffectiveSource) -> tuple[float, float]:
-    """(eps2, eps4) of the model source at any N, M and arms, with no grid: J ~ NegBin(M,
-    theta / (1 + theta)) pairs reach a detector, theta = N k, k = eta + eta' - eta eta',
-    each in both arms, arm a alone or arm b alone with chances eta eta' / k, eta (1 - eta')
-    / k and eta' (1 - eta) / k.  Raises DegenerateInputError when no pair reaches a
-    detector (eta = eta' = 0) or a sector underflows to 0."""
-    eta, etap = src.eta, src.eta_prime
-    k = eta + etap * (1.0 - eta)
-    if k == 0.0:
+    """(eps2, eps4) of the model source at any N, M and arms, with no grid, from its
+    ``_pair_law`` of J ~ NegBin(M, w) reaching pairs and their split.  Raises
+    DegenerateInputError when no pair reaches a detector (eta = eta' = 0) or a sector
+    underflows to 0."""
+    law = _pair_law(src)
+    if law.k == 0.0:
         raise DegenerateInputError("no pair reaches a detector (eta = eta_prime = 0)")
-    theta = src.N * k
-    v, a, b = eta / k * etap, eta / k * (1.0 - etap), etap / k * (1.0 - eta)  # no 1/k formed
-    x = src.M * (theta / (1.0 + theta))
-    return tuple(_law_contamination(x, src.M, which, v, a, b) for which in (2, 4))
+    return tuple(_law_contamination(src.M * law.w, src.M, which, *law.split.tolist()) for which in (2, 4))
 
 
 def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np.ndarray:
@@ -261,7 +258,7 @@ def contamination_map(eta_grid, rate_grid, M: float = 1.0, which: int = 2) -> np
 
     out = np.full((etas.size, rates.size), np.nan)
     for i, eta in enumerate(etas):
-        v = float(eta) / (2.0 - float(eta))
+        v = float(eta) / (2.0 - float(eta))  # _pair_law's split at eta = eta', eta^2 / k, in closed form
         for j, rate in enumerate(rates):
             x = _solve_x(float(rate), v, M, which)
             if x is not None:

@@ -12,16 +12,18 @@ array of the closed-form generating function
 which this module expands by an exact two-index recurrence, swept in blocks
 of 64 anti-diagonals n + m in plain numpy, each block over only the rows n
 that it reaches on the grid and stored into the grid at once (3.6 ms at
-n_max 564 and 7.8 ms at 998, best of 33 calls).
-"""
+n_max 564 and 7.8 ms at 998, best of 33 calls).  It holds the one law of the
+reaching pairs, J ~ NegBin(M, w), and its one pmf-ratio walk, for the sampler,
+the contamination law and the cutoff search."""
 
 from __future__ import annotations
 
+import collections
 import math
 import numbers
 import operator
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import islice, pairwise
 
 import numpy as np
 
@@ -244,6 +246,54 @@ def generating_fn_value(src: EffectiveSource, x: float, y: float) -> float:
     return math.exp(-src.M * math.log1p(src.N * (u + v * (1.0 - u))))
 
 
+_PairLaw = collections.namedtuple("_PairLaw", "split lone_a k theta w cells")
+
+
+def _log1p_excess(y: float, log1p_y: float, scale: float = 1.0) -> float:
+    """scale (log1p(y) - y) <= 0 for y > -1, given log1p(y); near 0, where that
+    cancels, by its series, multiplied in an order that underflows last."""
+    if abs(y) > 0.125:
+        return scale * (log1p_y - y)
+    return -(scale * y) * y * sum((-y) ** j / (j + 2) for j in range(20))  # to 1e-18 relative
+
+
+def _pair_law(src: EffectiveSource) -> _PairLaw:
+    """The one law of the pairs that reach a detector.  Each lands in both arms, arm a
+    alone or arm b alone at eta eta', eta (1 - eta') and eta' (1 - eta), of sum k, and a
+    pulse holds J ~ NegBin(M, w) of them, P(J = j) = Gamma(M + j) / (Gamma(M) j!) w**j
+    (1 - w)**M, w = theta / (1 + theta), theta = N k.  split = (v, a, b) are the chances
+    over k, formed as (2**600 eta) eta' / (2**600 k) and alike: the plain quotient unless
+    a product underflows; lone_a = a / (a + b), alike, is arm a's share of the one-arm
+    pairs (0 if none).  cells are the chances of one, several and no reaching pairs:
+    M w (1 - w)**M, 1 - (1 - w)**M (1 + M w) from two logs <= 0 that do not cancel, and
+    (1 - w)**M = (1 + theta)**(-M)."""
+    eta, etap = src.eta, src.eta_prime
+    shares = eta * etap, eta * (1.0 - etap), etap * (1.0 - eta)
+    k = shares[0] + (shares[1] + shares[2])
+    lift = 2.0**600  # a power of 2: lifting rounds nothing
+    v, a, b = (lift * eta) * etap, (lift * eta) * (1.0 - etap), (lift * etap) * (1.0 - eta)
+    split = np.array([v, a, b]) / (lift * k) if k > 0.0 else np.zeros(3)
+    lone_a = a / (a + b) if a + b > 0.0 else 0.0
+    theta = src.N * k
+    w, log1p_theta = theta / (1.0 + theta), math.log1p(theta)  # log1p(-w) = -log1p(theta)
+    y = src.M * w
+    several = _log1p_excess(-w, -log1p_theta, src.M) + _log1p_excess(y, math.log1p(y))
+    empty = math.exp(-src.M * log1p_theta)
+    return _PairLaw(split, lone_a, k, theta, w, np.array([y * empty, -math.expm1(several), empty]))
+
+
+def _pair_walk(M: float, w: float, j: int = 0, t: float = 1.0):
+    """Yield (t_j, r_j) for j, j + 1, ... of J ~ NegBin(M, w): t_j is P(J = j) scaled to
+    start at t, and r_j = P(J = j + 1) / P(J = j) = w (M + j) / (j + 1) the pmf ratio,
+    formed with M + j as (M + j - 1) + 1, the rounding the sampler's photon table and
+    so its random streams are fixed to.  At w = 1/M the t_j from t_0 = 1 are the
+    coefficients of x**j, x = M w, in P(J = j) / P(J = 0)."""
+    while True:
+        r = w * (M + (j - 1) + 1.0) / (j + 1.0)
+        yield t, r
+        t, j = t * r, j + 1
+
+
 def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
     """Taylor coefficients of [A - Bx - Cy - Dxy]**(-M) up to order n_max.
 
@@ -358,29 +408,22 @@ def suggest_n_max(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
     ``tail_bound``.  The floor keeps the two-photon cells on the grid: at weak
     pumping a cut at 1 leaves them to a tail that rounds to 0.
 
-    Each arm's marginal is negative binomial; the mass outside the square grid
-    is at most the sum of the two marginal tails, each bounded here by a
-    geometric comparison once the pmf ratio falls below one.  Raises
-    TruncationError when no cutoff up to ``_N_CAP`` = 4096 meets the bound;
-    the error carries the tail bound reached at the cap (inf if an arm's pmf
-    ratio is still at least one there).
-    """
+    Each arm's count is NegBin(M, N eta / (1 + N eta)); the mass outside the square
+    grid is at most the sum of the two arms' tails, each bounded by a geometric
+    comparison once the pmf ratio r falls below one.  Raises TruncationError when no
+    cutoff up to ``_N_CAP`` = 4096 meets the bound, with the tail bound reached at
+    the cap (inf if an arm's pmf ratio is still at least one there)."""
     tail_bound = _real(tail_bound, "tail_bound", 0.0, strict=True)
 
     def arm_cutoff(eta: float, x: float, y: float) -> tuple[int, float]:
-        """First n <= _N_CAP whose arm tail bound is within half the bound (else
-        _N_CAP), with that tail bound; the walk starts from the pmf at 0, Xi(x, y)."""
-        q = src.N * eta / (1.0 + src.N * eta)
-        p = generating_fn_value(src, x, y)
-        for n in range(_N_CAP + 1):
-            ratio_next = q * (src.M + n + 1.0) / (n + 2.0)  # pmf ratio beyond n+1
-            p_next = p * q * (src.M + n) / (n + 1.0)
-            if ratio_next < 1.0:
-                tail = p_next / (1.0 - ratio_next)
-                if tail <= 0.5 * tail_bound:
-                    return n, tail
-            p = p_next
-        return _N_CAP, tail if ratio_next < 1.0 else math.inf
+        """First n <= _N_CAP (else _N_CAP) whose arm tail bound P(n + 1) / (1 - r_(n+1))
+        is within half the bound, with that bound, walked from the pmf at 0, Xi(x, y)."""
+        walk = _pair_walk(src.M, src.N * eta / (1.0 + src.N * eta), 0, generating_fn_value(src, x, y))
+        for n, (p, ratio) in enumerate(islice(walk, 1, _N_CAP + 2)):
+            tail = p / (1.0 - ratio) if ratio < 1.0 else math.inf
+            if tail <= 0.5 * tail_bound:
+                return n, tail
+        return _N_CAP, tail
 
     n_a, tail_a = arm_cutoff(src.eta, 0.0, 1.0)
     n_b, tail_b = arm_cutoff(src.eta_prime, 1.0, 0.0)

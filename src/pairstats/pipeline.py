@@ -13,7 +13,8 @@ CPU, made on first use, where they carry enough work to pay for it, and their
 integer tallies are summed in block order, so a run is reproducible
 bit-for-bit from its config and seed whatever the number of threads.  One
 multinomial per block counts the pulses that hold one, several and no pairs
-reaching a detector; only those holding several draw their photon numbers.
+reaching a detector, J ~ NegBin(M, w) of ``model``'s pair law; only those
+holding several draw their photon numbers.
 Where the pump is weak, M (M + 1) theta**2 < 2, each takes one uniform through
 a table of its photon numbers, built once per stage; elsewhere it draws its
 pair number by rejection and two binomials split the pairs to the arms.
@@ -45,7 +46,7 @@ from .loop_detector import (
     simulate_clicks_batch,
     uniform_weights,
 )
-from .model import _N_CAP, EffectiveSource, _index, _real, format_distribution
+from .model import _N_CAP, EffectiveSource, _index, _pair_law, _pair_walk, _PairLaw, _real, format_distribution
 from .reconstruction import (
     _MAX_PULSES,
     ClickHistogram,
@@ -110,57 +111,21 @@ class ExperimentConfig:
         object.__setattr__(self, "calibration_N", calibration_N)
 
 
-def _log1p_excess(y: float, log1p_y: float, scale: float = 1.0) -> float:
-    """scale (log1p(y) - y) <= 0 for y > -1, given log1p(y); near 0, where that
-    cancels, by its series, multiplied in an order that underflows last."""
-    if abs(y) > 0.125:
-        return scale * (log1p_y - y)
-    return -(scale * y) * y * sum((-y) ** j / (j + 2) for j in range(20))  # to 1e-18 relative
-
-
-def _reaching_pairs(src: EffectiveSource):
-    """(shares, k, cells): the chances eta eta', eta (1-eta') and eta' (1-eta)
-    that a pair reaches both arms, arm a alone and arm b alone; their sum k,
-    which keeps every share ratio <= 1; and the chances that a pulse holds one,
-    several and no reaching pairs.  Their number is NegBin(M, 1/(1 + theta)),
-    theta = N k, so with x = theta / (1 + theta) these are M x (1 + theta)**(-M),
-    1 - (1 - x)**M (1 + M x), from two logs <= 0 that do not cancel, and (1 + theta)**(-M)."""
-    both = src.eta * src.eta_prime
-    shares = np.array([both, src.eta * (1.0 - src.eta_prime), src.eta_prime * (1.0 - src.eta)])
-    k = both + (shares[1] + shares[2])
-    theta = src.N * k
-    x, log1p_theta = theta / (1.0 + theta), math.log1p(theta)  # log1p(-x) = -log1p(theta)
-    y = src.M * x
-    several = _log1p_excess(-x, -log1p_theta, src.M) + _log1p_excess(y, math.log1p(y))
-    empty = math.exp(-src.M * log1p_theta)
-    return shares, k, np.array([y * empty, -math.expm1(several), empty])
-
-
-def _multi_pair_terms(M: float, theta: float) -> np.ndarray:
-    """Weights of K = 2, 3, ... for K ~ NegBin(M, 1/(1 + theta)) given K >= 2,
-    up from 1 at K = 2 by the pmf ratio x (M + K)/(K + 1), x = theta/(1 + theta),
-    so that no tiny theta is rounded away in 1/(1 + theta).  They end at the first
-    term past the mode that is <= 1e-18 of the first; where M (M + 1) theta**2 < 2
-    every ratio is below 1/2, so that takes at most 60 terms."""
-    x = theta / (1.0 + theta)
-    terms = [1.0]
-    while True:
-        ratio = x * (M + len(terms) + 1.0) / (len(terms) + 2.0)
-        if ratio < 1.0 and terms[-1] * ratio <= 1e-18:
-            return np.array(terms)
-        terms.append(terms[-1] * ratio)
-
-
-def _photon_table(M: float, theta: float, split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _photon_table(M: float, w: float, split) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, m, weights): the photon numbers of a pulse with K >= 2 reaching pairs,
     over the cells of positive weight P(n, m | K >= 2) = sum_K t_K K!/(i! j! l!)
-    v**i a**j b**l, and those weights.  t_K are the ``_multi_pair_terms``, and i pairs
-    reach both arms, j arm a alone and l arm b alone at the chances split = (v, a, b),
-    so n = i + j and m = i + l.  The law of (n, m) given K pairs is built up from
-    K = 0 one pair at a time, each adding a photon to both arms, to arm a or to arm b."""
-    terms = _multi_pair_terms(M, theta)
+    v**i a**j b**l, and those weights.  t_K are the ``_pair_walk`` terms from 1 at K = 2,
+    to the first past the mode that is <= 1e-18 of the first: at most 60 where
+    M (M + 1) theta**2 < 2, as every pmf ratio is below 1/2 there.  i pairs reach both
+    arms, j arm a alone and l arm b alone at the chances split = (v, a, b), so n = i + j
+    and m = i + l; the law of (n, m) given K is built up one pair at a time from K = 0."""
+    terms = []
+    for term, ratio in _pair_walk(M, w, 2):
+        terms.append(term)
+        if ratio < 1.0 and term * ratio <= 1e-18:
+            break
     v, a, b = split
-    size = terms.size + 2  # K and so n and m run to terms.size + 1
+    size = len(terms) + 2  # K and so n and m run to len(terms) + 1
     weights = np.zeros((size, size))
     given_K = np.zeros((size + 1, size + 1))  # (n, m) at [n + 1, m + 1]: row and column 0 stay 0
     given_K[1, 1] = 1.0
@@ -174,7 +139,7 @@ def _photon_table(M: float, theta: float, split) -> tuple[np.ndarray, np.ndarray
 
 def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int, rng):
     """``count`` draws of the reaching-pair number K of a pulse given K >= 2,
-    theta = N k and several = P(K >= 2): K of NegBin(M, 1/(1 + theta)) is drawn
+    theta = N k and several = P(K >= 2): K ~ NegBin(M, theta / (1 + theta)) is drawn
     as Poisson(Gamma(M, theta)) and kept if K >= 2, which keeps at least a
     quarter of the draws where M (M + 1) theta**2 >= 2, the only place it runs."""
     M = src.M
@@ -190,21 +155,19 @@ def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int,
     return pairs
 
 
-_PulseLaw = collections.namedtuple("_PulseLaw", "src shares k cells table")
+_PulseLaw = collections.namedtuple("_PulseLaw", ("src", *_PairLaw._fields, "table"))
 
 
 def _pulse_law(src: EffectiveSource) -> _PulseLaw:
-    """What the pulse blocks of one stage draw from, built once per stage: the
-    source, its ``_reaching_pairs`` shares, their sum k and pulse-kind chances,
-    and where the pump is weak, M (M + 1) theta**2 < 2, the ``_photon_table``
-    of multi-pair pulses as (n, m, cumulative weights) (else None)."""
-    shares, k, cells = _reaching_pairs(src)
-    theta = src.N * k
+    """What the pulse blocks of one stage draw from, built once per stage: the source,
+    its ``_pair_law`` and, where M (M + 1) theta**2 < 2, the ``_photon_table`` of
+    multi-pair pulses as (n, m, cumulative weights) (else None)."""
+    law = _pair_law(src)
     table = None
-    if k > 0.0 and src.M * (src.M + 1.0) * theta * theta < 2.0:
-        n, m, weights = _photon_table(src.M, theta, shares / k)
+    if law.k > 0.0 and src.M * (src.M + 1.0) * law.theta * law.theta < 2.0:
+        n, m, weights = _photon_table(src.M, law.w, law.split)
         table = n, m, np.cumsum(weights)
-    return _PulseLaw(src, shares, k, cells, table)
+    return _PulseLaw(src, *law, table)
 
 
 def _sample_pulses(law: _PulseLaw, rng: np.random.Generator, size: int):
@@ -213,29 +176,23 @@ def _sample_pulses(law: _PulseLaw, rng: np.random.Generator, size: int):
     photon numbers of those with more; the rest are empty.
 
     One multinomial counts the pulses with one, several and no reaching pairs.
-    Where the pump is weak, M (M + 1) theta**2 < 2, each pulse with several
-    draws its photon numbers with one uniform inverted through the law's
-    ``_photon_table`` (Devroye 1986, ch. III.2).  Elsewhere it draws its pair
-    number by ``_multi_pairs``, and two binomials split the pairs to both arms,
-    arm a alone and arm b alone as eta eta' : eta (1-eta') : eta' (1-eta).
-    """
-    src, shares, k, cells, table = law
-    if k == 0.0:
+    Where the pump is weak, M (M + 1) theta**2 < 2, each pulse with several draws
+    its photon numbers with one uniform inverted through the law's ``_photon_table``
+    (Devroye 1986, ch. III.2); elsewhere its pair number by ``_multi_pairs``, split
+    by two binomials, to both arms at v, then to arm a alone at lone_a."""
+    if law.k == 0.0:
         return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
-    one, count, _ = rng.multinomial(size, cells)
-    if table is not None:
-        n, m, cdf = table
+    one, count, _ = rng.multinomial(size, law.cells)
+    if law.table is not None:
+        n, m, cdf = law.table
         # side="right" skips the cells that add nothing, and searching cdf[:-1]
         # caps the pick at the table's last cell however u * cdf[-1] rounds
         pick = np.searchsorted(cdf[:-1], rng.random(count) * cdf[-1], side="right")
-        return rng.multinomial(one, shares / k), n[pick], m[pick]
-    pairs = _multi_pairs(src, src.N * k, cells[1], count, rng)
-    singles = rng.multinomial(one, shares / k)
-    both, single = shares[0], shares[1] + shares[2]
-    in_both = rng.binomial(pairs, both / k)
-    a_only = 0
-    if single > 0.0:
-        a_only = rng.binomial(pairs - in_both, shares[1] / single)
+        return rng.multinomial(one, law.split), n[pick], m[pick]
+    pairs = _multi_pairs(law.src, law.theta, law.cells[1], count, rng)
+    singles = rng.multinomial(one, law.split)
+    in_both = rng.binomial(pairs, law.split[0])
+    a_only = rng.binomial(pairs - in_both, law.lone_a)  # draws nothing where lone_a = 0
     return singles, a_only + in_both, pairs - a_only
 
 

@@ -18,7 +18,11 @@ inclusion-exclusion in rational arithmetic, rounded once to floats.
 pulses included.  ``reaching_pair_cells`` gives its chances of one, several
 and no reaching pairs in a pulse in high-precision decimal arithmetic.
 ``source_contamination_decimal`` gives a source's eps2 and eps4 as one minus
-the diagonal cell over its sector, in 400-digit decimal arithmetic.
+the diagonal cell over its sector, in decimal arithmetic whose precision grows
+as the reaching pairs grow rare.  ``reaching_pairs_reference``,
+``multi_pair_terms_reference``, ``pulse_law_reference`` and
+``suggest_n_max_reference`` are the sampler's pair law, its photon table and the
+cutoff search as they stood before the pair law moved into ``pairstats.model``.
 ``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
@@ -43,7 +47,7 @@ from scipy.stats import binom
 from pairstats import pipeline
 from pairstats.errors import SupportError, TruncationError, ValidationError
 from pairstats.loop_detector import _cut_responses, simulate_clicks_batch
-from pairstats.model import EffectiveSource, JointDistribution, MultimodeSource, generating_fn_value
+from pairstats.model import _N_CAP, EffectiveSource, JointDistribution, MultimodeSource, generating_fn_value
 from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _pulse_law, _sample_pulses
 from pairstats.reconstruction import ClickHistogram
 
@@ -301,7 +305,7 @@ def sample_pulses_per_pulse(src: EffectiveSource, rng: np.random.Generator, size
 
 
 def reaching_pair_cells(M: float, theta: float) -> tuple[float, float, float]:
-    """P(K = 1), P(K >= 2) and P(K = 0) for K ~ NegBin(M, 1/(1 + theta)), the
+    """P(K = 1), P(K >= 2) and P(K = 0) for K ~ NegBin(M, theta/(1 + theta)), the
     reaching pairs of a pulse, from the plain formulas M theta (1 + theta)**(-M-1),
     1 - P(K = 0) - P(K = 1) and (1 + theta)**(-M) in decimal arithmetic.  As
     theta falls, P(K >= 2) ~ M (M + 1) theta**2 / 2 cancels more digits, so the
@@ -317,16 +321,19 @@ def reaching_pair_cells(M: float, theta: float) -> tuple[float, float, float]:
 
 def source_contamination_decimal(src: EffectiveSource) -> tuple[float, float]:
     """eps2 = 1 - rho[1, 1] / P(n + m >= 2) and eps4 = 1 - rho[2, 2] / P(n + m >= 4)
-    from the reaching-pair law, in 400-digit decimal arithmetic.
+    from the reaching-pair law, in high-precision decimal arithmetic.
 
-    J ~ NegBin(M, 1/(1 + theta)) pairs reach a detector, theta = N k with
+    J ~ NegBin(M, theta/(1 + theta)) pairs reach a detector, theta = N k with
     k = eta + eta' - eta eta'; each is seen in both arms (v = eta eta'/k), in arm a
     alone (a = eta (1 - eta')/k) or in arm b alone (b = eta' (1 - eta)/k).  The
-    sectors are one minus their complements, so that digits cancel; 400 digits keep
-    more than 300 past them for N >= 1e-12.
+    sectors are one minus their complements, so digits cancel: P(n + m >= 4) is of
+    order theta**4, and eps4, of order theta, is one minus a ratio near 1.  So the
+    precision grows to keep 60 digits past 5 log10(1/theta) of them; nothing
+    underflows in decimal.  theta must be positive in double precision.
     """
+    theta = src.N * (src.eta + src.eta_prime * (1.0 - src.eta))
     with localcontext() as ctx:
-        ctx.prec = 400
+        ctx.prec = 60 + 5 * max(0, -math.floor(math.log10(theta)))
         N, eta, etap, M = (Decimal(val) for val in (src.N, src.eta, src.eta_prime, src.M))
         k = eta + etap - eta * etap
         theta = N * k
@@ -339,6 +346,85 @@ def source_contamination_decimal(src: EffectiveSource) -> tuple[float, float]:
         sector2 = 1 - p[0] - p[1] * (a + b)
         sector4 = 1 - p[0] - p[1] - p[2] * (1 - v**2) - p[3] * (a + b) ** 3
         return float(1 - rho11 / sector2), float(1 - rho22 / sector4)
+
+
+# The pair law as the sampler and the cutoff search formed it before it moved into
+# ``pairstats.model._pair_law`` and ``_pair_walk``, copied to hold them to bit for bit.
+
+def _log1p_excess_reference(y: float, log1p_y: float, scale: float = 1.0) -> float:
+    if abs(y) > 0.125:
+        return scale * (log1p_y - y)
+    return -(scale * y) * y * sum((-y) ** j / (j + 2) for j in range(20))
+
+
+def reaching_pairs_reference(src: EffectiveSource):
+    """(shares, k, cells): the arm shares eta eta', eta (1-eta'), eta' (1-eta), their
+    sum k and the chances that a pulse holds one, several and no reaching pairs."""
+    both = src.eta * src.eta_prime
+    shares = np.array([both, src.eta * (1.0 - src.eta_prime), src.eta_prime * (1.0 - src.eta)])
+    k = both + (shares[1] + shares[2])
+    theta = src.N * k
+    x, log1p_theta = theta / (1.0 + theta), math.log1p(theta)
+    y = src.M * x
+    several = _log1p_excess_reference(-x, -log1p_theta, src.M) + _log1p_excess_reference(y, math.log1p(y))
+    empty = math.exp(-src.M * log1p_theta)
+    return shares, k, np.array([y * empty, -math.expm1(several), empty])
+
+
+def multi_pair_terms_reference(M: float, theta: float) -> np.ndarray:
+    """Weights of K = 2, 3, ... given K >= 2, up from 1 by the pmf ratio, to the
+    first term past the mode that is <= 1e-18 of the first."""
+    x = theta / (1.0 + theta)
+    terms = [1.0]
+    while True:
+        ratio = x * (M + len(terms) + 1.0) / (len(terms) + 2.0)
+        if ratio < 1.0 and terms[-1] * ratio <= 1e-18:
+            return np.array(terms)
+        terms.append(terms[-1] * ratio)
+
+
+def pulse_law_reference(src: EffectiveSource):
+    """(split, cells, table): the sampler's single-pair split, pulse-kind chances and,
+    where M (M + 1) theta**2 < 2, its photon table (n, m, cumulative weights), else None."""
+    shares, k, cells = reaching_pairs_reference(src)
+    theta = src.N * k
+    if not (k > 0.0 and src.M * (src.M + 1.0) * theta * theta < 2.0):
+        return (shares / k if k > 0.0 else None), cells, None
+    terms = multi_pair_terms_reference(src.M, theta)
+    v, a, b = split = shares / k
+    size = terms.size + 2
+    weights = np.zeros((size, size))
+    given_K = np.zeros((size + 1, size + 1))
+    given_K[1, 1] = 1.0
+    for K in range(1, size):
+        given_K[1:, 1:] = v * given_K[:-1, :-1] + a * given_K[:-1, 1:] + b * given_K[1:, :-1]
+        if K >= 2:
+            weights += terms[K - 2] * given_K[1:, 1:]
+    n, m = np.nonzero(weights)
+    return split, cells, (n, m, np.cumsum(weights[n, m]))
+
+
+def suggest_n_max_reference(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
+    """The cutoff search with its arm walks in line; TruncationError as there."""
+
+    def arm_cutoff(eta: float, x: float, y: float) -> tuple[int, float]:
+        q = src.N * eta / (1.0 + src.N * eta)
+        p = generating_fn_value(src, x, y)
+        for n in range(_N_CAP + 1):
+            ratio_next = q * (src.M + n + 1.0) / (n + 2.0)
+            p_next = p * q * (src.M + n) / (n + 1.0)
+            if ratio_next < 1.0:
+                tail = p_next / (1.0 - ratio_next)
+                if tail <= 0.5 * tail_bound:
+                    return n, tail
+            p = p_next
+        return _N_CAP, tail if ratio_next < 1.0 else math.inf
+
+    n_a, tail_a = arm_cutoff(src.eta, 0.0, 1.0)
+    n_b, tail_b = arm_cutoff(src.eta_prime, 1.0, 0.0)
+    if max(tail_a, tail_b) > 0.5 * tail_bound:
+        raise TruncationError("tail bound at the cap", tail_mass=tail_a + tail_b)
+    return max(n_a, n_b, 2)
 
 
 def nonempty_pulses(singles, n, m):

@@ -389,9 +389,10 @@ def random_source(rng, log_N=(-12.0, 1.0), log_M=(0.0, 4.0)):
 
 class TestSourceContamination:
     def test_matches_decimal_oracle(self):
+        # the random box, and sources below it where theta = N k is 2e-60 and 2e-100
         rng = np.random.default_rng(31)
-        for _ in range(300):
-            src = random_source(rng)
+        tiny = [EffectiveSource(N=1.0, eta=eta, eta_prime=eta, M=1.0) for eta in (1e-60, 1e-100)]
+        for src in [random_source(rng) for _ in range(300)] + tiny:
             got, want = source_contamination(src), source_contamination_decimal(src)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), src
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairstats.analysis import source_contamination
+from pairstats.analysis import _law_contamination, source_contamination
 from pairstats.errors import (
     ClassicalRegimeError,
     DegenerateInputError,
@@ -30,6 +30,7 @@ from pairstats.model import (
     _N_CAP,
     _check_mass,
     _index,
+    _pair_law,
     _series_coefficients,
     suggest_n_max,
 )
@@ -40,6 +41,7 @@ from oracles import (
     filtered_moments,
     joint_distribution_oracle,
     row_scan_coefficients,
+    suggest_n_max_reference,
 )
 
 
@@ -563,6 +565,26 @@ class TestPerturbativeFraction:
             assert double_pair_ratio(src) == pytest.approx(closed, rel=1e-14)
 
 
+class TestPairLaw:
+    def test_split_keeps_an_underflowing_twin_share(self):
+        # eta eta' = 1e-340 underflows to 0, but the twin share v = eta eta' / k,
+        # k = 2e-170, is 5e-171; a zero v would move eps2 from 0.4 to about 0.5
+        law = _pair_law(EffectiveSource(N=1.0, eta=1e-170, eta_prime=1e-170, M=1.0))
+        assert law.k == 2e-170
+        assert law.split[0] == pytest.approx(5e-171, rel=1e-15)
+        assert law.split[1] == law.split[2] == 0.5
+        # (its four-photon sector underflows, so source_contamination raises)
+        assert _law_contamination(law.w, 1.0, 2, *law.split) == pytest.approx(0.4, rel=1e-14)
+
+    @pytest.mark.parametrize("eta, eta_prime", [(0.0, 0.0), (0.0, 0.3), (0.3, 0.0), (1.0, 1.0)])
+    def test_edges_of_the_split(self, eta, eta_prime):
+        # no pair lands anywhere, or none in arm a, arm b or one arm alone
+        law = _pair_law(EffectiveSource(N=0.5, eta=eta, eta_prime=eta_prime, M=2.0))
+        assert np.isfinite(law.split).all() and law.split.sum() in (0.0, 1.0)
+        assert law.lone_a == (1.0 if eta_prime == 0.0 < eta else 0.0)
+        assert law.cells.sum() == pytest.approx(1.0, rel=1e-15)
+
+
 class TestSuggestNMax:
     def test_tail_bound_respected(self):
         for N, eta, M in ((0.1, 0.3, 1.0), (1.0, 1.0, 4.0), (3.0, 0.7, 16.6)):
@@ -600,6 +622,48 @@ class TestSuggestNMax:
         n_max = suggest_n_max(src, 1e-12)
         assert n_max == 28
         assert joint_distribution(src, n_max).tail_mass == pytest.approx(3.0e-13, rel=0.02)
+
+    @staticmethod
+    def assert_equals_reference(src, bound):
+        """suggest_n_max and the cutoff search it replaced give the same cutoff, or both raise."""
+        try:
+            want = suggest_n_max_reference(src, bound)
+        except TruncationError:
+            with pytest.raises(TruncationError):
+                suggest_n_max(src, bound)
+            return None
+        assert suggest_n_max(src, bound) == want, (src, bound)
+        return want
+
+    @pytest.mark.parametrize("params", SWEEP_SOURCES)
+    def test_equals_reference_on_sweep_sources(self, params):
+        for bound in (1e-3, 1e-6, 1e-10, 1e-12, 1e-15, 1e-20):
+            self.assert_equals_reference(EffectiveSource(*params), bound)
+
+    def test_equals_reference_on_forward_sources(self):
+        # the benchmark's forward sources, at N and at its jitter of 1e-3 relative;
+        # at M = 2000 the walk from an underflowing Xi gives 998
+        for N, eta, M in ((0.2, 0.045, 16.0), (5.0, 0.9, 50.0), (0.5, 1.0, 2000.0)):
+            for jitter in (-5e-4, 0.0, 5e-4):
+                src = EffectiveSource(N=N * (1.0 + jitter), eta=eta, eta_prime=eta, M=M)
+                got = self.assert_equals_reference(src, 1e-12)
+                if M == 2000.0:
+                    assert got == 998
+        assert suggest_n_max(EffectiveSource(0.5, 1.0, 1.0, 2000.0), 1e-12) == 998
+
+    def test_equals_reference_on_random_sources(self):
+        rng = np.random.default_rng(39)
+        raised = 0
+        for _ in range(2000):
+            src = EffectiveSource(
+                N=float(10.0 ** rng.uniform(-8.0, 2.0)),
+                eta=float(rng.uniform(0.0, 1.0)),
+                eta_prime=float(rng.uniform(0.0, 1.0)),
+                M=float(10.0 ** rng.uniform(0.0, 3.5)),
+            )
+            bound = float(10.0 ** rng.uniform(-18.0, -3.0))
+            raised += self.assert_equals_reference(src, bound) is None
+        assert 20 <= raised <= 1000
 
     @pytest.mark.parametrize("bound", [math.nan, math.inf, 0.0, -1e-3])
     def test_bad_tail_bound_rejected(self, bound):

@@ -10,6 +10,7 @@ import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from pairstats.loop_detector import (
     response_matrix,
     uniform_weights,
 )
-from pairstats.model import EffectiveSource, joint_distribution, parse_distribution
+from pairstats.model import EffectiveSource, _pair_law, _pair_walk, joint_distribution, parse_distribution
 from pairstats.pipeline import (
     BLOCK_SIZE,
     ExperimentConfig,
@@ -47,8 +48,11 @@ from pairstats.pipeline import (
 from pairstats.reconstruction import ClickHistogram, em_reconstruct, em_record, parse_histogram
 
 from oracles import (
+    multi_pair_terms_reference,
     nonempty_pulses,
     pulse_blocks,
+    pulse_law_reference,
+    reaching_pairs_reference,
     reaching_pair_cells,
     sample_pulses_per_pulse,
     simulate_calibration_serial,
@@ -433,10 +437,10 @@ class TestSamplePulse:
     )
     def test_pulse_kind_counts_match_closed_forms(self, N, eta, M, pulses):
         # a block's counts of pulses with one and with several reaching pairs
-        # are binomial at the chances of _reaching_pairs: z-tested per block
+        # are binomial at the chances of _pair_law: z-tested per block
         # where a block expects 100 or more, and summed over the blocks
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
-        p = pipeline._reaching_pairs(src)[2][:2]
+        p = _pair_law(src).cells[:2]
         blocks = pulse_blocks(src, pulses, 5, 9)
         counts = np.array([(singles.sum(), n.size) for singles, n, _, _ in blocks])
         totals = counts.sum(axis=0, keepdims=True)
@@ -451,7 +455,7 @@ class TestSamplePulse:
         # within 1e-12 of the least normal float where it underflows
         for theta in np.geomspace(1e-300, 1e6, 154):
             src = EffectiveSource(N=theta, eta=1.0, eta_prime=1.0, M=M)
-            cells = pipeline._reaching_pairs(src)[2]
+            cells = _pair_law(src).cells
             for got, want in zip(cells, reaching_pair_cells(M, theta)):
                 assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * sys.float_info.min)
 
@@ -462,7 +466,7 @@ class TestSamplePulse:
         src = EffectiveSource(N=5e-324, eta=eta, eta_prime=eta, M=16.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            cells = pipeline._reaching_pairs(src)[2]
+            cells = _pair_law(src).cells
             singles, n, m = _sample_pulses(_pulse_law(src), _block_rng(1, 9, 0), BLOCK_SIZE)
         assert cells[1] == 0.0 and cells[2] == 1.0 and (eta == 1.0 or cells[0] == 0.0)
         assert singles.sum() == n.size == m.size == 0
@@ -481,7 +485,8 @@ class TestSamplePulse:
     )
     def test_reaching_pair_law_past_window(self, N, M):
         # lossless arms give n = m = K, the pair number of a non-empty pulse,
-        # whose law is the zero-truncated NegBin(M, 1/(1 + N)); every K is
+        # whose law is the zero-truncated NegBin(M, N/(1 + N)), scipy's
+        # nbinom(M, 1/(1 + N)); every K is
         # z-tested, past the 21 x 21 window of max_law_z
         src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
         counts = np.zeros(0)
@@ -507,7 +512,7 @@ class TestSamplePulse:
     def test_reaching_pair_law_at_huge_M(self, N, M):
         # 1/(1 + N) rounds N off here, by 11% at N = 1e-16 and to 0 at 1e-17,
         # so sampler and law must both use N itself: lossless K is
-        # NegBin(M, 1/(1 + N)), its pmf built up from K = 0 by
+        # NegBin(M, N/(1 + N)), its pmf built up from K = 0 by
         # P(K + 1) = P(K) (M + K) / (K + 1) x, x = N / (1 + N); at M = 2e17,
         # M (M + 1) N**2 = 4, so the sampler takes its bright branch
         src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
@@ -566,11 +571,11 @@ class TestSamplePulse:
     def test_photon_table_matches_exact_sum(self, theta, eta, eta_prime, M):
         # every cell of a table with K <= 6 against
         # sum_K t_K K!/(i! j! l!) v**i a**j b**l in exact rationals, from the
-        # same float t_K and shares, within 1e-15 relative; the table holds
+        # same float t_K (those of the reference, which TestPulseLawReference
+        # holds the table to) and split, within 1e-15 relative; the table holds
         # exactly the cells the sum gives a positive weight
-        shares, k, _ = pipeline._reaching_pairs(EffectiveSource(N=1.0, eta=eta, eta_prime=eta_prime, M=M))
-        split = shares / k
-        terms = pipeline._multi_pair_terms(M, theta)
+        split = _pair_law(EffectiveSource(N=1.0, eta=eta, eta_prime=eta_prime, M=M)).split
+        terms = multi_pair_terms_reference(M, theta)
         assert terms.size <= 5
         v, a, b = map(Fraction, split)
         exact = Counter()
@@ -581,7 +586,7 @@ class TestSamplePulse:
                     ways = math.factorial(K) // (math.factorial(i) * math.factorial(j) * math.factorial(l))
                     exact[i + j, i + l] += Fraction(t) * ways * v**i * a**j * b**l
         exact = {cell: w for cell, w in exact.items() if w > 0}
-        n, m, weights = pipeline._photon_table(M, theta, split)
+        n, m, weights = pipeline._photon_table(M, theta / (1.0 + theta), split)
         assert set(zip(n.tolist(), m.tolist())) == exact.keys()
         for cell, got in zip(zip(n.tolist(), m.tolist()), weights):
             assert abs(Fraction(got) - exact[cell]) <= Fraction(1e-15) * exact[cell]
@@ -654,6 +659,56 @@ class TestSamplePulse:
         lossless = EffectiveSource(N=src.N, eta=1.0, eta_prime=1.0, M=M)
         singles, n, m = _sample_pulses(_pulse_law(lossless), _block_rng(seed, 9, 0), 1000)
         assert singles[1] == singles[2] == 0 and np.array_equal(n, m)
+
+
+class TestPulseLawReference:
+    """The pulse law against the sampler's law as it was formed before the pair
+    law moved into pairstats.model: split, pulse-kind chances, the chance of arm a
+    among one-arm pairs and the photon table, bit for bit, so that no random
+    stream moves."""
+
+    # the README source, the CI dim, switch and bright sources, and real-M ones
+    NAMED = [
+        (0.2, 0.045, 0.045, 16.0),
+        (0.95, 0.045, 0.045, 16.0),
+        (1.5, 0.6, 0.6, 3.0),
+        (1e-3, 0.045, 0.045, 16.0),
+        (0.2, 0.045, 0.06, 16.37),
+        (0.0845, 0.3, 0.8, 2.718281828459045),
+        (1e-6, 1.0, 0.0, 3.5),
+    ]
+
+    def test_equals_reference_on_the_box(self):
+        rng = np.random.default_rng(39)
+        box = [
+            (10.0 ** rng.uniform(-8.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(0.0, 3.0))
+            for _ in range(600)
+        ]
+        tables = 0
+        for params in self.NAMED + box:
+            src = EffectiveSource(*map(float, params))
+            law = _pulse_law(src)
+            split, cells, table = pulse_law_reference(src)
+            shares = reaching_pairs_reference(src)[0]
+            assert np.array_equal(law.split, split) and np.array_equal(law.cells, cells), src
+            assert law.lone_a == shares[1] / (shares[1] + shares[2]), src
+            assert (law.table is None) == (table is None), src
+            if table is not None:
+                tables += 1
+                assert all(np.array_equal(got, want) for got, want in zip(law.table, table)), src
+        assert tables >= 200
+
+    def test_table_terms_equal_reference_below_the_switch(self):
+        # the walk's terms from K = 2, as the table takes them, on 16,000 (M, theta)
+        # with real M below 64 and M (M + 1) theta**2 < 2; with M + K rounded once
+        # in the pmf ratio, not as (M + K - 1) + 1, 60 of them differ
+        rng = np.random.default_rng(39)
+        for M in 1.0 + 63.0 * rng.random(400):
+            for share in np.linspace(0.02, 1.0, 40, endpoint=False):
+                theta = share * math.sqrt(2.0 / (M * (M + 1.0)))
+                want = multi_pair_terms_reference(M, theta)
+                got = [t for t, _ in islice(_pair_walk(M, theta / (1.0 + theta), 2), want.size)]
+                assert np.array_equal(got, want), (M, theta)
 
 
 class TestSimulateExperiment:
@@ -817,7 +872,7 @@ class TestBlocksOnThreads:
         # histogram is the same
         pulses = 2 * BLOCK_SIZE + 7
         cfg = threads_cfg(pulses)
-        sampled = BLOCK_SIZE * pipeline._reaching_pairs(cfg.source)[2][1]
+        sampled = BLOCK_SIZE * _pair_law(cfg.source).cells[1]
         break_even = sampled if pooled else np.nextafter(sampled, math.inf)
         monkeypatch.setattr(pipeline, "_POOL_MIN_SAMPLED", break_even)
         f = simulate_experiment(cfg).f
