@@ -25,7 +25,7 @@ from .errors import (
     SubPoissonianMarginalError,
     ValidationError,
 )
-from .model import EffectiveSource, JointDistribution, _index, _pair_law, _pair_walk, _real, _reals
+from .model import _LIFT, EffectiveSource, JointDistribution, _index, _pair_law, _pair_walk, _real, _reals
 # perfbench's traced run wraps analysis.joint_distribution and analysis.suggest_n_max
 from .model import joint_distribution, suggest_n_max  # noqa: F401
 
@@ -194,16 +194,17 @@ def _law_contamination(x: float, M: float, which: int, v: float, a: float, b: fl
     (h - 6ab) + t_4 (1 - 6a^2 b^2) + rest) / (t_2 v^2 + t_3 v h + t_4 + rest): nonnegative
     terms, each above at most its match below, so nothing cancels and eps <= 1.  Where
     P(J > which) >= 1/2, t_j = P(J = j) and rest = P(J > which): a huge x reads 1, as
-    P(J = j) <= x^j e^-x.  Elsewhere t_c = 1, so a tiny x underflows nothing, and the pmf
-    ratio r_j = t_(j+1) / t_j, x times the walk's, falls toward x/M < 1: past r_j < 1
-    the tail is <= t_j r_j / (1 - r_j)."""
+    P(J = j) <= x^j e^-x.  Elsewhere t_c = ``_LIFT`` (the sums stay below 2^606), so the
+    terms stay normal while x^2, x v and v^2 exceed 2^-1622 (eta = eta' ~ 1e-230 at N = 1),
+    and the pmf ratio r_j = t_(j+1) / t_j, x times the walk's, falls toward x/M < 1: past
+    r_j < 1 the tail is <= t_j r_j / (1 - r_j)."""
     c, walk = which // 2, _pair_walk(M, 1.0 / M)  # x^j coefficients: no tiny w = x/M is formed
     ratios = [x * r for _, r in islice(walk, which)]  # r_0 ... r_(which-1)
     p0 = math.exp(M * math.log1p(-x / M)) if x < M else 0.0  # P(J = 0); 0 if w rounds to 1
     p = list(accumulate(ratios, operator.mul, initial=p0))
     t, rest = p[c:], 1.0 - math.fsum(p)
     if rest < 0.5:
-        t = list(accumulate(ratios[c:], operator.mul, initial=1.0))
+        t = list(accumulate(ratios[c:], operator.mul, initial=_LIFT))
         term, rest = t[-1], 0.0
         for _, r in walk:  # on from r_which
             if (r := x * r) < 1.0 and term * r <= (1.0 - r) * 1e-17 * rest:

@@ -23,10 +23,9 @@ import numpy as np
 
 from ._fileio import format_matrix, parse_matrix
 from .errors import DegenerateInputError, ValidationError
-from .model import _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index, _reals
+from .model import _LIFT, _N_CAP, _TOL, JointDistribution, _check_mass, _counts, _freeze, _index, _reals
 
 _BLOCK = 64  # photon numbers per block of response_matrix: its kernel has _BLOCK + 1 taps
-_CHAIN_SCALE = 600  # binary exponent of the scale of the equal-split chain and of apply_response
 _PER_PHOTON_MAX = 32  # the most photons of a pulse whose clicks are drawn one path per photon
 _PATH_BITS = (np.uint8, np.uint16, np.uint32, np.uint64)  # per-pulse path sets, by path count
 _POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
@@ -134,11 +133,10 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     block instead of once per photon.  Scratch: one copy of P and L (B' + 1)^2
     doubles of powers, 264 KiB at B' = 64.  It takes 0.3-0.5 ms at B' = 8,
     n_max 564 and 0.6-1.2 ms at B' = 16, n_max 998 (one BLAS thread, 2-CPU
-    x86-64 box).  The chain runs on P scaled by 2^``_CHAIN_SCALE``, so that an
-    entry on its way below the smallest normal double keeps its digits until
-    one final rounding: unscaled, k / B' > 1/2 would round it back up to the
-    smallest subnormal at every photon, and it would never reach 0.  A product
-    reaches at most 2^600 B'^L <= 2^653, far from overflow.
+    x86-64 box).  The chain runs on P times ``_LIFT``, so that an entry on its
+    way below the smallest normal double keeps its digits until one final
+    rounding (unscaled, k / B' > 1/2 would round it back up to the smallest
+    subnormal at every photon); a product reaches at most 2^600 B'^L <= 2^653.
 
     Otherwise the paths are added one at a time; after i of them, P[k, n] is the
     probability that n photons confined to those paths occupy exactly k.
@@ -165,13 +163,13 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
         for j in range(1, L):
             np.matmul(powers[0], powers[j - 1], out=powers[j])
         denom = np.cumprod(np.full((L, 1), float(b)), axis=0)  # B'^j, exact
-        cols = np.zeros((n_max + 1, w.size + 1))  # cols[n] = 2^_CHAIN_SCALE P[:, n]
-        cols[0, 0] = 2.0**_CHAIN_SCALE
+        cols = np.zeros((n_max + 1, w.size + 1))  # cols[n] = _LIFT P[:, n]
+        cols[0, 0] = _LIFT
         for n0 in range(0, n_max, L):
             m = min(L, n_max - n0)
             ways = powers[:m].reshape(m * (b + 1), b + 1) @ cols[n0, : b + 1]
             cols[n0 + 1 : n0 + m + 1, : b + 1] = ways.reshape(m, b + 1) / denom[:m]
-        return DetectorResponse(P=cols.T.copy() * 2.0**-_CHAIN_SCALE)
+        return DetectorResponse(P=cols.T.copy() * (1.0 / _LIFT))
     L = min(_BLOCK, n_max + 1)
     p = np.array([[w[i] / w[: i + 1].sum()] for i in paths])
     q = 1.0 - p
@@ -299,20 +297,16 @@ def apply_response(
     The total click mass equals 1 - rho.tail_mass; the missing part is
     reported as the deficit.
 
-    Pa is scaled by the exact 2^``_CHAIN_SCALE`` before the two products and
-    the result scaled back after them.  Unscaled, a small response entry times
-    a small grid cell falls below the smallest normal double, where it keeps
-    fewer digits and, on x86-64, costs many times a normal product: the
-    products took 1.1 and 1.8 ms at n_max 564 and B 8 and 16, and 3.1 and
-    5.5 ms at 998, against 0.6, 1.0, 1.8 and 3.1 ms scaled (best of 33 calls,
-    one BLAS thread, 2-CPU x86-64 box).  Where no partial product is
-    subnormal, the result is bit for bit the unscaled one, as a power of 2
-    commutes with every rounding; no entry grows past about 2^600 on the way,
-    far from overflow.
+    Pa is multiplied by ``_LIFT`` before the two products and the result by
+    1 / ``_LIFT`` after them, so that a product of a small response entry and a
+    small grid cell stays normal.  Where none was subnormal unscaled, the result
+    is bit for bit the unscaled one; no entry grows past 2^600 on the way.  The
+    products take 0.6 and 1.0 ms at n_max 564 and B 8 and 16, and 1.8 and
+    3.1 ms at 998 (best of 33 calls, one BLAS thread, 2-CPU x86-64 box).
     """
     Pa, Pb = _cut_responses(resp_a, resp_b, rho.n_max)
-    p = (Pa * 2.0**_CHAIN_SCALE) @ rho.probs @ Pb.T
-    p *= 2.0**-_CHAIN_SCALE
+    p = (Pa * _LIFT) @ rho.probs @ Pb.T
+    p *= 1.0 / _LIFT
     return ClickDistribution(p=p, deficit=rho.tail_mass)
 
 

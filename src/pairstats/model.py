@@ -36,6 +36,10 @@ from .errors import (
 )
 
 _TOL = 1e-12
+# Scale that keeps small products out of the subnormal range, where a double keeps
+# fewer digits and costs many times a normal product: a power of 2 rounds nothing,
+# and each use keeps at least 2**370 of headroom below overflow.
+_LIFT = 2.0**600
 _N_CAP = 4096  # largest cutoff of a grid or a response, and of suggest_n_max's search
 _BLOCK = 64  # anti-diagonals of the grid swept into scratch between two stores
 _EDGE = np.tri(_BLOCK - 1, _BLOCK, dtype=bool)  # _EDGE[r, j]: j <= r
@@ -238,9 +242,10 @@ def effective_params(src: MultimodeSource) -> EffectiveSource:
 
 
 def generating_fn_value(src: EffectiveSource, x: float, y: float) -> float:
-    """Xi(x, y) for x, y in [0, 1], the module's one evaluator of Xi: exp(-M log1p(N t))
-    with t = u + v (1 - u), u = eta (1 - x) and v = eta' (1 - y), a sum of nonnegative
-    terms, so no rounded base near 1 is raised to the power -M.  Xi(1, 1) = 1."""
+    """Xi(x, y) for x, y in [0, 1]: exp(-M log1p(N t)) with t = u + v (1 - u),
+    u = eta (1 - x) and v = eta' (1 - y), a sum of nonnegative terms, so no rounded base
+    near 1 is raised to the power -M.  Xi(1, 1) = 1.  The grid's row 0 and the arm walks
+    of ``suggest_n_max`` start from it; the pair law and ``analysis`` form their own."""
     x, y = _real(x, "x", 0.0, 1.0), _real(y, "y", 0.0, 1.0)
     u, v = src.eta * (1.0 - x), src.eta_prime * (1.0 - y)
     return math.exp(-src.M * math.log1p(src.N * (u + v * (1.0 - u))))
@@ -262,17 +267,17 @@ def _pair_law(src: EffectiveSource) -> _PairLaw:
     alone or arm b alone at eta eta', eta (1 - eta') and eta' (1 - eta), of sum k, and a
     pulse holds J ~ NegBin(M, w) of them, P(J = j) = Gamma(M + j) / (Gamma(M) j!) w**j
     (1 - w)**M, w = theta / (1 + theta), theta = N k.  split = (v, a, b) are the chances
-    over k, formed as (2**600 eta) eta' / (2**600 k) and alike: the plain quotient unless
-    a product underflows; lone_a = a / (a + b), alike, is arm a's share of the one-arm
-    pairs (0 if none).  cells are the chances of one, several and no reaching pairs:
-    M w (1 - w)**M, 1 - (1 - w)**M (1 + M w) from two logs <= 0 that do not cancel, and
+    over k, formed as (``_LIFT`` eta) eta' / (``_LIFT`` k) and alike (see ``_LIFT``; no
+    lifted product exceeds 2**600): the plain quotient unless a product underflows;
+    lone_a = a / (a + b), alike, is arm a's share of the one-arm pairs (0 if none).
+    cells are the chances of one, several and no reaching pairs: M w (1 - w)**M,
+    1 - (1 - w)**M (1 + M w) from two logs <= 0 that do not cancel, and
     (1 - w)**M = (1 + theta)**(-M)."""
     eta, etap = src.eta, src.eta_prime
     shares = eta * etap, eta * (1.0 - etap), etap * (1.0 - eta)
     k = shares[0] + (shares[1] + shares[2])
-    lift = 2.0**600  # a power of 2: lifting rounds nothing
-    v, a, b = (lift * eta) * etap, (lift * eta) * (1.0 - etap), (lift * etap) * (1.0 - eta)
-    split = np.array([v, a, b]) / (lift * k) if k > 0.0 else np.zeros(3)
+    v, a, b = (_LIFT * eta) * etap, (_LIFT * eta) * (1.0 - etap), (_LIFT * etap) * (1.0 - eta)
+    split = np.array([v, a, b]) / (_LIFT * k) if k > 0.0 else np.zeros(3)
     lone_a = a / (a + b) if a + b > 0.0 else 0.0
     theta = src.N * k
     w, log1p_theta = theta / (1.0 + theta), math.log1p(theta)  # log1p(-w) = -log1p(theta)
@@ -324,8 +329,7 @@ def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
     would land on a finished cell of the next row, so the rows that leave the
     grid inside a block are stored through a triangular mask.  The grid is bit
     for bit the one-diagonal sweep's.  It takes 3.6 ms at n_max 564 and 7.8 ms
-    at 998, where a sweep of whole diagonals took 4.0 and 9.0 ms (best of 33
-    calls, side by side, 2-CPU x86-64 box).
+    at 998 (best of 33 calls, 2-CPU x86-64 box).
     """
     N, eta, etap, M = src.N, src.eta, src.eta_prime, src.M
     A = N + 1.0 - N * (1.0 - eta) * (1.0 - etap)

@@ -23,6 +23,8 @@ as the reaching pairs grow rare.  ``reaching_pairs_reference``,
 ``multi_pair_terms_reference``, ``pulse_law_reference`` and
 ``suggest_n_max_reference`` are the sampler's pair law, its photon table and the
 cutoff search as they stood before the pair law moved into ``pairstats.model``.
+``law_contamination_reference`` is the contamination law of ``pairstats.analysis``
+as it stood before its scaled head was lifted out of the subnormal range.
 ``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
@@ -37,6 +39,7 @@ bit.
 import dataclasses
 import itertools
 import math
+import operator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -45,7 +48,7 @@ from scipy.signal import convolve2d, lfilter
 from scipy.stats import binom
 
 from pairstats import pipeline
-from pairstats.errors import SupportError, TruncationError, ValidationError
+from pairstats.errors import DegenerateInputError, SupportError, TruncationError, ValidationError
 from pairstats.loop_detector import _cut_responses, simulate_clicks_batch
 from pairstats.model import _N_CAP, EffectiveSource, JointDistribution, MultimodeSource, generating_fn_value
 from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _pulse_law, _sample_pulses
@@ -425,6 +428,44 @@ def suggest_n_max_reference(src: EffectiveSource, tail_bound: float = 1e-10) -> 
     if max(tail_a, tail_b) > 0.5 * tail_bound:
         raise TruncationError("tail bound at the cap", tail_mass=tail_a + tail_b)
     return max(n_a, n_b, 2)
+
+
+# The contamination law as it stood before its scaled head was lifted by
+# ``pairstats.model._LIFT``, with the pmf-ratio walk of ``_pair_walk`` in line,
+# copied to hold ``pairstats.analysis._law_contamination`` to bit for bit.
+
+def law_contamination_reference(x: float, M: float, which: int, v: float, a: float, b: float) -> float:
+    """eps2 (which=2) or eps4 (which=4) of J ~ NegBin(M, x/M) reaching pairs split v, a, b,
+    with the scaled head started at t_c = 1; DegenerateInputError where it underflows."""
+
+    def walk():  # (t_j, r_j) from t_0 = 1 at w = 1/M: the x^j coefficients
+        t, j = 1.0, 0
+        while True:
+            r = (1.0 / M) * (M + (j - 1) + 1.0) / (j + 1.0)
+            yield t, r
+            t, j = t * r, j + 1
+
+    c, coefficients = which // 2, walk()
+    ratios = [x * r for _, r in itertools.islice(coefficients, which)]
+    p0 = math.exp(M * math.log1p(-x / M)) if x < M else 0.0
+    p = list(itertools.accumulate(ratios, operator.mul, initial=p0))
+    t, rest = p[c:], 1.0 - math.fsum(p)
+    if rest < 0.5:
+        t = list(itertools.accumulate(ratios[c:], operator.mul, initial=1.0))
+        term, rest = t[-1], 0.0
+        for _, r in coefficients:
+            if (r := x * r) < 1.0 and term * r <= (1.0 - r) * 1e-17 * rest:
+                break
+            term, rest = term * r, rest + term * r
+    if which == 2:
+        num, den = t[1] * (1.0 - 2.0 * a * b) + rest, t[0] * v + t[1] + rest
+    else:
+        h = 1.0 + (a + b) * (1.0 + a + b)
+        num = t[1] * v * (h - 6.0 * a * b) + t[2] * (1.0 - 6.0 * (a * b) ** 2) + rest
+        den = t[0] * v * v + t[1] * v * h + t[2] + rest
+    if den <= 0.0:
+        raise DegenerateInputError(f"the {which}-photon sector underflows to 0")
+    return num / den
 
 
 def nonempty_pulses(singles, n, m):

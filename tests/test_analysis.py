@@ -31,7 +31,7 @@ from pairstats.model import (
 
 from pairstats.reconstruction import ClickHistogram, em_reconstruct
 
-from oracles import joint_distribution_oracle, source_contamination_decimal
+from oracles import joint_distribution_oracle, law_contamination_reference, source_contamination_decimal
 
 ERROR_CLASSES = {cls.__name__ for cls in PairStatsError.__subclasses__()}
 
@@ -389,9 +389,15 @@ def random_source(rng, log_N=(-12.0, 1.0), log_M=(0.0, 4.0)):
 
 class TestSourceContamination:
     def test_matches_decimal_oracle(self):
-        # the random box, and sources below it where theta = N k is 2e-60 and 2e-100
+        # the random box, and sources below it where theta = N k is 2e-60 and 2e-100,
+        # and down to 2e-230, where the four-photon terms of an unlifted head underflow
         rng = np.random.default_rng(31)
         tiny = [EffectiveSource(N=1.0, eta=eta, eta_prime=eta, M=1.0) for eta in (1e-60, 1e-100)]
+        tiny += [
+            EffectiveSource(N=1.0, eta=eta, eta_prime=eta, M=M)
+            for M in (1.0, 16.0)
+            for eta in (1e-170, 1e-200, 1e-230)
+        ]
         for src in [random_source(rng) for _ in range(300)] + tiny:
             got, want = source_contamination(src), source_contamination_decimal(src)
             assert got == pytest.approx(want, rel=1e-13, abs=0.0), src
@@ -485,6 +491,33 @@ def recurrence_rate(N, eta, M, which):
     c = which // 2
     src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
     return float(joint_distribution(src, 2).probs[c, c])
+
+
+class TestLawContaminationReference:
+    """``_law_contamination`` against the law as it stood before its scaled head was
+    lifted: the lift is an exact power of 2, so wherever the old head stayed normal
+    every figure is the same double."""
+
+    def test_equals_reference_on_random_laws(self):
+        # x and the split of 2,000 random sources, eta and eta' down to 1e-100
+        rng = np.random.default_rng(43)
+        for i in range(2000):
+            etas = 10.0 ** rng.uniform(-100.0, 0.0, 2) if i % 2 else rng.uniform(1e-3, 1.0, 2)
+            src = EffectiveSource(
+                N=float(10.0 ** rng.uniform(-12.0, 3.0)),
+                eta=float(etas[0]),
+                eta_prime=float(etas[1]),
+                M=float(10.0 ** rng.uniform(0.0, 4.0)),
+            )
+            law, which = model._pair_law(src), int(rng.choice([2, 4]))
+            args = (src.M * law.w, src.M, which, *law.split.tolist())
+            assert analysis._law_contamination(*args) == law_contamination_reference(*args), args
+
+    @pytest.mark.parametrize("M, which, eta, rate, want", TestContaminationMap.PINNED)
+    def test_equals_reference_on_pinned_cells(self, M, which, eta, rate, want):
+        v = eta / (2.0 - eta)
+        args = (_solve_x(rate, v, M, which), M, which, v, 0.5 * (1.0 - v), 0.5 * (1.0 - v))
+        assert analysis._law_contamination(*args) == law_contamination_reference(*args)
 
 
 class TestClosedFormRates:

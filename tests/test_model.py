@@ -573,7 +573,7 @@ class TestPairLaw:
         assert law.k == 2e-170
         assert law.split[0] == pytest.approx(5e-171, rel=1e-15)
         assert law.split[1] == law.split[2] == 0.5
-        # (its four-photon sector underflows, so source_contamination raises)
+        # (TestSourceContamination holds both of its figures to the decimal law)
         assert _law_contamination(law.w, 1.0, 2, *law.split) == pytest.approx(0.4, rel=1e-14)
 
     @pytest.mark.parametrize("eta, eta_prime", [(0.0, 0.0), (0.0, 0.3), (0.3, 0.0), (1.0, 1.0)])

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import nbinom
 
@@ -541,10 +541,13 @@ class TestSamplePulse:
         eta=st.floats(0.0, 1.0),
         eta_prime=st.floats(0.0, 1.0),
     )
+    # the largest table: M = 1 just below the switch, where the walk keeps 60 terms
+    @example(log_M=0.0, log_share=math.log10(0.999999), eta=0.5, eta_prime=0.7)
     def test_multi_pair_table_in_dim_box(self, log_M, log_share, eta, eta_prime):
-        # below the switch, M (M + 1) theta**2 < 2, the photon-number table has
-        # at most 64 x 64 cells, and every pulse with several reaching pairs
-        # lands on one of them, at the largest uniform below 1 too
+        # below the switch, M (M + 1) theta**2 < 2, the walk keeps at most 60 pair
+        # numbers, so the photon-number table has at most 62 x 62 cells, and every
+        # pulse with several reaching pairs lands on one of them, at the largest
+        # uniform below 1 too
         M = 10.0**log_M
         theta = 10.0**log_share * math.sqrt(2.0 / (M * (M + 1.0)))
         k = eta + eta_prime * (1.0 - eta)
@@ -552,7 +555,7 @@ class TestSamplePulse:
         law = pipeline._pulse_law(EffectiveSource(N=theta / k, eta=eta, eta_prime=eta_prime, M=M))
         assume(law.table is not None)
         n, m, cdf = law.table
-        assert cdf.size <= 64 * 64 and max(n.max(), m.max()) < 64
+        assert cdf.size <= 62 * 62 and max(n.max(), m.max()) < 62
         assert np.isfinite(cdf).all() and (np.diff(cdf) >= 0.0).all()
         cells = set(zip(n.tolist(), m.tolist()))
         assert len(cells) == cdf.size and min(n + m) >= 2
