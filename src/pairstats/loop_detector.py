@@ -131,12 +131,11 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     in O(B'^2 n_max) time and n_max / L products; rows k > B' stay 0.  Every
     term is nonnegative, so nothing cancels, and each column rounds once per
     block instead of once per photon.  Scratch: one copy of P and L (B' + 1)^2
-    doubles of powers, 264 KiB at B' = 64.  It takes 0.3-0.5 ms at B' = 8,
-    n_max 564 and 0.6-1.2 ms at B' = 16, n_max 998 (one BLAS thread, 2-CPU
-    x86-64 box).  The chain runs on P times ``_LIFT``, so that an entry on its
-    way below the smallest normal double keeps its digits until one final
-    rounding (unscaled, k / B' > 1/2 would round it back up to the smallest
-    subnormal at every photon); a product reaches at most 2^600 B'^L <= 2^653.
+    doubles of powers, 264 KiB at B' = 64.  The chain runs on P times
+    ``_LIFT``, so that an entry on its way below the smallest normal double
+    keeps its digits until one final rounding (unscaled, k / B' > 1/2 would
+    round it back up to the smallest subnormal at every photon); a product
+    reaches at most 2^600 B'^L <= 2^653.
 
     Otherwise the paths are added one at a time; after i of them, P[k, n] is the
     probability that n photons confined to those paths occupy exactly k.
@@ -204,8 +203,9 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
 def simulate_clicks_batch(
     ns: np.ndarray, weights: PathWeights, rng: np.random.Generator
 ) -> np.ndarray:
-    """Click numbers for a 1-d array of photon numbers: entry i is the number of
-    paths hit when ns[i] photons scatter independently over the paths.
+    """Click numbers for a 1-d array of photon numbers of any integer dtype:
+    entry i is the number of paths hit when ns[i] photons scatter independently
+    over the paths, so a pulse of 0 or 1 photon draws nothing.
 
     With at most 64 paths of nonzero weight, a pulse of 2 <= n <=
     ``_PER_PHOTON_MAX`` photons draws one path per photon by inverting the
@@ -214,30 +214,36 @@ def simulate_clicks_batch(
     it, so a path of zero weight is never drawn.  The paths a pulse hit are
     the set bits of the OR of its photons' path bits, counted a byte at a
     time.  Other pulses of n >= 2 draw their path occupancies from one
-    multinomial each."""
+    multinomial each, after all the uniforms; a draw of no pulse is not made."""
     ns = np.asarray(ns)
     if ns.ndim != 1:
         raise ValidationError("photon numbers must be a 1-d array")
-    if ns.dtype.kind not in "iu" or np.any(ns < 0):
+    if ns.dtype.kind not in "iu" or ns.min(initial=0) < 0:
         raise ValidationError("photon numbers must be integers >= 0")
-    k = np.zeros(ns.shape, dtype=np.int64)
-    k[ns == 1] = 1
+    k = np.minimum(ns, 1, dtype=np.int64)
+    few = np.flatnonzero(ns >= 2)
+    if not few.size:
+        return k
     cdf = np.cumsum(weights.w[weights.w > 0.0])
     cut = _PER_PHOTON_MAX if cdf.size <= 64 else 1
-    few = np.flatnonzero((ns >= 2) & (ns <= cut))
+    photons, many = ns[few], few[:0]
+    if photons.max() > cut:
+        over = photons > cut
+        few, many, photons = few[~over], few[over], photons[~over]
     if few.size:
-        photons = ns[few]
         u = rng.random(photons.sum())
         path = np.zeros(u.size, np.uint8)
         for edge in cdf[:-1] / cdf[-1]:  # B - 1 passes beat a binary search per photon
             path += u >= edge
         bits = next(t for t in _PATH_BITS if np.iinfo(t).bits >= cdf.size)
-        starts = np.concatenate(([0], np.cumsum(photons[:-1])))
-        hit = np.bitwise_or.reduceat((bits(1) << np.arange(cdf.size, dtype=bits))[path], starts)
-        k[few] = _POPCOUNT[hit.view(np.uint8).reshape(few.size, -1)].sum(axis=1)
-    many = np.flatnonzero(ns > cut)
-    counts = rng.multinomial(ns[many], weights.w)
-    k[many] = np.count_nonzero(counts > 0, axis=-1)
+        starts = np.zeros(few.size, np.int64)
+        np.cumsum(photons[:-1], out=starts[1:])
+        hit = np.bitwise_or.reduceat(np.left_shift(1, path, dtype=bits), starts)
+        ones = _POPCOUNT[hit.view(np.uint8).reshape(few.size, -1)]  # set bits per byte
+        k[few] = ones[:, 0] if bits is np.uint8 else ones.sum(axis=1)
+    if many.size:
+        counts = rng.multinomial(ns[many], weights.w)
+        k[many] = np.count_nonzero(counts > 0, axis=-1)
     return k
 
 
@@ -301,8 +307,7 @@ def apply_response(
     1 / ``_LIFT`` after them, so that a product of a small response entry and a
     small grid cell stays normal.  Where none was subnormal unscaled, the result
     is bit for bit the unscaled one; no entry grows past 2^600 on the way.  The
-    products take 0.6 and 1.0 ms at n_max 564 and B 8 and 16, and 1.8 and
-    3.1 ms at 998 (best of 33 calls, one BLAS thread, 2-CPU x86-64 box).
+    two products take O(B n_max**2 + B**2 n_max) time.
     """
     Pa, Pb = _cut_responses(resp_a, resp_b, rho.n_max)
     p = (Pa * _LIFT) @ rho.probs @ Pb.T

@@ -11,8 +11,8 @@ array of the closed-form generating function
 
 which this module expands by an exact two-index recurrence, swept in blocks
 of 64 anti-diagonals n + m in plain numpy, each block over only the rows n
-that it reaches on the grid and stored into the grid at once (3.6 ms at
-n_max 564 and 7.8 ms at 998, best of 33 calls).  It holds the one law of the
+that it reaches on the grid and stored into the grid at once, in O(n_max**2)
+time and O(n_max) scratch beside the grid.  It holds the one law of the
 reaching pairs, J ~ NegBin(M, w), and its one pmf-ratio walk, for the sampler,
 the contamination law and the cutoff search."""
 
@@ -328,8 +328,8 @@ def _series_coefficients(src: EffectiveSource, n_max: int) -> np.ndarray:
     lands on a cell of a later block, which overwrites it.  One with m > n_max
     would land on a finished cell of the next row, so the rows that leave the
     grid inside a block are stored through a triangular mask.  The grid is bit
-    for bit the one-diagonal sweep's.  It takes 3.6 ms at n_max 564 and 7.8 ms
-    at 998 (best of 33 calls, 2-CPU x86-64 box).
+    for bit the one-diagonal sweep's.  It takes O(n_max**2) time: five ufunc
+    calls a diagonal over at most n_max + 1 rows, and one store a block.
     """
     N, eta, etap, M = src.N, src.eta, src.eta_prime, src.M
     A = N + 1.0 - N * (1.0 - eta) * (1.0 - etap)

@@ -16,8 +16,8 @@ multinomial per block counts the pulses that hold one, several and no pairs
 reaching a detector, J ~ NegBin(M, w) of ``model``'s pair law; only those
 holding several draw their photon numbers.
 Where the pump is weak, M (M + 1) theta**2 < 2, each takes one uniform through
-a table of its photon numbers, built once per stage; elsewhere it draws its
-pair number by rejection and two binomials split the pairs to the arms.
+a table of its photon numbers and its index, built once per stage; elsewhere it
+draws its pair number by rejection and two binomials split the pairs to the arms.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from .reconstruction import (
 )
 
 BLOCK_SIZE = 250_000
+_GUIDE = 4096  # buckets of a photon table's index table, over its cumulative weight
 _POOL_MIN_SAMPLED = 20_000  # multi-pair pulses a block must expect to pay for the pool (2-CPU x86-64)
 _MAX_SEED = 2**64 - 1  # bootstrap seeds are 64-bit unsigned
 
@@ -155,19 +156,32 @@ def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int,
     return pairs
 
 
-_PulseLaw = collections.namedtuple("_PulseLaw", ("src", *_PairLaw._fields, "table"))
+_PulseLaw = collections.namedtuple("_PulseLaw", ("src", *_PairLaw._fields, "table", "guide"))
+
+
+def _guide_table(cdf: np.ndarray):
+    """(scale, start, edges): an index table of cdf (Chen & Asau 1974), over the _GUIDE + 1
+    buckets floor(x scale) of x in [0, cdf[-1]], scale = _GUIDE / cdf[-1] (x scale rounds
+    to below _GUIDE + 1).  start[b] counts the entries of cdf[:-1] in earlier buckets, or
+    is -1 where the bucket holds two or more; edges is cdf[:-1] closed by inf."""
+    scale = _GUIDE / cdf[-1]
+    buckets = (cdf[:-1] * scale).astype(np.intp)
+    start = np.searchsorted(buckets, np.arange(_GUIDE + 1))
+    start[np.bincount(buckets, minlength=_GUIDE + 1) >= 2] = -1
+    return scale, start, np.append(cdf[:-1], np.inf)
 
 
 def _pulse_law(src: EffectiveSource) -> _PulseLaw:
     """What the pulse blocks of one stage draw from, built once per stage: the source,
     its ``_pair_law`` and, where M (M + 1) theta**2 < 2, the ``_photon_table`` of
-    multi-pair pulses as (n, m, cumulative weights) (else None)."""
+    multi-pair pulses as (n, m, cumulative weights) and its ``_guide_table`` (else None)."""
     law = _pair_law(src)
-    table = None
+    table = guide = None
     if law.k > 0.0 and src.M * (src.M + 1.0) * law.theta * law.theta < 2.0:
         n, m, weights = _photon_table(src.M, law.w, law.split)
         table = n, m, np.cumsum(weights)
-    return _PulseLaw(src, *law, table)
+        guide = _guide_table(table[2])
+    return _PulseLaw(src, *law, table, guide)
 
 
 def _sample_pulses(law: _PulseLaw, rng: np.random.Generator, size: int):
@@ -178,16 +192,23 @@ def _sample_pulses(law: _PulseLaw, rng: np.random.Generator, size: int):
     One multinomial counts the pulses with one, several and no reaching pairs.
     Where the pump is weak, M (M + 1) theta**2 < 2, each pulse with several draws
     its photon numbers with one uniform inverted through the law's ``_photon_table``
-    (Devroye 1986, ch. III.2); elsewhere its pair number by ``_multi_pairs``, split
-    by two binomials, to both arms at v, then to arm a alone at lone_a."""
+    (Devroye 1986, ch. III.2), found by its ``_guide_table``: the bucket of x = u cdf[-1]
+    is monotone in x, so entries of other buckets lie on their side of x; one comparison
+    settles a bucket of at most one entry, a binary search the rare fuller one.
+    Elsewhere it draws its pair number by ``_multi_pairs``, split by two binomials,
+    to both arms at v, then to arm a alone at lone_a."""
     if law.k == 0.0:
         return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
     one, count, _ = rng.multinomial(size, law.cells)
     if law.table is not None:
-        n, m, cdf = law.table
-        # side="right" skips the cells that add nothing, and searching cdf[:-1]
-        # caps the pick at the table's last cell however u * cdf[-1] rounds
-        pick = np.searchsorted(cdf[:-1], rng.random(count) * cdf[-1], side="right")
+        (n, m, cdf), (scale, start, edges) = law.table, law.guide
+        # searching cdf[:-1] caps the pick at the table's last cell however
+        # u * cdf[-1] rounds, and "at or below" skips the cells that add nothing
+        x = rng.random(count) * cdf[-1]
+        first = start[(x * scale).astype(np.intp)]
+        pick = first + (edges[first] <= x)  # edges[-1] = inf: a full bucket gives -1
+        full = np.flatnonzero(first < 0)
+        pick[full] = np.searchsorted(cdf[:-1], x[full], side="right")
         return rng.multinomial(one, law.split), n[pick], m[pick]
     pairs = _multi_pairs(law.src, law.theta, law.cells[1], count, rng)
     singles = rng.multinomial(one, law.split)
@@ -264,8 +285,9 @@ def simulate_experiment(cfg: ExperimentConfig) -> ClickHistogram:
 
 def _bin_occupancy(ones, ns, weights: PathWeights, rng: np.random.Generator) -> np.ndarray:
     """Per-path tallies of pulses in which the path saw a photon: ``ones`` pulses of one, and ``ns``."""
-    counts = rng.multinomial(ns[ns >= 1], weights.w)
-    return (counts > 0).sum(axis=0) + rng.multinomial(ones, weights.w)
+    lit = ns[ns >= 1]
+    hits = (rng.multinomial(lit, weights.w) > 0).sum(axis=0) if lit.size else 0
+    return hits + rng.multinomial(ones, weights.w)
 
 
 def simulate_calibration(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -25,7 +25,12 @@ as the reaching pairs grow rare.  ``reaching_pairs_reference``,
 cutoff search as they stood before the pair law moved into ``pairstats.model``.
 ``law_contamination_reference`` is the contamination law of ``pairstats.analysis``
 as it stood before its scaled head was lifted out of the subnormal range.
-``simulate_experiment_serial`` and
+``photon_table_pick_reference``,
+``simulate_clicks_batch_reference`` and ``bin_occupancy_reference`` are the
+sampler's photon-table pick, the click draw of ``pairstats.loop_detector`` and the
+calibration tallies as they stood before the pick went through an index table and
+the click draw made fewer passes, to hold those to bit for bit, random stream
+included.  ``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
 be held to them bit for bit.  ``observed_cells_two_sided`` evaluates the EM
@@ -466,6 +471,49 @@ def law_contamination_reference(x: float, M: float, which: int, v: float, a: flo
     if den <= 0.0:
         raise DegenerateInputError(f"the {which}-photon sector underflows to 0")
     return num / den
+
+
+# The photon-table pick, the click draw and the calibration tallies as they
+# stood before the pick went through an index table and the click draw made
+# fewer passes over the pulses.
+
+def photon_table_pick_reference(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The cells of a photon table's cumulative weights picked by uniforms u."""
+    return np.searchsorted(cdf[:-1], u * cdf[-1], side="right")
+
+
+_POPCOUNT_REFERENCE = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
+
+
+def simulate_clicks_batch_reference(ns: np.ndarray, weights, rng: np.random.Generator) -> np.ndarray:
+    """Click numbers of photon numbers ns: one path per photon for 2 to 32 photons
+    over at most 64 paths of nonzero weight, else one multinomial a pulse."""
+    ns = np.asarray(ns)
+    k = np.zeros(ns.shape, dtype=np.int64)
+    k[ns == 1] = 1
+    cdf = np.cumsum(weights.w[weights.w > 0.0])
+    cut = 32 if cdf.size <= 64 else 1
+    few = np.flatnonzero((ns >= 2) & (ns <= cut))
+    if few.size:
+        photons = ns[few]
+        u = rng.random(photons.sum())
+        path = np.zeros(u.size, np.uint8)
+        for edge in cdf[:-1] / cdf[-1]:
+            path += u >= edge
+        bits = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= cdf.size)
+        starts = np.concatenate(([0], np.cumsum(photons[:-1])))
+        hit = np.bitwise_or.reduceat((bits(1) << np.arange(cdf.size, dtype=bits))[path], starts)
+        k[few] = _POPCOUNT_REFERENCE[hit.view(np.uint8).reshape(few.size, -1)].sum(axis=1)
+    many = np.flatnonzero(ns > cut)
+    counts = rng.multinomial(ns[many], weights.w)
+    k[many] = np.count_nonzero(counts > 0, axis=-1)
+    return k
+
+
+def bin_occupancy_reference(ones, ns, weights, rng: np.random.Generator) -> np.ndarray:
+    """Per-path tallies of pulses in which the path saw a photon: ``ones`` pulses of one, and ``ns``."""
+    counts = rng.multinomial(ns[ns >= 1], weights.w)
+    return (counts > 0).sum(axis=0) + rng.multinomial(ones, weights.w)
 
 
 def nonempty_pulses(singles, n, m):

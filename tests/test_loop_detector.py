@@ -28,7 +28,12 @@ from pairstats.loop_detector import (
 )
 from pairstats.model import _N_CAP, EffectiveSource, JointDistribution, joint_distribution
 
-from oracles import response_matrix_chain, response_matrix_exact, response_matrix_per_path
+from oracles import (
+    response_matrix_chain,
+    response_matrix_exact,
+    response_matrix_per_path,
+    simulate_clicks_batch_reference,
+)
 
 
 def enumerate_click_matrix(w, n_max):
@@ -423,6 +428,47 @@ class TestSimulateClicks:
         rng = np.random.default_rng(8)
         ks = simulate_clicks_batch(np.array([0, 1, 1, 0]), uniform_weights(8), rng)
         assert ks.tolist() == [0, 1, 1, 0]
+
+
+# CI's 16 uneven paths, the fourth dead
+CUT_WEIGHTS = [2, 0.5, 1.5, 0, 1, 1, 1.5, 0.75, 1.25, 1, 1, 0.5, 0.75, 1.25, 1, 1]
+
+
+def _mixed_photons(size: int) -> list:
+    """size photon numbers from 0, 1, 2-32, 33 and 50, most of them 0 to 3."""
+    values = [0, 1, *range(2, 33), 33, 50]
+    chances = np.array([40.0, 30.0, 10.0, 5.0] + [0.5] * 29 + [2.0, 2.0])
+    return np.random.default_rng(size).choice(values, size, p=chances / chances.sum()).tolist()
+
+
+class TestClicksReference:
+    """The click draw against the draw as it stood before it made fewer passes
+    over the pulses: the same click numbers, dtype and stream state after each of
+    three calls on one stream, so that no histogram moves.  The reference takes
+    int64 photon numbers only (unsigned ones made its segment starts float and
+    raised TypeError wherever a pulse held 2 to 32 photons), so uint8 photon
+    numbers are held to it in int64."""
+
+    @pytest.mark.parametrize(
+        "w",
+        [[1.0], [0.5, 0.5, 0.0], [0.125] * 8, CUT_WEIGHTS, [1.0] * 64, [1.0] * 65],
+        ids=["B1", "B3-dead", "B8", "B16-uneven-dead", "B64", "B65"],
+    )
+    @pytest.mark.parametrize(
+        "ns",
+        [_mixed_photons(3000), [], [0, 1, 1, 0], [2, 32, 5, 0, 1, 2], [33, 50, 0, 1, 40], [1, 33, 2, 50, 32]],
+        ids=["mixed", "empty", "zero-one", "per-photon", "multinomial", "both-sides"],
+    )
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_equals_reference(self, w, ns, dtype):
+        weights = PathWeights(np.array(w) / math.fsum(w))
+        ns = np.array(ns, dtype=dtype)
+        rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+        for _ in range(3):
+            got = simulate_clicks_batch(ns, weights, rng)
+            want = simulate_clicks_batch_reference(ns.astype(np.int64), weights, ref)
+            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 class TestCalibrate:

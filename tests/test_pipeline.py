@@ -48,8 +48,10 @@ from pairstats.pipeline import (
 from pairstats.reconstruction import ClickHistogram, em_reconstruct, em_record, parse_histogram
 
 from oracles import (
+    bin_occupancy_reference,
     multi_pair_terms_reference,
     nonempty_pulses,
+    photon_table_pick_reference,
     pulse_blocks,
     pulse_law_reference,
     reaching_pairs_reference,
@@ -350,6 +352,20 @@ class TopUniform:
 
     def random(self, size):
         return np.full(size, np.nextafter(1.0, 0.0))
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class FixedUniforms:
+    """``rng`` whose one call to ``random`` returns the given uniforms."""
+
+    def __init__(self, rng, u):
+        self.rng, self.u = rng, u
+
+    def random(self, size):
+        assert size == self.u.size
+        return self.u
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -681,14 +697,17 @@ class TestPulseLawReference:
         (1e-6, 1.0, 0.0, 3.5),
     ]
 
-    def test_equals_reference_on_the_box(self):
+    @staticmethod
+    def box():
         rng = np.random.default_rng(39)
-        box = [
+        return [
             (10.0 ** rng.uniform(-8.0, 1.0), rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(0.0, 3.0))
             for _ in range(600)
         ]
+
+    def test_equals_reference_on_the_box(self):
         tables = 0
-        for params in self.NAMED + box:
+        for params in self.NAMED + self.box():
             src = EffectiveSource(*map(float, params))
             law = _pulse_law(src)
             split, cells, table = pulse_law_reference(src)
@@ -700,6 +719,31 @@ class TestPulseLawReference:
                 tables += 1
                 assert all(np.array_equal(got, want) for got, want in zip(law.table, table)), src
         assert tables >= 200
+
+    def test_table_pick_equals_reference(self):
+        # the pick through the index table against the binary search it replaced,
+        # on every table of the sources above and on lossless tables of one and two
+        # cells: at u = 0, the largest u below 1, each cdf[i] / cdf[-1] and its two
+        # neighbours, and 10**5 random u; the cells are distinct, so equal photon
+        # numbers are equal picks
+        rng = np.random.default_rng(41)
+        sizes = set()
+        for params in self.NAMED + [(1e-19, 1.0, 1.0, 1.0), (1e-10, 1.0, 1.0, 1.0)] + self.box():
+            law = _pulse_law(EffectiveSource(*map(float, params)))
+            if law.table is None:
+                continue
+            n, m, cdf = law.table
+            sizes.add(cdf.size)
+            edges = cdf / cdf[-1]
+            u = np.concatenate(
+                [[0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), rng.random(10**5)]
+            )
+            u = u[u < 1.0]
+            want = photon_table_pick_reference(cdf, u)
+            several = law._replace(cells=np.array([0.0, 1.0, 0.0]))  # every pulse holds several
+            singles, got_n, got_m = _sample_pulses(several, FixedUniforms(rng, u), u.size)
+            assert np.array_equal(got_n, n[want]) and np.array_equal(got_m, m[want]), params
+        assert {1, 2} <= sizes and max(sizes) > 1000
 
     def test_table_terms_equal_reference_below_the_switch(self):
         # the walk's terms from K = 2, as the table takes them, on 16,000 (M, theta)
@@ -765,6 +809,36 @@ class TestCalibration:
         for i in range(8):
             sigma = np.sqrt(weights.w[i] * (1 - weights.w[i]) / total)
             assert abs(what[i] - weights.w[i]) <= 5.0 * sigma
+
+    @pytest.mark.parametrize("w", [[1.0], [0.5, 0.5, 0.0], [0.125] * 8, [1.0 / 65] * 65], ids=["B1", "B3-dead", "B8", "B65"])
+    @pytest.mark.parametrize("ones", [0, 7])
+    def test_bin_occupancy_equals_reference(self, w, ones):
+        # the tallies and the stream's state after them against the draw as it
+        # stood before it skipped the multinomial of no pulse
+        weights = PathWeights(np.array(w) / math.fsum(w))
+        for ns in ([], [0, 0], [0, 2, 1, 0, 40, 3]):
+            ns = np.array(ns, dtype=np.int64)
+            rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+            got, want = pipeline._bin_occupancy(ones, ns, weights, rng), bin_occupancy_reference(ones, ns, weights, ref)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestReadmeStream:
+    def test_ci_readme_config_is_pinned(self):
+        """CI's README config, 100k pulses at seed 42: its click histogram and both
+        calibration totals, as the README random stream gives them.  A deliberate
+        change to that stream updates this pin and says so in CHANGES.md."""
+        src = EffectiveSource(N=0.2, eta=0.045, eta_prime=0.045, M=16.0)
+        report = run_full(ExperimentConfig(source=src, pulses=100_000, seed=42))
+        assert not report.failures
+        assert report.histogram.f.tolist() == [
+            [75727, 10120, 656, 28, 0, 0, 0, 0, 0],
+            [10387, 2025, 155, 6, 0, 0, 0, 0, 0],
+            [668, 175, 12, 0, 0, 0, 0, 0, 0],
+            [34, 6, 1, 0, 0, 0, 0, 0, 0],
+        ] + [[0] * 9] * 5
+        assert (report.calibration_a.total, report.calibration_b.total) == (723, 690)
 
 
 # one pulse, one block short by a pulse, one block, two blocks and a part, ten blocks
