@@ -123,7 +123,8 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     that is, P[:, n + 1] = T P[:, n] with B'T integer and bidiagonal (k on the
     diagonal, B' - k + 1 below).  Its columns sum to B', so (B'T)^j holds
     integers up to B'^j and is exact in doubles for j <= L, the largest L <=
-    ``_BLOCK`` with B'^L <= 2^53 (33 at B' = 3, 17 at 8, 13 at 16, 8 at 64).
+    ``_BLOCK`` with B'^L <= 2^53 (33 at B' = 3, 17 at 8, 13 at 16, 8 at 64),
+    or n_max if that is smaller (but at least 1): no block needs more powers.
     One matrix product of the stacked powers with column n0 fills a block:
 
         P[:, n0 + j] = ((B'T)^j P[:, n0]) / B'^j,   j = 1 .. L
@@ -156,7 +157,8 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
     paths = np.flatnonzero(w)
     if np.all(w[paths] == w[paths[0]]):
         b = paths.size
-        L = max(j for j in range(1, _BLOCK + 1) if b**j <= 2**53)  # (B'T)^j stays exact
+        top = min(_BLOCK, max(n_max, 1))  # no block needs more than n_max powers
+        L = max(j for j in range(1, top + 1) if b**j <= 2**53)  # (B'T)^j stays exact
         powers = np.empty((L, b + 1, b + 1))  # powers[j - 1] = (B'T)^j, in integers
         powers[0] = np.diag(np.arange(b + 1.0)) + np.diag(np.arange(b, 0.0, -1), -1)
         for j in range(1, L):

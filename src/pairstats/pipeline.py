@@ -6,18 +6,17 @@ intensity, joint clicks are accumulated over many pulses, the photon-number
 distribution is recovered by expectation-maximization, and the source
 parameters are estimated from the result.
 
-Pulses are simulated in fixed-size blocks, each drawing from its own
-counter-based random stream derived from (seed, stage, block index).  The
-blocks of calibration and collection run on a pool of one thread per usable
-CPU, made on first use, where they carry enough work to pay for it, and their
-integer tallies are summed in block order, so a run is reproducible
-bit-for-bit from its config and seed whatever the number of threads.  One
-multinomial per block counts the pulses that hold one, several and no pairs
-reaching a detector, J ~ NegBin(M, w) of ``model``'s pair law; only those
-holding several draw their photon numbers.
-Where the pump is weak, M (M + 1) theta**2 < 2, each takes one uniform through
-a table of its photon numbers and its index, built once per stage; elsewhere it
-draws its pair number by rejection and two binomials split the pairs to the arms.
+Pulses are simulated in fixed-size blocks, each drawing from its own PCG64
+random stream seeded from (seed, stage, block index).  The blocks of
+calibration and collection run on a pool of one thread per usable CPU, made on
+first use, where they carry enough work to pay for it, and their integer
+tallies are summed in block order, so a run is reproducible bit-for-bit from
+its config and seed whatever the number of threads.  Where the
+pump is weak, M (M + 1) theta**2 < 2, one multinomial per block counts its
+pulses over every cell of their photon-number law, built once per stage from
+``model``'s pair law; elsewhere one multinomial counts the pulses that hold one,
+several and no pairs reaching a detector, J ~ NegBin(M, w), and each holding
+several draws its pair number by rejection, split to the arms by two binomials.
 """
 
 from __future__ import annotations
@@ -58,7 +57,6 @@ from .reconstruction import (
 )
 
 BLOCK_SIZE = 250_000
-_GUIDE = 4096  # buckets of a photon table's index table, over its cumulative weight
 _POOL_MIN_SAMPLED = 20_000  # multi-pair pulses a block must expect to pay for the pool (2-CPU x86-64)
 _MAX_SEED = 2**64 - 1  # bootstrap seeds are 64-bit unsigned
 
@@ -69,7 +67,7 @@ _STAGE_BOOTSTRAP = 2
 
 def _block_rng(seed: int, stage: int, block: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(stage, block))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 # the range of every int field of ExperimentConfig, as the calls that read it check it
@@ -156,60 +154,49 @@ def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int,
     return pairs
 
 
-_PulseLaw = collections.namedtuple("_PulseLaw", ("src", *_PairLaw._fields, "table", "guide"))
-
-
-def _guide_table(cdf: np.ndarray):
-    """(scale, start, edges): an index table of cdf (Chen & Asau 1974), over the _GUIDE + 1
-    buckets floor(x scale) of x in [0, cdf[-1]], scale = _GUIDE / cdf[-1] (x scale rounds
-    to below _GUIDE + 1).  start[b] counts the entries of cdf[:-1] in earlier buckets, or
-    is -1 where the bucket holds two or more; edges is cdf[:-1] closed by inf."""
-    scale = _GUIDE / cdf[-1]
-    buckets = (cdf[:-1] * scale).astype(np.intp)
-    start = np.searchsorted(buckets, np.arange(_GUIDE + 1))
-    start[np.bincount(buckets, minlength=_GUIDE + 1) >= 2] = -1
-    return scale, start, np.append(cdf[:-1], np.inf)
+_PulseLaw = collections.namedtuple("_PulseLaw", ("src", *_PairLaw._fields, "table"))
 
 
 def _pulse_law(src: EffectiveSource) -> _PulseLaw:
     """What the pulse blocks of one stage draw from, built once per stage: the source,
-    its ``_pair_law`` and, where M (M + 1) theta**2 < 2, the ``_photon_table`` of
-    multi-pair pulses as (n, m, cumulative weights) and its ``_guide_table`` (else None)."""
+    its ``_pair_law`` and, where M (M + 1) theta**2 < 2, the law of a pulse's photon
+    numbers as (n, m, pvals) (else None).  pvals are the chances of (1, 1), (1, 0) and
+    (0, 1), then of the ``_photon_table`` cells (n, m) with n >= 2 or m >= 2, in its
+    order, then of (0, 0): with one, several, empty = ``cells``, (v, a, b) = split and
+    s = w (several / W) over the table's weights w of sum W, they are one v + s(1, 1),
+    one a, one b, s(n, m) and empty, where s(1, 1) is 0 if the table lacks (1, 1)."""
     law = _pair_law(src)
-    table = guide = None
+    table = None
     if law.k > 0.0 and src.M * (src.M + 1.0) * law.theta * law.theta < 2.0:
         n, m, weights = _photon_table(src.M, law.w, law.split)
-        table = n, m, np.cumsum(weights)
-        guide = _guide_table(table[2])
-    return _PulseLaw(src, *law, table, guide)
+        one, several, empty = law.cells
+        share = weights * (several / weights.sum())
+        pair = (n == 1) & (m == 1)
+        singles = one * law.split + [share[pair].sum(), 0.0, 0.0]
+        table = n[~pair], m[~pair], np.concatenate([singles, share[~pair], [empty]])
+    return _PulseLaw(src, *law, table)
 
 
 def _sample_pulses(law: _PulseLaw, rng: np.random.Generator, size: int):
-    """(singles, n, m): of ``size`` pulses, the counts of those with one pair
-    reaching a detector as photon numbers (1, 1), (1, 0) and (0, 1), and the
-    photon numbers of those with more; the rest are empty.
+    """(singles, n, m): of ``size`` pulses, the counts of those with photon numbers
+    (1, 1), (1, 0) and (0, 1), and the photon numbers of those with more; the rest
+    are empty.
 
-    One multinomial counts the pulses with one, several and no reaching pairs.
-    Where the pump is weak, M (M + 1) theta**2 < 2, each pulse with several draws
-    its photon numbers with one uniform inverted through the law's ``_photon_table``
-    (Devroye 1986, ch. III.2), found by its ``_guide_table``: the bucket of x = u cdf[-1]
-    is monotone in x, so entries of other buckets lie on their side of x; one comparison
-    settles a bucket of at most one entry, a binary search the rare fuller one.
-    Elsewhere it draws its pair number by ``_multi_pairs``, split by two binomials,
-    to both arms at v, then to arm a alone at lone_a."""
+    Where the pump is weak, M (M + 1) theta**2 < 2, one multinomial over the law's
+    pvals counts the pulses of every photon-number cell, and the cells past the
+    singles are repeated by their counts: the block's pulses are exchangeable, so
+    this is the law of ``size`` independent draws, at a cost in the cells alone.
+    Elsewhere one multinomial counts the pulses with one, several and no reaching
+    pairs; a second splits those with one over the arms, and each with several
+    draws its pair number by ``_multi_pairs``, split by two binomials, to both arms
+    at v, then to arm a alone at lone_a."""
     if law.k == 0.0:
         return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
-    one, count, _ = rng.multinomial(size, law.cells)
     if law.table is not None:
-        (n, m, cdf), (scale, start, edges) = law.table, law.guide
-        # searching cdf[:-1] caps the pick at the table's last cell however
-        # u * cdf[-1] rounds, and "at or below" skips the cells that add nothing
-        x = rng.random(count) * cdf[-1]
-        first = start[(x * scale).astype(np.intp)]
-        pick = first + (edges[first] <= x)  # edges[-1] = inf: a full bucket gives -1
-        full = np.flatnonzero(first < 0)
-        pick[full] = np.searchsorted(cdf[:-1], x[full], side="right")
-        return rng.multinomial(one, law.split), n[pick], m[pick]
+        n, m, pvals = law.table
+        counts = rng.multinomial(size, pvals)
+        return counts[:3], np.repeat(n, counts[3:-1]), np.repeat(m, counts[3:-1])
+    one, count, _ = rng.multinomial(size, law.cells)
     pairs = _multi_pairs(law.src, law.theta, law.cells[1], count, rng)
     singles = rng.multinomial(one, law.split)
     in_both = rng.binomial(pairs, law.split[0])

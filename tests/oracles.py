@@ -25,12 +25,10 @@ as the reaching pairs grow rare.  ``reaching_pairs_reference``,
 cutoff search as they stood before the pair law moved into ``pairstats.model``.
 ``law_contamination_reference`` is the contamination law of ``pairstats.analysis``
 as it stood before its scaled head was lifted out of the subnormal range.
-``photon_table_pick_reference``,
-``simulate_clicks_batch_reference`` and ``bin_occupancy_reference`` are the
-sampler's photon-table pick, the click draw of ``pairstats.loop_detector`` and the
-calibration tallies as they stood before the pick went through an index table and
-the click draw made fewer passes, to hold those to bit for bit, random stream
-included.  ``simulate_experiment_serial`` and
+``simulate_clicks_batch_reference`` and ``bin_occupancy_reference`` are the click
+draw of ``pairstats.loop_detector`` and the calibration tallies as they stood
+before the click draw made fewer passes, to hold those to bit for bit, random
+stream included.  ``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
 be held to them bit for bit.  ``observed_cells_two_sided`` evaluates the EM
@@ -393,7 +391,7 @@ def multi_pair_terms_reference(M: float, theta: float) -> np.ndarray:
 
 def pulse_law_reference(src: EffectiveSource):
     """(split, cells, table): the sampler's single-pair split, pulse-kind chances and,
-    where M (M + 1) theta**2 < 2, its photon table (n, m, cumulative weights), else None."""
+    where M (M + 1) theta**2 < 2, its photon table (n, m, weights), else None."""
     shares, k, cells = reaching_pairs_reference(src)
     theta = src.N * k
     if not (k > 0.0 and src.M * (src.M + 1.0) * theta * theta < 2.0):
@@ -409,7 +407,7 @@ def pulse_law_reference(src: EffectiveSource):
         if K >= 2:
             weights += terms[K - 2] * given_K[1:, 1:]
     n, m = np.nonzero(weights)
-    return split, cells, (n, m, np.cumsum(weights[n, m]))
+    return split, cells, (n, m, weights[n, m])
 
 
 def suggest_n_max_reference(src: EffectiveSource, tail_bound: float = 1e-10) -> int:
@@ -473,14 +471,8 @@ def law_contamination_reference(x: float, M: float, which: int, v: float, a: flo
     return num / den
 
 
-# The photon-table pick, the click draw and the calibration tallies as they
-# stood before the pick went through an index table and the click draw made
-# fewer passes over the pulses.
-
-def photon_table_pick_reference(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The cells of a photon table's cumulative weights picked by uniforms u."""
-    return np.searchsorted(cdf[:-1], u * cdf[-1], side="right")
-
+# The click draw and the calibration tallies as they stood before the click
+# draw made fewer passes over the pulses.
 
 _POPCOUNT_REFERENCE = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
 
@@ -518,7 +510,7 @@ def bin_occupancy_reference(ones, ns, weights, rng: np.random.Generator) -> np.n
 
 def nonempty_pulses(singles, n, m):
     """Photon numbers (n, m) of every non-empty pulse of a ``_sample_pulses`` draw:
-    its single-pair counts spelled out as (1, 1), (1, 0) and (0, 1), then (n, m)."""
+    its counts of (1, 1), (1, 0) and (0, 1) pulses spelled out, then (n, m)."""
     ones = np.repeat([[1, 1], [1, 0], [0, 1]], singles, axis=0)
     return np.concatenate([ones[:, 0], n]), np.concatenate([ones[:, 1], m])
 

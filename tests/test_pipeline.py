@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import nbinom
+from scipy.stats import chi2, nbinom
 
 from pairstats import pipeline
 from pairstats._fileio import float_list, fmt, parse_mapping
@@ -51,7 +51,6 @@ from oracles import (
     bin_occupancy_reference,
     multi_pair_terms_reference,
     nonempty_pulses,
-    photon_table_pick_reference,
     pulse_blocks,
     pulse_law_reference,
     reaching_pairs_reference,
@@ -344,33 +343,6 @@ NEAR_SWITCH = [
 NEAR_SWITCH_IDS = ["near-switch", "near-switch-dark-arm", "near-switch-lossless"]
 
 
-class TopUniform:
-    """``rng`` with every uniform replaced by the largest double below 1."""
-
-    def __init__(self, rng):
-        self.rng = rng
-
-    def random(self, size):
-        return np.full(size, np.nextafter(1.0, 0.0))
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
-class FixedUniforms:
-    """``rng`` whose one call to ``random`` returns the given uniforms."""
-
-    def __init__(self, rng, u):
-        self.rng, self.u = rng, u
-
-    def random(self, size):
-        assert size == self.u.size
-        return self.u
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
 class TestSamplePulse:
     def test_near_vacuum(self):
         src = EffectiveSource(N=1e-9, eta=0.9, eta_prime=0.9, M=2.0)
@@ -452,13 +424,26 @@ class TestSamplePulse:
         ids=["readme", "calibration", "bright"],
     )
     def test_pulse_kind_counts_match_closed_forms(self, N, eta, M, pulses):
-        # a block's counts of pulses with one and with several reaching pairs
-        # are binomial at the chances of _pair_law: z-tested per block
-        # where a block expects 100 or more, and summed over the blocks
+        # a block's counts of pulses with photon numbers (1, 1), (1, 0), (0, 1)
+        # and of the other non-empty ones are binomial at the chances of the
+        # exact photon law, from the decimal P(K = 1) and P(K >= 2) of
+        # reaching_pair_cells: (1, 1) is one pair reaching both arms, or two
+        # pairs each reaching one arm alone, 2 a b P(K = 2), where
+        # P(K = 2) = P(K = 1) (M + 1) w / 2, w = theta / (1 + theta); z-tested
+        # per block where a block expects 100 or more, and summed over the blocks
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
-        p = _pair_law(src).cells[:2]
-        blocks = pulse_blocks(src, pulses, 5, 9)
-        counts = np.array([(singles.sum(), n.size) for singles, n, _, _ in blocks])
+        k = eta + eta * (1.0 - eta)
+        theta = N * k
+        one, several, _ = reaching_pair_cells(M, theta)
+        two = one * (M + 1.0) * theta / (2.0 * (1.0 + theta))
+        v, a = eta * eta / k, eta * (1.0 - eta) / k  # each arm alone at a
+        p = np.array([one * v + 2.0 * a * a * two, one * a, one * a, several - 2.0 * a * a * two])
+        counts = []
+        for singles, n, m, _ in pulse_blocks(src, pulses, 5, 9):
+            n, m = nonempty_pulses(singles, n, m)
+            kinds = [np.count_nonzero((n == x) & (m == y)) for x, y in ((1, 1), (1, 0), (0, 1))]
+            counts.append([*kinds, n.size - sum(kinds)])
+        counts = np.array(counts)
         totals = counts.sum(axis=0, keepdims=True)
         for tallies, size, bound in ((counts, BLOCK_SIZE, 5.0), (totals, pulses, 4.0)):
             expected = size * p
@@ -561,26 +546,64 @@ class TestSamplePulse:
     @example(log_M=0.0, log_share=math.log10(0.999999), eta=0.5, eta_prime=0.7)
     def test_multi_pair_table_in_dim_box(self, log_M, log_share, eta, eta_prime):
         # below the switch, M (M + 1) theta**2 < 2, the walk keeps at most 60 pair
-        # numbers, so the photon-number table has at most 62 x 62 cells, and every
-        # pulse with several reaching pairs lands on one of them, at the largest
-        # uniform below 1 too
+        # numbers, so the law has at most 62 x 62 photon-number cells past the
+        # singles, each distinct with n >= 2 or m >= 2; its chances are finite and
+        # nonnegative, those of the non-empty cells sum to 1 - P(K = 0) of the
+        # decimal oracle within 1e-12, and every pulse drawn past the singles
+        # lands on one of its cells, also when half the pulses hold several pairs
         M = 10.0**log_M
         theta = 10.0**log_share * math.sqrt(2.0 / (M * (M + 1.0)))
         k = eta + eta_prime * (1.0 - eta)
         assume(theta > 0.0 and k > 0.0 and math.isfinite(theta / k))
         law = pipeline._pulse_law(EffectiveSource(N=theta / k, eta=eta, eta_prime=eta_prime, M=M))
         assume(law.table is not None)
-        n, m, cdf = law.table
-        assert cdf.size <= 62 * 62 and max(n.max(), m.max()) < 62
-        assert np.isfinite(cdf).all() and (np.diff(cdf) >= 0.0).all()
+        n, m, pvals = law.table
+        assert pvals.size == n.size + 4 and n.size < 62 * 62 and max(n.max(), m.max()) < 62
+        assert np.isfinite(pvals).all() and (pvals >= 0.0).all()
+        assert abs(pvals[:-1].sum() - (1.0 - reaching_pair_cells(M, law.theta)[2])) <= 1e-12
         cells = set(zip(n.tolist(), m.tolist()))
-        assert len(cells) == cdf.size and min(n + m) >= 2
-        several = law._replace(cells=np.array([0.0, 1.0, 0.0]))  # every pulse holds several
-        for rng in (_block_rng(1, 9, 0), TopUniform(_block_rng(1, 9, 0))):
-            singles, drawn_n, drawn_m = _sample_pulses(several, rng, 1000)
-            assert singles.sum() == 0 and drawn_n.shape == drawn_m.shape == (1000,)
-            assert drawn_n.dtype == drawn_m.dtype == np.int64
+        assert len(cells) == n.size and np.maximum(n, m).min() >= 2
+        laws = [law]
+        if (multi := pvals[3:-1].sum()) > 0.0:  # no singles, and half the pulses empty
+            laws.append(law._replace(table=(n, m, np.concatenate([np.zeros(3), 0.5 * pvals[3:-1] / multi, [0.5]]))))
+        for drawn in laws:
+            singles, drawn_n, drawn_m = _sample_pulses(drawn, _block_rng(1, 9, 0), 1000)
+            assert singles.dtype == drawn_n.dtype == drawn_m.dtype == np.int64
+            assert drawn_n.shape == drawn_m.shape and singles.sum() + drawn_n.size <= 1000
             assert set(zip(drawn_n.tolist(), drawn_m.tolist())) <= cells
+        assert len(laws) == 1 or (singles.sum() == 0 and 400 <= drawn_n.size <= 600)
+
+    @pytest.mark.parametrize(
+        "N, eta, eta_prime, M, pulses",
+        [
+            (0.2, 0.045, 0.045, 16.0, 10_000_000),
+            (1e-3, 0.045, 0.045, 16.0, 100_000_000),
+            (*NEAR_SWITCH[0], 10_000_000),
+        ],
+        ids=["readme", "calibration", "near-switch"],
+    )
+    def test_one_block_matches_exact_law(self, N, eta, eta_prime, M, pulses):
+        # one block of the weak-pump multinomial, which costs the same at any
+        # size, against joint_distribution: a z-test on every cell where 100 or
+        # more pulses are expected, and a chi-squared test on the cells where 5
+        # or more are, with the rest (those past n_max 20 too) pooled into one
+        src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
+        law = _pulse_law(src)
+        assert law.table is not None
+        n, m = nonempty_pulses(*_sample_pulses(law, _block_rng(21, 9, 0), pulses))
+        inside = (n <= 20) & (m <= 20)
+        counts = np.bincount(n[inside] * 21 + m[inside], minlength=21 * 21).astype(float)
+        counts[0] += pulses - n.size
+        probs = joint_distribution(src, 20).probs.ravel()
+        expected = probs * pulses
+        keep = expected >= 100.0
+        z = (counts - expected)[keep] / np.sqrt(expected * (1.0 - probs))[keep]
+        assert np.abs(z).max() <= 4.0
+        tested = expected >= 5.0
+        observed = np.append(counts[tested], pulses - counts[tested].sum())
+        wanted = np.append(expected[tested], pulses - expected[tested].sum())
+        stat = float(((observed - wanted) ** 2 / wanted).sum())
+        assert chi2.sf(stat, observed.size - 1) >= 1e-4
 
     @pytest.mark.parametrize(
         "theta, eta, eta_prime, M",
@@ -683,8 +706,9 @@ class TestSamplePulse:
 class TestPulseLawReference:
     """The pulse law against the sampler's law as it was formed before the pair
     law moved into pairstats.model: split, pulse-kind chances, the chance of arm a
-    among one-arm pairs and the photon table, bit for bit, so that no random
-    stream moves."""
+    among one-arm pairs and the photon table, bit for bit, and the chances of the
+    weak-pump multinomial as ``_pulse_law`` documents them, so that no random
+    stream moves unless on purpose."""
 
     # the README source, the CI dim, switch and bright sources, and real-M ones
     NAMED = [
@@ -717,33 +741,17 @@ class TestPulseLawReference:
             assert (law.table is None) == (table is None), src
             if table is not None:
                 tables += 1
-                assert all(np.array_equal(got, want) for got, want in zip(law.table, table)), src
+                got = pipeline._photon_table(src.M, law.w, law.split)
+                assert all(np.array_equal(x, y) for x, y in zip(got, table)), src
+                n, m, weights = table
+                one, several, empty = cells
+                share = weights * (several / weights.sum())
+                pair = (n == 1) & (m == 1)
+                both = one * split[0] + (share[pair][0] if pair.any() else 0.0)
+                pvals = [both, one * split[1], one * split[2], *share[~pair], empty]
+                assert np.array_equal(law.table[0], n[~pair]) and np.array_equal(law.table[1], m[~pair]), src
+                assert np.array_equal(law.table[2], pvals), src
         assert tables >= 200
-
-    def test_table_pick_equals_reference(self):
-        # the pick through the index table against the binary search it replaced,
-        # on every table of the sources above and on lossless tables of one and two
-        # cells: at u = 0, the largest u below 1, each cdf[i] / cdf[-1] and its two
-        # neighbours, and 10**5 random u; the cells are distinct, so equal photon
-        # numbers are equal picks
-        rng = np.random.default_rng(41)
-        sizes = set()
-        for params in self.NAMED + [(1e-19, 1.0, 1.0, 1.0), (1e-10, 1.0, 1.0, 1.0)] + self.box():
-            law = _pulse_law(EffectiveSource(*map(float, params)))
-            if law.table is None:
-                continue
-            n, m, cdf = law.table
-            sizes.add(cdf.size)
-            edges = cdf / cdf[-1]
-            u = np.concatenate(
-                [[0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), rng.random(10**5)]
-            )
-            u = u[u < 1.0]
-            want = photon_table_pick_reference(cdf, u)
-            several = law._replace(cells=np.array([0.0, 1.0, 0.0]))  # every pulse holds several
-            singles, got_n, got_m = _sample_pulses(several, FixedUniforms(rng, u), u.size)
-            assert np.array_equal(got_n, n[want]) and np.array_equal(got_m, m[want]), params
-        assert {1, 2} <= sizes and max(sizes) > 1000
 
     def test_table_terms_equal_reference_below_the_switch(self):
         # the walk's terms from K = 2, as the table takes them, on 16,000 (M, theta)
@@ -833,12 +841,12 @@ class TestReadmeStream:
         report = run_full(ExperimentConfig(source=src, pulses=100_000, seed=42))
         assert not report.failures
         assert report.histogram.f.tolist() == [
-            [75727, 10120, 656, 28, 0, 0, 0, 0, 0],
-            [10387, 2025, 155, 6, 0, 0, 0, 0, 0],
-            [668, 175, 12, 0, 0, 0, 0, 0, 0],
-            [34, 6, 1, 0, 0, 0, 0, 0, 0],
+            [75618, 10314, 700, 21, 0, 0, 0, 0, 0],
+            [10348, 1977, 150, 7, 1, 0, 0, 0, 0],
+            [649, 157, 16, 5, 0, 0, 0, 0, 0],
+            [27, 9, 1, 0, 0, 0, 0, 0, 0],
         ] + [[0] * 9] * 5
-        assert (report.calibration_a.total, report.calibration_b.total) == (723, 690)
+        assert (report.calibration_a.total, report.calibration_b.total) == (711, 697)
 
 
 # one pulse, one block short by a pulse, one block, two blocks and a part, ten blocks
