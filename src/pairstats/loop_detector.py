@@ -8,8 +8,10 @@ chain of balls in bins, whose integer step matrix is raised to its first L
 powers so that one matrix product fills L photon numbers.  Otherwise the
 paths are added one at a time, each taking a binomial share of the photons,
 whose rows come 64 photon numbers at a time from one row and a 65-tap
-kernel.  The simulated click numbers draw one path per photon, or one
-multinomial per pulse past 32 photons or 64 paths of nonzero weight.  Losses
+kernel.  The simulated click numbers are drawn in ascending photon number, one
+group of equal n at a time: one path per photon, whose distinct paths are
+counted along one reshape of the group, or one multinomial per pulse past 32
+photons or 64 paths of nonzero weight.  Losses
 are not modelled here; they are absorbed into the arm transmissions of the
 source model, so the response matrices describe lossless detectors with
 P[1, 1] = 1.
@@ -27,8 +29,7 @@ from .model import _LIFT, _N_CAP, _TOL, JointDistribution, _check_mass, _counts,
 
 _BLOCK = 64  # photon numbers per block of response_matrix: its kernel has _BLOCK + 1 taps
 _PER_PHOTON_MAX = 32  # the most photons of a pulse whose clicks are drawn one path per photon
-_PATH_BITS = (np.uint8, np.uint16, np.uint32, np.uint64)  # per-pulse path sets, by path count
-_POPCOUNT = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
+_PHOTONS = np.arange(1, _PER_PHOTON_MAX + 2)  # the photon numbers that bound the groups of the click draw
 
 
 @dataclass(frozen=True)
@@ -205,48 +206,63 @@ def response_matrix(weights: PathWeights, n_max: int) -> DetectorResponse:
 def simulate_clicks_batch(
     ns: np.ndarray, weights: PathWeights, rng: np.random.Generator
 ) -> np.ndarray:
-    """Click numbers for a 1-d array of photon numbers of any integer dtype:
-    entry i is the number of paths hit when ns[i] photons scatter independently
-    over the paths, so a pulse of 0 or 1 photon draws nothing.
+    """Click numbers for a 1-d array of photon numbers of any integer dtype, up to
+    2**63 - 1: entry i is the number of paths hit when ns[i] photons scatter
+    independently over the paths, so a pulse of 0 or 1 photon draws nothing.
 
-    With at most 64 paths of nonzero weight, a pulse of 2 <= n <=
-    ``_PER_PHOTON_MAX`` photons draws one path per photon by inverting the
-    cumulative weights of those paths, over their total, at a uniform u: the
-    path is the number of them <= u, as ``searchsorted(side="right")`` finds
-    it, so a path of zero weight is never drawn.  The paths a pulse hit are
-    the set bits of the OR of its photons' path bits, counted a byte at a
-    time.  Other pulses of n >= 2 draw their path occupancies from one
-    multinomial each, after all the uniforms; a draw of no pulse is not made."""
+    The pulses are drawn in ascending photon number (a stable sort, skipped when
+    ns is already in order).  With at most 64 paths of nonzero weight, a pulse of
+    2 <= n <= ``_PER_PHOTON_MAX`` photons draws one path per photon from n
+    consecutive uniforms u: floor(u B') where the B' paths of nonzero weight are
+    exactly equal, else the number of their cumulative weights, over their total,
+    that are <= u, so a path of zero weight is never drawn.  The paths are counted
+    one photon-number group at a time: two photons click twice unless their paths
+    agree, and n >= 3 OR their path bits along a (pulses, n) reshape and count the
+    set bits.  The other pulses of n >= 2 then draw their path occupancies from one
+    multinomial each; a draw of no pulse is not made."""
     ns = np.asarray(ns)
     if ns.ndim != 1:
         raise ValidationError("photon numbers must be a 1-d array")
-    if ns.dtype.kind not in "iu" or ns.min(initial=0) < 0:
+    if ns.dtype.kind not in "iu":
         raise ValidationError("photon numbers must be integers >= 0")
-    k = np.minimum(ns, 1, dtype=np.int64)
-    few = np.flatnonzero(ns >= 2)
-    if not few.size:
+    ns = ns.astype(np.int64, copy=False)  # a uint64 past 2**63 - 1 wraps below 0
+    order = ns.argsort(kind="stable") if (ns[1:] < ns[:-1]).any() else None
+    if order is not None:
+        ns = ns[order]
+    if ns.size and ns[0] < 0:
+        raise ValidationError("photon numbers must be integers >= 0 and at most 2**63 - 1")
+    live = weights.w[weights.w > 0.0]
+    cut = _PER_PHOTON_MAX if live.size <= 64 else 1
+    edges = ns.searchsorted(_PHOTONS[: cut + 1]).tolist()  # ns[edges[j - 1]:edges[j]] hold j photons
+    k = np.zeros(ns.size, np.int64)
+    k[edges[0] :] = 1
+    groups = [(n, edges[n - 1], edges[n]) for n in range(2, cut + 1) if edges[n] > edges[n - 1]]
+    if groups:
+        u = rng.random(int(ns[edges[1] : edges[cut]].sum()))
+        if live.min() == live.max():
+            path = np.multiply(u, live.size, out=u).astype(np.uint8)
+        else:
+            path = np.zeros(u.size, np.uint8)
+            cdf = np.cumsum(live)
+            for edge in cdf[:-1] / cdf[-1]:  # B' - 1 passes beat a binary search per photon
+                path += u >= edge
+        bits = np.min_scalar_type((1 << live.size) - 1)  # a bit for each path
+        at = 0
+        for n, start, stop in groups:
+            photons = path[at : at + n * (stop - start)]
+            if n == 2:
+                np.subtract(2, photons[::2] == photons[1::2], out=k[start:stop])
+            else:
+                hit = np.bitwise_or.reduce(np.left_shift(1, photons, dtype=bits).reshape(-1, n), axis=1)
+                k[start:stop] = np.bitwise_count(hit)
+            at += photons.size
+    if edges[cut] < ns.size:
+        k[edges[cut] :] = np.count_nonzero(rng.multinomial(ns[edges[cut] :], live), axis=1)
+    if order is None:
         return k
-    cdf = np.cumsum(weights.w[weights.w > 0.0])
-    cut = _PER_PHOTON_MAX if cdf.size <= 64 else 1
-    photons, many = ns[few], few[:0]
-    if photons.max() > cut:
-        over = photons > cut
-        few, many, photons = few[~over], few[over], photons[~over]
-    if few.size:
-        u = rng.random(photons.sum())
-        path = np.zeros(u.size, np.uint8)
-        for edge in cdf[:-1] / cdf[-1]:  # B - 1 passes beat a binary search per photon
-            path += u >= edge
-        bits = next(t for t in _PATH_BITS if np.iinfo(t).bits >= cdf.size)
-        starts = np.zeros(few.size, np.int64)
-        np.cumsum(photons[:-1], out=starts[1:])
-        hit = np.bitwise_or.reduceat(np.left_shift(1, path, dtype=bits), starts)
-        ones = _POPCOUNT[hit.view(np.uint8).reshape(few.size, -1)]  # set bits per byte
-        k[few] = ones[:, 0] if bits is np.uint8 else ones.sum(axis=1)
-    if many.size:
-        counts = rng.multinomial(ns[many], weights.w)
-        k[many] = np.count_nonzero(counts > 0, axis=-1)
-    return k
+    clicks = np.empty_like(k)
+    clicks[order] = k
+    return clicks
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ pump is weak, M (M + 1) theta**2 < 2, one multinomial per block counts its
 pulses over every cell of their photon-number law, built once per stage from
 ``model``'s pair law; elsewhere one multinomial counts the pulses that hold one,
 several and no pairs reaching a detector, J ~ NegBin(M, w), and each holding
-several draws its pair number by rejection, split to the arms by two binomials.
+several draws its pair number by rejection, split to the arms by two binomials,
+and one bincount bins those pulses into photon-number cells.  A collection block
+draws the clicks of arm a over its cells in row order and those of arm b in
+column order, so each arm in ascending photon number, and pairs them cell by cell.
 """
 
 from __future__ import annotations
@@ -117,7 +120,8 @@ def _photon_table(M: float, w: float, split) -> tuple[np.ndarray, np.ndarray, np
     to the first past the mode that is <= 1e-18 of the first: at most 60 where
     M (M + 1) theta**2 < 2, as every pmf ratio is below 1/2 there.  i pairs reach both
     arms, j arm a alone and l arm b alone at the chances split = (v, a, b), so n = i + j
-    and m = i + l; the law of (n, m) given K is built up one pair at a time from K = 0."""
+    and m = i + l; the law of (n, m) given K is built up one pair at a time from K = 0,
+    in one flat zero-padded vector, whose three shifted slices add a pair of each kind."""
     terms = []
     for term, ratio in _pair_walk(M, w, 2):
         terms.append(term)
@@ -125,15 +129,17 @@ def _photon_table(M: float, w: float, split) -> tuple[np.ndarray, np.ndarray, np
             break
     v, a, b = split
     size = len(terms) + 2  # K and so n and m run to len(terms) + 1
-    weights = np.zeros((size, size))
-    given_K = np.zeros((size + 1, size + 1))  # (n, m) at [n + 1, m + 1]: row and column 0 stay 0
-    given_K[1, 1] = 1.0
+    s = size + 1  # row stride: (n, m) at [s + 1 + n s + m]; the rest stays 0, as m < size
+    given_K = np.zeros(s + 1 + size * s)
+    given_K[s + 1] = 1.0
+    weights = np.zeros(size * s)
     for K in range(1, size):
-        given_K[1:, 1:] = v * given_K[:-1, :-1] + a * given_K[:-1, 1:] + b * given_K[1:, :-1]
+        end = (K + 1) * s  # after K pairs only the rows n <= K hold mass
+        given_K[s + 1 : s + 1 + end] = v * given_K[:end] + a * given_K[1 : end + 1] + b * given_K[s : s + end]
         if K >= 2:
-            weights += terms[K - 2] * given_K[1:, 1:]
-    n, m = np.nonzero(weights)
-    return n, m, weights[n, m]
+            weights[:end] += terms[K - 2] * given_K[s + 1 : s + 1 + end]
+    cells = np.flatnonzero(weights)
+    return cells // s, cells % s, weights[cells]
 
 
 def _multi_pairs(src: EffectiveSource, theta: float, several: float, count: int, rng):
@@ -178,30 +184,40 @@ def _pulse_law(src: EffectiveSource) -> _PulseLaw:
 
 
 def _sample_pulses(law: _PulseLaw, rng: np.random.Generator, size: int):
-    """(singles, n, m): of ``size`` pulses, the counts of those with photon numbers
-    (1, 1), (1, 0) and (0, 1), and the photon numbers of those with more; the rest
-    are empty.
+    """(singles, n, m, counts): of ``size`` pulses, the counts of those with photon
+    numbers (1, 1), (1, 0) and (0, 1), then the cells (n, m) of the others that are
+    not empty, in row-major order, and the number of pulses in each; the rest are
+    empty.
 
     Where the pump is weak, M (M + 1) theta**2 < 2, one multinomial over the law's
-    pvals counts the pulses of every photon-number cell, and the cells past the
-    singles are repeated by their counts: the block's pulses are exchangeable, so
-    this is the law of ``size`` independent draws, at a cost in the cells alone.
-    Elsewhere one multinomial counts the pulses with one, several and no reaching
-    pairs; a second splits those with one over the arms, and each with several
-    draws its pair number by ``_multi_pairs``, split by two binomials, to both arms
-    at v, then to arm a alone at lone_a."""
+    pvals counts the pulses of every photon-number cell: the block's pulses are
+    exchangeable, so this is the law of ``size`` independent draws, at a cost in the
+    cells alone.  Elsewhere one multinomial counts the pulses with one, several and
+    no reaching pairs; a second splits those with one over the arms, and each with
+    several draws its pair number by ``_multi_pairs``, split by two binomials, to
+    both arms at v, then to arm a alone at lone_a; one ``np.bincount`` then bins
+    those pulses into cells (``np.unique`` past a grid of 8 cells a pulse)."""
     if law.k == 0.0:
-        return np.zeros(3, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64)
+        empty = np.zeros(0, np.int64)
+        return np.zeros(3, np.int64), empty, empty, empty
     if law.table is not None:
         n, m, pvals = law.table
         counts = rng.multinomial(size, pvals)
-        return counts[:3], np.repeat(n, counts[3:-1]), np.repeat(m, counts[3:-1])
+        cells = np.flatnonzero(counts[3:-1])
+        return counts[:3], n[cells], m[cells], counts[3:-1][cells]
     one, count, _ = rng.multinomial(size, law.cells)
     pairs = _multi_pairs(law.src, law.theta, law.cells[1], count, rng)
     singles = rng.multinomial(one, law.split)
     in_both = rng.binomial(pairs, law.split[0])
     a_only = rng.binomial(pairs - in_both, law.lone_a)  # draws nothing where lone_a = 0
-    return singles, a_only + in_both, pairs - a_only
+    n, m = a_only + in_both, pairs - a_only
+    width = int(m.max(initial=0)) + 1
+    if (int(n.max(initial=0)) + 1) * width > 8 * n.size:
+        (n, m), counts = np.unique(np.stack((n, m)), axis=1, return_counts=True)
+        return singles, n, m, counts
+    counts = np.bincount(n * width + m)
+    cells = np.flatnonzero(counts)
+    return singles, cells // width, cells % width, counts[cells]
 
 
 @functools.cache
@@ -221,7 +237,7 @@ if hasattr(os, "register_at_fork"):  # a forked child inherits the pool but none
 
 
 def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
-    """Yield fn(singles, n, m, rng) for each block of up to BLOCK_SIZE pulses,
+    """Yield fn(singles, n, m, counts, rng) for each block of up to BLOCK_SIZE pulses,
     in block order: the block's ``_sample_pulses`` draw from the stage's one
     ``_pulse_law``, and its stream for the clicks.  Each block has its own
     stream, so results do not depend on where it runs: the calling thread when
@@ -253,18 +269,33 @@ def _map_blocks(fn, src: EffectiveSource, pulses: int, seed: int, stage: int):
             future.cancel()
 
 
+def _block_clicks(weights_a: PathWeights, weights_b: PathWeights, singles, n, m, counts, rng):
+    """The flattened joint click tallies of one block's ``_sample_pulses`` draw.
+
+    Arm a draws its pulses cell by cell in the cells' row-major order, so in
+    ascending n, and arm b in column-major order, so in ascending m; one
+    permutation then pairs the clicks of arm b with those of arm a cell by cell.
+    The pulses of a cell are exchangeable, so any pairing within it has the law
+    of the per-pulse draws."""
+    B = weights_a.B
+    col = np.lexsort((n, m))
+    ka = simulate_clicks_batch(n.repeat(counts), weights_a, rng)
+    kb = simulate_clicks_batch(m[col].repeat(counts[col]), weights_b, rng)
+    shift = np.empty_like(counts)  # where a cell starts in column order, less where in row order
+    shift[col] = counts[col].cumsum()
+    shift -= counts.cumsum()
+    pick = shift.repeat(counts)
+    pick += np.arange(pick.size)
+    kb = kb[pick]
+    tallies = np.bincount(ka * (B + 1) + kb, minlength=(B + 1) * (B + 1))
+    tallies[[B + 2, B + 1, 1]] += singles  # one photon is one click
+    return tallies
+
+
 def simulate_experiment(cfg: ExperimentConfig) -> ClickHistogram:
     """Accumulate the joint click histogram over cfg.pulses pulses."""
     B = cfg.weights_a.B
-    size = (B + 1) * (B + 1)
-
-    def clicks(singles, n, m, rng):
-        ka = simulate_clicks_batch(n, cfg.weights_a, rng)
-        kb = simulate_clicks_batch(m, cfg.weights_b, rng)
-        counts = np.bincount(ka * (B + 1) + kb, minlength=size)
-        counts[[B + 2, B + 1, 1]] += singles  # one photon is one click
-        return counts
-
+    clicks = functools.partial(_block_clicks, cfg.weights_a, cfg.weights_b)
     counts = sum(_map_blocks(clicks, cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN))
     counts[0] += cfg.pulses - counts.sum()  # the pulses left out are empty
     return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
@@ -281,9 +312,10 @@ def simulate_calibration(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]
     """Per-bin click tallies of both arms at the low-intensity setting."""
     low = dataclasses.replace(cfg.source, N=cfg.calibration_N)
 
-    def tallies(singles, n, m, rng):
-        a = _bin_occupancy(singles[0] + singles[1], n, cfg.weights_a, rng)
-        return np.stack([a, _bin_occupancy(singles[0] + singles[2], m, cfg.weights_b, rng)])
+    def tallies(singles, n, m, counts, rng):
+        a = _bin_occupancy(singles[0] + singles[1], np.repeat(n, counts), cfg.weights_a, rng)
+        b = _bin_occupancy(singles[0] + singles[2], np.repeat(m, counts), cfg.weights_b, rng)
+        return np.stack([a, b])
 
     return tuple(sum(_map_blocks(tallies, low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION)))
 

@@ -25,10 +25,11 @@ as the reaching pairs grow rare.  ``reaching_pairs_reference``,
 cutoff search as they stood before the pair law moved into ``pairstats.model``.
 ``law_contamination_reference`` is the contamination law of ``pairstats.analysis``
 as it stood before its scaled head was lifted out of the subnormal range.
-``simulate_clicks_batch_reference`` and ``bin_occupancy_reference`` are the click
-draw of ``pairstats.loop_detector`` and the calibration tallies as they stood
-before the click draw made fewer passes, to hold those to bit for bit, random
-stream included.  ``simulate_experiment_serial`` and
+``simulate_clicks_batch_reference`` is the per-pulse click draw of
+``pairstats.loop_detector`` as it stood before the draw went by photon-number
+group; it is now that draw's law oracle.  ``bin_occupancy_reference`` is the
+calibration tallies as they stood before the click draw made fewer passes, to hold
+those to bit for bit, random stream included.  ``simulate_experiment_serial`` and
 ``simulate_calibration_serial`` run the pulse blocks of ``pairstats.pipeline``
 one after another in the calling thread, so that the thread pool's results can
 be held to them bit for bit.  ``observed_cells_two_sided`` evaluates the EM
@@ -52,9 +53,17 @@ from scipy.stats import binom
 
 from pairstats import pipeline
 from pairstats.errors import DegenerateInputError, SupportError, TruncationError, ValidationError
-from pairstats.loop_detector import _cut_responses, simulate_clicks_batch
+from pairstats.loop_detector import _cut_responses
 from pairstats.model import _N_CAP, EffectiveSource, JointDistribution, MultimodeSource, generating_fn_value
-from pairstats.pipeline import _STAGE_CALIBRATION, _STAGE_MAIN, _bin_occupancy, _block_rng, _pulse_law, _sample_pulses
+from pairstats.pipeline import (
+    _STAGE_CALIBRATION,
+    _STAGE_MAIN,
+    _bin_occupancy,
+    _block_clicks,
+    _block_rng,
+    _pulse_law,
+    _sample_pulses,
+)
 from pairstats.reconstruction import ClickHistogram
 
 
@@ -508,17 +517,18 @@ def bin_occupancy_reference(ones, ns, weights, rng: np.random.Generator) -> np.n
     return (counts > 0).sum(axis=0) + rng.multinomial(ones, weights.w)
 
 
-def nonempty_pulses(singles, n, m):
+def nonempty_pulses(singles, n, m, counts):
     """Photon numbers (n, m) of every non-empty pulse of a ``_sample_pulses`` draw:
-    its counts of (1, 1), (1, 0) and (0, 1) pulses spelled out, then (n, m)."""
+    its counts of (1, 1), (1, 0) and (0, 1) pulses spelled out, then its cells
+    (n, m), each repeated by its count."""
     ones = np.repeat([[1, 1], [1, 0], [0, 1]], singles, axis=0)
-    return np.concatenate([ones[:, 0], n]), np.concatenate([ones[:, 1], m])
+    return np.concatenate([ones[:, 0], np.repeat(n, counts)]), np.concatenate([ones[:, 1], np.repeat(m, counts)])
 
 
 def pulse_blocks(src: EffectiveSource, pulses: int, seed: int, stage: int):
-    """Yield (singles, n, m, rng) per block of up to ``pipeline.BLOCK_SIZE`` pulses,
-    in block order: the block's ``_sample_pulses`` draw, and its stream for the
-    clicks, all drawn from one ``_pulse_law`` of the source."""
+    """Yield (singles, n, m, counts, rng) per block of up to ``pipeline.BLOCK_SIZE``
+    pulses, in block order: the block's ``_sample_pulses`` draw, and its stream for
+    the clicks, all drawn from one ``_pulse_law`` of the source."""
     size, law = pipeline.BLOCK_SIZE, _pulse_law(src)
     for block, start in enumerate(range(0, pulses, size)):
         rng = _block_rng(seed, stage, block)
@@ -529,13 +539,8 @@ def simulate_experiment_serial(cfg) -> ClickHistogram:
     """``pairstats.simulate_experiment`` with its blocks run one after another."""
     B = cfg.weights_a.B
     counts = np.zeros((B + 1) * (B + 1), dtype=np.int64)
-    for singles, n, m, rng in pulse_blocks(cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN):
-        ka = simulate_clicks_batch(n, cfg.weights_a, rng)
-        kb = simulate_clicks_batch(m, cfg.weights_b, rng)
-        counts += np.bincount(ka * (B + 1) + kb, minlength=counts.size)
-        counts[B + 2] += singles[0]
-        counts[B + 1] += singles[1]
-        counts[1] += singles[2]
+    for draw in pulse_blocks(cfg.source, cfg.pulses, cfg.seed, _STAGE_MAIN):
+        counts += _block_clicks(cfg.weights_a, cfg.weights_b, *draw)
     counts[0] += cfg.pulses - counts.sum()  # the pulses left out are empty
     return ClickHistogram(f=counts.reshape(B + 1, B + 1), pulses=cfg.pulses)
 
@@ -545,11 +550,11 @@ def simulate_calibration_serial(cfg) -> tuple[np.ndarray, np.ndarray]:
     low = dataclasses.replace(cfg.source, N=cfg.calibration_N)
     bins_a = np.zeros(cfg.weights_a.B, dtype=np.int64)
     bins_b = np.zeros(cfg.weights_b.B, dtype=np.int64)
-    for (both, a_only, b_only), n, m, rng in pulse_blocks(
+    for (both, a_only, b_only), n, m, counts, rng in pulse_blocks(
         low, cfg.calibration_pulses, cfg.seed, _STAGE_CALIBRATION
     ):
-        bins_a += _bin_occupancy(both + a_only, n, cfg.weights_a, rng)
-        bins_b += _bin_occupancy(both + b_only, m, cfg.weights_b, rng)
+        bins_a += _bin_occupancy(both + a_only, np.repeat(n, counts), cfg.weights_a, rng)
+        bins_b += _bin_occupancy(both + b_only, np.repeat(m, counts), cfg.weights_b, rng)
     return bins_a, bins_b
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2, chi2_contingency, chisquare
 
 from pairstats._fileio import float_list, fmt
 from pairstats.errors import DegenerateInputError, ValidationError
@@ -351,6 +351,15 @@ class TestResponseMatrix:
         assert resp.P[:, 0].tolist() == [1.0] + [0.0] * B
 
 
+# CI's 16 uneven paths, the fourth dead
+CUT_WEIGHTS = [2, 0.5, 1.5, 0, 1, 1, 1.5, 0.75, 1.25, 1, 1, 0.5, 0.75, 1.25, 1, 1]
+
+# one path, three with a dead one, eight equal, CI's sixteen uneven, and the
+# largest number of paths drawn one per photon and the smallest past it
+LAW_WEIGHTS = [[1.0], [0.5, 0.5, 0.0], [0.125] * 8, CUT_WEIGHTS, [1.0] * 64, [1.0] * 65]
+LAW_IDS = ["B1", "B3-dead", "B8", "B16-uneven-dead", "B64", "B65"]
+
+
 class TestSimulateClicks:
     def test_zero_photons(self):
         rng = np.random.default_rng(0)
@@ -366,6 +375,22 @@ class TestSimulateClicks:
         rng = np.random.default_rng(0)
         with pytest.raises(ValidationError, match="photon numbers must be integers >= 0"):
             simulate_clicks_batch(np.array(ns), uniform_weights(4), rng)
+
+    def test_unsigned_64_bit_photon_numbers(self):
+        # uint64 photon numbers up to 2**63 - 1 are accepted, with the clicks of
+        # the same numbers in int64 from the same stream
+        weights = uniform_weights(8)
+        ns = [0, 1, 2, 5, 32, 33, 2**40, 2**63 - 1]
+        got = simulate_clicks_batch(np.array(ns, dtype=np.uint64), weights, np.random.default_rng(3))
+        want = simulate_clicks_batch(np.array(ns, dtype=np.int64), weights, np.random.default_rng(3))
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert got[:2].tolist() == [0, 1] and got[-2:].tolist() == [8, 8]
+
+    @pytest.mark.parametrize("n", [2**63, 2**64 - 1])
+    def test_unsigned_photon_numbers_past_int64_rejected(self, n):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValidationError, match=r"photon numbers must be integers >= 0 and at most 2\*\*63 - 1"):
+            simulate_clicks_batch(np.array([2, n, 1], dtype=np.uint64), uniform_weights(4), rng)
 
     def test_two_photons_match_P22(self):
         rng = np.random.default_rng(123)
@@ -429,9 +454,59 @@ class TestSimulateClicks:
         ks = simulate_clicks_batch(np.array([0, 1, 1, 0]), uniform_weights(8), rng)
         assert ks.tolist() == [0, 1, 1, 0]
 
+    @pytest.mark.parametrize("w", LAW_WEIGHTS, ids=LAW_IDS)
+    def test_click_law_on_both_sides_of_the_cut(self, w):
+        # 10,000 pulses of each n from 2 to 40, shuffled and drawn 30,000 at a
+        # time, against column n of response_matrix: a z-test on every click
+        # number where 100 or more are expected and, per n, a chi-squared test on
+        # those where 5 or more are, with the rest pooled (into the smallest of
+        # them when under 5); a click number the matrix rules out must never occur
+        weights = PathWeights(np.array(w) / math.fsum(w))
+        photons = np.arange(2, 41)
+        ns = np.random.default_rng(len(w)).permutation(np.repeat(photons, 10_000))
+        rng = np.random.default_rng(17)
+        ks = np.concatenate([simulate_clicks_batch(part, weights, rng) for part in np.split(ns, 13)])
+        observed = np.bincount(ns * (weights.B + 1) + ks, minlength=41 * (weights.B + 1))
+        law = response_matrix(weights, 40).P
+        for n in photons:
+            seen, p = observed.reshape(41, -1)[n], law[:, n]
+            assert seen[p == 0.0].sum() == 0
+            expected = 10_000 * p
+            keep = (expected >= 100.0) & (p < 1.0)  # a certain click number is the check above
+            z = (seen - expected)[keep] / np.sqrt(expected * (1.0 - p))[keep]
+            assert np.abs(z).max(initial=0.0) <= 4.0, n
+            tested = expected >= 5.0
+            got, want = seen[tested].astype(float), expected[tested]
+            rest = 10_000 - want.sum()
+            if rest >= 5.0:
+                got, want = np.append(got, 10_000 - got.sum()), np.append(want, rest)
+            else:  # too little to pool on its own: into the smallest cell
+                got[np.argmin(want)] += 10_000 - got.sum()
+                want[np.argmin(want)] += rest
+            if got.size > 1:  # a click number that is certain has only the z-test
+                stat = float(((got - want) ** 2 / want).sum())
+                assert chi2.sf(stat, got.size - 1) >= 1e-4, n
 
-# CI's 16 uneven paths, the fourth dead
-CUT_WEIGHTS = [2, 0.5, 1.5, 0, 1, 1, 1.5, 0.75, 1.25, 1, 1, 0.5, 0.75, 1.25, 1, 1]
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        ns=st.lists(st.integers(0, 40), max_size=120),
+        w=st.sampled_from(LAW_WEIGHTS),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_permuted_photon_numbers_permute_clicks_within_groups(self, ns, w, seed, data):
+        # on one stream state, a permutation of the photon numbers only
+        # permutes the clicks among pulses with equal photon numbers, and leaves
+        # the stream where the unpermuted draw leaves it
+        weights = PathWeights(np.array(w) / math.fsum(w))
+        order = data.draw(st.permutations(range(len(ns))))
+        ns = np.array(ns, dtype=np.int64)
+        moved = ns[np.array(order, dtype=np.intp)]
+        rng, again = np.random.default_rng(seed), np.random.default_rng(seed)
+        ks, ks_moved = simulate_clicks_batch(ns, weights, rng), simulate_clicks_batch(moved, weights, again)
+        for n in np.unique(ns):
+            assert sorted(ks[ns == n]) == sorted(ks_moved[moved == n])
+        assert rng.bit_generator.state == again.bit_generator.state
 
 
 def _mixed_photons(size: int) -> list:
@@ -442,18 +517,17 @@ def _mixed_photons(size: int) -> list:
 
 
 class TestClicksReference:
-    """The click draw against the draw as it stood before it made fewer passes
-    over the pulses: the same click numbers, dtype and stream state after each of
-    three calls on one stream, so that no histogram moves.  The reference takes
-    int64 photon numbers only (unsigned ones made its segment starts float and
-    raised TypeError wherever a pulse held 2 to 32 photons), so uint8 photon
-    numbers are held to it in int64."""
+    """The click draw against the per-pulse draw it replaced, which
+    ``simulate_clicks_batch_reference`` keeps as its law oracle.  Each list of
+    photon numbers is tiled to about 60,000 pulses and drawn by both from their
+    own streams: the clicks are int64, pulses of 0 and 1 photon give the
+    reference's clicks exactly, a list with no pulse of two or more photons draws
+    nothing from the stream, and the two tallies over (photon number, clicks)
+    agree by a two-sample chi-squared test, p >= 1e-4, on the cells where the two
+    hold 10 or more together, with the rest pooled.  The reference takes int64
+    photon numbers only, so uint8 photon numbers are held to it in int64."""
 
-    @pytest.mark.parametrize(
-        "w",
-        [[1.0], [0.5, 0.5, 0.0], [0.125] * 8, CUT_WEIGHTS, [1.0] * 64, [1.0] * 65],
-        ids=["B1", "B3-dead", "B8", "B16-uneven-dead", "B64", "B65"],
-    )
+    @pytest.mark.parametrize("w", LAW_WEIGHTS, ids=LAW_IDS)
     @pytest.mark.parametrize(
         "ns",
         [_mixed_photons(3000), [], [0, 1, 1, 0], [2, 32, 5, 0, 1, 2], [33, 50, 0, 1, 40], [1, 33, 2, 50, 32]],
@@ -462,13 +536,22 @@ class TestClicksReference:
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
     def test_equals_reference(self, w, ns, dtype):
         weights = PathWeights(np.array(w) / math.fsum(w))
-        ns = np.array(ns, dtype=dtype)
-        rng, ref = np.random.default_rng(41), np.random.default_rng(41)
-        for _ in range(3):
-            got = simulate_clicks_batch(ns, weights, rng)
-            want = simulate_clicks_batch_reference(ns.astype(np.int64), weights, ref)
-            assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
-            assert rng.bit_generator.state == ref.bit_generator.state
+        ns = np.tile(np.array(ns, dtype=dtype), -(-60_000 // max(len(ns), 1)))
+        rng, ref = np.random.default_rng(41), np.random.default_rng(42)
+        got = simulate_clicks_batch(ns, weights, rng)
+        want = simulate_clicks_batch_reference(ns.astype(np.int64), weights, ref)
+        assert got.dtype == want.dtype == np.int64 and got.shape == ns.shape
+        assert np.array_equal(got[ns <= 1], want[ns <= 1])
+        if ns.max(initial=0) <= 1:
+            assert rng.bit_generator.state == np.random.default_rng(41).bit_generator.state
+            return
+        cells = ns.astype(np.int64) * (weights.B + 1)
+        table = np.stack([np.bincount(cells + k, minlength=51 * (weights.B + 1)) for k in (got, want)])
+        big = table.sum(axis=0) >= 10
+        table = np.column_stack([table[:, big], table[:, ~big].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        if table.shape[1] > 1:
+            assert chi2_contingency(table, correction=False).pvalue >= 1e-4
 
 
 class TestCalibrate:

@@ -30,7 +30,14 @@ from pairstats.loop_detector import (
     response_matrix,
     uniform_weights,
 )
-from pairstats.model import EffectiveSource, _pair_law, _pair_walk, joint_distribution, parse_distribution
+from pairstats.model import (
+    EffectiveSource,
+    _pair_law,
+    _pair_walk,
+    joint_distribution,
+    parse_distribution,
+    suggest_n_max,
+)
 from pairstats.pipeline import (
     BLOCK_SIZE,
     ExperimentConfig,
@@ -347,8 +354,8 @@ class TestSamplePulse:
     def test_near_vacuum(self):
         src = EffectiveSource(N=1e-9, eta=0.9, eta_prime=0.9, M=2.0)
         rng = _block_rng(1, 9, 0)
-        singles, n, m = _sample_pulses(_pulse_law(src), rng, 200)
-        assert singles.sum() == n.size == m.size == 0
+        singles, n, m, counts = _sample_pulses(_pulse_law(src), rng, 200)
+        assert singles.sum() == n.size == m.size == counts.size == 0
 
     def test_lossless_pairs_stay_matched(self):
         # only (1, 1) singles, and both arms see every pair of the others, on
@@ -356,7 +363,7 @@ class TestSamplePulse:
         for N in (1.0, SWITCH_THETA):
             law = _pulse_law(EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=1.0))
             assert (law.table is None) == (N == 1.0)
-            singles, n, m = _sample_pulses(law, _block_rng(2, 9, 0), 50_000)
+            singles, n, m, _ = _sample_pulses(law, _block_rng(2, 9, 0), 50_000)
             assert singles[0] > 0 and singles[1] == singles[2] == 0
             assert n.size > 0 and np.array_equal(n, m)
 
@@ -410,7 +417,7 @@ class TestSamplePulse:
         # to 1, so every pulse must come back
         src = EffectiveSource(N=N, eta=eta, eta_prime=eta, M=M)
         pulses = 10_000_000
-        kept = sum(singles.sum() + n.size for singles, n, _, _ in pulse_blocks(src, pulses, 7, 9))
+        kept = sum(singles.sum() + counts.sum() for singles, _, _, counts, _ in pulse_blocks(src, pulses, 7, 9))
         share = -math.expm1(-M * math.log1p(N * (2.0 * eta - eta * eta)))
         assert abs(kept - pulses * share) <= 4.0 * math.sqrt(pulses * share * (1.0 - share))
 
@@ -439,8 +446,8 @@ class TestSamplePulse:
         v, a = eta * eta / k, eta * (1.0 - eta) / k  # each arm alone at a
         p = np.array([one * v + 2.0 * a * a * two, one * a, one * a, several - 2.0 * a * a * two])
         counts = []
-        for singles, n, m, _ in pulse_blocks(src, pulses, 5, 9):
-            n, m = nonempty_pulses(singles, n, m)
+        for *draw, _ in pulse_blocks(src, pulses, 5, 9):
+            n, m = nonempty_pulses(*draw)
             kinds = [np.count_nonzero((n == x) & (m == y)) for x, y in ((1, 1), (1, 0), (0, 1))]
             counts.append([*kinds, n.size - sum(kinds)])
         counts = np.array(counts)
@@ -468,9 +475,9 @@ class TestSamplePulse:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cells = _pair_law(src).cells
-            singles, n, m = _sample_pulses(_pulse_law(src), _block_rng(1, 9, 0), BLOCK_SIZE)
+            singles, n, m, counts = _sample_pulses(_pulse_law(src), _block_rng(1, 9, 0), BLOCK_SIZE)
         assert cells[1] == 0.0 and cells[2] == 1.0 and (eta == 1.0 or cells[0] == 0.0)
-        assert singles.sum() == n.size == m.size == 0
+        assert singles.sum() == n.size == m.size == counts.size == 0
 
     @pytest.mark.parametrize(
         "N, M",
@@ -491,8 +498,8 @@ class TestSamplePulse:
         # z-tested, past the 21 x 21 window of max_law_z
         src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
         counts = np.zeros(0)
-        for singles, n, m, _ in pulse_blocks(src, 10_000_000, 8, 9):
-            n, m = nonempty_pulses(singles, n, m)
+        for *draw, _ in pulse_blocks(src, 10_000_000, 8, 9):
+            n, m = nonempty_pulses(*draw)
             assert np.array_equal(n, m)
             hist = np.bincount(n)
             counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
@@ -518,8 +525,8 @@ class TestSamplePulse:
         # M (M + 1) N**2 = 4, so the sampler takes its bright branch
         src = EffectiveSource(N=N, eta=1.0, eta_prime=1.0, M=M)
         counts = np.zeros(0)
-        for singles, n, m, _ in pulse_blocks(src, 2_000_000, 8, 9):
-            hist = np.bincount(nonempty_pulses(singles, n, m)[0])
+        for *draw, _ in pulse_blocks(src, 2_000_000, 8, 9):
+            hist = np.bincount(nonempty_pulses(*draw)[0])
             counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
             counts[: hist.size] += hist
         counts = np.append(counts, 0.0)  # one empty cell past the largest draw
@@ -567,11 +574,11 @@ class TestSamplePulse:
         if (multi := pvals[3:-1].sum()) > 0.0:  # no singles, and half the pulses empty
             laws.append(law._replace(table=(n, m, np.concatenate([np.zeros(3), 0.5 * pvals[3:-1] / multi, [0.5]]))))
         for drawn in laws:
-            singles, drawn_n, drawn_m = _sample_pulses(drawn, _block_rng(1, 9, 0), 1000)
-            assert singles.dtype == drawn_n.dtype == drawn_m.dtype == np.int64
-            assert drawn_n.shape == drawn_m.shape and singles.sum() + drawn_n.size <= 1000
-            assert set(zip(drawn_n.tolist(), drawn_m.tolist())) <= cells
-        assert len(laws) == 1 or (singles.sum() == 0 and 400 <= drawn_n.size <= 600)
+            singles, drawn_n, drawn_m, counts = _sample_pulses(drawn, _block_rng(1, 9, 0), 1000)
+            assert singles.dtype == drawn_n.dtype == drawn_m.dtype == counts.dtype == np.int64
+            assert drawn_n.shape == drawn_m.shape == counts.shape and singles.sum() + counts.sum() <= 1000
+            assert (counts > 0).all() and set(zip(drawn_n.tolist(), drawn_m.tolist())) <= cells
+        assert len(laws) == 1 or (singles.sum() == 0 and 400 <= counts.sum() <= 600)
 
     @pytest.mark.parametrize(
         "N, eta, eta_prime, M, pulses",
@@ -689,17 +696,19 @@ class TestSamplePulse:
     )
     def test_valid_box(self, log_N, eta, eta_prime, M, seed):
         src = EffectiveSource(N=10.0**log_N, eta=eta, eta_prime=eta_prime, M=M)
-        singles, n, m = _sample_pulses(_pulse_law(src), _block_rng(seed, 9, 0), 1000)
+        singles, n, m, counts = _sample_pulses(_pulse_law(src), _block_rng(seed, 9, 0), 1000)
         assert singles.dtype == np.int64 and singles.shape == (3,) and (singles >= 0).all()
-        assert singles.sum() + n.size <= 1000
-        for x in (n, m):
+        assert singles.sum() + counts.sum() <= 1000
+        for x in (n, m, counts):
             assert x.dtype == np.int64 and x.shape == n.shape
             assert (x >= 0).all()
-        assert (n + m >= 2).all()
+        assert (n + m >= 2).all() and (counts > 0).all()
+        # the cells are distinct and in row-major order
+        assert np.all((np.diff(n) > 0) | ((np.diff(n) == 0) & (np.diff(m) > 0)))
         again = _sample_pulses(_pulse_law(src), _block_rng(seed, 9, 0), 1000)
-        assert all(np.array_equal(x, y) for x, y in zip(again, (singles, n, m)))
+        assert len(again) == 4 and all(np.array_equal(x, y) for x, y in zip(again, (singles, n, m, counts)))
         lossless = EffectiveSource(N=src.N, eta=1.0, eta_prime=1.0, M=M)
-        singles, n, m = _sample_pulses(_pulse_law(lossless), _block_rng(seed, 9, 0), 1000)
+        singles, n, m, _ = _sample_pulses(_pulse_law(lossless), _block_rng(seed, 9, 0), 1000)
         assert singles[1] == singles[2] == 0 and np.array_equal(n, m)
 
 
@@ -799,6 +808,37 @@ class TestSimulateExperiment:
             sigma = np.sqrt(p[cell] * (1 - p[cell]) / cfg.pulses)
             assert abs(phat - p[cell]) <= 5.0 * sigma
 
+    @pytest.mark.parametrize(
+        "N, eta, eta_prime, M, pulses",
+        [
+            (0.2, 0.045, 0.045, 16.0, 10_000_000),
+            (1.5, 0.6, 0.6, 3.0, 1_000_000),
+            (2.0, 0.8, 0.8, 20.0, 500_000),
+        ],
+        ids=["readme", "bright", "cut"],
+    )
+    def test_joint_clicks_match_exact_law(self, N, eta, eta_prime, M, pulses):
+        # the joint click histogram against apply_response(joint_distribution)
+        # at the 1e-12 cutoff, 8 equal paths: a z-test on every cell where 100 or
+        # more pulses are expected, and a chi-squared test on the cells where 5
+        # or more are, with the rest pooled.  The weak-pump README blocks pair
+        # their arms by cell, the bright ones bin their pulses first, and the
+        # source of CI's cut config (arm means 32) draws its clicks on both
+        # sides of the per-photon cut
+        src = EffectiveSource(N=N, eta=eta, eta_prime=eta_prime, M=M)
+        f = simulate_experiment(ExperimentConfig(source=src, pulses=pulses, seed=3)).f.ravel()
+        resp = response_matrix(uniform_weights(8), n_max := suggest_n_max(src, 1e-12))
+        probs = apply_response(joint_distribution(src, n_max), resp, resp).p.ravel()
+        expected = probs * pulses
+        keep = expected >= 100.0
+        z = (f - expected)[keep] / np.sqrt(expected * (1.0 - probs))[keep]
+        assert np.abs(z).max() <= 4.0
+        tested = expected >= 5.0
+        observed = np.append(f[tested], pulses - f[tested].sum())
+        wanted = np.append(expected[tested], pulses - expected[tested].sum())
+        stat = float(((observed - wanted) ** 2 / wanted).sum())
+        assert chi2.sf(stat, observed.size - 1) >= 1e-4
+
 
 class TestCalibration:
     def test_bin_tallies_recover_weights(self):
@@ -841,9 +881,9 @@ class TestReadmeStream:
         report = run_full(ExperimentConfig(source=src, pulses=100_000, seed=42))
         assert not report.failures
         assert report.histogram.f.tolist() == [
-            [75618, 10314, 700, 21, 0, 0, 0, 0, 0],
-            [10348, 1977, 150, 7, 1, 0, 0, 0, 0],
-            [649, 157, 16, 5, 0, 0, 0, 0, 0],
+            [75618, 10313, 704, 18, 0, 0, 0, 0, 0],
+            [10348, 1976, 153, 6, 0, 0, 0, 0, 0],
+            [649, 156, 17, 4, 1, 0, 0, 0, 0],
             [27, 9, 1, 0, 0, 0, 0, 0, 0],
         ] + [[0] * 9] * 5
         assert (report.calibration_a.total, report.calibration_b.total) == (711, 697)
@@ -943,12 +983,12 @@ class TestBlocksOnThreads:
             monkeypatch.setattr(pipeline, "_pool", lambda: (Recording(), 3))
             src = threads_cfg(1).source
             ahead, sizes = [], []
-            blocks = pipeline._map_blocks(lambda singles, n, m, rng: n.size, src, 1005, 4, 9)
+            blocks = pipeline._map_blocks(lambda singles, n, m, counts, rng: counts.sum(), src, 1005, 4, 9)
             for done, size in enumerate(blocks):
                 ahead.append(len(submitted) - done)
                 sizes.append(size)
         assert submitted == list(range(101)) and max(ahead) == 6
-        assert sizes == [n.size for _, n, _, _ in pulse_blocks(src, 1005, 4, 9)]
+        assert sizes == [counts.sum() for _, _, _, counts, _ in pulse_blocks(src, 1005, 4, 9)]
 
     @pytest.mark.parametrize("pooled", [False, True], ids=["calling-thread", "pool"])
     def test_pool_only_from_break_even(self, pooled, submitted, monkeypatch):
